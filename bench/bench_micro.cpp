@@ -9,9 +9,9 @@
 #include "core/model.hpp"
 #include "ctmc/muinf_chain.hpp"
 #include "ctmc/stationary.hpp"
-#include "ctmc/typecount_chain.hpp"
 #include "rand/rng.hpp"
 #include "sim/swarm.hpp"
+#include "sim/typecount_sim.hpp"
 
 namespace {
 
@@ -39,15 +39,15 @@ void BM_SwarmStep(benchmark::State& state) {
 }
 BENCHMARK(BM_SwarmStep)->Arg(4)->Arg(16)->Arg(64);
 
-void BM_TypeCountChainStep(benchmark::State& state) {
+void BM_TypeCountSimStep(benchmark::State& state) {
   const auto k = static_cast<int>(state.range(0));
   SwarmParams params(k, 1.0, 1.0, 2.0, {{PieceSet{}, 3.0}});
-  TypeCountChain chain(params, 1);
-  chain.run_until(200.0);
-  for (auto _ : state) benchmark::DoNotOptimize(chain.step());
+  TypeCountSim sim(params, TypeCountSimOptions{.rng_seed = 1});
+  sim.run_until(200.0);
+  for (auto _ : state) benchmark::DoNotOptimize(sim.step());
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_TypeCountChainStep)->Arg(4)->Arg(8);
+BENCHMARK(BM_TypeCountSimStep)->Arg(4)->Arg(8);
 
 void BM_GfMul(benchmark::State& state) {
   const GaloisField gf(static_cast<int>(state.range(0)));

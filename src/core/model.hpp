@@ -12,8 +12,9 @@
 //     departure (and then lambda_F must be zero).
 //
 // The same struct parameterizes the aggregate type-count CTMC
-// (ctmc/typecount_chain.hpp), the per-peer simulator (sim/swarm.hpp) and
-// the closed-form stability theory (core/stability.hpp).
+// (core/generator.hpp), both simulators (sim/swarm.hpp,
+// sim/typecount_sim.hpp) and the closed-form stability theory
+// (core/stability.hpp).
 #pragma once
 
 #include <limits>

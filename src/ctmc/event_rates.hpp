@@ -10,11 +10,10 @@
 //                                           0 when gamma = infinity)
 //
 // This helper is the single source of those derivations, shared by the
-// event-level chain (ctmc/typecount_chain), the per-peer simulator
-// (sim/swarm — which then applies its VIII-C retry-boost and
-// heterogeneous-rate modifiers on top), and the type-count simulator
-// (sim/typecount_sim — which subtracts the silent fraction from the seed
-// and peer clocks; see that header).
+// per-peer simulator (sim/swarm — which then applies its VIII-C
+// retry-boost and heterogeneous-rate modifiers on top) and the
+// type-count simulator (sim/typecount_sim — which subtracts the silent
+// fraction from the seed and peer clocks; see that header).
 #pragma once
 
 #include <cstdint>

@@ -235,11 +235,12 @@ void RowRenderer::Row::end() {
 
 ReportWriter::ReportWriter(const std::string& path, ReportFormat format,
                            std::vector<std::string> columns)
-    : columns_(std::move(columns)), format_(format), path_(path) {
+    : columns_(std::move(columns)),
+      format_(format),
+      path_(path),
+      to_stdout_(path.empty() || path == "-") {
   P2P_ASSERT_MSG(!columns_.empty(), "a report needs at least one column");
-  if (path_.empty() || path_ == "-") {
-    file_ = stdout;
-  }
+  if (to_stdout_) file_ = stdout;
   // A named file is opened lazily, at the first flush: a producer that
   // aborts in validation before writing anything (bad axis spec, ...)
   // must not have truncated a previously good output file — the old
@@ -320,20 +321,20 @@ void ReportWriter::finish() {
     write_file_bytes(buffer_);
     buffer_.clear();
   }
-  if (owns_file_) {
+  if (to_stdout_) {
+    P2P_ASSERT_MSG(std::fflush(file_) == 0, "short write to stdout");
+  } else {
     // fclose flushes the stdio buffer, so a full disk can surface there;
     // a truncated report must not exit 0.
     P2P_ASSERT_MSG(std::fclose(file_) == 0,
                    "short write to report output file");
-  } else {
-    P2P_ASSERT_MSG(std::fflush(file_) == 0, "short write to stdout");
   }
   file_ = nullptr;
 }
 
 void ReportWriter::flush_to_file() {
   if (buffer_.empty()) return;
-  if (file_ == stdout) {
+  if (to_stdout_) {
     // stdout stays synchronous: callers interleave their own writes.
     write_file_bytes(buffer_);
     buffer_.clear();
@@ -377,7 +378,6 @@ void ReportWriter::write_file_bytes(const std::string& bytes) {
     file_ = std::fopen(path_.c_str(), "wb");
     P2P_ASSERT_MSG(file_ != nullptr,
                    "cannot open report output file \"" + path_ + "\"");
-    owns_file_ = true;
   }
   const std::size_t written =
       std::fwrite(bytes.data(), 1, bytes.size(), file_);

@@ -174,8 +174,13 @@ class ReportWriter {
   ReportFormat format_;
   std::string* sink_ = nullptr;
   std::string path_;
+  /// Decided at construction, so the producer never reads file_ while
+  /// the flusher may be opening it.
+  bool to_stdout_ = false;
+  /// stdout, or the named file from its lazy open on. Once the flusher
+  /// thread has started, only it touches a named file until finish()
+  /// joins it.
   std::FILE* file_ = nullptr;
-  bool owns_file_ = false;
   std::string buffer_;
   std::size_t rows_ = 0;
   bool finished_ = false;

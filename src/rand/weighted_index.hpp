@@ -4,8 +4,8 @@
 //
 // This is the event-selection structure of the type-count simulator: one
 // slot per PieceSet type, weight = peer count of that type, so drawing a
-// uniform random peer is a single descending prefix search instead of the
-// O(2^K) linear scan `ctmc/typecount_chain` uses. The tree is templated on
+// uniform random peer is a single descending prefix search instead of an
+// O(2^K) linear scan over the types. The tree is templated on
 // the weight type:
 //
 //   * integral weights (the simulator) sample through Rng::uniform_int, so

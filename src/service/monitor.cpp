@@ -137,10 +137,8 @@ void StabilityMonitor::Bucket::reset(std::int64_t new_epoch) {
 StabilityMonitor::StabilityMonitor(MonitorConfig config)
     : config_(config),
       bucket_width_(config.window / config.buckets),
-      full_mask_((std::uint64_t{1} << std::max(config.num_pieces, 1)) - 1),
-      state_(std::clamp(config.num_pieces, 1, 16)),
-      sub_(std::size_t{1} << std::clamp(config.num_pieces, 1, 16), 0),
-      sup_(std::size_t{1} << std::clamp(config.num_pieces, 1, 16), 0),
+      // Clamped so an unsupported K reaches the monitor's own check below.
+      ledger_(std::clamp(config.num_pieces, 1, 16)),
       ring_(static_cast<std::size_t>(std::max(config.buckets, 1))) {
   P2P_ASSERT_MSG(config_.num_pieces >= 1 && config_.num_pieces <= 16,
                  "monitor supports K in [1, 16]");
@@ -156,26 +154,6 @@ StabilityMonitor::StabilityMonitor(MonitorConfig config)
                  "hysteresis needs hyst_enter >= hyst_exit");
   P2P_ASSERT_MSG(config_.pinned_gamma >= 0,
                  "pinned gamma must be positive (0 = estimate from the log)");
-}
-
-void StabilityMonitor::bump(std::uint64_t mask, std::int64_t delta) {
-  if (delta == 0) return;
-  // Pair-sum first: the identity uses the *old* subset/superset sums
-  // (the typecount_sim bump, minus the sampler bookkeeping).
-  pair_sum_s_ += delta * (sub_[mask] + sup_[mask]) + delta * delta;
-  std::uint64_t a = mask;
-  while (true) {
-    sup_[a] += delta;
-    if (a == 0) break;
-    a = (a - 1) & mask;
-  }
-  const std::uint64_t comp = full_mask_ & ~mask;
-  std::uint64_t extra = 0;
-  do {
-    sub_[mask | extra] += delta;
-    extra = (extra - comp) & comp;
-  } while (extra != 0);
-  state_.add(PieceSet(mask), delta);
 }
 
 StabilityMonitor::Bucket& StabilityMonitor::bucket_for_slot(
@@ -196,15 +174,15 @@ void StabilityMonitor::advance_time(double t) {
     const double upto = std::min(t, slot_end);
     const double dt = upto - time_;
     Bucket& bucket = bucket_for_slot(slot_);
-    const double n = static_cast<double>(state_.total_peers());
-    const double s = static_cast<double>(state_.seeds());
+    const double n = static_cast<double>(state().total_peers());
+    const double s = static_cast<double>(state().seeds());
     bucket.duration += dt;
     bucket.peers_dt += n * dt;
     bucket.seeds_dt += s * dt;
     if (n > 0) {
       bucket.seed_target_dt += ((n - s) / n) * dt;
       bucket.peer_pair_dt +=
-          ((n * n - static_cast<double>(pair_sum_s_)) / n) * dt;
+          (static_cast<double>(ledger_.nonsilent_pairs()) / n) * dt;
     }
     time_ = upto;
   }
@@ -215,7 +193,7 @@ void StabilityMonitor::apply(const SwarmEvent& event, const std::string& line,
   Bucket& bucket = bucket_for_slot(slot_);
   switch (event.kind) {
     case SwarmEventKind::kArrive: {
-      bump(event.type, +1);
+      ledger_.bump(event.type, +1);
       ++bucket.arrivals;
       for (auto& [mask, count] : bucket.arrivals_by_type) {
         if (mask == event.type) {
@@ -227,18 +205,18 @@ void StabilityMonitor::apply(const SwarmEvent& event, const std::string& line,
       return;
     }
     case SwarmEventKind::kDepart: {
-      if (state_.count(event.type) <= 0) {
+      if (state().count(event.type) <= 0) {
         monitor_fail("departure of type " + std::to_string(event.type) +
                          " but no such peer is present",
                      line, line_number);
       }
-      if (event.type == full_mask_) ++bucket.seed_departures;
-      bump(event.type, -1);
+      if (event.type == ledger_.full_mask()) ++bucket.seed_departures;
+      ledger_.bump(event.type, -1);
       return;
     }
     case SwarmEventKind::kPiece:
     case SwarmEventKind::kSeed: {
-      if (state_.count(event.type) <= 0) {
+      if (state().count(event.type) <= 0) {
         monitor_fail("transfer to a peer of type " +
                          std::to_string(event.type) +
                          " but no such peer is present",
@@ -250,8 +228,8 @@ void StabilityMonitor::apply(const SwarmEvent& event, const std::string& line,
                      line, line_number);
       }
       const std::uint64_t to = event.type | (std::uint64_t{1} << event.piece);
-      bump(event.type, -1);
-      bump(to, +1);
+      ledger_.bump(event.type, -1);
+      ledger_.bump(to, +1);
       if (event.kind == SwarmEventKind::kPiece) {
         ++bucket.peer_downloads;
       } else {
@@ -304,8 +282,8 @@ MonitorEstimates StabilityMonitor::estimates() const {
     // immediate departure; zero of each means "cannot tell yet".
     est.gamma = seed_departures > 0 ? kInfiniteRate : kNaN;
   }
-  est.peers = state_.total_peers();
-  est.seeds = state_.seeds();
+  est.peers = state().total_peers();
+  est.seeds = state().seeds();
   est.mean_peers = coverage > 0 ? peers_dt / coverage : kNaN;
   if (coverage > 0) {
     for (std::size_t mask = 0; mask < by_type.size(); ++mask) {

@@ -27,7 +27,7 @@
 //            uniform peer; silent iff it is a peer seed)
 //   mu     = peer transfers / int (n^2 - S)/n dt     (S = silent-pair
 //            sum over ordered type pairs a subseteq b, maintained
-//            incrementally as in sim/typecount_sim.hpp)
+//            incrementally by core/state.hpp's TypeCountLedger)
 //   gamma  = full-type departures / int x_F dt       (0/0 = unknown;
 //            c/0 with c > 0 = immediate departure = infinity)
 //
@@ -149,7 +149,7 @@ class StabilityMonitor {
   std::size_t events_processed() const { return events_; }
   std::size_t flips() const { return flips_; }
   MonitorVerdict verdict() const { return verdict_; }
-  const TypeCountState& state() const { return state_; }
+  const TypeCountState& state() const { return ledger_.state(); }
 
   /// The current window's estimates (what the next advisory would
   /// carry).
@@ -171,9 +171,6 @@ class StabilityMonitor {
     void reset(std::int64_t new_epoch);
   };
 
-  /// x_c += delta, maintaining the silent-pair sum S via the
-  /// subset/superset sums (the typecount_sim identity).
-  void bump(std::uint64_t mask, std::int64_t delta);
   /// Accrues the window integrals from time_ to t (splitting across
   /// bucket boundaries) and advances the clock.
   void advance_time(double t);
@@ -184,12 +181,7 @@ class StabilityMonitor {
 
   MonitorConfig config_;
   double bucket_width_;
-  std::uint64_t full_mask_;
-
-  TypeCountState state_;
-  std::vector<std::int64_t> sub_;
-  std::vector<std::int64_t> sup_;
-  std::int64_t pair_sum_s_ = 0;
+  TypeCountLedger ledger_;
 
   std::vector<Bucket> ring_;
   double time_ = 0;

@@ -14,18 +14,39 @@
 //     large swarms; exact for the base model (RandomUseful, eta = 1,
 //     homogeneous rates).
 //
-// The interface is the surface engine/sweep.cpp's replica runner and the
-// cross-backend equivalence tests need; concrete extras (group counts,
-// policy hooks, run_sampled) stay on the concrete classes.
+// The interface is the surface engine/sweep.cpp's replica runner, the
+// event-log emitter (sim/event_log.hpp) and the cross-backend
+// equivalence tests need; concrete extras (group counts, policy hooks,
+// run_sampled) stay on the concrete classes.
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <utility>
 
 #include "core/state.hpp"
 #include "sim/stats.hpp"
 #include "util/piece_set.hpp"
 
 namespace p2p {
+
+enum class SwarmEventKind { kArrive, kDepart, kPiece, kSeed };
+
+/// One state change of the swarm (sim/event_log.hpp gives its wire
+/// format).
+struct SwarmEvent {
+  double t = 0;
+  SwarmEventKind kind = SwarmEventKind::kArrive;
+  /// arrive/depart: the peer's type. piece/seed: the target's type
+  /// before the download.
+  std::uint64_t type = 0;
+  /// Downloaded piece index for piece/seed; -1 otherwise.
+  int piece = -1;
+
+  bool operator==(const SwarmEvent&) const = default;
+};
+
+using SwarmEventSink = std::function<void(const SwarmEvent&)>;
 
 class SwarmBackend {
  public:
@@ -56,6 +77,23 @@ class SwarmBackend {
 
   /// Aggregate state vector (for cross-validation); K <= 16.
   virtual TypeCountState type_counts() const = 0;
+
+  /// Installs `observer`, which then sees every state change as it is
+  /// applied, stamped with now(): arrive, piece or seed transfer, depart.
+  /// A download that completes a peer under immediate departure fires
+  /// its transfer, then the departure. Silent contacts and inject_peers
+  /// fire nothing. An empty observer detaches.
+  void set_event_observer(SwarmEventSink observer) {
+    observer_ = std::move(observer);
+  }
+
+ protected:
+  void notify(SwarmEventKind kind, std::uint64_t type, int piece = -1) const {
+    if (observer_) observer_({now(), kind, type, piece});
+  }
+
+ private:
+  SwarmEventSink observer_;
 };
 
 }  // namespace p2p

@@ -3,6 +3,7 @@
 #include <cctype>
 #include <cstdlib>
 #include <memory>
+#include <vector>
 
 #include "engine/parse_util.hpp"
 #include "engine/report.hpp"
@@ -286,87 +287,46 @@ SwarmEvent parse_event_line(const std::string& line, std::size_t line_number,
   return parse_event_csv(line, line_number, num_pieces);
 }
 
+namespace {
+
+/// Replays one event into `state`; TypeCountState aborts on a count
+/// going negative, so an inconsistent event cannot pass silently.
+void apply_event(TypeCountState& state, const SwarmEvent& event) {
+  const PieceSet type(event.type);
+  switch (event.kind) {
+    case SwarmEventKind::kArrive:
+      state.add(type, +1);
+      return;
+    case SwarmEventKind::kDepart:
+      state.add(type, -1);
+      return;
+    case SwarmEventKind::kPiece:
+    case SwarmEventKind::kSeed:
+      state.transfer(type, type.with(event.piece));
+      return;
+  }
+}
+
+}  // namespace
+
 TypeCountState record_events(SwarmBackend& backend, double t_end,
                              double t_offset, const SwarmEventSink& emit) {
-  TypeCountState prev = backend.type_counts();
-  const int k = prev.num_pieces();
-  const std::uint64_t full = PieceSet::full(k).mask();
-  SwarmCounters prev_counters = backend.counters();
-
-  while (true) {
-    if (!backend.step()) break;
-    if (backend.now() > t_end) break;  // discarded: prev is the t_end state
-    const TypeCountState cur = backend.type_counts();
-    const SwarmCounters& counters = backend.counters();
-    const double t = t_offset + backend.now();
-
-    // At most one type lost a peer and one gained one per event.
-    std::uint64_t minus_mask = 0, plus_mask = 0;
-    bool has_minus = false, has_plus = false;
-    for (std::uint64_t m = 0; m <= full; ++m) {
-      const std::int64_t delta = cur.count(m) - prev.count(m);
-      if (delta == 0) continue;
-      P2P_ASSERT(delta == 1 || delta == -1);
-      if (delta < 0) {
-        P2P_ASSERT(!has_minus);
-        minus_mask = m;
-        has_minus = true;
-      } else {
-        P2P_ASSERT(!has_plus);
-        plus_mask = m;
-        has_plus = true;
-      }
+  TypeCountState state = backend.type_counts();
+  // One step's events, held back until the step is known to land by
+  // t_end.
+  std::vector<SwarmEvent> step_events;
+  backend.set_event_observer(
+      [&step_events](const SwarmEvent& e) { step_events.push_back(e); });
+  while (backend.step() && backend.now() <= t_end) {
+    for (SwarmEvent& event : step_events) {
+      apply_event(state, event);
+      event.t = t_offset + event.t;
+      emit(event);
     }
-
-    const std::int64_t d_arrivals = counters.arrivals - prev_counters.arrivals;
-    const std::int64_t d_departures =
-        counters.departures - prev_counters.departures;
-    const std::int64_t d_downloads =
-        counters.downloads - prev_counters.downloads;
-    const std::int64_t d_seed =
-        counters.seed_downloads - prev_counters.seed_downloads;
-
-    if (d_downloads == 1) {
-      P2P_ASSERT(has_minus);
-      int piece;
-      if (has_plus) {
-        const std::uint64_t bit = plus_mask ^ minus_mask;
-        P2P_ASSERT(PieceSet(bit).size() == 1 &&
-                   (plus_mask | minus_mask) == plus_mask);
-        piece = PieceSet(bit).nth(0);
-      } else {
-        // Immediate departure: the completed peer left in the same
-        // event, so the download is the target's unique missing piece.
-        const PieceSet missing = PieceSet(minus_mask).complement(k);
-        P2P_ASSERT(missing.size() == 1 && d_departures == 1);
-        piece = missing.nth(0);
-      }
-      emit({t, d_seed == 1 ? SwarmEventKind::kSeed : SwarmEventKind::kPiece,
-            minus_mask, piece});
-      if (d_departures == 1) {
-        emit({t, SwarmEventKind::kDepart,
-              minus_mask | (std::uint64_t{1} << piece), -1});
-      }
-    } else if (d_arrivals == 1) {
-      const std::uint64_t type = has_plus ? plus_mask : full;
-      emit({t, SwarmEventKind::kArrive, type, -1});
-      if (d_departures == 1) {
-        // A full-type arrival under immediate departure never joins.
-        P2P_ASSERT(!has_plus && !has_minus);
-        emit({t, SwarmEventKind::kDepart, full, -1});
-      }
-    } else if (d_departures == 1) {
-      P2P_ASSERT(has_minus && !has_plus && minus_mask == full);
-      emit({t, SwarmEventKind::kDepart, full, -1});
-    } else {
-      // Silent contact: nothing moved, nothing logged.
-      P2P_ASSERT(!has_minus && !has_plus);
-    }
-
-    prev = cur;
-    prev_counters = counters;
+    step_events.clear();
   }
-  return prev;
+  backend.set_event_observer(nullptr);
+  return state;
 }
 
 void generate_event_log(const std::vector<LogSegment>& segments,

@@ -30,10 +30,10 @@
 // event logs are either recorded artifacts or live feeds from a shim,
 // and a malformed line is a bug to surface, never data to repair.
 //
-// The emitter drives any SwarmBackend: it steps the simulator and diffs
-// the type-count state plus the counting processes after each event, so
-// the per-peer and the type-count backend produce logs in the same
-// grammar (silent contacts change nothing and emit nothing). A
+// The emitter drives any SwarmBackend through its event observer
+// (sim/backend.hpp): each backend reports its own state changes as it
+// applies them, so the per-peer and the type-count backend produce logs
+// in the same grammar (silent contacts change nothing and emit nothing). A
 // piecewise-parameter schedule generates frontier-crossing traces with
 // labeled ground truth: each segment runs under its own SwarmParams, and
 // the population carries across the boundary.
@@ -50,21 +50,7 @@
 
 namespace p2p {
 
-enum class SwarmEventKind { kArrive, kDepart, kPiece, kSeed };
-
 const char* to_string(SwarmEventKind kind);
-
-struct SwarmEvent {
-  double t = 0;
-  SwarmEventKind kind = SwarmEventKind::kArrive;
-  /// arrive/depart: the peer's type. piece/seed: the target's type
-  /// before the download.
-  std::uint64_t type = 0;
-  /// Downloaded piece index for piece/seed; -1 otherwise.
-  int piece = -1;
-
-  bool operator==(const SwarmEvent&) const = default;
-};
 
 /// The CSV schema: {"t", "event", "type", "piece"}.
 const std::vector<std::string>& event_log_columns();
@@ -87,15 +73,15 @@ void append_event_json(std::string& out, const SwarmEvent& event);
 SwarmEvent parse_event_line(const std::string& line, std::size_t line_number,
                             int num_pieces);
 
-using SwarmEventSink = std::function<void(const SwarmEvent&)>;
-
-/// Steps `backend` until its clock passes `t_end`, emitting one event
-/// per state change with timestamps shifted by `t_offset`. An event
-/// drawn past t_end is discarded, so the returned type-count state is
-/// the population exactly at t_end — the state a follow-on segment must
-/// be injected with. A download that completes a peer under immediate
-/// departure emits its transfer and the departure back to back at the
-/// same timestamp. K <= 16 (the type-count diff bound).
+/// Steps `backend` until its clock passes `t_end`, forwarding the events
+/// its observer reports, with timestamps shifted by `t_offset`. The step
+/// drawn past t_end is discarded together with its events, so the
+/// returned state — the backend's starting population replayed through
+/// the forwarded events — is the population exactly at t_end, the state
+/// a follow-on segment must be injected with. A download that completes
+/// a peer under immediate departure emits its transfer and the departure
+/// back to back at the same timestamp. Replaces any observer installed
+/// on `backend` and detaches on return. K <= 16.
 TypeCountState record_events(SwarmBackend& backend, double t_end,
                              double t_offset, const SwarmEventSink& emit);
 

@@ -104,6 +104,7 @@ void SwarmSim::add_peer(PieceSet type, bool count_as_arrival) {
     if (!type.contains(options_.tracked_piece)) {
       ++counters_.arrivals_without_tracked;
     }
+    notify(SwarmEventKind::kArrive, type.mask());
   }
 }
 
@@ -115,6 +116,7 @@ void SwarmSim::inject_peers(PieceSet type, std::int64_t count) {
 
 void SwarmSim::remove_peer(std::size_t idx) {
   Peer& peer = peers_[idx];
+  notify(SwarmEventKind::kDepart, peer.pieces.mask());
   sojourn_.add(occupancy_.now() - peer.arrival_time);
   for (int piece : peer.pieces) --piece_holders_[piece];
   --group_slot(static_cast<Group>(peer.group));
@@ -143,9 +145,10 @@ void SwarmSim::remove_peer(std::size_t idx) {
   ++counters_.departures;
 }
 
-void SwarmSim::give_piece(std::size_t idx, int piece) {
+void SwarmSim::give_piece(std::size_t idx, int piece, SwarmEventKind kind) {
   Peer& peer = peers_[idx];
   P2P_ASSERT(!peer.pieces.contains(piece));
+  notify(kind, peer.pieces.mask(), piece);
   peer.pieces = peer.pieces.with(piece);
   ++piece_holders_[piece];
   ++counters_.downloads;
@@ -204,7 +207,7 @@ void SwarmSim::do_seed_tick() {
                                     rng_);
   P2P_ASSERT(needed.contains(piece));
   ++counters_.seed_downloads;
-  give_piece(target, piece);
+  give_piece(target, piece, SwarmEventKind::kSeed);
 }
 
 void SwarmSim::do_peer_tick() {
@@ -230,7 +233,7 @@ void SwarmSim::do_peer_tick() {
   const int piece =
       policy_->select(useful, peers_[target].pieces, view(), rng_);
   P2P_ASSERT(useful.contains(piece));
-  give_piece(target, piece);
+  give_piece(target, piece, SwarmEventKind::kPiece);
 }
 
 void SwarmSim::do_seed_departure() {

@@ -189,8 +189,9 @@ class SwarmSim final : public SwarmBackend {
 
   void add_peer(PieceSet type, bool count_as_arrival);
   void remove_peer(std::size_t idx);
-  /// Peer `idx` receives `piece`; handles completion/departure.
-  void give_piece(std::size_t idx, int piece);
+  /// Peer `idx` receives `piece` from the fixed seed (kSeed) or a peer
+  /// (kPiece); handles completion/departure.
+  void give_piece(std::size_t idx, int piece, SwarmEventKind kind);
 
   std::size_t random_peer_index();
   /// Weighted by the VIII-C boost (rejection sampling; exact).

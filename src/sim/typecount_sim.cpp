@@ -14,42 +14,19 @@ TypeCountSim::TypeCountSim(SwarmParams params, TypeCountSimOptions options)
     : params_(std::move(params)),
       options_(options),
       rng_(options.rng_seed),
-      full_mask_((std::uint64_t{1} << params_.num_pieces()) - 1),
-      state_(params_.num_pieces()),
+      ledger_(params_.num_pieces()),
       peers_by_type_(std::size_t{1} << params_.num_pieces()),
-      sub_(std::size_t{1} << params_.num_pieces(), 0),
-      sup_(std::size_t{1} << params_.num_pieces(), 0),
       arrival_times_(std::size_t{1} << params_.num_pieces()) {
   P2P_ASSERT(options_.tracked_piece >= 0 &&
              options_.tracked_piece < params_.num_pieces());
   arrival_weights_.reserve(params_.arrivals().size());
-  for (const auto& a : params_.arrivals()) {
-    arrival_weights_.push_back(a.rate);
-    lambda_total_ += a.rate;
-  }
+  for (const auto& a : params_.arrivals()) arrival_weights_.push_back(a.rate);
 }
 
 void TypeCountSim::bump(std::uint64_t mask, std::int64_t delta) {
-  if (delta == 0) return;
-  // Pair-sum first: the identity uses the *old* subset/superset sums.
-  pair_sum_s_ += delta * (sub_[mask] + sup_[mask]) + delta * delta;
-  // Every a subseteq mask gains delta supersets-weighted peers...
-  std::uint64_t a = mask;
-  while (true) {
-    sup_[a] += delta;
-    if (a == 0) break;
-    a = (a - 1) & mask;
-  }
-  // ...and every b superseteq mask gains delta subset-weighted peers.
-  const std::uint64_t comp = full_mask_ & ~mask;
-  std::uint64_t extra = 0;
-  do {
-    sub_[mask | extra] += delta;
-    extra = (extra - comp) & comp;
-  } while (extra != 0);
-  state_.add(PieceSet(mask), delta);
+  ledger_.bump(mask, delta);
   peers_by_type_.update(static_cast<std::size_t>(mask), delta);
-  P2P_ASSERT_MSG(state_.total_peers() <= kMaxPopulation,
+  P2P_ASSERT_MSG(state().total_peers() <= kMaxPopulation,
                  "TypeCountSim supports at most 2e9 concurrent peers");
 }
 
@@ -67,7 +44,7 @@ double TypeCountSim::take_arrival_time(std::uint64_t mask) {
 void TypeCountSim::inject_peers(PieceSet type, std::int64_t count) {
   P2P_ASSERT(count >= 0);
   if (count == 0) return;
-  if (params_.immediate_departure() && type.mask() == full_mask_) {
+  if (params_.immediate_departure() && type.mask() == ledger_.full_mask()) {
     // Complete peers depart the instant they enter (matching
     // SwarmSim::add_peer): they never join the population.
     counters_.departures += count;
@@ -79,18 +56,21 @@ void TypeCountSim::inject_peers(PieceSet type, std::int64_t count) {
                                      occupancy_.now());
 }
 
-void TypeCountSim::complete_download(std::uint64_t c_mask, PieceSet useful) {
+void TypeCountSim::complete_download(std::uint64_t c_mask, PieceSet useful,
+                                     SwarmEventKind kind) {
   P2P_ASSERT(!useful.empty());
   const int piece = useful.nth(static_cast<int>(
       rng_.uniform_int(static_cast<std::uint64_t>(useful.size()))));
+  notify(kind, c_mask, piece);
   const std::uint64_t next = c_mask | (std::uint64_t{1} << piece);
   ++counters_.downloads;
   if (piece == options_.tracked_piece) ++counters_.downloads_of_tracked;
   const double arrived = take_arrival_time(c_mask);
   bump(c_mask, -1);
-  if (params_.immediate_departure() && next == full_mask_) {
+  if (params_.immediate_departure() && next == ledger_.full_mask()) {
     ++counters_.departures;
     sojourn_.add(occupancy_.now() - arrived);
+    notify(SwarmEventKind::kDepart, next);
     return;
   }
   bump(next, +1);
@@ -104,19 +84,20 @@ void TypeCountSim::do_arrival() {
   if (!type.contains(options_.tracked_piece)) {
     ++counters_.arrivals_without_tracked;
   }
-  if (params_.immediate_departure() && type.mask() == full_mask_) {
+  if (params_.immediate_departure() && type.mask() == ledger_.full_mask()) {
     ++counters_.departures;  // unreachable while lambda_F = 0; parity
     return;
   }
   bump(type.mask(), +1);
   arrival_times_[type.mask()].push_back(occupancy_.now());
+  notify(SwarmEventKind::kArrive, type.mask());
 }
 
 void TypeCountSim::do_seed_tick() {
   // Conditioned on non-silent, the target is uniform among non-seed
   // peers. Slot F is the tree's last index, so a dart below n - x_F
   // cannot land on it.
-  const std::int64_t eligible = state_.total_peers() - state_.seeds();
+  const std::int64_t eligible = state().total_peers() - state().seeds();
   P2P_ASSERT(eligible >= 1);
   const auto c_mask = static_cast<std::uint64_t>(peers_by_type_.find(
       static_cast<std::int64_t>(
@@ -124,12 +105,12 @@ void TypeCountSim::do_seed_tick() {
   const PieceSet needed =
       PieceSet(c_mask).complement(params_.num_pieces());
   ++counters_.seed_downloads;
-  complete_download(c_mask, needed);
+  complete_download(c_mask, needed, SwarmEventKind::kSeed);
 }
 
 void TypeCountSim::do_peer_tick() {
-  const std::int64_t n = state_.total_peers();
-  const std::int64_t nonsilent = n * n - pair_sum_s_;
+  const std::int64_t n = state().total_peers();
+  const std::int64_t nonsilent = ledger_.nonsilent_pairs();
   P2P_ASSERT(nonsilent >= 1);
   std::uint64_t a_mask = 0;
   std::uint64_t b_mask = 0;
@@ -147,13 +128,14 @@ void TypeCountSim::do_peer_tick() {
     // x_a * (n - sup(a)) (its non-silent targets), then a uniform
     // non-superset target. O(2^K), but this branch runs exactly when
     // non-silent events are rare.
+    const std::uint64_t full = ledger_.full_mask();
     auto r = static_cast<std::int64_t>(
         rng_.uniform_int(static_cast<std::uint64_t>(nonsilent)));
     bool found = false;
-    for (std::uint64_t m = 0; m <= full_mask_; ++m) {
-      const std::int64_t xa = state_.count(m);
+    for (std::uint64_t m = 0; m <= full; ++m) {
+      const std::int64_t xa = state().count(m);
       if (xa == 0) continue;
-      const std::int64_t w = xa * (n - sup_[m]);
+      const std::int64_t w = xa * (n - ledger_.sup(m));
       if (r < w) {
         a_mask = m;
         found = true;
@@ -163,11 +145,11 @@ void TypeCountSim::do_peer_tick() {
     }
     P2P_ASSERT(found);
     auto r2 = static_cast<std::int64_t>(rng_.uniform_int(
-        static_cast<std::uint64_t>(n - sup_[a_mask])));
+        static_cast<std::uint64_t>(n - ledger_.sup(a_mask))));
     found = false;
-    for (std::uint64_t m = 0; m <= full_mask_; ++m) {
+    for (std::uint64_t m = 0; m <= full; ++m) {
       if ((m & a_mask) == a_mask) continue;  // b superseteq a: silent
-      const std::int64_t xb = state_.count(m);
+      const std::int64_t xb = state().count(m);
       if (r2 < xb) {
         b_mask = m;
         found = true;
@@ -178,20 +160,22 @@ void TypeCountSim::do_peer_tick() {
     P2P_ASSERT(found);
   }
   const PieceSet useful = PieceSet(a_mask).minus(PieceSet(b_mask));
-  complete_download(b_mask, useful);
+  complete_download(b_mask, useful, SwarmEventKind::kPiece);
 }
 
 void TypeCountSim::do_seed_departure() {
-  P2P_ASSERT(state_.seeds() >= 1);
-  const double arrived = take_arrival_time(full_mask_);
-  bump(full_mask_, -1);
+  P2P_ASSERT(state().seeds() >= 1);
+  const std::uint64_t full = ledger_.full_mask();
+  const double arrived = take_arrival_time(full);
+  bump(full, -1);
   ++counters_.departures;
   sojourn_.add(occupancy_.now() - arrived);
+  notify(SwarmEventKind::kDepart, full);
 }
 
 TypeCountSim::EffectiveRates TypeCountSim::effective_rates() const {
-  const std::int64_t n = state_.total_peers();
-  const std::int64_t seeds = state_.seeds();
+  const std::int64_t n = state().total_peers();
+  const std::int64_t seeds = state().seeds();
   const AggregateRates base =
       aggregate_event_rates(params_.view(), n, seeds);
   EffectiveRates rates;
@@ -201,7 +185,7 @@ TypeCountSim::EffectiveRates TypeCountSim::effective_rates() const {
     rates.seed = params_.seed_rate() * static_cast<double>(n - seeds) /
                  static_cast<double>(n);
     rates.peer = params_.contact_rate() *
-                 static_cast<double>(n * n - pair_sum_s_) /
+                 static_cast<double>(ledger_.nonsilent_pairs()) /
                  static_cast<double>(n);
   }
   rates.nominal_total = base.total();
@@ -232,7 +216,7 @@ bool TypeCountSim::step() {
   const double total = rates.total();
   if (total <= 0) return false;
   occupancy_.advance(occupancy_.now() + rng_.exponential(total),
-                     state_.total_peers());
+                     state().total_peers());
   nominal_events_ += rates.nominal_total / total;
   ++effective_steps_;
   dispatch(rates);
@@ -259,7 +243,7 @@ void TypeCountSim::run_sampled(double t_end, double dt,
       fn(next_sample);
       next_sample += dt;
     }
-    occupancy_.advance(event_time, state_.total_peers());
+    occupancy_.advance(event_time, state().total_peers());
     nominal_events_ += rates.nominal_total / total;
     ++effective_steps_;
     dispatch(rates);

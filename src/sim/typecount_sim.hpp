@@ -7,36 +7,28 @@
 // an O(K) binary-indexed tree (rand/weighted_index.hpp). Same law as
 // SwarmSim with RandomUsefulPolicy, eta = 1 and homogeneous rates — the
 // regime where the law itself is type-granular. Tests pin the two
-// backends (and ctmc's samplers) against each other distributionally.
+// backends and the enumerated-generator oracle (ctmc/exact_sampler.hpp)
+// against each other distributionally.
 //
 // The million-peer speedup comes from integrating silent events out
-// analytically instead of materializing them. With
-//
-//   S = sum over ordered type pairs a subseteq b of x_a * x_b
-//
-// the number of ordered peer pairs (i, j) where i cannot help j is
-// exactly S (drawing i = j is allowed and always silent, matching the
-// per-peer model's independent uploader/target draws). The chain with
-// silent self-loops removed has effective rates
+// analytically instead of materializing them. With S the silent-pair
+// sum of core/state.hpp's TypeCountLedger — the number of ordered peer
+// pairs (i, j) where i cannot help j, drawing i = j included (always
+// silent, matching the per-peer model's independent uploader/target
+// draws) — the chain with silent self-loops removed has effective rates
 //
 //   R_eff = lambda_total + Us * (n - x_F)/n * 1{n >= 1}
 //         + mu * (n^2 - S)/n + gamma * x_F
 //
 // and identical law: holding times are Exp(R_eff) and every dispatched
-// event changes the state. S is maintained in O(1) per count change from
-// incrementally updated subset/superset sums
-//
-//   sub(c)  = sum over a subseteq c of x_a
-//   sup(c)  = sum over b superseteq c of x_b
-//   delta S = delta * (sub(c) + sup(c)) + delta^2   (old sums),
-//
-// each walk costing O(2^K) worst case per *state change* — but state
-// changes are only the non-silent events, which near the one-club regime
-// are rarer than nominal events by a factor of order n. Non-silent
-// uploader/target pairs are drawn by rejection when the acceptance
-// probability (n^2 - S)/n^2 >= 1/2 (expected <= 2 tree samples) and by
-// exact inversion over types otherwise (that branch fires exactly when
-// non-silent events are rare, so its O(2^K) scan is off the hot path).
+// event changes the state. The ledger keeps S exact at O(2^K) worst case
+// per *state change* — but state changes are only the non-silent events,
+// which near the one-club regime are rarer than nominal events by a
+// factor of order n. Non-silent uploader/target pairs are drawn by
+// rejection when the acceptance probability (n^2 - S)/n^2 >= 1/2
+// (expected <= 2 tree samples) and by exact inversion over types
+// otherwise (that branch fires exactly when non-silent events are rare,
+// so its O(2^K) scan is off the hot path).
 //
 // Sojourn times stay exact under exchangeability: each type keeps its
 // members' arrival times, and the member affected by an event is a
@@ -69,10 +61,10 @@ class TypeCountSim final : public SwarmBackend {
   explicit TypeCountSim(SwarmParams params, TypeCountSimOptions options = {});
 
   double now() const override { return occupancy_.now(); }
-  std::int64_t total_peers() const override { return state_.total_peers(); }
-  std::int64_t peer_seeds() const override { return state_.seeds(); }
+  std::int64_t total_peers() const override { return state().total_peers(); }
+  std::int64_t peer_seeds() const override { return state().seeds(); }
   const SwarmParams& params() const { return params_; }
-  const TypeCountState& state() const { return state_; }
+  const TypeCountState& state() const { return ledger_.state(); }
 
   void inject_peers(PieceSet type, std::int64_t count) override;
 
@@ -89,29 +81,30 @@ class TypeCountSim final : public SwarmBackend {
   double occupancy_integral() const override { return occupancy_.integral(); }
   const OnlineStats& sojourn_stats() const override { return sojourn_; }
   const SwarmCounters& counters() const override { return counters_; }
-  TypeCountState type_counts() const override { return state_; }
+  TypeCountState type_counts() const override { return state(); }
 
   /// Unbiased estimate of the *nominal* event count: the events an
-  /// event-per-silent-contact sampler (SwarmSim, TypeCountChain) would
-  /// have drawn over the same simulated span. Each effective step adds
-  /// R_nominal / R_eff, the mean number of nominal events per effective
-  /// one under Poisson thinning. This is the events/sec numerator that
-  /// makes backend throughputs comparable (bench/bench_swarm.cpp).
+  /// event-per-silent-contact sampler (SwarmSim) would have drawn over
+  /// the same simulated span. Each effective step adds R_nominal / R_eff,
+  /// the mean number of nominal events per effective one under Poisson
+  /// thinning. This is the events/sec numerator that makes backend
+  /// throughputs comparable (bench/bench_swarm.cpp).
   double nominal_events() const { return nominal_events_; }
   /// Materialized (non-silent) events actually dispatched.
   std::int64_t effective_steps() const { return effective_steps_; }
 
  private:
-  /// Applies x_c += delta, keeping the Fenwick tree, the pair sum S and
-  /// the subset/superset sums consistent. O(2^|c|) + O(2^(K-|c|)).
+  /// Applies x_c += delta to the ledger and the sampling tree.
   void bump(std::uint64_t mask, std::int64_t delta);
 
   /// Uniform random member's arrival time of type `mask`, removed
   /// (swap-remove; exchangeability makes any member equivalent in law).
   double take_arrival_time(std::uint64_t mask);
 
-  /// Target of type c downloads a uniform piece of `useful`.
-  void complete_download(std::uint64_t c_mask, PieceSet useful);
+  /// Target of type c downloads a uniform piece of `useful` from the
+  /// fixed seed (kSeed) or a peer (kPiece).
+  void complete_download(std::uint64_t c_mask, PieceSet useful,
+                         SwarmEventKind kind);
 
   void do_arrival();
   /// Seed tick conditioned on non-silent: target is a uniform non-seed.
@@ -133,16 +126,11 @@ class TypeCountSim final : public SwarmBackend {
   SwarmParams params_;
   TypeCountSimOptions options_;
   Rng rng_;
-  std::uint64_t full_mask_;
 
-  TypeCountState state_;
+  TypeCountLedger ledger_;
   WeightedIndex<std::int64_t> peers_by_type_;
-  std::vector<std::int64_t> sub_;  // sub_[c] = sum over a subseteq c of x_a
-  std::vector<std::int64_t> sup_;  // sup_[c] = sum over b superseteq c of x_b
-  std::int64_t pair_sum_s_ = 0;    // S = sum over a subseteq b of x_a * x_b
   std::vector<std::vector<double>> arrival_times_;
   std::vector<double> arrival_weights_;
-  double lambda_total_ = 0;
 
   SwarmCounters counters_;
   OccupancyIntegral occupancy_;

@@ -4,7 +4,7 @@
 //
 // The class is a value type; all operations are O(1) or O(K) and allocation
 // free. Supports K up to 64 (the aggregate CTMC additionally restricts K so
-// that 2^K state-vector entries fit in memory; see ctmc/typecount_chain.hpp).
+// that 2^K state-vector entries fit in memory; see core/state.hpp).
 #pragma once
 
 #include <bit>

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/model.hpp"
@@ -116,11 +117,12 @@ TEST(EventLogDeathTest, ParserRejectsUnsupportedPieceCounts) {
   EXPECT_DEATH(parse_event_line("1,arrive,0,", 1, 17), "K in \\[1, 16\\]");
 }
 
-/// Replays a recorded event stream into a bare TypeCountState — the
-/// reconstruction a monitor (or any consumer) performs. Aborts via the
-/// TypeCountState invariants if the log ever goes inconsistent.
-TypeCountState replay(const std::vector<SwarmEvent>& events, int k) {
-  TypeCountState state(k);
+/// Replays a recorded event stream into a bare TypeCountState, starting
+/// from `state` — the reconstruction a monitor (or any consumer)
+/// performs. Aborts via the TypeCountState invariants if the log ever
+/// goes inconsistent.
+TypeCountState replay(const std::vector<SwarmEvent>& events,
+                      TypeCountState state) {
   for (const SwarmEvent& event : events) {
     switch (event.kind) {
       case SwarmEventKind::kArrive:
@@ -140,42 +142,112 @@ TypeCountState replay(const std::vector<SwarmEvent>& events, int k) {
   return state;
 }
 
-TEST(EventLog, RecordedEventsReconstructTheFinalStateOnBothBackends) {
-  const SwarmParams params(3, 1.0, 1.0, 2.0, {{PieceSet{}, 2.0}});
-  for (const bool typecount : {true, false}) {
-    SCOPED_TRACE(typecount ? "typecount" : "perpeer");
-    std::unique_ptr<SwarmBackend> backend;
-    if (typecount) {
-      TypeCountSimOptions options;
-      options.rng_seed = 11;
-      backend = std::make_unique<TypeCountSim>(params, options);
-    } else {
-      SwarmSimOptions options;
-      options.rng_seed = 11;
-      backend = std::make_unique<SwarmSim>(params, options);
-    }
-    std::vector<SwarmEvent> events;
-    const TypeCountState final_state = record_events(
-        *backend, 80.0, 0.0, [&](const SwarmEvent& e) { events.push_back(e); });
-    ASSERT_GE(events.size(), 50u);
+std::unique_ptr<SwarmBackend> make_backend(bool typecount,
+                                           const SwarmParams& params,
+                                           std::uint64_t seed) {
+  if (typecount) {
+    TypeCountSimOptions options;
+    options.rng_seed = seed;
+    return std::make_unique<TypeCountSim>(params, options);
+  }
+  SwarmSimOptions options;
+  options.rng_seed = seed;
+  return std::make_unique<SwarmSim>(params, options);
+}
 
-    // Timestamps are within the horizon and never go backwards.
-    double prev = 0;
-    for (const SwarmEvent& event : events) {
-      EXPECT_GE(event.t, prev);
-      EXPECT_LE(event.t, 80.0);
-      prev = event.t;
-    }
-    // The events alone rebuild the simulator's exact t_end state.
-    EXPECT_EQ(replay(events, 3), final_state);
-    // And every emitted event is grammatical: it survives a CSV
-    // round-trip through the strict parser.
-    std::size_t line_number = 0;
-    for (const SwarmEvent& event : events) {
-      std::string line;
-      append_event_csv(line, event);
-      line.pop_back();
-      EXPECT_EQ(parse_event_line(line, ++line_number, 3), event);
+/// The population `twin` holds at t_end, found by stepping it and
+/// keeping the last state whose event landed by t_end. A twin built with
+/// the same params, seed and start follows the same trajectory.
+TypeCountState state_at(SwarmBackend& twin, double t_end) {
+  TypeCountState state = twin.type_counts();
+  while (twin.step() && twin.now() <= t_end) state = twin.type_counts();
+  return state;
+}
+
+TEST(EventLog, RecordedEventsReconstructTheFinalStateOnBothBackends) {
+  struct Case {
+    const char* name;
+    SwarmParams params;
+    std::vector<std::pair<PieceSet, std::int64_t>> start;  // injected
+    double t_end;
+    double t_offset;
+  };
+  const std::vector<Case> cases = {
+      {"K = 3 from empty",
+       SwarmParams(3, 1.0, 1.0, 2.0, {{PieceSet{}, 2.0}}),
+       {},
+       80.0,
+       0.0},
+      {"K = 8 from a mixed start",
+       SwarmParams(8, 1.0, 1.0, 2.0, {{PieceSet{}, 2.0}}),
+       {{PieceSet{}, 20},
+        {PieceSet::full(8).without(0), 30},
+        {PieceSet::full(8), 5}},
+       40.0,
+       0.0},
+      // Completing downloads log a transfer and a departure at one
+      // timestamp.
+      {"immediate departure",
+       SwarmParams(2, 1.0, 1.0, kInfiniteRate, {{PieceSet{}, 1.5}}),
+       {{PieceSet::single(1), 25}},
+       60.0,
+       0.0},
+      // A later segment of a schedule: shifted timestamps, carried start.
+      {"segment boundary",
+       SwarmParams(3, 1.0, 1.0, 2.0, {{PieceSet{}, 3.0}}),
+       {{PieceSet::single(2), 10}, {PieceSet::full(3), 4}},
+       35.0,
+       120.0},
+  };
+  for (const Case& c : cases) {
+    for (const bool typecount : {true, false}) {
+      SCOPED_TRACE(std::string(c.name) +
+                   (typecount ? ", typecount" : ", perpeer"));
+      const std::unique_ptr<SwarmBackend> backend =
+          make_backend(typecount, c.params, 11);
+      const std::unique_ptr<SwarmBackend> twin =
+          make_backend(typecount, c.params, 11);
+      TypeCountState start(c.params.num_pieces());
+      for (const auto& [type, count] : c.start) {
+        backend->inject_peers(type, count);
+        twin->inject_peers(type, count);
+        start.add(type, count);
+      }
+      std::vector<SwarmEvent> events;
+      const TypeCountState final_state =
+          record_events(*backend, c.t_end, c.t_offset,
+                        [&](const SwarmEvent& e) { events.push_back(e); });
+      ASSERT_GE(events.size(), 50u);
+
+      // The step that crossed t_end was drawn and discarded: the carried
+      // state is the population at t_end, not after that draw (every
+      // type-count step changes the state, so there it must differ).
+      EXPECT_GT(backend->now(), c.t_end);
+      EXPECT_EQ(final_state, state_at(*twin, c.t_end));
+      if (typecount) {
+        EXPECT_NE(backend->type_counts(), final_state);
+      }
+
+      // Timestamps are within the shifted horizon and never go back.
+      double prev = c.t_offset;
+      for (const SwarmEvent& event : events) {
+        EXPECT_GE(event.t, prev);
+        EXPECT_LE(event.t, c.t_offset + c.t_end);
+        prev = event.t;
+      }
+      // The events alone rebuild the carried state from the start.
+      EXPECT_EQ(replay(events, start), final_state);
+      // And every emitted event is grammatical: it survives a CSV
+      // round-trip through the strict parser.
+      std::size_t line_number = 0;
+      for (const SwarmEvent& event : events) {
+        std::string line;
+        append_event_csv(line, event);
+        line.pop_back();
+        EXPECT_EQ(parse_event_line(line, ++line_number,
+                                   c.params.num_pieces()),
+                  event);
+      }
     }
   }
 }
@@ -184,28 +256,31 @@ TEST(EventLog, ImmediateDepartureEmitsTransferThenDepartAtOneTimestamp) {
   // gamma = infinity: a completing download must log both the transfer
   // and the departure, at the same timestamp, in that order.
   const SwarmParams params(2, 1.0, 1.0, kInfiniteRate, {{PieceSet{}, 1.5}});
-  TypeCountSimOptions options;
-  options.rng_seed = 5;
-  TypeCountSim sim(params, options);
-  std::vector<SwarmEvent> events;
-  const TypeCountState final_state = record_events(
-      sim, 60.0, 0.0, [&](const SwarmEvent& e) { events.push_back(e); });
+  for (const bool typecount : {true, false}) {
+    SCOPED_TRACE(typecount ? "typecount" : "perpeer");
+    const std::unique_ptr<SwarmBackend> backend =
+        make_backend(typecount, params, 5);
+    std::vector<SwarmEvent> events;
+    const TypeCountState final_state = record_events(
+        *backend, 60.0, 0.0,
+        [&](const SwarmEvent& e) { events.push_back(e); });
 
-  std::size_t departures = 0;
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    if (events[i].kind != SwarmEventKind::kDepart) continue;
-    ++departures;
-    EXPECT_EQ(events[i].type, 3u);  // only full peers depart
-    ASSERT_GT(i, 0u);
-    const SwarmEvent& prev = events[i - 1];
-    EXPECT_TRUE(prev.kind == SwarmEventKind::kPiece ||
-                prev.kind == SwarmEventKind::kSeed);
-    EXPECT_EQ(prev.t, events[i].t);
-    EXPECT_EQ(prev.type | (std::uint64_t{1} << prev.piece), 3u);
+    std::size_t departures = 0;
+    for (std::size_t i = 0; i < events.size(); ++i) {
+      if (events[i].kind != SwarmEventKind::kDepart) continue;
+      ++departures;
+      EXPECT_EQ(events[i].type, 3u);  // only full peers depart
+      ASSERT_GT(i, 0u);
+      const SwarmEvent& prev = events[i - 1];
+      EXPECT_TRUE(prev.kind == SwarmEventKind::kPiece ||
+                  prev.kind == SwarmEventKind::kSeed);
+      EXPECT_EQ(prev.t, events[i].t);
+      EXPECT_EQ(prev.type | (std::uint64_t{1} << prev.piece), 3u);
+    }
+    EXPECT_GE(departures, 5u);
+    EXPECT_EQ(final_state.seeds(), 0);  // nobody lingers at gamma = inf
+    EXPECT_EQ(replay(events, TypeCountState(2)), final_state);
   }
-  EXPECT_GE(departures, 5u);
-  EXPECT_EQ(final_state.seeds(), 0);  // nobody lingers at gamma = inf
-  EXPECT_EQ(replay(events, 2), final_state);
 }
 
 TEST(EventLog, SegmentScheduleCarriesThePopulationAcrossBoundaries) {
@@ -234,7 +309,7 @@ TEST(EventLog, SegmentScheduleCarriesThePopulationAcrossBoundaries) {
   // logged as arrivals, so the stream is self-consistent... but then
   // the replayed state must differ from an empty swarm only by the
   // events themselves (TypeCountState::add aborts on any negative).
-  const TypeCountState replayed = replay(events, 2);
+  const TypeCountState replayed = replay(events, TypeCountState(2));
   EXPECT_GE(replayed.total_peers(), 0);
 
   // Determinism: the same seed yields the identical event sequence.

@@ -8,9 +8,9 @@
 
 #include "coding/coded_swarm.hpp"
 #include "ctmc/stationary.hpp"
-#include "ctmc/typecount_chain.hpp"
 #include "sim/stats.hpp"
 #include "sim/swarm.hpp"
+#include "sim/typecount_sim.hpp"
 
 namespace p2p {
 namespace {
@@ -38,11 +38,11 @@ TEST(Equivalence, K1ImmediateDepartureIsMM1Geometric) {
 TEST(Equivalence, K1ImmediateDepartureSimulatorMatchesMM1Mean) {
   const double lambda = 0.5, us = 1.0;
   const auto params = SwarmParams::example1(lambda, us, 1.0, kInfiniteRate);
-  TypeCountChain chain(params, 7);
-  chain.run_until(500.0);
+  TypeCountSim sim(params, TypeCountSimOptions{.rng_seed = 7});
+  sim.run_until(500.0);
   OnlineStats n_stats;
-  chain.run_sampled(40000.0, 2.0, [&](double, const TypeCountState& s) {
-    n_stats.add(static_cast<double>(s.total_peers()));
+  sim.run_sampled(40000.0, 2.0, [&](double) {
+    n_stats.add(static_cast<double>(sim.total_peers()));
   });
   EXPECT_NEAR(n_stats.mean(), 0.5 / 0.5, 0.1);  // rho/(1-rho) = 1
 }

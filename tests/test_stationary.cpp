@@ -8,8 +8,8 @@
 #include <cmath>
 #include <functional>
 
-#include "ctmc/typecount_chain.hpp"
 #include "sim/stats.hpp"
+#include "sim/typecount_sim.hpp"
 
 namespace p2p {
 namespace {
@@ -83,10 +83,10 @@ TEST(TruncatedSwarm, K1MatchesSimulatedMean) {
   ASSERT_GT(solved.states.size(), 100u);
 
   OnlineStats sim_n;
-  TypeCountChain chain(params, 41);
-  chain.run_until(500.0);
-  chain.run_sampled(20000.0, 2.0, [&](double, const TypeCountState& s) {
-    sim_n.add(static_cast<double>(s.total_peers()));
+  TypeCountSim sim(params, TypeCountSimOptions{.rng_seed = 41});
+  sim.run_until(500.0);
+  sim.run_sampled(20000.0, 2.0, [&](double) {
+    sim_n.add(static_cast<double>(sim.total_peers()));
   });
   EXPECT_NEAR(solved.mean_peers(), sim_n.mean(),
               0.1 * std::max(1.0, solved.mean_peers()));
@@ -96,12 +96,12 @@ TEST(TruncatedSwarm, K1PmfMatchesSimulatedOccupancy) {
   const auto params = SwarmParams::example1(0.8, 2.0, 1.0, 3.0);
   const auto solved = solve_truncated_swarm(params, 60);
   // Simulated fraction of time with zero peers.
-  TypeCountChain chain(params, 42);
-  chain.run_until(500.0);
+  TypeCountSim sim(params, TypeCountSimOptions{.rng_seed = 42});
+  sim.run_until(500.0);
   std::int64_t zero = 0, total = 0;
-  chain.run_sampled(20000.0, 1.0, [&](double, const TypeCountState& s) {
+  sim.run_sampled(20000.0, 1.0, [&](double) {
     ++total;
-    zero += s.total_peers() == 0;
+    zero += sim.total_peers() == 0;
   });
   EXPECT_NEAR(solved.peer_count_pmf(0),
               static_cast<double>(zero) / static_cast<double>(total), 0.03);
@@ -112,10 +112,10 @@ TEST(TruncatedSwarm, K2MatchesSimulatedMean) {
   const auto solved = solve_truncated_swarm(params, /*max_peers=*/24);
 
   OnlineStats sim_n;
-  TypeCountChain chain(params, 43);
-  chain.run_until(500.0);
-  chain.run_sampled(20000.0, 2.0, [&](double, const TypeCountState& s) {
-    sim_n.add(static_cast<double>(s.total_peers()));
+  TypeCountSim sim(params, TypeCountSimOptions{.rng_seed = 43});
+  sim.run_until(500.0);
+  sim.run_sampled(20000.0, 2.0, [&](double) {
+    sim_n.add(static_cast<double>(sim.total_peers()));
   });
   EXPECT_NEAR(solved.mean_peers(), sim_n.mean(),
               0.12 * std::max(1.0, solved.mean_peers()));

@@ -1,5 +1,5 @@
 // SwarmSim invariants, Fig. 2 group bookkeeping, and distributional
-// agreement with the aggregate TypeCountChain (same CTMC law).
+// agreement with the type-count backend TypeCountSim (same CTMC law).
 #include "sim/swarm.hpp"
 
 #include <gtest/gtest.h>
@@ -7,8 +7,8 @@
 #include <cmath>
 
 #include "core/stability.hpp"
-#include "ctmc/typecount_chain.hpp"
 #include "sim/stats.hpp"
+#include "sim/typecount_sim.hpp"
 
 namespace p2p {
 namespace {
@@ -127,7 +127,7 @@ TEST(SwarmSim, PieceCountMonotonePerPeerViaSojourn) {
   EXPECT_EQ(sim.sojourn_stats().count(), sim.total_departures());
 }
 
-// --- Cross-validation against the aggregate chain ---
+// --- Cross-validation against the type-count backend ---
 
 class SimVsChainTest
     : public ::testing::TestWithParam<std::tuple<int, double, double>> {};
@@ -147,10 +147,10 @@ TEST_P(SimVsChainTest, StationaryMeansAgree) {
   });
 
   OnlineStats chain_n;
-  TypeCountChain chain(params, 32);
+  TypeCountSim chain(params, TypeCountSimOptions{.rng_seed = 32});
   chain.run_until(warmup);
-  chain.run_sampled(horizon, dt, [&](double, const TypeCountState& s) {
-    chain_n.add(static_cast<double>(s.total_peers()));
+  chain.run_sampled(horizon, dt, [&](double) {
+    chain_n.add(static_cast<double>(chain.total_peers()));
   });
 
   EXPECT_NEAR(sim_n.mean(), chain_n.mean(),

@@ -8,8 +8,8 @@
 
 #include <cmath>
 
-#include "ctmc/typecount_chain.hpp"
 #include "sim/stats.hpp"
+#include "sim/typecount_sim.hpp"
 
 namespace p2p {
 namespace {
@@ -69,7 +69,7 @@ TEST(Transient, MMInfTransientMeanIsLambdaOverMuTimesRelaxation) {
 
 TEST(Transient, SwarmK1MeanTrajectoryMatchesSimulation) {
   // Exact E[N_t] for the truncated K = 1 chain vs replica means of the
-  // event-level sampler started empty.
+  // type-count simulator started empty.
   const auto params = SwarmParams::example1(1.0, 2.0, 1.0, 3.0);
   const auto truncated = solve_truncated_swarm(params, 60);
   const TransientSolver solver(truncated.ctmc);
@@ -87,9 +87,9 @@ TEST(Transient, SwarmK1MeanTrajectoryMatchesSimulation) {
     const double exact = solver.expectation_at(initial, values, t);
     OnlineStats sim_mean;
     for (std::uint64_t rep = 0; rep < 400; ++rep) {
-      TypeCountChain chain(params, 100 + rep);
-      chain.run_sampled(t, t, [&](double, const TypeCountState& s) {
-        sim_mean.add(static_cast<double>(s.total_peers()));
+      TypeCountSim sim(params, TypeCountSimOptions{.rng_seed = 100 + rep});
+      sim.run_sampled(t, t, [&](double) {
+        sim_mean.add(static_cast<double>(sim.total_peers()));
       });
     }
     EXPECT_NEAR(sim_mean.mean(), exact, 6.0 * sim_mean.sem() + 0.05)

@@ -1,79 +1,139 @@
-// TypeCountChain (event-level sampler) vs the enumerated generator: both
-// must realize the same CTMC. We check event accounting, invariants, and
-// distributional agreement between the fast and the reference sampler.
-#include "ctmc/typecount_chain.hpp"
-
+// The type-count chain's law, checked where it is implemented:
+//   * TypeCountLedger, the incremental subset/superset/pair-sum identity
+//     the type-count simulator and the monitor both run on, against
+//     brute-force sums after every bump;
+//   * TypeCountSim's event accounting and invariants, and the stable,
+//     transient and missing-piece regimes;
+//   * distributional agreement between TypeCountSim and the enumerated-
+//     generator oracle (same CTMC, independent randomness).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/stability.hpp"
+#include "core/state.hpp"
+#include "ctmc/exact_sampler.hpp"
+#include "rand/rng.hpp"
 #include "sim/stats.hpp"
+#include "sim/typecount_sim.hpp"
 
 namespace p2p {
 namespace {
 
-TEST(TypeCountChain, ArrivalsFollowPoissonRate) {
-  const SwarmParams params(2, 0.0, 1.0, 2.0, {{PieceSet{}, 3.0}});
-  TypeCountChain chain(params, 1);
-  chain.run_until(2000.0);
-  // N(0, 2000] ~ Poisson(6000); 5 sigma window.
-  EXPECT_NEAR(static_cast<double>(chain.arrivals_seen()), 6000.0,
-              5.0 * std::sqrt(6000.0));
+/// sub, sup, S and n^2 - S against direct sums over all type pairs.
+void expect_matches_brute_force(const TypeCountLedger& ledger) {
+  const TypeCountState& x = ledger.state();
+  const std::uint64_t full = ledger.full_mask();
+  std::int64_t pair_sum = 0;
+  for (std::uint64_t c = 0; c <= full; ++c) {
+    std::int64_t sub = 0, sup = 0;
+    for (std::uint64_t m = 0; m <= full; ++m) {
+      if ((m & ~c) == 0) sub += x.count(m);  // m subseteq c
+      if ((c & ~m) == 0) sup += x.count(m);  // c subseteq m
+    }
+    ASSERT_EQ(ledger.sub(c), sub) << "sub(" << c << ")";
+    ASSERT_EQ(ledger.sup(c), sup) << "sup(" << c << ")";
+    pair_sum += x.count(c) * sup;  // ordered pairs (c, m), c subseteq m
+  }
+  ASSERT_EQ(ledger.pair_sum(), pair_sum);
+  const std::int64_t n = x.total_peers();
+  ASSERT_EQ(ledger.nonsilent_pairs(), n * n - pair_sum);
 }
 
-TEST(TypeCountChain, ConservationOfPeers) {
-  const SwarmParams params(3, 0.5, 1.0, 2.0, {{PieceSet{}, 2.0}});
-  TypeCountChain chain(params, 2);
-  chain.run_until(500.0);
-  EXPECT_EQ(chain.total_peers(),
-            chain.arrivals_seen() - chain.departures_seen());
-  EXPECT_GE(chain.total_peers(), 0);
-}
-
-TEST(TypeCountChain, NoSeedsEverWithImmediateDeparture) {
-  const SwarmParams params(2, 1.0, 1.0, kInfiniteRate, {{PieceSet{}, 2.0}});
-  TypeCountChain chain(params, 3);
-  for (int i = 0; i < 20000; ++i) {
-    chain.step();
-    ASSERT_EQ(chain.state().seeds(), 0);
+TEST(TypeCountLedger, IncrementalSumsMatchBruteForceAfterEveryBump) {
+  for (const int k : {1, 3, 8, 12}) {
+    SCOPED_TRACE("K = " + std::to_string(k));
+    TypeCountLedger ledger(k);
+    Rng rng(static_cast<std::uint64_t>(100 + k));
+    std::vector<std::uint64_t> touched;
+    // The brute force costs O(4^K) per check, so K = 12 gets few bumps.
+    const int bumps = k < 12 ? 300 : 16;
+    for (int i = 0; i < bumps; ++i) {
+      // Half the bumps revisit a touched type, so decrements happen.
+      const std::uint64_t mask =
+          !touched.empty() && rng.uniform() < 0.5
+              ? touched[rng.uniform_int(touched.size())]
+              : rng.uniform_int(ledger.full_mask() + 1);
+      // +-1 or +-n; a decrement never takes the count below zero.
+      const std::int64_t size =
+          rng.uniform() < 0.5
+              ? 1
+              : 2 + static_cast<std::int64_t>(rng.uniform_int(40));
+      const std::int64_t have = ledger.state().count(mask);
+      const std::int64_t delta = rng.uniform() < 0.5 && have > 0
+                                     ? -std::min(size, have)
+                                     : size;
+      ledger.bump(mask, delta);
+      touched.push_back(mask);
+      ASSERT_NO_FATAL_FAILURE(expect_matches_brute_force(ledger))
+          << "after bump " << i << " (x_" << mask << " += " << delta << ")";
+    }
   }
 }
 
-TEST(TypeCountChain, DownloadsNeverExceedContactOpportunities) {
-  const SwarmParams params(4, 1.0, 1.0, 2.0, {{PieceSet{}, 2.0}});
-  TypeCountChain chain(params, 4);
-  chain.run_until(300.0);
-  // Every download uses a seed tick or a peer tick; silent ticks are the
-  // rest. Downloads + silent = total ticks.
-  EXPECT_GT(chain.silent_ticks_seen(), 0);
-  EXPECT_GT(chain.downloads_seen(), 0);
+TEST(TypeCountLaw, ArrivalsFollowPoissonRate) {
+  const SwarmParams params(2, 0.0, 1.0, 2.0, {{PieceSet{}, 3.0}});
+  TypeCountSim sim(params, TypeCountSimOptions{.rng_seed = 1});
+  sim.run_until(2000.0);
+  // N(0, 2000] ~ Poisson(6000); 5 sigma window.
+  EXPECT_NEAR(static_cast<double>(sim.counters().arrivals), 6000.0,
+              5.0 * std::sqrt(6000.0));
 }
 
-TEST(TypeCountChain, SetStateRejectsSeedsWhenImmediate) {
+TEST(TypeCountLaw, ConservationOfPeers) {
+  const SwarmParams params(3, 0.5, 1.0, 2.0, {{PieceSet{}, 2.0}});
+  TypeCountSim sim(params, TypeCountSimOptions{.rng_seed = 2});
+  sim.run_until(500.0);
+  EXPECT_EQ(sim.total_peers(),
+            sim.counters().arrivals - sim.counters().departures);
+  EXPECT_GE(sim.total_peers(), 0);
+}
+
+TEST(TypeCountLaw, NoSeedsEverWithImmediateDeparture) {
   const SwarmParams params(2, 1.0, 1.0, kInfiniteRate, {{PieceSet{}, 2.0}});
-  TypeCountChain chain(params, 5);
+  TypeCountSim sim(params, TypeCountSimOptions{.rng_seed = 3});
+  for (int i = 0; i < 20000; ++i) {
+    sim.step();
+    ASSERT_EQ(sim.peer_seeds(), 0);
+  }
+}
+
+TEST(TypeCountLaw, SilentContactsAreIntegratedOutNotLost) {
+  // Downloads happen, and the silent contacts a per-contact sampler
+  // would draw show up in the nominal event count instead of as steps.
+  const SwarmParams params(4, 1.0, 1.0, 2.0, {{PieceSet{}, 2.0}});
+  TypeCountSim sim(params, TypeCountSimOptions{.rng_seed = 4});
+  sim.run_until(300.0);
+  EXPECT_GT(sim.counters().downloads, 0);
+  EXPECT_EQ(sim.counters().silent_contacts, 0);
+  EXPECT_GT(sim.nominal_events(), static_cast<double>(sim.effective_steps()));
+}
+
+TEST(ExactGeneratorSamplerDeathTest, SetStateRejectsSeedsWhenImmediate) {
+  const SwarmParams params(2, 1.0, 1.0, kInfiniteRate, {{PieceSet{}, 2.0}});
+  ExactGeneratorSampler oracle(params, 5);
   TypeCountState bad(2);
   bad.add(PieceSet::full(2), 1);
-  EXPECT_DEATH(chain.set_state(bad), "gamma");
+  EXPECT_DEATH(oracle.set_state(bad), "gamma");
 }
 
-TEST(TypeCountChain, RunSampledEmitsRegularGrid) {
+TEST(TypeCountLaw, RunSampledEmitsRegularGrid) {
   const SwarmParams params(1, 1.0, 1.0, 2.0, {{PieceSet{}, 1.0}});
-  TypeCountChain chain(params, 6);
+  TypeCountSim sim(params, TypeCountSimOptions{.rng_seed = 6});
   std::vector<double> times;
-  chain.run_sampled(100.0, 10.0, [&](double t, const TypeCountState&) {
-    times.push_back(t);
-  });
+  sim.run_sampled(100.0, 10.0, [&](double t) { times.push_back(t); });
   ASSERT_EQ(times.size(), 10u);
   for (std::size_t i = 0; i < times.size(); ++i) {
     EXPECT_NEAR(times[i], 10.0 * static_cast<double>(i + 1), 1e-9);
   }
 }
 
-// Distributional cross-validation: the fast event-level sampler and the
-// enumerated-generator sampler must agree on E[N] and E[x_F] in a stable
+// Distributional cross-validation: the type-count simulator and the
+// enumerated-generator oracle must agree on E[N] and E[x_F] in a stable
 // system (same CTMC, independent randomness).
 class SamplerAgreementTest
     : public ::testing::TestWithParam<std::tuple<int, double>> {};
@@ -85,11 +145,11 @@ TEST_P(SamplerAgreementTest, MeanPopulationsAgree) {
 
   const double warmup = 300.0, horizon = 4000.0, dt = 2.0;
   OnlineStats fast_n, fast_seeds;
-  TypeCountChain fast(params, 11);
+  TypeCountSim fast(params, TypeCountSimOptions{.rng_seed = 11});
   fast.run_until(warmup);
-  fast.run_sampled(horizon, dt, [&](double, const TypeCountState& s) {
-    fast_n.add(static_cast<double>(s.total_peers()));
-    fast_seeds.add(static_cast<double>(s.seeds()));
+  fast.run_sampled(horizon, dt, [&](double) {
+    fast_n.add(static_cast<double>(fast.total_peers()));
+    fast_seeds.add(static_cast<double>(fast.peer_seeds()));
   });
 
   OnlineStats slow_n, slow_seeds;
@@ -113,36 +173,32 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(3, 4.0),
                       std::make_tuple(2, kInfiniteRate)));
 
-TEST(TypeCountChain, StableSystemStaysBounded) {
+TEST(TypeCountLaw, StableSystemStaysBounded) {
   const auto params = SwarmParams::example1(1.0, 1.0, 1.0, 4.0);
   // critical lambda = 1/(1-0.25) = 1.333 > 1: stable.
-  TypeCountChain chain(params, 21);
-  chain.run_until(5000.0);
-  EXPECT_LT(chain.total_peers(), 200);
+  TypeCountSim sim(params, TypeCountSimOptions{.rng_seed = 21});
+  sim.run_until(5000.0);
+  EXPECT_LT(sim.total_peers(), 200);
 }
 
-TEST(TypeCountChain, TransientSystemGrowsLinearly) {
+TEST(TypeCountLaw, TransientSystemGrowsLinearly) {
   const auto params = SwarmParams::example1(3.0, 1.0, 1.0, 4.0);
   // critical lambda = 1.333 < 3: transient; excess rate ~ 1.67/unit time.
-  TypeCountChain chain(params, 22);
-  TypeCountState flash(1);
-  flash.add(PieceSet{}, 500);  // one-club start (K=1: empty peers)
-  chain.set_state(flash);
-  chain.run_until(1000.0);
-  EXPECT_GT(chain.total_peers(), 1000);
+  TypeCountSim sim(params, TypeCountSimOptions{.rng_seed = 22});
+  sim.inject_peers(PieceSet{}, 500);  // one-club start (K=1: empty peers)
+  sim.run_until(1000.0);
+  EXPECT_GT(sim.total_peers(), 1000);
 }
 
-TEST(TypeCountChain, MissingPieceSyndromeOneClubGrows) {
+TEST(TypeCountLaw, MissingPieceSyndromeOneClubGrows) {
   // K = 2, transient via missing piece 0. Start with a big one-club
   // (type {1}); the one-club keeps growing.
   const SwarmParams params(2, 0.2, 1.0, kInfiniteRate, {{PieceSet{}, 2.0}});
   ASSERT_EQ(classify(params).verdict, Stability::kTransient);
-  TypeCountChain chain(params, 23);
-  TypeCountState start(2);
-  start.add(PieceSet::single(1), 400);
-  chain.set_state(start);
-  chain.run_until(500.0);
-  EXPECT_GT(chain.state().count(PieceSet::single(1)), 800);
+  TypeCountSim sim(params, TypeCountSimOptions{.rng_seed = 23});
+  sim.inject_peers(PieceSet::single(1), 400);
+  sim.run_until(500.0);
+  EXPECT_GT(sim.state().count(PieceSet::single(1)), 800);
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
-// Distribution-level cross-validation: the event-level sampler's
-// occupancy measure against the exact truncated stationary solver, over a
-// parameter grid (TEST_P). This is the strongest simulator correctness
-// check in the suite: it compares the full peer-count pmf and per-type
+// Distribution-level cross-validation against the exact truncated
+// stationary solver, over a parameter grid (TEST_P): the enumerated-
+// generator oracle's occupancy measure (test_typecount_sim.cpp holds the
+// type-count simulator to the same grid), then the per-peer simulator
+// and Little's law. It compares the full peer-count pmf and per-type
 // means, not just E[N].
 #include <gtest/gtest.h>
 
@@ -9,7 +10,7 @@
 #include <tuple>
 
 #include "ctmc/stationary.hpp"
-#include "ctmc/typecount_chain.hpp"
+#include "ctmc/exact_sampler.hpp"
 #include "sim/stats.hpp"
 #include "sim/swarm.hpp"
 
@@ -27,10 +28,10 @@ Occupancy simulate_occupancy(const SwarmParams& params, std::uint64_t seed,
   Occupancy occ;
   occ.pmf.assign(static_cast<std::size_t>(cap + 1), 0.0);
   occ.type_means.assign(std::size_t{1} << params.num_pieces(), 0.0);
-  TypeCountChain chain(params, seed);
-  chain.run_until(warmup);
+  ExactGeneratorSampler oracle(params, seed);
+  oracle.run_until(warmup);
   std::int64_t samples = 0;
-  chain.run_sampled(horizon, dt, [&](double, const TypeCountState& s) {
+  oracle.run_sampled(horizon, dt, [&](double, const TypeCountState& s) {
     ++samples;
     const std::int64_t n = std::min(cap, s.total_peers());
     occ.pmf[static_cast<std::size_t>(n)] += 1.0;

@@ -1,7 +1,7 @@
 // Backend-equivalence suite for TypeCountSim (sim/typecount_sim.hpp).
 //
 // The type-count backend claims the *same law* as the per-peer SwarmSim
-// and ctmc's samplers on its domain (RandomUseful, eta = 1, homogeneous
+// and the enumerated-generator oracle (ctmc/exact_sampler.hpp) on its domain (RandomUseful, eta = 1, homogeneous
 // rates) while integrating silent events out analytically. These tests
 // pin that claim for K <= 3:
 //   * occupancy pmf and per-type means against the exact truncated
@@ -11,7 +11,7 @@
 //   * conservation identities, flash injection, sojourn/Little's law,
 //     A_t / D_t parity with SwarmSim in expectation;
 //   * the silent-event aggregation itself: nominal_events() agrees with
-//     the nominal event count TypeCountChain materializes.
+//     the nominal event count SwarmSim materializes.
 #include "sim/typecount_sim.hpp"
 
 #include <gtest/gtest.h>
@@ -20,7 +20,7 @@
 #include <tuple>
 
 #include "ctmc/stationary.hpp"
-#include "ctmc/typecount_chain.hpp"
+#include "ctmc/exact_sampler.hpp"
 #include "sim/stats.hpp"
 #include "sim/swarm.hpp"
 
@@ -53,7 +53,7 @@ class TypeCountSimOccupancyTest
 };
 
 // Anchor: the exact truncated stationary solver (same tolerances as
-// test_typecount_distribution.cpp uses for TypeCountChain).
+// test_typecount_distribution.cpp uses for the oracle).
 TEST_P(TypeCountSimOccupancyTest, PmfAndTypeMeansMatchExactSolver) {
   const auto [k, lambda, us, gamma] = GetParam();
   const SwarmParams params(k, us, 1.0, gamma, {{PieceSet{}, lambda}});
@@ -241,8 +241,8 @@ TEST(TypeCountSim, CountingProcessesMatchPerPeerInExpectation) {
 
 // The silent-aggregation estimator: nominal_events() must agree with the
 // event count an event-per-contact sampler draws over the same horizon.
-// TypeCountChain's steps ARE nominal events, so compare rates.
-TEST(TypeCountSim, NominalEventEstimateMatchesEventLevelChain) {
+// SwarmSim's steps ARE nominal events, so compare rates.
+TEST(TypeCountSim, NominalEventEstimateMatchesPerContactSampler) {
   // Deep in the stable region (lambda well under Us) so the occupancy
   // integral — and with it the nominal event count — concentrates; near
   // criticality its run-to-run variance would swamp the comparison.
@@ -250,15 +250,15 @@ TEST(TypeCountSim, NominalEventEstimateMatchesEventLevelChain) {
                            {{PieceSet{}, 0.5}});
   const double horizon = 20000.0;
   TypeCountSim aggregated(params, TypeCountSimOptions{.rng_seed = 11});
-  TypeCountChain event_level(params, 12);
+  SwarmSim event_level(params, SwarmSimOptions{.rng_seed = 12});
   aggregated.run_until(horizon);
   event_level.run_until(horizon);
   // gamma = inf: every departure rides on a completing download (there
-  // are no standalone seed-departure events), so the chain's event count
-  // is arrivals + downloads + silent ticks.
-  const double nominal_chain = static_cast<double>(
-      event_level.arrivals_seen() + event_level.downloads_seen() +
-      event_level.silent_ticks_seen());
+  // are no standalone seed-departure events), so the per-contact event
+  // count is arrivals + downloads + silent contacts.
+  const SwarmCounters& c = event_level.counters();
+  const double nominal_chain =
+      static_cast<double>(c.arrivals + c.downloads + c.silent_contacts);
   const double nominal_sim = aggregated.nominal_events();
   // Two independent runs: the occupancy integral's autocorrelated noise
   // leaves a few percent of run-to-run spread even this deep in the
