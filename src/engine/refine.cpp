@@ -2,10 +2,14 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <unordered_map>
+#include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "engine/cell_eval.hpp"
 #include "engine/parse_util.hpp"
@@ -49,6 +53,11 @@ struct AdaptiveLattice {
   std::vector<std::uint64_t> dims;
   std::vector<std::uint64_t> strides;
   std::size_t dense_equivalent = 1;
+
+  /// Fine index on adaptive axis j of the vertex with this key.
+  std::uint64_t coord(std::uint64_t key, std::size_t j) const {
+    return (key / strides[j]) % dims[j];
+  }
 
   double vertex_value(std::size_t j, std::uint64_t g) const {
     const std::vector<double>& vals = effective.axes[axes[j]].values;
@@ -152,8 +161,7 @@ void evaluate_vertex(const AdaptiveLattice& lat, const SweepOptions& options,
   thread_local std::vector<ReplicaSample> samples;
   values = lat.base_values;
   for (std::size_t j = 0; j < lat.axes.size(); ++j) {
-    const std::uint64_t g = (key / lat.strides[j]) % lat.dims[j];
-    values[lat.axes[j]] = lat.vertex_value(j, g);
+    values[lat.axes[j]] = lat.vertex_value(j, lat.coord(key, j));
   }
   const CellParams p = cell_params(lat.slots, values, options.scenario.policy);
   fill_cell(out.cell, /*cell=*/0, p, options, arrival_scratch);
@@ -192,12 +200,110 @@ void evaluate_vertex(const AdaptiveLattice& lat, const SweepOptions& options,
   }
 }
 
-/// One (sub)box: subdivision depth and the fine indices of its lower
-/// corner. Its per-axis fine extent is scale >> depth (the same on every
-/// axis, so the center vertex exists exactly while depth < max_depth).
-struct Box {
-  int depth = 0;
-  std::array<std::uint64_t, kMaxAdaptiveAxes> origin{};
+/// A vertex's position in evaluation order: its index into VertexStore.
+using Slot = std::uint32_t;
+
+/// Flat open-addressing index from vertex key to slot: linear probing
+/// over a power-of-two table kept at most 3/4 full, Fibonacci-hashed.
+/// Keys are never erased, and a new key gets the next slot.
+class VertexIndex {
+ public:
+  VertexIndex() { rehash(1024); }
+
+  std::size_t size() const { return size_; }
+
+  /// The slot of `key`, first inserting it as slot size() when absent
+  /// (`inserted` says which).
+  Slot find_or_insert(std::uint64_t key, bool& inserted) {
+    if (4 * (size_ + 1) > 3 * table_.size()) rehash(2 * table_.size());
+    for (std::size_t i = bucket(key);; i = (i + 1) & mask_) {
+      Entry& e = table_[i];
+      if (e.key == key) {
+        inserted = false;
+        return e.slot;
+      }
+      if (e.key == kEmpty) {
+        P2P_ASSERT_MSG(size_ < std::numeric_limits<Slot>::max(),
+                       "adaptive refinement needs more vertices than a 32-bit "
+                       "slot can number; lower the depth or coarsen the grid");
+        e.key = key;
+        e.slot = static_cast<Slot>(size_++);
+        inserted = true;
+        return e.slot;
+      }
+    }
+  }
+
+ private:
+  /// No lattice key reaches it: keys lie below dense_equivalent, which
+  /// make_lattice bounds by the u64 maximum.
+  static constexpr std::uint64_t kEmpty =
+      std::numeric_limits<std::uint64_t>::max();
+  struct Entry {
+    std::uint64_t key = kEmpty;
+    Slot slot = 0;
+  };
+
+  std::size_t bucket(std::uint64_t key) const {
+    return static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ULL) >> shift_);
+  }
+
+  void rehash(std::size_t capacity) {
+    const std::vector<Entry> old =
+        std::exchange(table_, std::vector<Entry>(capacity));
+    mask_ = capacity - 1;
+    shift_ = 64 - static_cast<unsigned>(std::countr_zero(capacity));
+    for (const Entry& e : old) {
+      if (e.key == kEmpty) continue;
+      std::size_t i = bucket(e.key);
+      while (table_[i].key != kEmpty) i = (i + 1) & mask_;
+      table_[i] = e;
+    }
+  }
+
+  std::vector<Entry> table_;
+  std::size_t mask_ = 0;
+  unsigned shift_ = 0;
+  std::size_t size_ = 0;
+};
+
+/// Evaluated vertices by slot, shared across generations: a vertex
+/// introduced as one generation's edge midpoint is a later generation's
+/// corner, and is never paid for twice. Each generation's new vertices
+/// get one exactly sized block that never moves, so workers fill it in
+/// place while earlier blocks stay readable.
+class VertexStore {
+ public:
+  std::size_t size() const { return ends_.empty() ? 0 : ends_.back(); }
+
+  /// Appends a block for slots [size(), size() + n).
+  VertexResult* add_block(std::size_t n) {
+    blocks_.push_back(std::make_unique<VertexResult[]>(n));
+    ends_.push_back(size() + n);
+    return blocks_.back().get();
+  }
+
+  const VertexResult& operator[](Slot slot) const {
+    const std::size_t b = static_cast<std::size_t>(
+        std::upper_bound(ends_.begin(), ends_.end(), slot) - ends_.begin());
+    return blocks_[b][slot - (b == 0 ? 0 : ends_[b - 1])];
+  }
+
+ private:
+  std::vector<std::unique_ptr<VertexResult[]>> blocks_;
+  /// ends_[b]: one past block b's last slot.
+  std::vector<std::size_t> ends_;
+};
+
+/// Per-box decision bits.
+constexpr std::uint8_t kSplit = 1;
+constexpr std::uint8_t kUniform = 2;
+
+/// One ring slot of rendered leaf rows: a claimed chunk's bytes and its
+/// row count.
+struct LeafChunk {
+  std::string arena;
+  std::size_t rows = 0;
 };
 
 }  // namespace
@@ -260,196 +366,205 @@ AdaptiveSummary run_adaptive_stream(const SweepGrid& grid,
   const std::size_t d = lat.axes.size();
   const std::uint64_t corners = std::uint64_t{1} << d;
 
+  // A (sub)box is its origin (lower-corner) vertex key. Generation g
+  // holds the boxes of depth g, whose fine extent is scale >> g on every
+  // axis, so the center vertex exists exactly while g < max_depth.
   // Generation 0: the coarse boxes, row-major over the per-axis box
   // counts (last adaptive axis fastest) — the enumeration order a dense
   // sweep over the coarse lattice uses.
-  std::vector<Box> current;
+  std::vector<std::uint64_t> current;
   {
     std::size_t total = 1;
     for (const std::uint64_t nb : lat.boxes) total *= nb;
     current.reserve(total);
-    Box b;
+    std::array<std::uint64_t, kMaxAdaptiveAxes> box{};
     for (std::size_t i = 0; i < total; ++i) {
-      current.push_back(b);
+      std::uint64_t key = 0;
+      for (std::size_t j = 0; j < d; ++j) {
+        key += box[j] * lat.scale * lat.strides[j];
+      }
+      current.push_back(key);
       for (std::size_t j = d; j-- > 0;) {
-        b.origin[j] += lat.scale;
-        if (b.origin[j] < lat.boxes[j] * lat.scale) break;
-        b.origin[j] = 0;
+        if (++box[j] < lat.boxes[j]) break;
+        box[j] = 0;
       }
     }
   }
+  // Key offsets of the 2^d corners of a box with fine extent `step`:
+  // corner c shifts axis j by step when bit (d - 1 - j) of c is set.
+  // Corners at ext / 2 are the children's origins; the last is the
+  // parent's center.
+  const auto corner_offsets = [&](std::uint64_t step) {
+    std::array<std::uint64_t, std::size_t{1} << kMaxAdaptiveAxes> offsets{};
+    for (std::uint64_t c = 0; c < corners; ++c) {
+      for (std::size_t j = 0; j < d; ++j) {
+        if (((c >> (d - 1 - j)) & 1) != 0) offsets[c] += step * lat.strides[j];
+      }
+    }
+    return offsets;
+  };
 
   ThreadPool pool(options.threads);
-  // Evaluated vertices, shared across generations: a vertex introduced
-  // as one generation's edge midpoint is a later generation's corner,
-  // and is never paid for twice. unordered_map nodes are stable, so
-  // workers fill results through plain pointers while the map keeps
-  // growing between generations.
-  std::unordered_map<std::uint64_t, VertexResult> verts;
-  std::vector<Box> next;
+  const RowRenderer renderer(writer.format(), writer.columns());
+  VertexIndex index;
+  VertexStore store;
+  // Per-slot theory verdicts, the only vertex field the decide phase
+  // reads, packed densely instead of at VertexResult's stride.
+  std::vector<Stability> verdicts;
   std::vector<std::uint64_t> new_keys;
-  std::vector<VertexResult*> targets;
-  std::vector<std::size_t> need;
-  std::unordered_map<std::uint64_t, std::size_t> gen_pos;
+  std::vector<Slot> box_slots;
+  std::vector<std::uint8_t> decisions;
+  std::vector<std::size_t> leaves;
+  // The pool claims at most ring.size() chunks past the consumed prefix
+  // (the window), so chunk c may own ring slot c % ring.size().
+  std::vector<LeafChunk> ring(4 * static_cast<std::size_t>(pool.size()) + 2);
+  std::vector<std::uint64_t> next;
 
-  const auto corner_key = [&](const Box& box, std::uint64_t corner_bits,
-                              std::uint64_t off) {
-    std::uint64_t key = 0;
-    for (std::size_t j = 0; j < d; ++j) {
-      const std::uint64_t shift =
-          ((corner_bits >> (d - 1 - j)) & 1) != 0 ? off : 0;
-      key += (box.origin[j] + shift) * lat.strides[j];
-    }
-    return key;
-  };
-  const auto center_key = [&](const Box& box, std::uint64_t half) {
-    std::uint64_t key = 0;
-    for (std::size_t j = 0; j < d; ++j) {
-      key += (box.origin[j] + half) * lat.strides[j];
-    }
-    return key;
-  };
+  // Every generation runs four phases, and only the first and a linear
+  // scan in the third are serial:
+  //   plan     — resolve each box's corner and center keys to slots,
+  //              appending first-seen keys (first-need order);
+  //   evaluate — workers fill the generation's block of new vertices;
+  //   decide   — workers decide split / leaf / uniform per box, then one
+  //              scan in box order numbers the leaves, tallies them and
+  //              appends the children (the next generation);
+  //   render   — workers render the leaf rows into a ring of per-chunk
+  //              arenas, which the caller concatenates in order.
+  // Box order, leaf numbering and row bytes depend only on the grid.
+  for (int depth = 0; !current.empty(); ++depth) {
+    const std::uint64_t ext = lat.scale >> depth;
+    const bool centered = depth < adaptive.max_depth;
+    const std::size_t stride = corners + (centered ? 1 : 0);
+    const auto corner = corner_offsets(ext);
+    const auto half = corner_offsets(ext / 2);
+    const auto width = [&](std::uint64_t box, std::size_t j) {
+      const std::uint64_t g = lat.coord(box, j);
+      return lat.vertex_value(j, g + ext) - lat.vertex_value(j, g);
+    };
 
-  // Decides one finished box: subdivide into its 2^d children when the
-  // corner/center verdicts disagree (and neither the depth cap nor the
-  // physical tolerance stops it), else emit it as a leaf row carrying its
-  // origin vertex's evaluation. Runs on the calling thread behind the
-  // completion prefix, in box order — the emission order, and hence the
-  // bytes, depend only on the grid.
-  const auto process_box = [&](const Box& box) {
-    const std::uint64_t ext = lat.scale >> box.depth;
-    const VertexResult& origin_vr = verts.find(corner_key(box, 0, 0))->second;
-    const Stability first = origin_vr.cell.theory.verdict;
-    bool uniform = true;
-    for (std::uint64_t c = 1; c < corners; ++c) {
-      if (verts.find(corner_key(box, c, ext))->second.cell.theory.verdict !=
-          first) {
-        uniform = false;
-      }
-    }
-    if (box.depth < adaptive.max_depth &&
-        verts.find(center_key(box, ext / 2))->second.cell.theory.verdict !=
-            first) {
-      uniform = false;
-    }
-    bool split = !uniform && box.depth < adaptive.max_depth;
-    if (split && adaptive.tol > 0) {
-      bool within_tol = true;
-      for (std::size_t j = 0; j < d; ++j) {
-        const double width = lat.vertex_value(j, box.origin[j] + ext) -
-                             lat.vertex_value(j, box.origin[j]);
-        if (width > adaptive.tol) within_tol = false;
-      }
-      if (within_tol) split = false;
-    }
-    if (split) {
-      const std::uint64_t half = ext / 2;
-      for (std::uint64_t c = 0; c < corners; ++c) {
-        Box child;
-        child.depth = box.depth + 1;
-        child.origin = box.origin;
-        for (std::size_t j = 0; j < d; ++j) {
-          if (((c >> (d - 1 - j)) & 1) != 0) child.origin[j] += half;
-        }
-        next.push_back(child);
-      }
-      return;
-    }
-    CellResult cell = origin_vr.cell;
-    cell.index = summary.boxes;
-    std::vector<std::string> cells = sweep_row(cell, options);
-    cells.push_back(format_number(static_cast<double>(box.depth)));
-    cells.push_back(format_number(uniform ? 1 : 0));
-    for (std::size_t j = 0; j < d; ++j) {
-      cells.push_back(format_number(lat.vertex_value(j, box.origin[j] + ext) -
-                                    lat.vertex_value(j, box.origin[j])));
-    }
-    writer.write_row(cells);
-    ++summary.boxes;
-    summary.max_depth_reached = std::max(summary.max_depth_reached, box.depth);
-    switch (cell.theory.verdict) {
-      case Stability::kPositiveRecurrent:
-        ++summary.stable;
-        break;
-      case Stability::kTransient:
-        ++summary.transient;
-        break;
-      case Stability::kBorderline:
-        ++summary.borderline;
-        break;
-    }
-  };
-
-  while (!current.empty()) {
-    next.clear();
+    // Plan: slots [0, 2^d) of a box are its corners, slot 2^d its center.
     new_keys.clear();
-    targets.clear();
-    gen_pos.clear();
-    need.assign(current.size(), 0);
-
-    // Plan the generation: every vertex a box needs, deduplicated in
-    // first-need order. need[b] is the completed-prefix length of the
-    // new-key list after which box b is decidable (0 when every vertex
-    // was already evaluated by an earlier generation).
-    const auto want = [&](std::uint64_t key, std::size_t b) {
-      const auto gp = gen_pos.find(key);
-      if (gp != gen_pos.end()) {
-        need[b] = std::max(need[b], gp->second + 1);
-        return;
-      }
-      const auto [it, inserted] = verts.try_emplace(key);
-      if (!inserted) return;  // evaluated in an earlier generation
-      gen_pos.emplace(key, new_keys.size());
-      need[b] = std::max(need[b], new_keys.size() + 1);
-      new_keys.push_back(key);
-      targets.push_back(&it->second);
-    };
+    box_slots.resize(current.size() * stride);
     for (std::size_t b = 0; b < current.size(); ++b) {
-      const Box& box = current[b];
-      const std::uint64_t ext = lat.scale >> box.depth;
-      for (std::uint64_t c = 0; c < corners; ++c) {
-        want(corner_key(box, c, ext), b);
-      }
-      if (box.depth < adaptive.max_depth) {
-        want(center_key(box, ext / 2), b);
+      for (std::size_t s = 0; s < stride; ++s) {
+        const std::uint64_t key =
+            current[b] + (s < corners ? corner[s] : half[corners - 1]);
+        bool inserted = false;
+        box_slots[b * stride + s] = index.find_or_insert(key, inserted);
+        if (inserted) new_keys.push_back(key);
       }
     }
 
-    // Stream the generation: workers fan over the new vertices while the
-    // calling thread decides, subdivides and emits every box whose
-    // vertices lie inside the completed prefix. Children wait for the
-    // next pass of the while loop — the dynamically injected generations
-    // of the work frontier.
-    std::size_t next_box = 0;
-    const auto process_ready = [&](std::size_t prefix) {
-      while (next_box < current.size() && need[next_box] <= prefix) {
-        process_box(current[next_box]);
-        ++next_box;
-      }
-    };
-    if (new_keys.empty()) {
-      process_ready(0);
-    } else {
-      const std::size_t chunk =
-          options.chunk != 0
-              ? options.chunk
-              : ThreadPool::auto_chunk(new_keys.size(), pool.size());
-      pool.parallel_for_streaming(
-          new_keys.size(), chunk, /*window=*/0,
+    // Evaluate.
+    if (!new_keys.empty()) {
+      const std::size_t base = store.size();
+      VertexResult* block = store.add_block(new_keys.size());
+      verdicts.resize(index.size());
+      pool.parallel_for(
+          new_keys.size(),
           [&](std::size_t i) {
-            evaluate_vertex(lat, options, adaptive, new_keys[i], *targets[i]);
+            evaluate_vertex(lat, options, adaptive, new_keys[i], block[i]);
+            verdicts[base + i] = block[i].cell.theory.verdict;
           },
-          process_ready);
+          options.chunk);
+      summary.escalated += static_cast<std::size_t>(
+          std::count_if(block, block + new_keys.size(),
+                        [](const VertexResult& v) { return v.escalated; }));
     }
-    P2P_ASSERT(next_box == current.size());
+
+    // Decide: subdivide into the 2^d children when the corner/center
+    // verdicts disagree, unless the depth cap or the physical tolerance
+    // stops it; otherwise the box is a leaf carrying its origin vertex.
+    decisions.resize(current.size());
+    pool.parallel_for(
+        current.size(),
+        [&](std::size_t b) {
+          const Slot* slots = &box_slots[b * stride];
+          const Stability first = verdicts[slots[0]];
+          bool uniform = true;
+          for (std::size_t s = 1; s < stride; ++s) {
+            if (verdicts[slots[s]] != first) uniform = false;
+          }
+          bool split = !uniform && centered;
+          if (split && adaptive.tol > 0) {
+            bool within_tol = true;
+            for (std::size_t j = 0; j < d; ++j) {
+              if (width(current[b], j) > adaptive.tol) within_tol = false;
+            }
+            if (within_tol) split = false;
+          }
+          decisions[b] = static_cast<std::uint8_t>((split ? kSplit : 0) |
+                                                   (uniform ? kUniform : 0));
+        },
+        options.chunk);
+    const std::size_t first_leaf = summary.boxes;
+    leaves.clear();
+    next.clear();
+    for (std::size_t b = 0; b < current.size(); ++b) {
+      if ((decisions[b] & kSplit) != 0) {
+        for (std::uint64_t c = 0; c < corners; ++c) {
+          next.push_back(current[b] + half[c]);
+        }
+        continue;
+      }
+      leaves.push_back(b);
+      switch (verdicts[box_slots[b * stride]]) {
+        case Stability::kPositiveRecurrent:
+          ++summary.stable;
+          break;
+        case Stability::kTransient:
+          ++summary.transient;
+          break;
+        case Stability::kBorderline:
+          ++summary.borderline;
+          break;
+      }
+    }
+    if (!leaves.empty()) {
+      summary.boxes += leaves.size();
+      summary.max_depth_reached = depth;
+    }
+
+    // Render.
+    const std::size_t chunk =
+        options.chunk != 0 ? options.chunk
+                           : ThreadPool::auto_chunk(leaves.size(), pool.size());
+    std::size_t emitted = 0;
+    pool.parallel_for_streaming_blocks(
+        leaves.size(), chunk, ring.size() * chunk,
+        [&](std::size_t begin, std::size_t end) {
+          LeafChunk& out = ring[(begin / chunk) % ring.size()];
+          out.arena.clear();
+          out.rows = end - begin;
+          CellResult cell;
+          for (std::size_t i = begin; i < end; ++i) {
+            const std::size_t b = leaves[i];
+            cell = store[box_slots[b * stride]].cell;
+            cell.index = first_leaf + i;
+            RowRenderer::Row row(renderer, out.arena);
+            for (const std::string& text : sweep_row(cell, options)) {
+              row.text(text);
+            }
+            row.number(static_cast<double>(depth));
+            row.number((decisions[b] & kUniform) != 0 ? 1 : 0);
+            for (std::size_t j = 0; j < d; ++j) {
+              row.number(width(current[b], j));
+            }
+            row.end();
+          }
+        },
+        [&](std::size_t prefix) {
+          while (emitted < prefix) {
+            const LeafChunk& done = ring[(emitted / chunk) % ring.size()];
+            writer.write_rendered(done.arena, done.rows);
+            emitted += done.rows;
+          }
+        });
     current.swap(next);
   }
 
-  summary.evaluated = verts.size();
-  summary.simulated = options.theory_only ? 0 : verts.size();
-  for (const auto& [key, vr] : verts) {
-    if (vr.escalated) ++summary.escalated;
-  }
+  summary.evaluated = store.size();
+  summary.simulated = options.theory_only ? 0 : store.size();
   return summary;
 }
 

@@ -5,12 +5,13 @@
 // caller's grid values become a coarse *vertex lattice* whose gaps are
 // the depth-0 boxes (a quadtree in 2-D, sparse 2^d-ary boxes in
 // higher-D), and only boxes whose corner/center verdicts disagree are
-// subdivided — generation by generation, each generation's newly needed
-// vertices fanned across the thread pool through
-// ThreadPool::parallel_for_streaming while finished boxes are decided
-// and emitted behind the completion prefix. Vertices are shared between
-// neighboring boxes and across generations, so the evaluation count
-// scales with the frontier's area, not the volume's.
+// subdivided — generation by generation. The calling thread plans a
+// generation (resolving every box's vertices through a flat vertex
+// index); the thread pool then evaluates its new vertices, decides its
+// boxes and renders its leaf rows, which the caller concatenates in
+// order. Vertices are shared between neighboring boxes and across
+// generations, so the evaluation count scales with the frontier's area,
+// not the volume's.
 //
 // The report is the grid schema plus a trailing multi-resolution block:
 //
@@ -130,8 +131,9 @@ struct AdaptiveSummary {
 /// two axes must vary, every varying axis must be refinable with
 /// strictly increasing finite values, and the fine lattice must fit a
 /// 64-bit vertex key. Rows are leaf boxes in deterministic order
-/// (generation by generation, box order within a generation), emitted as
-/// their vertices complete. Byte-identical for any (threads, chunk).
+/// (generation by generation, box order within a generation), each
+/// generation's rows written once its boxes are decided. Byte-identical
+/// for any (threads, chunk).
 AdaptiveSummary run_adaptive_stream(const SweepGrid& grid,
                                     const SweepOptions& options,
                                     const AdaptiveOptions& adaptive,

@@ -7,6 +7,7 @@
 // with corrupt archives dying loudly, naming the offending row.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <cstdio>
@@ -205,6 +206,81 @@ TEST(RunAdaptiveStream, ByteDeterminismAcrossTheThreadsChunkMatrix) {
           adaptive_report(grid, options, adaptive, ReportFormat::kJson).out,
           json_ref.out)
           << "threads " << threads << " chunk " << chunk;
+    }
+  }
+}
+
+void expect_same_summary(const AdaptiveSummary& a, const AdaptiveSummary& b) {
+  EXPECT_EQ(a.boxes, b.boxes);
+  EXPECT_EQ(a.evaluated, b.evaluated);
+  EXPECT_EQ(a.simulated, b.simulated);
+  EXPECT_EQ(a.escalated, b.escalated);
+  EXPECT_EQ(a.max_depth_reached, b.max_depth_reached);
+  EXPECT_EQ(a.dense_equivalent, b.dense_equivalent);
+  EXPECT_EQ(a.stable, b.stable);
+  EXPECT_EQ(a.transient, b.transient);
+  EXPECT_EQ(a.borderline, b.borderline);
+}
+
+TEST(RunAdaptiveStream, ThreeDimensionalVolumeIsInvariantAcrossTheMatrix) {
+  // A lambda x Us x mu volume whose mu axis spans gamma, so the
+  // altruistic branch (mu >= gamma: always stable) meets the one-club
+  // frontier, refined with the tolerance live: at depth 4 every axis is
+  // narrower than tol, so disagreeing depth-4 boxes stop as non-uniform
+  // leaves one level short of max_depth. Plan, evaluate, decide and
+  // render must leave both the bytes and the whole summary untouched by
+  // the threads x chunk matrix.
+  const SweepGrid grid =
+      parse_grid("lambda=0.5:3.0:4;us=0.2:1.7:4;mu=0.5:2.0:4;gamma=1.25");
+  SweepOptions base;
+  base.theory_only = true;
+  base.threads = 1;
+  base.chunk = 1;
+  AdaptiveOptions adaptive;
+  adaptive.max_depth = 5;
+  adaptive.tol = 0.06;  // depth-4 widths: 0.052 x 0.031 x 0.031
+  const AdaptiveRun csv_ref = adaptive_report(grid, base, adaptive);
+  const AdaptiveRun json_ref =
+      adaptive_report(grid, base, adaptive, ReportFormat::kJson);
+  EXPECT_EQ(csv_ref.summary.max_depth_reached, 4);
+  EXPECT_EQ(csv_ref.summary.stable + csv_ref.summary.transient +
+                csv_ref.summary.borderline,
+            csv_ref.summary.boxes);
+  expect_same_summary(json_ref.summary, csv_ref.summary);
+
+  const Table table = read_csv(csv_ref.out);
+  ASSERT_EQ(table.num_rows(), csv_ref.summary.boxes);
+  const auto column = [&](const std::string& name) {
+    const auto& cols = table.columns();
+    return static_cast<std::size_t>(
+        std::find(cols.begin(), cols.end(), name) - cols.begin());
+  };
+  const std::size_t c_mu = column("mu"), c_gamma = column("gamma"),
+                    c_uniform = column(kBoxUniformColumn);
+  std::size_t altruistic = 0, frontier = 0;
+  for (std::size_t r = 0; r < table.num_rows(); ++r) {
+    altruistic += std::stod(table.row(r)[c_mu]) >=
+                  std::stod(table.row(r)[c_gamma]);
+    frontier += table.row(r)[c_uniform] == "0";
+  }
+  EXPECT_GT(altruistic, 0u);
+  EXPECT_GT(frontier, 0u);
+
+  for (const int threads : {1, 2, 4, 8}) {
+    for (const std::size_t chunk :
+         {std::size_t{1}, std::size_t{7}, std::size_t{0}}) {
+      SCOPED_TRACE("threads " + std::to_string(threads) + " chunk " +
+                   std::to_string(chunk));
+      SweepOptions options = base;
+      options.threads = threads;
+      options.chunk = chunk;
+      const AdaptiveRun csv = adaptive_report(grid, options, adaptive);
+      EXPECT_EQ(csv.out, csv_ref.out);
+      expect_same_summary(csv.summary, csv_ref.summary);
+      const AdaptiveRun json =
+          adaptive_report(grid, options, adaptive, ReportFormat::kJson);
+      EXPECT_EQ(json.out, json_ref.out);
+      expect_same_summary(json.summary, json_ref.summary);
     }
   }
 }
