@@ -584,19 +584,8 @@ std::vector<PhaseFrontierPoint> extract_frontier(const PhaseGrid& grid,
         set_refinable(p, grid.x_axis, v);
         return classify(engine::expand(grid.scenario, p).params).verdict;
       };
-      double lo = pt.x_lo;
-      double hi = pt.x_hi;
-      const Stability at_lo = verdict_at(lo);
-      // Same 200-iteration cap as the engine: tol below the bracket's
-      // floating-point resolution must not spin.
-      for (int iter = 0; std::abs(hi - lo) > tol && iter < 200; ++iter) {
-        const double mid = 0.5 * (lo + hi);
-        if (verdict_at(mid) == at_lo) {
-          lo = mid;
-        } else {
-          hi = mid;
-        }
-      }
+      const auto [lo, hi] = engine::bisect_verdict_flip(
+          pt.x_lo, pt.x_hi, verdict_at(pt.x_lo), tol, verdict_at);
       pt.value_lo = lo;
       pt.value_hi = hi;
       pt.value = 0.5 * (lo + hi);

@@ -12,8 +12,11 @@
 
 #include <cstdint>
 #include <span>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "engine/report.hpp"
 #include "engine/scenario.hpp"
 #include "engine/sweep.hpp"
 #include "rand/rng.hpp"
@@ -96,5 +99,72 @@ SweepGrid effective_grid(const SweepGrid& grid);
 void fill_cell(CellResult& r, std::size_t cell, const CellParams& p,
                const SweepOptions& options,
                std::vector<ArrivalSpec>& arrival_scratch);
+
+/// Everything a worker needs to render one grid-schema row without
+/// touching shared mutable state: the columns' RowRenderer, every axis
+/// value pre-rendered to its format_number token, and the full bytes of
+/// the low-cardinality cells. Cached column positions count from the
+/// front of sweep_columns(options), so the renderer's columns may run
+/// past the grid schema (the adaptive table's box_* block).
+struct GridRenderPlan {
+  explicit GridRenderPlan(RowRenderer r) : renderer(std::move(r)) {}
+
+  RowRenderer renderer;
+  /// axis_tokens[axis][digit] = format_number of that grid value. k and
+  /// flash are rounded to their integer first: CellResult carries the
+  /// *rounded* k / flash, and a raw axis value may sit anywhere within
+  /// the 1e-9 integrality slack.
+  std::vector<std::vector<std::string>> axis_tokens;
+  /// The nine axis columns in render order, with maximal runs of
+  /// single-valued axes collapsed into one pre-rendered byte span
+  /// (cells > 0): a typical phase diagram varies two axes and pins
+  /// seven, so most of the row head is one memcpy.
+  struct RenderSegment {
+    std::size_t axis = 0;   // grid slot of the varying axis (cells == 0)
+    std::size_t field = 0;  // its render-order position, 0 = lambda
+    std::size_t cells = 0;
+    std::string bytes;
+  };
+  std::vector<RenderSegment> segments;
+  /// The verdict and critical_piece cells take a handful of values per
+  /// run; their full cell bytes (column prefix included) are cached so
+  /// the hot loop appends them verbatim instead of allocating a verdict
+  /// string and re-deciding quoting per cell. verdict_tokens is indexed
+  /// by the Stability enum value; critical_tokens by critical_piece + 1
+  /// (so -1, the gamma <= mu branch, is slot 0).
+  std::string verdict_tokens[3];
+  std::vector<std::string> critical_tokens;
+  /// Full trailing sim_backend cells (absent under theory_only), indexed
+  /// by the resolved backend (perpeer, typecount).
+  std::string backend_tokens[2];
+  /// Theory-only sweeps without a CTMC column: the constant 8-cell sim
+  /// tail (replicas = 0 and seven NaNs) every row shares.
+  std::string const_tail;
+  std::size_t const_tail_cells = 0;
+  /// Full policy cell (present only when simulating off the RandomUseful
+  /// baseline): the policy is sweep-constant, so one cached cell serves
+  /// every row.
+  std::string policy_token;
+  /// Full trailing fluid_verdict cells (present only under
+  /// SweepOptions::fluid), indexed by the Stability enum value.
+  std::string fluid_tokens[3];
+};
+
+/// Builds the plan for rows of `effective` (a defaults-filled grid)
+/// rendered into `writer`, whose columns start with
+/// sweep_columns(options).
+GridRenderPlan make_grid_render_plan(const SweepGrid& effective,
+                                     const SweepOptions& options,
+                                     const ReportWriter& writer);
+
+/// Renders the grid-schema cells of `c` into `row` and leaves it open,
+/// so a caller with trailing columns appends them before row.end().
+/// With `digits` (the cell's per-axis value indices) the varying axis
+/// cells are cached tokens; without, they are rendered from c's own
+/// values — the route for cells that lie off the grid's digits
+/// (adaptive leaves) or were retained without them (run_sweep).
+void render_grid_row(const GridRenderPlan& plan, const SweepOptions& options,
+                     const std::vector<std::size_t>* digits,
+                     const CellResult& c, RowRenderer::Row& row);
 
 }  // namespace p2p::engine

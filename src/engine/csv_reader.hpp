@@ -4,8 +4,9 @@
 // The CSV dialect is exactly what ReportWriter emits: a header line and
 // '\n'-terminated rows with RFC-4180 quoting (cells containing commas,
 // quotes or newlines are quoted, embedded quotes doubled). Reading a
-// table's to_csv() reproduces the table bit-exactly, and every numeric
-// cell parses back to the identical double (format_number's
+// report recovers the text cells it was rendered from bit-exactly
+// (RowRenderer::Row::text renders them back to the same bytes), and
+// every numeric cell parses back to the identical double (format_number's
 // shortest-round-trip contract) — archived corpora under experiments/
 // are lossless records whose physics the golden-corpus tests re-derive
 // from the bytes alone.
@@ -76,13 +77,15 @@ class CsvReader {
   std::size_t rows_ = 0;
 };
 
-/// Reads a whole CSV document into a Table. read_csv(t.to_csv()) == t,
-/// cell for cell.
+/// Reads a whole CSV document into a Table: the inverse of a CSV
+/// ReportWriter. The cells are the text cells the rows were rendered
+/// from, so re-rendering them through RowRenderer::Row::text reproduces
+/// the document byte for byte.
 Table read_csv(std::string text);
 Table read_csv_file(const std::string& path);
 
-/// Reads a report-format JSON document (the array of flat objects that
-/// ReportWriter / Table::to_json emit) into a Table. Columns come from
+/// Reads a report-format JSON document (the array of flat objects a JSON
+/// ReportWriter emits) into a Table. Columns come from
 /// the first object's keys; every later object must repeat them in the
 /// same order. Numbers keep their literal spelling (so a read report
 /// re-emits byte-identically) and null cells read back as "nan" — the

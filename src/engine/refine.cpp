@@ -405,7 +405,8 @@ AdaptiveSummary run_adaptive_stream(const SweepGrid& grid,
   };
 
   ThreadPool pool(options.threads);
-  const RowRenderer renderer(writer.format(), writer.columns());
+  const GridRenderPlan plan =
+      make_grid_render_plan(lat.effective, options, writer);
   VertexIndex index;
   VertexStore store;
   // Per-slot theory verdicts, the only vertex field the decide phase
@@ -541,10 +542,10 @@ AdaptiveSummary run_adaptive_stream(const SweepGrid& grid,
             const std::size_t b = leaves[i];
             cell = store[box_slots[b * stride]].cell;
             cell.index = first_leaf + i;
-            RowRenderer::Row row(renderer, out.arena);
-            for (const std::string& text : sweep_row(cell, options)) {
-              row.text(text);
-            }
+            // Leaves lie off the coarse grid's digits: the axis cells
+            // come from the vertex's own values.
+            RowRenderer::Row row(plan.renderer, out.arena);
+            render_grid_row(plan, options, /*digits=*/nullptr, cell, row);
             row.number(static_cast<double>(depth));
             row.number((decisions[b] & kUniform) != 0 ? 1 : 0);
             for (std::size_t j = 0; j < d; ++j) {

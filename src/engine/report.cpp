@@ -83,10 +83,17 @@ void append_csv_cell(std::string& out, std::string_view cell) {
   out += '"';
 }
 
-void append_csv_row(std::string& out, const std::vector<std::string>& cells) {
-  for (std::size_t c = 0; c < cells.size(); ++c) {
+/// The report preamble: the CSV header line, or the JSON array opener
+/// (JSON rows carry their keys, RowRenderer's column prefixes).
+void append_header(std::string& out, ReportFormat format,
+                   const std::vector<std::string>& columns) {
+  if (format == ReportFormat::kJson) {
+    out += "[\n";
+    return;
+  }
+  for (std::size_t c = 0; c < columns.size(); ++c) {
     if (c > 0) out += ',';
-    append_csv_cell(out, cells[c]);
+    append_csv_cell(out, columns[c]);
   }
   out += '\n';
 }
@@ -120,9 +127,9 @@ bool is_json_number(std::string_view cell) {
   return i == cell.size() && i > (cell[0] == '-' ? 1u : 0u);
 }
 
-/// The JSON cell trichotomy shared by write_row and RowRenderer: numbers
-/// unquoted, format_number's non-finite spellings as null, everything
-/// else a quoted string.
+/// The JSON cell trichotomy of RowRenderer::Row::text: numbers unquoted,
+/// format_number's non-finite spellings as null, everything else a
+/// quoted string.
 void append_json_cell(std::string& out, std::string_view cell) {
   if (is_json_number(cell)) {
     out += cell;
@@ -130,22 +137,6 @@ void append_json_cell(std::string& out, std::string_view cell) {
     out += "null";
   } else {
     append_json_string(out, cell);
-  }
-}
-
-/// One row object WITHOUT its "}..." terminator: the streaming writer
-/// cannot know whether a row is the last one until finish(), so the
-/// terminator ("},\n" before a successor, "}\n" before the closer) is
-/// emitted by whoever learns which it is.
-void append_json_row_open(std::string& out,
-                          const std::vector<std::string>& columns,
-                          const std::vector<std::string>& cells) {
-  out += "  {";
-  for (std::size_t c = 0; c < columns.size(); ++c) {
-    if (c > 0) out += ", ";
-    append_json_string(out, columns[c]);
-    out += ": ";
-    append_json_cell(out, cells[c]);
   }
 }
 
@@ -245,11 +236,7 @@ ReportWriter::ReportWriter(const std::string& path, ReportFormat format,
   // aborts in validation before writing anything (bad axis spec, ...)
   // must not have truncated a previously good output file — the old
   // write-after-success path never did.
-  if (format_ == ReportFormat::kCsv) {
-    append_csv_row(buffer_, columns_);
-  } else {
-    buffer_ += "[\n";
-  }
+  append_header(buffer_, format_, columns_);
 }
 
 ReportWriter::ReportWriter(std::string* sink, ReportFormat format,
@@ -257,30 +244,11 @@ ReportWriter::ReportWriter(std::string* sink, ReportFormat format,
     : columns_(std::move(columns)), format_(format), sink_(sink) {
   P2P_ASSERT_MSG(!columns_.empty(), "a report needs at least one column");
   P2P_ASSERT(sink_ != nullptr);
-  if (format_ == ReportFormat::kCsv) {
-    append_csv_row(*sink_, columns_);
-  } else {
-    *sink_ += "[\n";
-  }
+  append_header(*sink_, format_, columns_);
 }
 
 ReportWriter::~ReportWriter() {
   if (!finished_) finish();
-}
-
-void ReportWriter::write_row(const std::vector<std::string>& cells) {
-  P2P_ASSERT_MSG(!finished_, "write_row after finish()");
-  P2P_ASSERT_MSG(cells.size() == columns_.size(),
-                 "row arity must match the column count");
-  std::string& out = sink_ != nullptr ? *sink_ : buffer_;
-  if (format_ == ReportFormat::kCsv) {
-    append_csv_row(out, cells);
-  } else {
-    if (rows_ > 0) out += "},\n";
-    append_json_row_open(out, columns_, cells);
-  }
-  ++rows_;
-  if (sink_ == nullptr && buffer_.size() >= kFlushBytes) flush_to_file();
 }
 
 void ReportWriter::write_rendered(std::string_view bytes,
@@ -396,29 +364,15 @@ void Table::add_row(std::vector<std::string> cells) {
   rows_.push_back(std::move(cells));
 }
 
-// to_csv/to_json render through ReportWriter, so the streaming and
-// in-memory paths cannot drift apart byte-wise.
-std::string Table::to_csv() const {
-  std::string out;
-  ReportWriter writer(&out, ReportFormat::kCsv, columns_);
-  for (const auto& row : rows_) writer.write_row(row);
-  writer.finish();
-  return out;
-}
-
-std::string Table::to_json() const {
-  std::string out;
-  ReportWriter writer(&out, ReportFormat::kJson, columns_);
-  for (const auto& row : rows_) writer.write_row(row);
-  writer.finish();
-  return out;
-}
-
 void write_text(const std::string& path, const std::string& text) {
   if (path.empty() || path == "-") {
     const std::size_t written =
         std::fwrite(text.data(), 1, text.size(), stdout);
-    P2P_ASSERT_MSG(written == text.size(), "short write to stdout");
+    // Output smaller than stdio's buffer only reaches the descriptor at
+    // exit, where a failed write is silently dropped: flush here, as
+    // ReportWriter::finish does.
+    P2P_ASSERT_MSG(written == text.size() && std::fflush(stdout) == 0,
+                   "short write to stdout");
     return;
   }
   FILE* file = std::fopen(path.c_str(), "wb");

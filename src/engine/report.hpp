@@ -7,20 +7,18 @@
 // spelled out) so CSV diffs are stable across runs and every emitted
 // decimal parses back to the exact bit pattern.
 //
-// Three emit paths share one serializer:
+// One serializer turns cells into report bytes:
 //
-//   * Table        — in-memory rows, rendered whole by to_csv/to_json;
-//   * ReportWriter — streaming: header up front, rows appended as they
-//                    become final, closer written by finish(). Emitted
-//                    bytes are identical to Table's for the same rows
-//                    (Table's renderers are implemented ON ReportWriter),
-//                    but peak memory is one I/O buffer, not the table —
-//                    the emitter million-cell sweeps stream through.
-//   * RowRenderer  — parallel producers: renders one row into a
-//                    caller-supplied arena, byte-identical to what
-//                    write_row would have appended, so worker threads
-//                    can format rows concurrently and the writer just
-//                    concatenates them (write_rendered).
+//   * RowRenderer  — renders rows into caller-supplied arenas, so worker
+//                    threads can format rows concurrently;
+//   * ReportWriter — streaming: header up front, rendered rows
+//                    concatenated as they become final (write_rendered),
+//                    closer written by finish(). Peak memory is one I/O
+//                    buffer, not the table — the emitter million-cell
+//                    sweeps stream through.
+//
+// Table is the reader's in-memory container (engine/csv_reader.hpp); it
+// has no emitter of its own.
 //
 // A file-backed ReportWriter double-buffers its output: full buffers are
 // handed to a background flusher thread, so the producing thread overlaps
@@ -55,11 +53,11 @@ void append_json_string(std::string& out, std::string_view s);
 enum class ReportFormat { kCsv, kJson };
 
 /// Renders rows of a fixed column schema into caller-supplied string
-/// arenas, producing exactly the bytes ReportWriter::write_row appends
-/// for the same cells. This is what lets sweep workers format rows in
-/// parallel: each worker renders into its own arena, and the writer
-/// concatenates the finished spans (ReportWriter::write_rendered)
-/// instead of formatting on the consuming thread.
+/// arenas — the only code that turns a cell into report bytes. This is
+/// what lets sweep workers format rows in parallel: each worker renders
+/// into its own arena, and the writer concatenates the finished spans
+/// (ReportWriter::write_rendered) instead of formatting on the consuming
+/// thread.
 ///
 /// The per-column prefixes ("," / ", \"name\": ") are rendered once at
 /// construction; rendering a row costs no allocation beyond arena
@@ -74,9 +72,8 @@ class RowRenderer {
   ReportFormat format() const { return format_; }
 
   /// One row being rendered into an arena. In JSON the row's "}"
-  /// terminator is withheld exactly like write_row does (the writer
-  /// emits "},\n" or "}\n" when it learns whether a successor exists);
-  /// beginning a row in a non-empty arena emits the "},\n" separator
+  /// terminator is withheld (the writer emits "},\n" or "}\n" when it
+  /// learns whether a successor exists); beginning a row in a non-empty arena emits the "},\n" separator
   /// first — so an arena holding N rows carries N-1 separators and no
   /// trailing terminator, which is precisely the byte layout
   /// write_rendered expects.
@@ -87,22 +84,24 @@ class RowRenderer {
     Row(const RowRenderer& renderer, std::string& arena);
 
     /// Appends format_number(value) as the next cell (JSON renders
-    /// non-finite values as null, like write_row).
+    /// non-finite values as null).
     void number(double value);
     /// Appends a cell that already carries format_number's bytes — the
     /// memcpy fast path for cached axis-value tokens. JSON maps the
     /// "inf"/"-inf"/"nan" spellings to null; no other inspection runs,
     /// so the cell MUST have come from format_number.
     void preformatted_number(std::string_view cell);
-    /// Appends a general text cell: CSV quoting and the JSON
-    /// number-vs-null-vs-string trichotomy, byte-identical to write_row.
+    /// Appends a general text cell: CSV quoting (cells containing
+    /// commas, quotes or newlines are quoted, quotes doubled) and the
+    /// JSON trichotomy — a JSON-grammar number unquoted, format_number's
+    /// non-finite spellings as null, anything else a quoted string.
     void text(std::string_view cell);
     /// Appends `count` cells previously rendered by this renderer at
     /// the same column positions (prefixes included) — the cached
     /// constant-suffix fast path. The bytes are trusted verbatim.
     void cells_verbatim(std::string_view bytes, std::size_t count);
     /// Ends the row; aborts unless exactly num_columns() cells were
-    /// emitted (the arity check write_row does on its cell vector).
+    /// emitted.
     void end();
 
    private:
@@ -122,9 +121,8 @@ class RowRenderer {
 
 /// Streams a rectangular table row by row to a file (or a string, for
 /// tests and in-memory consumers) without retaining the rows. The
-/// constructor emits the header, write_row one row, finish() the JSON
-/// closer + flush; byte-for-byte the output equals Table::to_csv /
-/// to_json of the same rows.
+/// constructor emits the header, write_rendered appends rows a
+/// RowRenderer produced, finish() writes the JSON closer and flushes.
 class ReportWriter {
  public:
   /// Streams to `path`; "-" or empty means stdout. A named file is
@@ -148,20 +146,15 @@ class ReportWriter {
   ReportFormat format() const { return format_; }
   std::size_t rows_written() const { return rows_; }
 
-  /// Appends a row; must have exactly columns().size() cells.
-  void write_row(const std::vector<std::string>& cells);
-
   /// Appends `row_count` rows rendered into `bytes` by a RowRenderer
-  /// built over this writer's format and columns — the concatenate-only
-  /// fast path of the worker-rendered pipeline. The bytes are appended
-  /// verbatim (after the JSON row separator, when due), so the result
-  /// is byte-identical to write_row of the same cells.
+  /// built over this writer's format and columns. The bytes are
+  /// appended verbatim, after the JSON row separator when due.
   void write_rendered(std::string_view bytes, std::size_t row_count);
 
   /// Writes the JSON closer, flushes (joining the background flusher if
   /// one was started), and closes the file. A truncated report (disk
   /// full, broken pipe) aborts rather than exiting 0. Exactly once;
-  /// write_row is invalid afterwards.
+  /// write_rendered is invalid afterwards.
   void finish();
 
  private:
@@ -199,7 +192,8 @@ class ReportWriter {
   bool flusher_stop_ = false;
 };
 
-/// A rectangular table of pre-formatted cells with named columns.
+/// A rectangular table of text cells with named columns: what the
+/// corpus readers (engine/csv_reader.hpp) return.
 class Table {
  public:
   explicit Table(std::vector<std::string> columns);
@@ -214,22 +208,15 @@ class Table {
   /// Appends a row; must have exactly num_columns() cells.
   void add_row(std::vector<std::string> cells);
 
-  /// RFC-4180-ish CSV: header line + one line per row, '\n' terminated.
-  /// Cells containing commas, quotes or newlines are quoted and escaped.
-  std::string to_csv() const;
-
-  /// JSON array of objects keyed by column name. Cells produced by
-  /// format_number are emitted as JSON numbers ("inf"/"nan" become null);
-  /// everything else is a quoted string.
-  std::string to_json() const;
-
  private:
   std::vector<std::string> columns_;
   std::vector<std::vector<std::string>> rows_;
 };
 
 /// Writes `text` to `path`, or to stdout when path is "-" or empty.
-/// Aborts with a message when the file cannot be opened.
+/// Aborts with a message when the file cannot be opened or the bytes
+/// cannot all be written (stdout is flushed, so a short write surfaces
+/// here rather than being lost at exit).
 void write_text(const std::string& path, const std::string& text);
 
 }  // namespace p2p::engine

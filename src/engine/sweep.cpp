@@ -115,71 +115,18 @@ class CellCursor {
   std::vector<double> values_;
 };
 
-/// Everything a worker needs to render one grid row without touching
-/// shared mutable state: the columns' RowRenderer, the axis slot map,
-/// every axis value pre-rendered to its format_number token, and — for
-/// theory-only sweeps without a CTMC column — the constant 8-cell sim
-/// tail every row shares, cached once as raw bytes.
-struct GridRenderPlan {
-  RowRenderer renderer;
-  AxisSlots slots;
-  /// axis_tokens[axis][digit] = format_number of that grid value. k and
-  /// flash are rounded to their integer first: sweep_row formats the
-  /// *rounded* c.k / c.flash, and a raw axis value may sit anywhere
-  /// within the 1e-9 integrality slack.
-  std::vector<std::vector<std::string>> axis_tokens;
-  /// The nine axis columns in render order, with maximal runs of
-  /// single-valued axes collapsed into one pre-rendered byte span
-  /// (cells > 0): a typical phase diagram varies two axes and pins
-  /// seven, so most of the row head is one memcpy.
-  struct RenderSegment {
-    std::size_t axis = 0;  // grid slot of the varying axis (cells == 0)
-    std::size_t cells = 0;
-    std::string bytes;
-  };
-  std::vector<RenderSegment> segments;
-  /// The verdict and critical_piece cells take a handful of values per
-  /// run; their full cell bytes (column prefix included) are cached so
-  /// the hot loop appends them verbatim instead of allocating a verdict
-  /// string and re-deciding quoting per cell. verdict_tokens is indexed
-  /// by the Stability enum value; critical_tokens by critical_piece + 1
-  /// (so -1, the gamma <= mu branch, is slot 0).
-  std::string verdict_tokens[3];
-  std::vector<std::string> critical_tokens;
-  /// Full trailing sim_backend cells (absent under theory_only), indexed
-  /// by backend_token_slot of the cell's resolved backend.
-  std::string backend_tokens[2];
-  std::string const_tail;
-  std::size_t const_tail_cells = 0;
-  /// Full policy cell (present only when simulating off the RandomUseful
-  /// baseline): the policy is sweep-constant, so one cached cell serves
-  /// every row.
-  std::string policy_token;
-  /// Full trailing fluid_verdict cells (present only under
-  /// SweepOptions::fluid), indexed by the Stability enum value.
-  std::string fluid_tokens[3];
-};
-
 /// backend_tokens index of a resolved backend.
 std::size_t backend_token_slot(SimBackend resolved) {
   return resolved == SimBackend::kTypeCount ? 1 : 0;
 }
 
+}  // namespace
+
 GridRenderPlan make_grid_render_plan(const SweepGrid& effective,
-                                     const AxisSlots& slots,
                                      const SweepOptions& options,
                                      const ReportWriter& writer) {
-  GridRenderPlan plan{RowRenderer(writer.format(), writer.columns()),
-                      slots,
-                      {},
-                      {},
-                      {},
-                      {},
-                      {},
-                      {},
-                      0,
-                      {},
-                      {}};
+  const AxisSlots slots = resolve_axis_slots(effective);
+  GridRenderPlan plan(RowRenderer(writer.format(), writer.columns()));
   plan.axis_tokens.resize(effective.axes.size());
   int max_k = 1;
   for (std::size_t i = 0; i < effective.axes.size(); ++i) {
@@ -200,10 +147,17 @@ GridRenderPlan make_grid_render_plan(const SweepGrid& effective,
   // candidate value through the real Row path at its real column
   // position (so the cached bytes can never drift from what text() /
   // number() would emit): the verdict strings, every critical_piece the
-  // grid's K values allow, and — in a theory-only sweep with the CTMC
-  // column disabled — the constant 8-cell sim tail (replicas = 0 and
-  // seven NaNs) every row shares.
+  // grid's K values allow, the backend, policy and fluid tokens, and —
+  // in a theory-only sweep with the CTMC column disabled — the constant
+  // 8-cell sim tail every row shares. Positions count from the front of
+  // the grid schema, whatever columns the writer carries after it.
   const std::size_t num_columns = plan.renderer.num_columns();
+  const std::vector<std::string> grid_columns = sweep_columns(options);
+  const auto position = [&](std::string_view name) {
+    return static_cast<std::size_t>(
+        std::find(grid_columns.begin(), grid_columns.end(), name) -
+        grid_columns.begin());
+  };
   const auto cache_cells = [&](std::size_t column, std::size_t count,
                                const auto& emit) {
     std::string scratch;
@@ -216,57 +170,42 @@ GridRenderPlan make_grid_render_plan(const SweepGrid& effective,
     row.end();
     return bytes;
   };
-  // Front-counted: index column + nine axes + the optional per-type
-  // block put "verdict" here (the tail is no longer a fixed distance
-  // from the end — the sim_backend column exists only when simulating).
-  const std::size_t verdict_column =
-      sweep_schema_head().size() +
-      (options.scenario.empty() ? 0 : 1 + options.scenario.mix.size());
-  for (const Stability v : {Stability::kPositiveRecurrent,
-                            Stability::kTransient, Stability::kBorderline}) {
-    plan.verdict_tokens[static_cast<int>(v)] = cache_cells(
-        verdict_column, 1,
-        [&](RowRenderer::Row& row) { row.text(to_string(v)); });
+  constexpr Stability kVerdicts[] = {Stability::kPositiveRecurrent,
+                                     Stability::kTransient,
+                                     Stability::kBorderline};
+  for (const Stability v : kVerdicts) {
+    plan.verdict_tokens[static_cast<int>(v)] =
+        cache_cells(position("verdict"), 1,
+                    [&](RowRenderer::Row& row) { row.text(to_string(v)); });
   }
   for (int piece = -1; piece < max_k; ++piece) {
     plan.critical_tokens.push_back(
-        cache_cells(verdict_column + 2, 1,
+        cache_cells(position("critical_piece"), 1,
                     [&](RowRenderer::Row& row) { row.number(piece); }));
   }
-  // The optional policy and fluid_verdict columns trail sim_backend, so
-  // every end-anchored column position below backs off by however many
-  // of them this sweep emits.
-  const std::size_t fluid_cells = options.fluid ? 1 : 0;
-  const bool with_policy =
-      !options.theory_only &&
-      options.scenario.policy != PolicyKind::kRandomUseful;
-  const std::size_t policy_cells = with_policy ? 1 : 0;
   if (!options.theory_only) {
     for (const SimBackend b : {SimBackend::kPerPeer, SimBackend::kTypeCount}) {
-      plan.backend_tokens[backend_token_slot(b)] = cache_cells(
-          num_columns - 1 - policy_cells - fluid_cells, 1,
-          [&](RowRenderer::Row& row) { row.text(to_string(b)); });
+      plan.backend_tokens[backend_token_slot(b)] =
+          cache_cells(position(kSimBackendColumn), 1,
+                      [&](RowRenderer::Row& row) { row.text(to_string(b)); });
+    }
+    if (options.scenario.policy != PolicyKind::kRandomUseful) {
+      plan.policy_token =
+          cache_cells(position(kPolicyColumn), 1, [&](RowRenderer::Row& row) {
+            row.text(to_string(options.scenario.policy));
+          });
     }
   }
-  if (with_policy) {
-    plan.policy_token =
-        cache_cells(num_columns - 1 - fluid_cells, 1,
-                    [&](RowRenderer::Row& row) {
-                      row.text(to_string(options.scenario.policy));
-                    });
-  }
   if (options.fluid) {
-    for (const Stability v : {Stability::kPositiveRecurrent,
-                              Stability::kTransient,
-                              Stability::kBorderline}) {
-      plan.fluid_tokens[static_cast<int>(v)] = cache_cells(
-          num_columns - 1, 1,
-          [&](RowRenderer::Row& row) { row.text(to_string(v)); });
+    for (const Stability v : kVerdicts) {
+      plan.fluid_tokens[static_cast<int>(v)] =
+          cache_cells(position(kFluidVerdictColumn), 1,
+                      [&](RowRenderer::Row& row) { row.text(to_string(v)); });
     }
   }
   if (options.theory_only && options.ctmc_max_peers <= 0) {
     plan.const_tail = cache_cells(
-        num_columns - 8 - fluid_cells, 8, [&](RowRenderer::Row& row) {
+        position("replicas"), 8, [&](RowRenderer::Row& row) {
           row.number(0);  // replicas
           for (int c = 0; c < 7; ++c) row.number(std::nan(""));
         });
@@ -274,13 +213,13 @@ GridRenderPlan make_grid_render_plan(const SweepGrid& effective,
   }
   // Collapse maximal runs of single-valued axis columns (columns 1..9,
   // after the index) into one pre-rendered span each; varying axes stay
-  // per-digit token lookups.
+  // per-cell.
   const std::size_t order[9] = {slots.lambda, slots.us,  slots.mu,
                                 slots.gamma,  slots.k,   slots.eta,
                                 slots.flash,  slots.mix, slots.hetero};
   for (std::size_t j = 0; j < 9;) {
     if (effective.axes[order[j]].values.size() != 1) {
-      plan.segments.push_back({order[j], 0, {}});
+      plan.segments.push_back({order[j], j, 0, {}});
       ++j;
       continue;
     }
@@ -294,21 +233,15 @@ GridRenderPlan make_grid_render_plan(const SweepGrid& effective,
             row.preformatted_number(plan.axis_tokens[order[j + t]][0]);
           }
         });
-    plan.segments.push_back({0, len, std::move(bytes)});
+    plan.segments.push_back({0, j, len, std::move(bytes)});
     j += len;
   }
   return plan;
 }
 
-/// Renders one finished cell into `arena` — the worker-side twin of
-/// sweep_row + write_row. MIRRORS sweep_row CELL FOR CELL: any column
-/// added or reordered there must land here too, or the worker-rendered
-/// bytes drift from the Table emitters (the byte-identity suite in
-/// tests/test_sweep_stream.cpp is the tripwire).
 void render_grid_row(const GridRenderPlan& plan, const SweepOptions& options,
-                     const std::vector<std::size_t>& digits,
-                     const CellResult& c, std::string& arena) {
-  RowRenderer::Row row(plan.renderer, arena);
+                     const std::vector<std::size_t>* digits,
+                     const CellResult& c, RowRenderer::Row& row) {
   // Integer fast path for the cell index: for an integer below 2^53
   // that is not a multiple of 10, its plain decimal digits ARE
   // format_number's output — integers there are exactly representable
@@ -331,8 +264,14 @@ void render_grid_row(const GridRenderPlan& plan, const SweepOptions& options,
   for (const GridRenderPlan::RenderSegment& seg : plan.segments) {
     if (seg.cells > 0) {
       row.cells_verbatim(seg.bytes, seg.cells);
+    } else if (digits != nullptr) {
+      row.preformatted_number(plan.axis_tokens[seg.axis][(*digits)[seg.axis]]);
     } else {
-      row.preformatted_number(plan.axis_tokens[seg.axis][digits[seg.axis]]);
+      const double fields[9] = {c.lambda, c.us,  c.mu,
+                                c.gamma,  static_cast<double>(c.k),
+                                c.eta,    static_cast<double>(c.flash),
+                                c.mix,    c.hetero};
+      row.number(fields[seg.field]);
     }
   }
   if (!options.scenario.empty()) {
@@ -370,8 +309,9 @@ void render_grid_row(const GridRenderPlan& plan, const SweepOptions& options,
   if (options.fluid) {
     row.cells_verbatim(plan.fluid_tokens[static_cast<int>(c.fluid)], 1);
   }
-  row.end();
 }
+
+namespace {
 
 /// Chunk, claim-window and ring sizing shared by the grid and frontier
 /// streaming pipelines.
@@ -520,8 +460,7 @@ SweepSummary sweep_cells_ordered(const SweepGrid& grid,
   const AxisSlots axis_slots = resolve_axis_slots(effective);
   std::optional<GridRenderPlan> render;
   if (writer != nullptr) {
-    render.emplace(
-        make_grid_render_plan(effective, axis_slots, options, *writer));
+    render.emplace(make_grid_render_plan(effective, options, *writer));
   }
 
   SweepSummary summary;
@@ -574,8 +513,9 @@ SweepSummary sweep_cells_ordered(const SweepGrid& grid,
                 ++cslot.borderline;
                 break;
             }
-            render_grid_row(*render, options, cursor.digits(), result,
-                            cslot.arena);
+            RowRenderer::Row row(render->renderer, cslot.arena);
+            render_grid_row(*render, options, &cursor.digits(), result, row);
+            row.end();
             if (cell + 1 < end) cursor.advance();
           }
           return;
@@ -622,8 +562,10 @@ SweepSummary sweep_cells_ordered(const SweepGrid& grid,
             }
             if (render) {
               slot.arena.clear();
-              render_grid_row(*render, options, cursor.digits(), slot.result,
-                              slot.arena);
+              RowRenderer::Row row(render->renderer, slot.arena);
+              render_grid_row(*render, options, &cursor.digits(), slot.result,
+                              row);
+              row.end();
             }
           }
           item = cell_end;
@@ -974,48 +916,18 @@ std::string typecount_domain_violation(const SweepGrid& grid) {
   return typecount_domain_violation(grid, ScenarioSpec{});
 }
 
-std::vector<std::string> sweep_row(const CellResult& c,
-                                   const SweepOptions& options) {
-  const ScenarioSpec& scenario = options.scenario;
-  std::vector<std::string> row = {
-      format_number(static_cast<double>(c.index)), format_number(c.lambda),
-      format_number(c.us),                         format_number(c.mu),
-      format_number(c.gamma),                      format_number(c.k),
-      format_number(c.eta),
-      format_number(static_cast<double>(c.flash)), format_number(c.mix),
-      format_number(c.hetero)};
-  if (!scenario.empty()) {
-    row.push_back(format_number((1.0 - c.mix) * c.lambda));
-    for (const auto& a : scenario.mix) {
-      row.push_back(format_number(c.mix * c.lambda * a.rate));
-    }
+void SweepResult::write(ReportWriter& writer) const {
+  P2P_ASSERT_MSG(writer.columns() == sweep_columns(options),
+                 "SweepResult::write needs a writer built with "
+                 "sweep_columns(options)");
+  const GridRenderPlan plan = make_grid_render_plan(grid, options, writer);
+  std::string arena;
+  for (const CellResult& c : cells) {
+    RowRenderer::Row row(plan.renderer, arena);
+    render_grid_row(plan, options, /*digits=*/nullptr, c, row);
+    row.end();
   }
-  for (std::string cell :
-       {to_string(c.theory.verdict), format_number(c.theory.margin),
-        format_number(c.theory.critical_piece),
-        format_number(c.sim.replicas),
-        format_number(c.sim.final_peers_mean),
-        format_number(c.sim.mean_peers_mean),
-        format_number(c.sim.mean_sojourn),
-        format_number(c.sim.mean_peers_sem),
-        format_number(c.sim.mean_peers_lo),
-        format_number(c.sim.mean_peers_hi),
-        format_number(c.ctmc_mean_peers)}) {
-    row.push_back(std::move(cell));
-  }
-  if (!options.theory_only) row.push_back(to_string(c.backend));
-  if (!options.theory_only &&
-      options.scenario.policy != PolicyKind::kRandomUseful) {
-    row.push_back(to_string(options.scenario.policy));
-  }
-  if (options.fluid) row.push_back(to_string(c.fluid));
-  return row;
-}
-
-Table SweepResult::to_table() const {
-  Table table(sweep_columns(options));
-  for (const auto& c : cells) table.add_row(sweep_row(c, options));
-  return table;
+  writer.write_rendered(arena, cells.size());
 }
 
 RefineOptions parse_refine(const std::string& spec) {
@@ -1086,20 +998,9 @@ FrontierPoint bisect_row(const SweepGrid& rows, std::size_t row,
     return pt;
   }
 
-  double lo = refined.values[bracket];
-  double hi = refined.values[bracket + 1];
-  const Stability at_lo = verdicts[bracket];
-  // 200 iterations caps runaway loops when tol is below the bracket's
-  // floating-point resolution; each halving is one classify() call.
-  for (int iter = 0; std::abs(hi - lo) > refine.tol && iter < 200; ++iter) {
-    const double mid = 0.5 * (lo + hi);
-    if (verdict_at(mid) == at_lo) {
-      lo = mid;
-    } else {
-      hi = mid;
-    }
-  }
-
+  const auto [lo, hi] =
+      bisect_verdict_flip(refined.values[bracket], refined.values[bracket + 1],
+                          verdicts[bracket], refine.tol, verdict_at);
   pt.bracketed = true;
   pt.value_lo = lo;
   pt.value_hi = hi;
@@ -1117,9 +1018,8 @@ struct FrontierSlot {
   std::atomic<std::size_t> pending{0};
 };
 
-/// Renders one localized frontier point into `arena` — the worker-side
-/// twin of frontier_row + write_row. MIRRORS frontier_row CELL FOR
-/// CELL; see render_grid_row's note.
+/// Renders one localized frontier point into `arena`: the one frontier
+/// row encoder, for the streamed and the retained points alike.
 void render_frontier_row(const RowRenderer& renderer,
                          const FrontierPoint& pt, const RefineOptions& refine,
                          const SweepOptions& options, std::string& arena) {
@@ -1342,46 +1242,16 @@ std::vector<std::string> frontier_columns(const SweepOptions& options) {
       /*with_fluid=*/false);
 }
 
-std::vector<std::string> frontier_row(const FrontierPoint& pt,
-                                      const RefineOptions& refine,
-                                      const SweepOptions& options) {
-  const ScenarioSpec& scenario = options.scenario;
-  std::vector<std::string> row = {
-      format_number(static_cast<double>(pt.row)), refine.axis,
-      format_number(pt.bracketed ? 1 : 0), format_number(pt.value),
-      format_number(pt.value_lo), format_number(pt.value_hi),
-      format_number(pt.margin), format_number(pt.params.lambda),
-      format_number(pt.params.us), format_number(pt.params.mu),
-      format_number(pt.params.gamma), format_number(pt.params.k),
-      format_number(pt.params.eta),
-      format_number(static_cast<double>(pt.params.flash)),
-      format_number(pt.params.mix), format_number(pt.params.hetero)};
-  if (!scenario.empty()) {
-    row.push_back(format_number((1.0 - pt.params.mix) * pt.params.lambda));
-    for (const auto& a : scenario.mix) {
-      row.push_back(format_number(pt.params.mix * pt.params.lambda * a.rate));
-    }
+void FrontierResult::write(ReportWriter& writer) const {
+  P2P_ASSERT_MSG(writer.columns() == frontier_columns(options),
+                 "FrontierResult::write needs a writer built with "
+                 "frontier_columns(options)");
+  const RowRenderer renderer(writer.format(), writer.columns());
+  std::string arena;
+  for (const FrontierPoint& pt : points) {
+    render_frontier_row(renderer, pt, refine, options, arena);
   }
-  for (std::string cell : {format_number(pt.sim.replicas),
-                           format_number(pt.sim.mean_peers_mean),
-                           format_number(pt.sim.mean_peers_sem),
-                           format_number(pt.sim.mean_peers_lo),
-                           format_number(pt.sim.mean_peers_hi)}) {
-    row.push_back(std::move(cell));
-  }
-  row.push_back(to_string(resolve_sim_backend(options.sim_backend, pt.params)));
-  if (options.scenario.policy != PolicyKind::kRandomUseful) {
-    row.push_back(to_string(options.scenario.policy));
-  }
-  return row;
-}
-
-Table FrontierResult::to_table() const {
-  Table table(frontier_columns(options));
-  for (const auto& pt : points) {
-    table.add_row(frontier_row(pt, refine, options));
-  }
-  return table;
+  writer.write_rendered(arena, points.size());
 }
 
 }  // namespace p2p::engine

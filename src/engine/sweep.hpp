@@ -32,7 +32,8 @@
 // CellResult (tests, small grids); run_sweep_stream hands each finished
 // cell's row straight to a streaming ReportWriter and keeps only a
 // bounded ring of in-flight results — peak memory O(chunk * threads),
-// not O(num_cells) — with output byte-identical to run_sweep's table.
+// not O(num_cells). Both render rows through the same grid-row encoder,
+// so SweepResult::write emits the stream's bytes.
 //
 // Boundary refinement (refine_frontier) localizes the Theorem-1 phase
 // boundary instead of rasterizing it: per combination of the non-refined
@@ -47,6 +48,7 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/stability.hpp"
@@ -306,25 +308,24 @@ struct SweepResult {
   SweepOptions options;
   std::vector<CellResult> cells;
 
-  /// Fixed-schema table (cell-index order): cell, lambda, us, mu, gamma,
-  /// k, eta, flash, mix, hetero, [per-type arrival-rate columns when the
-  /// scenario is non-empty: lambda_empty then lambda_t<pieces> per mix
-  /// type, one-based and '.'-joined, e.g. lambda_t1.2], verdict, margin,
-  /// critical_piece, replicas, sim_final_peers, sim_mean_peers,
-  /// sim_mean_sojourn, sim_mean_peers_sem, sim_mean_peers_lo,
-  /// sim_mean_peers_hi, ctmc_mean_peers[, sim_backend unless
-  /// theory_only][, policy when simulating off the RandomUseful
-  /// baseline][, fluid_verdict when options.fluid].
-  Table to_table() const;
+  /// Appends one row per cell, in cell-index order, to `writer` (built
+  /// with sweep_columns(options)); the caller finishes it. The bytes
+  /// equal run_sweep_stream's for the same grid and options.
+  void write(ReportWriter& writer) const;
 };
 
-/// The grid table's column names for `options` (to_table's header, and
-/// what a streaming ReportWriter must be constructed with).
+/// The grid table's column names for `options` — what a ReportWriter
+/// for run_sweep_stream or SweepResult::write must be constructed with:
+/// cell, lambda, us, mu, gamma, k, eta, flash, mix, hetero, [per-type
+/// arrival-rate columns when the scenario is non-empty: lambda_empty
+/// then lambda_t<pieces> per mix type, one-based and '.'-joined, e.g.
+/// lambda_t1.2], verdict, margin, critical_piece, replicas,
+/// sim_final_peers, sim_mean_peers, sim_mean_sojourn,
+/// sim_mean_peers_sem, sim_mean_peers_lo, sim_mean_peers_hi,
+/// ctmc_mean_peers[, sim_backend unless theory_only][, policy when
+/// simulating off the RandomUseful baseline][, fluid_verdict when
+/// options.fluid].
 std::vector<std::string> sweep_columns(const SweepOptions& options);
-
-/// One formatted grid-table row, aligned with sweep_columns(options).
-std::vector<std::string> sweep_row(const CellResult& cell,
-                                   const SweepOptions& options);
 
 /// Runs every (cell, replica) pair of `grid` across `options.threads`
 /// threads. Axes not present in `grid` take the default_region_grid()
@@ -349,8 +350,8 @@ struct SweepSummary {
 /// and the CellResult is dropped. Live state is a ring of
 /// O(chunk * threads) items, so grid size no longer bounds memory. The
 /// caller finishes the writer. Emitted bytes equal
-/// run_sweep(...).to_table() rendered with the same format, for any
-/// (threads, chunk) combination.
+/// run_sweep(...).write() into the same format, for any (threads, chunk)
+/// combination.
 SweepSummary run_sweep_stream(const SweepGrid& grid,
                               const SweepOptions& options,
                               ReportWriter& writer);
@@ -411,25 +412,43 @@ struct FrontierResult {
   /// One point per row, in row order.
   std::vector<FrontierPoint> points;
 
-  /// Fixed-schema table (row order): row, axis, bracketed, value,
-  /// value_lo, value_hi, margin, lambda, us, mu, gamma, k, eta, flash,
-  /// mix, hetero, [the same per-type arrival-rate columns as the grid
-  /// table when the scenario is non-empty], replicas, sim_mean_peers,
-  /// sim_mean_peers_sem, sim_mean_peers_lo, sim_mean_peers_hi,
-  /// sim_backend[, policy when the scenario's policy is not the
-  /// RandomUseful baseline].
-  Table to_table() const;
+  /// Appends one row per point, in row order, to `writer` (built with
+  /// frontier_columns(options)); the caller finishes it. The bytes equal
+  /// run_frontier_stream's for the same grid and options.
+  void write(ReportWriter& writer) const;
 };
 
-/// The frontier table's column names for `options` (to_table's header,
-/// and what a streaming ReportWriter must be constructed with).
+/// The frontier table's column names for `options` — what a
+/// ReportWriter for run_frontier_stream or FrontierResult::write must be
+/// constructed with: row, axis, bracketed, value, value_lo, value_hi,
+/// margin, lambda, us, mu, gamma, k, eta, flash, mix, hetero, [the same
+/// per-type arrival-rate columns as the grid table when the scenario is
+/// non-empty], replicas, sim_mean_peers, sim_mean_peers_sem,
+/// sim_mean_peers_lo, sim_mean_peers_hi, sim_backend[, policy when the
+/// scenario's policy is not the RandomUseful baseline].
 std::vector<std::string> frontier_columns(const SweepOptions& options);
 
-/// One formatted frontier-table row, aligned with
-/// frontier_columns(options).
-std::vector<std::string> frontier_row(const FrontierPoint& pt,
-                                      const RefineOptions& refine,
-                                      const SweepOptions& options);
+/// The one closed-form bisection of a Theorem-1 verdict flip, shared by
+/// refine_frontier and the phase-diagram re-bisection
+/// (analysis/phase_diagram.hpp): halves the bracket [lo, hi] — `at_lo` is
+/// the verdict at lo, and hi classifies differently — toward the flip
+/// until it is at most `tol` wide, and returns the final bracket. 200
+/// halvings cap the loop when tol lies below the bracket's
+/// floating-point resolution; each costs one verdict_at(mid) call.
+template <typename VerdictAt>
+std::pair<double, double> bisect_verdict_flip(double lo, double hi,
+                                              Stability at_lo, double tol,
+                                              VerdictAt&& verdict_at) {
+  for (int iter = 0; std::abs(hi - lo) > tol && iter < 200; ++iter) {
+    const double mid = 0.5 * (lo + hi);
+    if (verdict_at(mid) == at_lo) {
+      lo = mid;
+    } else {
+      hi = mid;
+    }
+  }
+  return {lo, hi};
+}
 
 /// For each combination of the non-refined axes ("row"), scans the
 /// refined axis's coarse values (in axis order) for the first adjacent
@@ -459,8 +478,8 @@ struct FrontierSummary {
 /// every row before it has finished, and the FrontierPoint is dropped.
 /// Live state is a ring of O(chunk * threads) items, so a very tall
 /// coarse grid no longer bounds memory. The caller finishes the writer.
-/// Emitted bytes equal refine_frontier(...).to_table() rendered with
-/// the same format, for any (threads, chunk) combination.
+/// Emitted bytes equal refine_frontier(...).write() into the same
+/// format, for any (threads, chunk) combination.
 FrontierSummary run_frontier_stream(const SweepGrid& grid,
                                     const SweepOptions& options,
                                     const RefineOptions& refine,

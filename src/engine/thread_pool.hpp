@@ -11,10 +11,11 @@
 // chunk — then output is byte-identical for any thread count and any
 // chunk size.
 //
-// parallel_for_streaming additionally reports the contiguous completed
-// prefix to the caller between chunks, with a bounded claim window, so a
-// consumer can emit results in index order while the sweep is still
-// running and keep live buffering at O(window) instead of O(n).
+// parallel_for_streaming_blocks hands each claimed chunk to the caller's
+// function as one index range, and additionally reports the contiguous
+// completed prefix to the caller between chunks, with a bounded claim
+// window, so a consumer can emit results in index order while the sweep
+// is still running and keep live buffering at O(window) instead of O(n).
 //
 // The calling thread participates in both entry points, so ThreadPool(n)
 // uses exactly n OS threads (n-1 workers + the caller) and ThreadPool(1)
@@ -89,30 +90,19 @@ class ThreadPool {
     run_job(n, chunk, /*window=*/0, block, nullptr);
   }
 
-  /// Like parallel_for, but streams completion to the caller: whenever
-  /// the contiguous completed prefix of [0, n) grows, on_prefix(p) runs
-  /// on the CALLING thread with the new prefix length (nondecreasing,
+  /// Like parallel_for, but each claimed chunk (of `chunk` indices, 0 =
+  /// auto_chunk) is handed to block_fn as one half-open index range
+  /// [begin, end), and completion streams to the caller: whenever the
+  /// contiguous completed prefix of [0, n) grows, on_prefix(p) runs on
+  /// the CALLING thread with the new prefix length (nondecreasing,
   /// finally n). Claims never run more than `window` items (at least one
   /// chunk; 0 = unbounded) past the last prefix consumed, so a consumer
   /// that drains results inside on_prefix bounds live results to
-  /// O(window). fn must not throw; same reentrancy contract as
-  /// parallel_for.
-  void parallel_for_streaming(std::size_t n, std::size_t chunk,
-                              std::size_t window,
-                              const std::function<void(std::size_t)>& fn,
-                              const std::function<void(std::size_t)>& on_prefix) {
-    const BlockFn block = item_block(fn);
-    run_job(n, chunk, window, block, &on_prefix);
-  }
-
-  /// Like parallel_for_streaming, but each claimed chunk is handed to
-  /// block_fn as one half-open index range [begin, end) instead of one
-  /// index at a time. A worker that processes a whole contiguous block
-  /// can hoist per-chunk setup — grid odometers, cached axis values,
-  /// arena reservations — out of the per-item loop, which is what lets
-  /// the sweep engine render rows at memcpy speed. Same claiming,
-  /// windowing, prefix and must-not-throw contracts as
-  /// parallel_for_streaming.
+  /// O(window). A worker that processes a whole contiguous block can
+  /// hoist per-chunk setup — grid odometers, cached axis values, arena
+  /// reservations — out of the per-item loop, which is what lets the
+  /// sweep engine render rows at memcpy speed. block_fn must not throw;
+  /// same reentrancy contract as parallel_for.
   void parallel_for_streaming_blocks(
       std::size_t n, std::size_t chunk, std::size_t window,
       const std::function<void(std::size_t, std::size_t)>& block_fn,
@@ -122,12 +112,12 @@ class ThreadPool {
   }
 
  private:
-  /// Jobs run chunk-at-a-time internally; the per-item entry points wrap
-  /// their fn in a range loop.
+  /// Jobs run chunk-at-a-time internally; parallel_for wraps its
+  /// per-item fn in a range loop.
   using BlockFn = std::function<void(std::size_t, std::size_t)>;
 
-  /// The per-item loop with the index-naming throw guard the per-item
-  /// API documents.
+  /// The per-item loop with the index-naming throw guard parallel_for
+  /// documents.
   static BlockFn item_block(const std::function<void(std::size_t)>& fn) {
     return [&fn](std::size_t begin, std::size_t end) {
       for (std::size_t i = begin; i < end; ++i) {

@@ -11,6 +11,7 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdio>
+#include <limits>
 #include <random>
 #include <string>
 #include <vector>
@@ -20,6 +21,7 @@
 #include "engine/refine.hpp"
 #include "engine/report.hpp"
 #include "engine/sweep.hpp"
+#include "report_helpers.hpp"
 
 namespace p2p::engine {
 namespace {
@@ -290,30 +292,9 @@ TEST(RunAdaptiveStream, DepthZeroDegeneratesToTheDensePipelineRowForRow) {
   // its origin (lower-corner) vertex — the dense sweep over the origin
   // sub-lattice (all values but the last per adaptive axis). Every
   // adaptive row must be the dense row's bytes plus the trailing box
-  // cells; nothing about the shared row rendering may drift.
-  SweepGrid coarse;
-  coarse.set_axis(Axis{"lambda", {0.5, 1.125, 1.75, 2.375, 3.0}});
-  coarse.set_axis(Axis{"us", {0.2, 0.575, 0.95, 1.325, 1.7}});
-  coarse.set_axis(Axis{"k", {3}});
-  SweepOptions options;
-  options.theory_only = true;
-  AdaptiveOptions depth0;
-  depth0.max_depth = 0;
-  const AdaptiveRun run = adaptive_report(coarse, options, depth0);
-  EXPECT_EQ(run.summary.boxes, 16u);
-  EXPECT_EQ(run.summary.evaluated, 25u);
-  EXPECT_EQ(run.summary.dense_equivalent, 25u);
-  EXPECT_EQ(run.summary.max_depth_reached, 0);
-
-  SweepGrid origins;
-  origins.set_axis(Axis{"lambda", {0.5, 1.125, 1.75, 2.375}});
-  origins.set_axis(Axis{"us", {0.2, 0.575, 0.95, 1.325}});
-  origins.set_axis(Axis{"k", {3}});
-  std::string dense_csv;
-  ReportWriter writer(&dense_csv, ReportFormat::kCsv, sweep_columns(options));
-  run_sweep_stream(origins, options, writer);
-  writer.finish();
-
+  // cells, under every optional column family the shared grid renderer
+  // places before them (the per-type block, fluid_verdict) and in both
+  // formats: nothing about the shared row rendering may drift.
   const auto lines = [](const std::string& text) {
     std::vector<std::string> out;
     std::size_t start = 0;
@@ -325,28 +306,84 @@ TEST(RunAdaptiveStream, DepthZeroDegeneratesToTheDensePipelineRowForRow) {
     }
     return out;
   };
-  const std::vector<std::string> adaptive_lines = lines(run.out);
-  const std::vector<std::string> dense_lines = lines(dense_csv);
-  ASSERT_EQ(adaptive_lines.size(), dense_lines.size());
-  ASSERT_EQ(adaptive_lines.size(), 17u);
-  for (std::size_t i = 0; i < dense_lines.size(); ++i) {
-    SCOPED_TRACE("line " + std::to_string(i));
-    ASSERT_GT(adaptive_lines[i].size(), dense_lines[i].size());
-    EXPECT_EQ(adaptive_lines[i].substr(0, dense_lines[i].size()),
-              dense_lines[i]);
-    EXPECT_EQ(adaptive_lines[i][dense_lines[i].size()], ',');
+  for (const ReportFormat format : {ReportFormat::kCsv, ReportFormat::kJson}) {
+    for (const bool mix : {false, true}) {
+      for (const bool fluid : {false, true}) {
+        SCOPED_TRACE(
+            std::string(format == ReportFormat::kCsv ? "csv" : "json") +
+            (mix ? " example2" : " no scenario") + (fluid ? " fluid" : ""));
+        SweepOptions options;
+        options.theory_only = true;
+        options.fluid = fluid;
+        options.horizon = 40;  // the fluid ODE's span; keeps the 2^k ODE cheap
+        SweepGrid coarse;
+        coarse.set_axis(Axis{"lambda", {0.5, 1.125, 1.75, 2.375, 3.0}});
+        coarse.set_axis(Axis{"us", {0.2, 0.575, 0.95, 1.325, 1.7}});
+        coarse.set_axis(Axis{"k", {3}});
+        if (mix) {
+          options.scenario = parse_scenario("example2:3,1");
+          coarse.set_axis(Axis{"k", {4}});
+          coarse.set_axis(
+              Axis{"gamma", {std::numeric_limits<double>::infinity()}});
+          coarse.set_axis(Axis{"mix", {0.5}});
+        }
+        AdaptiveOptions depth0;
+        depth0.max_depth = 0;
+        const AdaptiveRun run =
+            adaptive_report(coarse, options, depth0, format);
+        EXPECT_EQ(run.summary.boxes, 16u);
+        EXPECT_EQ(run.summary.evaluated, 25u);
+        EXPECT_EQ(run.summary.dense_equivalent, 25u);
+        EXPECT_EQ(run.summary.max_depth_reached, 0);
+
+        SweepGrid origins = coarse;
+        origins.set_axis(Axis{"lambda", {0.5, 1.125, 1.75, 2.375}});
+        origins.set_axis(Axis{"us", {0.2, 0.575, 0.95, 1.325}});
+        std::string dense;
+        ReportWriter writer(&dense, format, sweep_columns(options));
+        run_sweep_stream(origins, options, writer);
+        writer.finish();
+
+        const std::vector<std::string> adaptive_lines = lines(run.out);
+        const std::vector<std::string> dense_lines = lines(dense);
+        ASSERT_EQ(adaptive_lines.size(), dense_lines.size());
+        // 16 rows plus the CSV header, or the JSON brackets.
+        ASSERT_EQ(adaptive_lines.size(),
+                  format == ReportFormat::kCsv ? 17u : 18u);
+        for (std::size_t i = 0; i < dense_lines.size(); ++i) {
+          SCOPED_TRACE("line " + std::to_string(i));
+          // A JSON row's cells end before its "}" / "}," terminator; the
+          // array brackets carry no cells and must match outright.
+          std::string cells = dense_lines[i];
+          if (format == ReportFormat::kJson) {
+            if (cells.rfind("  {", 0) != 0) {
+              EXPECT_EQ(adaptive_lines[i], cells);
+              continue;
+            }
+            cells.erase(cells.rfind('}'));
+          }
+          ASSERT_GT(adaptive_lines[i].size(), cells.size());
+          EXPECT_EQ(adaptive_lines[i].substr(0, cells.size()), cells);
+          EXPECT_EQ(adaptive_lines[i][cells.size()], ',');
+        }
+        // Depth-0 leaves are never subdivided, but their uniformity is
+        // still honest: rows straddling the frontier carry
+        // box_uniform = 0.
+        const Table table = format == ReportFormat::kCsv ? read_csv(run.out)
+                                                         : read_json(run.out);
+        const ReportSchema schema = validate_report_schema(table.columns());
+        ASSERT_TRUE(schema.has_boxes);
+        EXPECT_EQ(schema.has_scenario, mix);
+        EXPECT_EQ(schema.has_fluid, fluid);
+        std::size_t nonuniform = 0;
+        for (std::size_t r = 0; r < table.num_rows(); ++r) {
+          EXPECT_EQ(table.row(r)[schema.box_start], "0");  // depth
+          nonuniform += table.row(r)[schema.box_start + 1] == "0";
+        }
+        EXPECT_GE(nonuniform, 1u);
+      }
+    }
   }
-  // Depth-0 leaves are never subdivided, but their uniformity is still
-  // honest: rows straddling the frontier carry box_uniform = 0.
-  const Table table = read_csv(run.out);
-  const ReportSchema schema = validate_report_schema(table.columns());
-  ASSERT_TRUE(schema.has_boxes);
-  std::size_t nonuniform = 0;
-  for (std::size_t r = 0; r < table.num_rows(); ++r) {
-    EXPECT_EQ(table.row(r)[schema.box_start], "0");  // depth
-    nonuniform += table.row(r)[schema.box_start + 1] == "0";
-  }
-  EXPECT_GE(nonuniform, 1u);
 }
 
 TEST(RunAdaptiveStream, MultiResSchemaRoundTripsThroughIngestion) {
@@ -479,7 +516,7 @@ std::string tamper(const std::string& csv, std::size_t row, std::size_t col,
   for (std::size_t r = 0; r < table.num_rows(); ++r) {
     out.add_row(r == row ? cells : table.row(r));
   }
-  return out.to_csv();
+  return render_table(out);
 }
 
 TEST(BuildBoxGridDeath, DenseReportsAreNotBoxGrids) {

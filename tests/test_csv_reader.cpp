@@ -1,7 +1,7 @@
-// Corpus reader robustness: the Table -> bytes -> Table round trip must
-// be exact (archived corpora are lossless records), and malformed input
-// must abort echoing the offending line — never misassign columns or
-// invent cells.
+// Corpus reader robustness: the Table -> report bytes -> Table round
+// trip must be exact (archived corpora are lossless records), and
+// malformed input must abort echoing the offending line — never
+// misassign columns or invent cells.
 #include "engine/csv_reader.hpp"
 
 #include <gtest/gtest.h>
@@ -16,6 +16,7 @@
 #include "engine/report.hpp"
 #include "engine/sweep.hpp"
 #include "rand/rng.hpp"
+#include "report_helpers.hpp"
 
 namespace p2p::engine {
 namespace {
@@ -81,9 +82,9 @@ TEST(ReadCsv, RoundTripsPlainTable) {
   Table table({"a", "b", "verdict"});
   table.add_row({"1", "2.5", "stable"});
   table.add_row({"2", "inf", "transient"});
-  const Table back = read_csv(table.to_csv());
+  const Table back = read_csv(render_table(table));
   expect_tables_equal(table, back);
-  EXPECT_EQ(back.to_csv(), table.to_csv());
+  EXPECT_EQ(render_table(back), render_table(table));
 }
 
 TEST(ReadCsv, RoundTripsQuotedCells) {
@@ -92,9 +93,9 @@ TEST(ReadCsv, RoundTripsQuotedCells) {
   table.add_row({"line\nbreak", ""});
   table.add_row({"", "trailing,comma,"});
   table.add_row({"\"", "\n"});
-  const Table back = read_csv(table.to_csv());
+  const Table back = read_csv(render_table(table));
   expect_tables_equal(table, back);
-  EXPECT_EQ(back.to_csv(), table.to_csv());
+  EXPECT_EQ(render_table(back), render_table(table));
 }
 
 TEST(ReadCsv, RandomizedTablesRoundTripExactly) {
@@ -120,9 +121,9 @@ TEST(ReadCsv, RandomizedTablesRoundTripExactly) {
       }
       table.add_row(std::move(cells));
     }
-    const Table back = read_csv(table.to_csv());
+    const Table back = read_csv(render_table(table));
     expect_tables_equal(table, back);
-    EXPECT_EQ(back.to_csv(), table.to_csv());
+    EXPECT_EQ(render_table(back), render_table(table));
   }
 }
 
@@ -134,9 +135,9 @@ TEST(ReadCsv, SweepTableWithScenarioColumnsRoundTrips) {
   options.horizon = 20;
   options.replicas = 2;
   options.scenario = parse_scenario("example2:3,1");
-  const Table table = run_sweep(grid, options).to_table();
-  const Table back = read_csv(table.to_csv());
-  expect_tables_equal(table, back);
+  const std::string csv = render(run_sweep(grid, options));
+  const Table back = read_csv(csv);
+  EXPECT_EQ(render_table(back), csv);
   // And the schema survives recognizably.
   const ReportSchema schema = validate_report_schema(back.columns());
   EXPECT_EQ(schema.kind, ReportKind::kGrid);
@@ -149,14 +150,16 @@ TEST(ReadCsv, SweepTableWithScenarioColumnsRoundTrips) {
 TEST(CsvReader, StreamsAFileAcrossTheFlushBoundary) {
   const std::string path = ::testing::TempDir() + "csv_reader_stream.csv";
   const std::vector<std::string> columns = {"i", "payload"};
-  Table table(columns);
   {
     ReportWriter writer(path, ReportFormat::kCsv, columns);
+    const RowRenderer renderer(writer.format(), columns);
     for (int i = 0; i < 4000; ++i) {
-      const std::vector<std::string> row = {std::to_string(i),
-                                            std::string(40, 'x')};
-      writer.write_row(row);
-      table.add_row(row);
+      std::string arena;
+      RowRenderer::Row row(renderer, arena);
+      row.number(i);
+      row.text(std::string(40, 'x'));
+      row.end();
+      writer.write_rendered(arena, 1);
     }
     writer.finish();
   }
@@ -205,10 +208,11 @@ TEST(ReadJson, RoundTripsReportJson) {
   table.add_row({"1", "nan", "stable"});
   table.add_row({"2", "0.5", "transient"});
   table.add_row({"3", "1e-3", "say \"hi\""});
-  const Table back = read_json(table.to_json());
+  const Table back = read_json(render_table(table, ReportFormat::kJson));
   expect_tables_equal(table, back);
   // Numbers keep their literal spelling, so re-emission is identical.
-  EXPECT_EQ(back.to_json(), table.to_json());
+  EXPECT_EQ(render_table(back, ReportFormat::kJson),
+            render_table(table, ReportFormat::kJson));
 }
 
 TEST(ReadJson, NullReadsBackAsNan) {
@@ -216,7 +220,7 @@ TEST(ReadJson, NullReadsBackAsNan) {
   // back without inventing a sign.
   Table table({"x"});
   table.add_row({"inf"});
-  const Table back = read_json(table.to_json());
+  const Table back = read_json(render_table(table, ReportFormat::kJson));
   EXPECT_EQ(back.row(0)[0], "nan");
 }
 

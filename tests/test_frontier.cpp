@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "engine/sweep.hpp"
+#include "report_helpers.hpp"
 
 namespace p2p::engine {
 namespace {
@@ -114,10 +115,8 @@ TEST(RefineFrontier, ByteIdenticalAcrossThreadCounts) {
   RefineOptions refine;
   refine.axis = "lambda";
   refine.tol = 1e-2;
-  const std::string csv1 =
-      refine_frontier(grid, one, refine).to_table().to_csv();
-  const std::string csv4 =
-      refine_frontier(grid, four, refine).to_table().to_csv();
+  const std::string csv1 = render(refine_frontier(grid, one, refine));
+  const std::string csv4 = render(refine_frontier(grid, four, refine));
   EXPECT_FALSE(csv1.empty());
   EXPECT_EQ(csv1, csv4);
 }
@@ -146,8 +145,7 @@ TEST(RefineFrontier, TableSchemaIsStable) {
   RefineOptions refine;
   refine.axis = "lambda";
   refine.tol = 0.1;
-  const Table table =
-      refine_frontier(grid, options, refine).to_table();
+  const Table table = read_back(refine_frontier(grid, options, refine));
   ASSERT_EQ(table.num_columns(), 22u);
   EXPECT_EQ(table.columns().front(), "row");
   EXPECT_EQ(table.columns()[14], "mix");

@@ -1,5 +1,5 @@
 // Streaming frontier emission: run_frontier_stream must emit the exact
-// bytes of refine_frontier(...).to_table() for any (threads, chunk)
+// bytes of refine_frontier(...).write() for any (threads, chunk)
 // combination, in both formats — the archived frontier corpora and the
 // CI determinism diffs depend on the bytes, not the parsed content.
 #include <gtest/gtest.h>
@@ -10,6 +10,7 @@
 
 #include "engine/report.hpp"
 #include "engine/sweep.hpp"
+#include "report_helpers.hpp"
 
 namespace p2p::engine {
 namespace {
@@ -37,10 +38,10 @@ TEST(FrontierStream, BytesEqualInMemoryEmitterAcrossThreadsAndChunks) {
   refine.axis = "lambda";
   refine.tol = 1e-2;
 
-  const Table table = refine_frontier(grid, base, refine).to_table();
-  const std::string want_csv = table.to_csv();
-  const std::string want_json = table.to_json();
-  ASSERT_GT(table.num_rows(), 0u);
+  const FrontierResult result = refine_frontier(grid, base, refine);
+  const std::string want_csv = render(result);
+  const std::string want_json = render(result, ReportFormat::kJson);
+  ASSERT_GT(result.points.size(), 0u);
 
   for (const int threads : {1, 2, 8}) {
     for (const std::size_t chunk : {std::size_t{1}, std::size_t{0}}) {
@@ -70,7 +71,7 @@ TEST(FrontierStream, ScenarioColumnsStreamIdentically) {
   refine.tol = 1e-3;
 
   const std::string want =
-      refine_frontier(grid, base, refine).to_table().to_csv();
+      render(refine_frontier(grid, base, refine));
   for (const int threads : {1, 8}) {
     SweepOptions options = base;
     options.threads = threads;
@@ -97,7 +98,7 @@ TEST(FrontierStream, UnbracketedRowsStreamAndCount) {
   writer.finish();
   EXPECT_EQ(summary.rows, 2u);
   EXPECT_EQ(summary.bracketed, 1u);
-  EXPECT_EQ(out, refine_frontier(grid, options, refine).to_table().to_csv());
+  EXPECT_EQ(out, render(refine_frontier(grid, options, refine)));
 }
 
 TEST(FrontierStreamDeath, WrongWriterColumnsAbort) {

@@ -12,6 +12,7 @@
 
 #include "analysis/phase_diagram.hpp"
 #include "engine/sweep.hpp"
+#include "report_helpers.hpp"
 
 namespace p2p::analysis {
 namespace {
@@ -158,9 +159,9 @@ TEST(RenderOverlay, LandsOnTheExampleOneClosedForm) {
   SweepOptions options;
   options.horizon = 10;
   options.theory_only = true;
-  const engine::Table table = run_sweep(
+  const engine::Table table = read_back(run_sweep(
       parse_grid("k=1;mu=1;gamma=1.25;lambda=2,4,6;us=0.2:1.7:16"),
-      options).to_table();
+      options));
   const PhaseGrid grid = build_phase_grid(table);  // x=us, y=lambda
   ASSERT_EQ(grid.x_axis, "us");
   const auto frontier = extract_frontier(grid, 1e-6);

@@ -11,6 +11,7 @@
 
 #include "engine/csv_reader.hpp"
 #include "engine/sweep.hpp"
+#include "report_helpers.hpp"
 
 namespace p2p::analysis {
 namespace {
@@ -28,7 +29,7 @@ Table small_region_table(int replicas = 1) {
   SweepOptions options;
   options.horizon = 30;
   options.replicas = replicas;
-  return run_sweep(grid, options).to_table();
+  return read_back(run_sweep(grid, options));
 }
 
 TEST(BuildPhaseGrid, DetectsAxesAndIngestsCells) {
@@ -85,7 +86,7 @@ TEST(BuildPhaseGrid, ReconstructsScenarioFromPerTypeColumns) {
   SweepOptions options;
   options.horizon = 15;
   options.scenario = parse_scenario("example2:3,1");
-  const Table table = run_sweep(sweep, options).to_table();
+  const Table table = read_back(run_sweep(sweep, options));
 
   const PhaseGrid grid = build_phase_grid(table);
   ASSERT_EQ(grid.scenario.mix.size(), 2u);
@@ -118,7 +119,7 @@ TEST(ExtractFrontier, MatchesRefineFrontierBitForBit) {
   const auto points =
       engine::refine_frontier(parse_grid(spec), options, refine).points;
 
-  const Table table = run_sweep(parse_grid(spec), options).to_table();
+  const Table table = read_back(run_sweep(parse_grid(spec), options));
   const PhaseGrid grid = build_phase_grid(table, "lambda", "us");
   const auto extracted = extract_frontier(grid, refine.tol);
 
@@ -138,9 +139,9 @@ TEST(ExtractFrontier, LandsOnTheClosedForms) {
   SweepOptions options;
   options.horizon = 10;
   options.theory_only = true;
-  const Table table = run_sweep(
+  const Table table = read_back(run_sweep(
       parse_grid("k=1;mu=1;gamma=1.25;us=0.4,0.8,1.2;lambda=0.5:9.5:10"),
-      options).to_table();
+      options));
   const PhaseGrid grid = build_phase_grid(table, "lambda", "us");
   const auto frontier = extract_frontier(grid, 1e-4);
   ASSERT_EQ(frontier.size(), 3u);
@@ -159,9 +160,9 @@ TEST(ExtractFrontier, OneClubFrontierAtSeedProvisioningBound) {
   options.horizon = 10;
   options.theory_only = true;
   options.scenario = parse_scenario("oneclub:4");
-  const Table table = run_sweep(
+  const Table table = read_back(run_sweep(
       parse_grid("k=4;us=1;mu=1;gamma=1.25;mix=0,0.5,1;lambda=1:9:5"),
-      options).to_table();
+      options));
   const PhaseGrid grid = build_phase_grid(table, "lambda", "mix");
   const auto frontier = extract_frontier(grid, 1e-4);
   ASSERT_EQ(frontier.size(), 3u);
@@ -178,8 +179,8 @@ TEST(ExtractFrontier, MarginInterpolationIsExactWhenMarginIsLinear) {
   SweepOptions options;
   options.horizon = 10;
   options.theory_only = true;
-  const Table table = run_sweep(
-      parse_grid("k=1;mu=1;gamma=1.25;us=1;lambda=4,6"), options).to_table();
+  const Table table = read_back(run_sweep(
+      parse_grid("k=1;mu=1;gamma=1.25;us=1;lambda=4,6"), options));
   const PhaseGrid grid = build_phase_grid(table, "lambda", "us");
   const auto frontier = extract_frontier(grid, 1e-6);
   ASSERT_EQ(frontier.size(), 1u);
@@ -192,9 +193,9 @@ TEST(ExtractFrontier, ThreadCountCannotChangeTheResult) {
   SweepOptions options;
   options.horizon = 10;
   options.theory_only = true;
-  const Table table = run_sweep(
+  const Table table = read_back(run_sweep(
       parse_grid("k=1;mu=1;gamma=1.25;us=0.2:1.7:8;lambda=0.5:9.5:12"),
-      options).to_table();
+      options));
   const PhaseGrid grid = build_phase_grid(table, "lambda", "us");
   const auto one = extract_frontier(grid, 1e-3, 1);
   const auto four = extract_frontier(grid, 1e-3, 4);
@@ -239,9 +240,9 @@ TEST(VerdictAgreement, TheoryOnlyGridHasNoSimCells) {
   SweepOptions options;
   options.horizon = 10;
   options.theory_only = true;
-  const Table table = run_sweep(
+  const Table table = read_back(run_sweep(
       parse_grid("k=1;mu=1;gamma=1.25;us=0.6,1.0;lambda=2,6"),
-      options).to_table();
+      options));
   const VerdictAgreement agreement =
       verdict_agreement(build_phase_grid(table));
   EXPECT_EQ(agreement.cells_with_sim, 0u);
@@ -255,10 +256,8 @@ TEST(BuildPhaseGridDeath, FrontierTableAborts) {
   RefineOptions refine;
   refine.axis = "lambda";
   refine.tol = 0.1;
-  const Table table =
-      engine::refine_frontier(parse_grid("k=1;us=1;lambda=1,9"), options,
-                              refine)
-          .to_table();
+  const Table table = read_back(engine::refine_frontier(
+      parse_grid("k=1;us=1;lambda=1,9"), options, refine));
   EXPECT_DEATH(build_phase_grid(table), "not frontier");
 }
 
@@ -266,8 +265,8 @@ TEST(BuildPhaseGridDeath, ThirdVaryingAxisAborts) {
   SweepOptions options;
   options.horizon = 5;
   options.theory_only = true;
-  const Table table = run_sweep(
-      parse_grid("k=1;mu=1,2;us=0.6,1.0;lambda=2,6"), options).to_table();
+  const Table table = read_back(run_sweep(
+      parse_grid("k=1;mu=1,2;us=0.6,1.0;lambda=2,6"), options));
   EXPECT_DEATH(build_phase_grid(table, "lambda", "us"),
                "\"mu\" varies");
   EXPECT_DEATH(build_phase_grid(table), "varies but is neither");
@@ -275,7 +274,7 @@ TEST(BuildPhaseGridDeath, ThirdVaryingAxisAborts) {
 
 TEST(BuildPhaseGridDeath, NonFiniteCoordinateAborts) {
   // A NaN lambda is a corrupt coordinate, not a renderable cell.
-  Table table = engine::read_csv(small_region_table().to_csv());
+  Table table = small_region_table();
   Table corrupt(table.columns());
   for (std::size_t r = 0; r < table.num_rows(); ++r) {
     std::vector<std::string> row = table.row(r);
@@ -328,7 +327,7 @@ TEST(BuildPhaseGridDeath, ContradictoryPerTypeColumnAborts) {
   options.horizon = 10;
   options.theory_only = true;
   options.scenario = parse_scenario("example2:3,1");
-  const Table table = run_sweep(sweep, options).to_table();
+  const Table table = read_back(run_sweep(sweep, options));
   Table corrupt(table.columns());
   for (std::size_t r = 0; r < table.num_rows(); ++r) {
     std::vector<std::string> row = table.row(r);
@@ -339,7 +338,7 @@ TEST(BuildPhaseGridDeath, ContradictoryPerTypeColumnAborts) {
 }
 
 TEST(BuildPhaseGridDeath, UnknownVerdictAborts) {
-  Table table = engine::read_csv(small_region_table().to_csv());
+  Table table = small_region_table();
   Table corrupt(table.columns());
   for (std::size_t r = 0; r < table.num_rows(); ++r) {
     std::vector<std::string> row = table.row(r);

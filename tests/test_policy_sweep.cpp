@@ -21,6 +21,7 @@
 #include "engine/scenario.hpp"
 #include "engine/sweep.hpp"
 #include "sim/policy.hpp"
+#include "report_helpers.hpp"
 
 namespace p2p::engine {
 namespace {
@@ -39,9 +40,9 @@ TEST(PolicySweep, ExplicitRandomUsefulIsByteIdenticalToBaseline) {
   SweepOptions explicit_random = sim_options();
   explicit_random.scenario.policy = PolicyKind::kRandomUseful;
 
-  const Table a = run_sweep(grid, baseline).to_table();
-  const Table b = run_sweep(grid, explicit_random).to_table();
-  EXPECT_EQ(a.to_csv(), b.to_csv());
+  const std::string csv = render(run_sweep(grid, baseline));
+  EXPECT_EQ(csv, render(run_sweep(grid, explicit_random)));
+  const Table a = read_csv(csv);
   // The baseline never grows a policy column: archived corpora keep
   // their bytes.
   for (const std::string& column : a.columns()) {
@@ -56,7 +57,7 @@ TEST(PolicySweep, PolicyAndFluidColumnsValidateAndIngest) {
   options.scenario.policy = PolicyKind::kRarestFirst;
   options.fluid = true;
 
-  const Table table = run_sweep(grid, options).to_table();
+  const Table table = read_back(run_sweep(grid, options));
   const std::vector<std::string>& columns = table.columns();
   ASSERT_GE(columns.size(), 3u);
   EXPECT_EQ(columns[columns.size() - 3], std::string(kSimBackendColumn));
@@ -97,7 +98,7 @@ TEST(PolicySweep, TheoryOnlyFluidGridHasNoBackendOrPolicyColumn) {
   // column stays suppressed so the header never claims a policy ran.
   options.scenario.policy = PolicyKind::kSequential;
 
-  const Table table = run_sweep(grid, options).to_table();
+  const Table table = read_back(run_sweep(grid, options));
   EXPECT_EQ(table.columns().back(), std::string(kFluidVerdictColumn));
   for (const std::string& column : table.columns()) {
     EXPECT_NE(column, std::string(kPolicyColumn));

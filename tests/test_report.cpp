@@ -11,6 +11,8 @@
 #include <string>
 #include <vector>
 
+#include "report_helpers.hpp"
+
 namespace p2p::engine {
 namespace {
 
@@ -54,58 +56,73 @@ TEST(FormatNumber, NonFiniteValues) {
   EXPECT_EQ(format_number(std::nan("")), "nan");
 }
 
-TEST(Table, CsvRoundTrip) {
-  Table table({"a", "b", "verdict"});
-  table.add_row({"1", "2.5", "stable"});
-  table.add_row({"2", "inf", "transient"});
-  EXPECT_EQ(table.num_rows(), 2u);
-  EXPECT_EQ(table.to_csv(),
+// --- Text cells: CSV quoting and the JSON number / null / string
+// trichotomy of RowRenderer::Row::text.
+
+TEST(TextCells, CsvRowsAreCommaJoinedLines) {
+  EXPECT_EQ(render_text_rows(ReportFormat::kCsv, {"a", "b", "verdict"},
+                             {{"1", "2.5", "stable"},
+                              {"2", "inf", "transient"}}),
             "a,b,verdict\n"
             "1,2.5,stable\n"
             "2,inf,transient\n");
 }
 
-TEST(Table, CsvQuotesSpecialCells) {
-  Table table({"name"});
-  table.add_row({"a,b"});
-  table.add_row({"say \"hi\""});
-  EXPECT_EQ(table.to_csv(),
+TEST(TextCells, CsvQuotesSpecialCells) {
+  EXPECT_EQ(render_text_rows(ReportFormat::kCsv, {"name"},
+                             {{"a,b"}, {"say \"hi\""}, {"line\nbreak"}}),
             "name\n"
             "\"a,b\"\n"
-            "\"say \"\"hi\"\"\"\n");
+            "\"say \"\"hi\"\"\"\n"
+            "\"line\nbreak\"\n");
 }
 
-TEST(Table, JsonNumbersUnquotedTextQuotedNonFiniteNull) {
-  Table table({"x", "verdict", "extra"});
-  table.add_row({"1.5", "stable", "nan"});
-  EXPECT_EQ(table.to_json(),
+TEST(TextCells, CsvQuotesSpecialHeaderCells) {
+  EXPECT_EQ(render_text_rows(ReportFormat::kCsv, {"a,b", "c"}, {{"1", "2"}}),
+            "\"a,b\",c\n"
+            "1,2\n");
+}
+
+TEST(TextCells, JsonNumbersUnquotedTextQuotedNonFiniteNull) {
+  EXPECT_EQ(render_text_rows(ReportFormat::kJson, {"x", "verdict", "extra"},
+                             {{"1.5", "stable", "nan"}}),
             "[\n"
             "  {\"x\": 1.5, \"verdict\": \"stable\", \"extra\": null}\n"
             "]\n");
 }
 
-TEST(Table, JsonSeparatesRowsWithCommas) {
-  Table table({"i"});
-  table.add_row({"1"});
-  table.add_row({"2"});
-  EXPECT_EQ(table.to_json(),
+TEST(TextCells, JsonSeparatesRowsWithCommas) {
+  EXPECT_EQ(render_text_rows(ReportFormat::kJson, {"i"}, {{"1"}, {"2"}}),
             "[\n"
             "  {\"i\": 1},\n"
             "  {\"i\": 2}\n"
             "]\n");
 }
 
-TEST(Table, JsonQuotesNonJsonNumberSpellings) {
+TEST(TextCells, JsonQuotesNonJsonNumberSpellings) {
   // strtod would accept all of these, but JSON parsers reject them
   // unquoted; the emitter must quote anything off the JSON grammar.
-  Table table({"a", "b", "c", "d"});
-  table.add_row({"+5", "0x1F", " 12", "01"});
-  table.add_row({"-0.5", "1e-3", "2E+4", "0"});
-  EXPECT_EQ(table.to_json(),
+  EXPECT_EQ(render_text_rows(ReportFormat::kJson, {"a", "b", "c", "d"},
+                             {{"+5", "0x1F", " 12", "01"},
+                              {"-0.5", "1e-3", "2E+4", "0"}}),
             "[\n"
             "  {\"a\": \"+5\", \"b\": \"0x1F\", \"c\": \" 12\", "
             "\"d\": \"01\"},\n"
             "  {\"a\": -0.5, \"b\": 1e-3, \"c\": 2E+4, \"d\": 0}\n"
+            "]\n");
+}
+
+TEST(TextCells, JsonEscapesStringsAndMapsEveryNonFiniteSpelling) {
+  EXPECT_EQ(render_text_rows(ReportFormat::kJson, {"i", "x", "note"},
+                             {{"1", "inf", "has,comma"},
+                              {"2", "-inf", "say \"hi\""},
+                              {"3", "nan", "line\nbreak"},
+                              {"4", "0.1", ""}}),
+            "[\n"
+            "  {\"i\": 1, \"x\": null, \"note\": \"has,comma\"},\n"
+            "  {\"i\": 2, \"x\": null, \"note\": \"say \\\"hi\\\"\"},\n"
+            "  {\"i\": 3, \"x\": null, \"note\": \"line\\nbreak\"},\n"
+            "  {\"i\": 4, \"x\": 0.1, \"note\": \"\"}\n"
             "]\n");
 }
 
@@ -118,29 +135,33 @@ TEST(TableDeath, EmptyColumnListAborts) {
   EXPECT_DEATH(Table({}), "at least one column");
 }
 
-// --- ReportWriter: the streaming emitter must be byte-for-byte the old
-// in-memory one. Archived corpora and the CI determinism diffs depend on
-// the bytes, not just the parsed content.
+// --- ReportWriter: rows reach it as rendered arenas, one row or many
+// per write_rendered call. Archived corpora and the CI determinism diffs
+// depend on the bytes, so every batching must produce the same report.
 
-/// Streams `rows` through a string-backed writer and also renders them
-/// through Table, asserting the bytes agree; returns the bytes.
+/// Streams `rows` to a string-backed writer one write_rendered call per
+/// row, asserts the bytes equal a single call carrying every row in one
+/// arena (so the JSON separator hold-back is right both in the writer
+/// and in the arena), and returns the bytes.
 std::string stream_and_check(const std::vector<std::string>& columns,
                              const std::vector<std::vector<std::string>>& rows,
                              ReportFormat format) {
   std::string streamed;
   ReportWriter writer(&streamed, format, columns);
-  Table table(columns);
-  for (const auto& row : rows) {
-    writer.write_row(row);
-    table.add_row(row);
+  const RowRenderer renderer(format, columns);
+  for (const auto& cells : rows) {
+    std::string arena;
+    RowRenderer::Row row(renderer, arena);
+    for (const std::string& cell : cells) row.text(cell);
+    row.end();
+    writer.write_rendered(arena, 1);
   }
   writer.finish();
-  EXPECT_EQ(streamed,
-            format == ReportFormat::kCsv ? table.to_csv() : table.to_json());
+  EXPECT_EQ(streamed, render_text_rows(format, columns, rows));
   return streamed;
 }
 
-TEST(ReportWriter, CsvBytesEqualTable) {
+TEST(ReportWriter, CsvBytesEqualOneArena) {
   const std::string csv = stream_and_check(
       {"a", "b", "verdict"},
       {{"1", "2.5", "stable"}, {"2", "inf", "transient"}},
@@ -151,15 +172,10 @@ TEST(ReportWriter, CsvBytesEqualTable) {
             "2,inf,transient\n");
 }
 
-TEST(ReportWriter, CsvQuotingMatchesTable) {
-  stream_and_check({"name"}, {{"a,b"}, {"say \"hi\""}, {"line\nbreak"}},
-                   ReportFormat::kCsv);
-}
-
-TEST(ReportWriter, JsonBytesEqualTable) {
+TEST(ReportWriter, JsonBytesEqualOneArena) {
   // The row terminator depends on whether a successor exists — the
   // streaming writer cannot know until finish(), so this pins the
-  // hold-back logic against Table's renderer.
+  // hold-back logic.
   const std::string json = stream_and_check(
       {"i", "x"}, {{"1", "nan"}, {"2", "0.5"}, {"3", "text"}},
       ReportFormat::kJson);
@@ -171,7 +187,7 @@ TEST(ReportWriter, JsonBytesEqualTable) {
             "]\n");
 }
 
-TEST(ReportWriter, EmptyTableMatchesInBothFormats) {
+TEST(ReportWriter, EmptyTableInBothFormats) {
   EXPECT_EQ(stream_and_check({"a"}, {}, ReportFormat::kCsv), "a\n");
   EXPECT_EQ(stream_and_check({"a"}, {}, ReportFormat::kJson), "[\n]\n");
 }
@@ -184,19 +200,23 @@ TEST(ReportWriter, SingleRowJsonHasNoTrailingComma) {
 }
 
 TEST(ReportWriter, ManyRowsCrossTheFlushBoundaryToAFile) {
-  // Push well past the 64 KiB stdio flush threshold so the buffered file
-  // path (partial flushes + final fclose) is exercised, then compare the
-  // on-disk bytes against the in-memory render.
+  // Push well past the 64 KiB flush threshold so the buffered file path
+  // (background flushes + final fclose) is exercised, then compare the
+  // on-disk bytes against the string-backed render.
   const std::string path = ::testing::TempDir() + "report_writer_flush.csv";
   const std::vector<std::string> columns = {"i", "payload"};
-  Table table(columns);
+  const RowRenderer renderer(ReportFormat::kCsv, columns);
+  std::vector<std::vector<std::string>> rows;
   {
     ReportWriter writer(path, ReportFormat::kCsv, columns);
     for (int i = 0; i < 4000; ++i) {
-      const std::vector<std::string> row = {std::to_string(i),
-                                            std::string(40, 'x')};
-      writer.write_row(row);
-      table.add_row(row);
+      rows.push_back({std::to_string(i), std::string(40, 'x')});
+      std::string arena;
+      RowRenderer::Row row(renderer, arena);
+      row.number(i);
+      row.text(rows.back()[1]);
+      row.end();
+      writer.write_rendered(arena, 1);
     }
     writer.finish();
   }
@@ -211,23 +231,29 @@ TEST(ReportWriter, ManyRowsCrossTheFlushBoundaryToAFile) {
   std::fclose(file);
   std::remove(path.c_str());
   EXPECT_GT(bytes.size(), std::size_t{1} << 16);
-  EXPECT_EQ(bytes, table.to_csv());
+  EXPECT_EQ(bytes, render_text_rows(ReportFormat::kCsv, columns, rows));
 }
 
 TEST(ReportWriter, RowsWrittenCountsRows) {
   std::string out;
   ReportWriter writer(&out, ReportFormat::kCsv, {"a"});
+  const RowRenderer renderer(ReportFormat::kCsv, {"a"});
   EXPECT_EQ(writer.rows_written(), 0u);
-  writer.write_row({"1"});
-  writer.write_row({"2"});
+  std::string arena;
+  for (const double v : {1.0, 2.0}) {
+    RowRenderer::Row row(renderer, arena);
+    row.number(v);
+    row.end();
+  }
+  writer.write_rendered(arena, 2);
   EXPECT_EQ(writer.rows_written(), 2u);
   writer.finish();
 }
 
-TEST(ReportWriterDeath, ArityMismatchAborts) {
+TEST(ReportWriterDeath, BytesWithoutRowsAbort) {
   std::string out;
   ReportWriter writer(&out, ReportFormat::kCsv, {"a", "b"});
-  EXPECT_DEATH(writer.write_row({"only-one"}), "arity");
+  EXPECT_DEATH(writer.write_rendered("1,2\n", 0), "carry no rows");
   writer.finish();
 }
 
@@ -235,7 +261,7 @@ TEST(ReportWriterDeath, WriteAfterFinishAborts) {
   std::string out;
   ReportWriter writer(&out, ReportFormat::kCsv, {"a"});
   writer.finish();
-  EXPECT_DEATH(writer.write_row({"1"}), "finish");
+  EXPECT_DEATH(writer.write_rendered("1\n", 1), "finish");
 }
 
 TEST(ReportWriterDeath, UnopenablePathAbortsAtFirstFlush) {
@@ -276,48 +302,8 @@ TEST(ReportWriter, AbortingProducerLeavesExistingFileUntouched) {
   std::remove(path.c_str());
 }
 
-// --- RowRenderer: the worker-side serializer behind the streaming
-// pipeline. Arenas it fills are handed to write_rendered verbatim, so
-// its bytes must equal what write_row would have produced cell for
-// cell — in both formats, for every cell kind.
-
-/// Renders `rows` into one arena (numbers through number(), everything
-/// else through text()), hands the arena to write_rendered, and asserts
-/// the writer output equals the same rows pushed through write_row.
-void render_and_check(const std::vector<std::string>& columns,
-                      const std::vector<std::vector<std::string>>& rows,
-                      ReportFormat format) {
-  std::string via_rows;
-  ReportWriter row_writer(&via_rows, format, columns);
-  for (const auto& cells : rows) row_writer.write_row(cells);
-  row_writer.finish();
-
-  RowRenderer renderer(format, columns);
-  std::string arena;
-  for (const auto& cells : rows) {
-    RowRenderer::Row row(renderer, arena);
-    for (const std::string& cell : cells) row.text(cell);
-    row.end();
-  }
-  std::string via_arena;
-  ReportWriter arena_writer(&via_arena, format, columns);
-  arena_writer.write_rendered(arena, rows.size());
-  arena_writer.finish();
-  EXPECT_EQ(via_arena, via_rows);
-}
-
-TEST(RowRenderer, BytesEqualWriteRowInBothFormats) {
-  const std::vector<std::string> columns = {"i", "x", "note"};
-  const std::vector<std::vector<std::string>> rows = {
-      {"1", "2.5", "stable"},
-      {"2", "inf", "has,comma"},
-      {"3", "nan", "say \"hi\""},
-      {"4", "-inf", ""},
-      {"5", "0.1", "line\nbreak"},
-  };
-  render_and_check(columns, rows, ReportFormat::kCsv);
-  render_and_check(columns, rows, ReportFormat::kJson);
-}
+// --- RowRenderer: the one cell encoder. Arenas it fills are handed to
+// write_rendered verbatim.
 
 TEST(RowRenderer, NumberPathsAgreeWithText) {
   // number(v), preformatted_number(format_number(v)) and
@@ -408,6 +394,18 @@ TEST(RowRendererDeath, WrongArityAborts) {
         row.cells_verbatim("x,y,z", 3);  // 3 cells into a 2-column row
       },
       "arity");
+}
+
+TEST(WriteTextDeath, UnwritableStdoutAborts) {
+  // Output smaller than stdio's buffer reaches the descriptor only when
+  // flushed; write_text must flush and fail loudly, not exit 0 with the
+  // bytes lost.
+  EXPECT_DEATH(
+      {
+        if (std::freopen("/dev/full", "w", stdout) == nullptr) std::abort();
+        write_text("-", "small\n");
+      },
+      "short write to stdout");
 }
 
 }  // namespace

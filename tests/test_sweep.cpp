@@ -6,6 +6,7 @@
 
 #include "core/model.hpp"
 #include "rand/rng.hpp"
+#include "report_helpers.hpp"
 
 namespace p2p::engine {
 namespace {
@@ -190,8 +191,8 @@ TEST(RunSweep, ByteIdenticalAcrossThreadCounts) {
   one.threads = 1;
   SweepOptions four = one;
   four.threads = 4;
-  const std::string csv1 = run_sweep(grid, one).to_table().to_csv();
-  const std::string csv4 = run_sweep(grid, four).to_table().to_csv();
+  const std::string csv1 = render(run_sweep(grid, one));
+  const std::string csv4 = render(run_sweep(grid, four));
   EXPECT_FALSE(csv1.empty());
   EXPECT_EQ(csv1, csv4);
 }
@@ -224,7 +225,7 @@ TEST(RunSweep, CtmcColumnGatedByPieceCount) {
   // A skipped solve must read as "nan" in the table, never as 0 — the
   // column is documented "NaN unless the CTMC solve ran". It sits just
   // before the trailing sim_backend column.
-  const Table table = result.to_table();
+  const Table table = read_back(result);
   EXPECT_EQ(table.row(1)[table.num_columns() - 2], "nan");
 }
 
@@ -255,7 +256,7 @@ TEST(RunSweep, TableSchemaIsStable) {
   SweepGrid grid = parse_grid("lambda=1;us=1;k=1");
   SweepOptions options;
   options.horizon = 10;
-  const Table table = run_sweep(grid, options).to_table();
+  const Table table = read_back(run_sweep(grid, options));
   ASSERT_EQ(table.num_columns(), 22u);
   EXPECT_EQ(table.columns().front(), "cell");
   EXPECT_EQ(table.columns()[8], "mix");
@@ -301,8 +302,8 @@ TEST(RunSweep, ReplicaModeByteIdenticalAcrossThreadCounts) {
   one.threads = 1;
   SweepOptions four = one;
   four.threads = 4;
-  const std::string csv1 = run_sweep(grid, one).to_table().to_csv();
-  const std::string csv4 = run_sweep(grid, four).to_table().to_csv();
+  const std::string csv1 = render(run_sweep(grid, one));
+  const std::string csv4 = render(run_sweep(grid, four));
   EXPECT_FALSE(csv1.empty());
   EXPECT_EQ(csv1, csv4);
 }

@@ -14,6 +14,7 @@
 
 #include "engine/scenario.hpp"
 #include "engine/sweep.hpp"
+#include "report_helpers.hpp"
 
 namespace p2p::engine {
 namespace {
@@ -26,7 +27,7 @@ TEST(SimBackendResolution, AutoMatchesTheDomainRule) {
   options.horizon = 10;
   const SweepResult result = run_sweep(grid, options);
   ASSERT_EQ(result.cells.size(), 4u);
-  const Table table = result.to_table();
+  const Table table = read_back(result);
   ASSERT_EQ(table.columns().back(), std::string(kSimBackendColumn));
   for (std::size_t i = 0; i < result.cells.size(); ++i) {
     const CellResult& c = result.cells[i];
@@ -52,12 +53,12 @@ TEST(SimBackendResolution, ForcedBackendsOverrideAuto) {
   options.horizon = 10;
 
   options.sim_backend = SimBackend::kPerPeer;
-  Table table = run_sweep(grid, options).to_table();
+  Table table = read_back(run_sweep(grid, options));
   EXPECT_EQ(table.row(0).back(), "perpeer");
 
   // Forcing type-count on an in-domain grid is legal and recorded.
   options.sim_backend = SimBackend::kTypeCount;
-  table = run_sweep(grid, options).to_table();
+  table = read_back(run_sweep(grid, options));
   EXPECT_EQ(table.row(0).back(), "typecount");
 }
 
@@ -67,7 +68,7 @@ TEST(SimBackendResolution, TheoryOnlyOmitsTheColumn) {
   SweepGrid grid = parse_grid("lambda=1;us=1;k=1");
   SweepOptions options;
   options.theory_only = true;
-  const Table table = run_sweep(grid, options).to_table();
+  const Table table = read_back(run_sweep(grid, options));
   EXPECT_EQ(table.columns().back(), "ctmc_mean_peers");
   EXPECT_EQ(std::find(table.columns().begin(), table.columns().end(),
                       std::string(kSimBackendColumn)),
@@ -81,7 +82,7 @@ TEST(SimBackendResolution, FrontierRecordsTheResolution) {
   RefineOptions refine;
   refine.axis = "lambda";
   refine.tol = 0.1;
-  const Table table = refine_frontier(grid, options, refine).to_table();
+  const Table table = read_back(refine_frontier(grid, options, refine));
   ASSERT_EQ(table.columns().back(), std::string(kSimBackendColumn));
   ASSERT_EQ(table.num_rows(), 1u);
   // Homogeneous K = 1 cell: in domain, so kAuto localized the frontier

@@ -13,6 +13,7 @@
 #include "core/stability.hpp"
 #include "engine/scenario.hpp"
 #include "engine/sweep.hpp"
+#include "report_helpers.hpp"
 
 namespace p2p::engine {
 namespace {
@@ -354,8 +355,8 @@ TEST(RunSweepMix, ByteIdenticalAcrossThreadCounts) {
   one.scenario = parse_scenario("example2:3,1");
   SweepOptions four = one;
   four.threads = 4;
-  const std::string csv1 = run_sweep(grid, one).to_table().to_csv();
-  const std::string csv4 = run_sweep(grid, four).to_table().to_csv();
+  const std::string csv1 = render(run_sweep(grid, one));
+  const std::string csv4 = render(run_sweep(grid, four));
   EXPECT_FALSE(csv1.empty());
   EXPECT_EQ(csv1, csv4);
 }
@@ -373,10 +374,8 @@ TEST(RefineMix, ByteIdenticalAcrossThreadCounts) {
   RefineOptions refine;
   refine.axis = "mix";
   refine.tol = 1e-3;
-  const std::string csv1 =
-      refine_frontier(grid, one, refine).to_table().to_csv();
-  const std::string csv4 =
-      refine_frontier(grid, four, refine).to_table().to_csv();
+  const std::string csv1 = render(refine_frontier(grid, one, refine));
+  const std::string csv4 = render(refine_frontier(grid, four, refine));
   EXPECT_FALSE(csv1.empty());
   EXPECT_EQ(csv1, csv4);
 }

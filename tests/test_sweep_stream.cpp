@@ -1,6 +1,7 @@
 // The streaming sweep pipeline's contract: run_sweep_stream emits, byte
-// for byte, what run_sweep + Table would have — for any thread count and
-// any chunk size — while holding only a bounded ring of cells. The
+// for byte, what run_sweep + SweepResult::write would have — for any
+// thread count and any chunk size — while holding only a bounded ring of
+// cells. The
 // archived corpora and CI determinism diffs ride on these bytes.
 #include <gtest/gtest.h>
 
@@ -10,6 +11,7 @@
 
 #include "engine/report.hpp"
 #include "engine/sweep.hpp"
+#include "report_helpers.hpp"
 
 namespace p2p::engine {
 namespace {
@@ -30,7 +32,7 @@ std::string stream_json(const SweepGrid& grid, const SweepOptions& options) {
   return out;
 }
 
-TEST(RunSweepStream, MatchesInMemoryTableOnTheGoldenGrid) {
+TEST(RunSweepStream, MatchesRunSweepOnTheGoldenGrid) {
   // The golden-schema grid from test_sweep_golden: replicas, CTMC
   // column, NaN uncertainty cells — everything the row formatter can
   // emit on the homogeneous slice.
@@ -40,12 +42,12 @@ TEST(RunSweepStream, MatchesInMemoryTableOnTheGoldenGrid) {
   options.horizon = 40;
   options.replicas = 3;
   options.ctmc_max_peers = 10;
-  const Table table = run_sweep(grid, options).to_table();
-  EXPECT_EQ(stream_csv(grid, options), table.to_csv());
-  EXPECT_EQ(stream_json(grid, options), table.to_json());
+  const SweepResult result = run_sweep(grid, options);
+  EXPECT_EQ(stream_csv(grid, options), render(result));
+  EXPECT_EQ(stream_json(grid, options), render(result, ReportFormat::kJson));
 }
 
-TEST(RunSweepStream, MatchesInMemoryTableWithAScenario) {
+TEST(RunSweepStream, MatchesRunSweepWithAScenario) {
   // Per-type arrival-rate columns exercise the scenario-dependent part
   // of the schema.
   SweepGrid grid = parse_grid("lambda=1,2;us=1;gamma=inf;k=4;mix=0,0.5,1");
@@ -53,9 +55,9 @@ TEST(RunSweepStream, MatchesInMemoryTableWithAScenario) {
   options.horizon = 20;
   options.replicas = 2;
   options.scenario = parse_scenario("example2:3,1");
-  const Table table = run_sweep(grid, options).to_table();
-  EXPECT_EQ(stream_csv(grid, options), table.to_csv());
-  EXPECT_EQ(stream_json(grid, options), table.to_json());
+  const SweepResult result = run_sweep(grid, options);
+  EXPECT_EQ(stream_csv(grid, options), render(result));
+  EXPECT_EQ(stream_json(grid, options), render(result, ReportFormat::kJson));
 }
 
 TEST(RunSweepStream, DeterminismMatrixOverThreadsAndChunks) {
@@ -90,27 +92,27 @@ TEST(RunSweepStream, DeterminismMatrixOverThreadsAndChunks) {
   }
 }
 
-TEST(RunSweepStream, TheoryOnlyDeterminismMatrixMatchesTheTable) {
+TEST(RunSweepStream, TheoryOnlyDeterminismMatrixMatchesRunSweep) {
   // The theory-only + replicas=1 streaming path takes the chunk-batched
   // route: a worker completes a whole claimed block into one arena and
   // the consumer emits it with a single write_rendered. The matrix pins
-  // that route to the in-memory Table bytes for both formats — along
+  // that route to the retained-cells bytes for both formats — along
   // with the cached-token fast paths (constant-axis runs, verdict /
   // critical-piece cells, the constant sim tail) that only exist on it.
   const SweepGrid grid =
       parse_grid("lambda=0.5:3.0:16;us=0.5,1.5;k=2;gamma=1.25");
   SweepOptions base;
   base.theory_only = true;
-  const Table table = run_sweep(grid, base).to_table();
+  const SweepResult result = run_sweep(grid, base);
   for (const int threads : {1, 2, 8}) {
     for (const std::size_t chunk :
          {std::size_t{1}, std::size_t{7}, std::size_t{0}}) {
       SweepOptions options = base;
       options.threads = threads;
       options.chunk = chunk;
-      EXPECT_EQ(stream_csv(grid, options), table.to_csv())
+      EXPECT_EQ(stream_csv(grid, options), render(result))
           << "threads " << threads << " chunk " << chunk;
-      EXPECT_EQ(stream_json(grid, options), table.to_json())
+      EXPECT_EQ(stream_json(grid, options), render(result, ReportFormat::kJson))
           << "threads " << threads << " chunk " << chunk;
     }
   }
@@ -187,7 +189,7 @@ TEST(RunSweepStream, TheoryOnlySkipsSimulationButKeepsTheVerdicts) {
     EXPECT_TRUE(std::isnan(cell.sim.mean_peers_mean));
   }
   EXPECT_EQ(stream_csv(grid, options),
-            run_sweep(grid, options).to_table().to_csv());
+            render(run_sweep(grid, options)));
 }
 
 TEST(RunSweepStream, TheoryOnlyStillRunsTheCtmcCrossCheck) {

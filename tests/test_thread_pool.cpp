@@ -80,9 +80,11 @@ TEST(ThreadPool, StreamingReportsMonotonicPrefixesOnTheCaller) {
   const std::thread::id caller = std::this_thread::get_id();
   std::vector<std::atomic<int>> hits(500);
   std::vector<std::size_t> prefixes;
-  pool.parallel_for_streaming(
+  pool.parallel_for_streaming_blocks(
       hits.size(), /*chunk=*/7, /*window=*/64,
-      [&](std::size_t i) { hits[i].fetch_add(1); },
+      [&](std::size_t begin, std::size_t end) {
+        for (std::size_t i = begin; i < end; ++i) hits[i].fetch_add(1);
+      },
       [&](std::size_t prefix) {
         // The consumer callback always runs on the calling thread, so a
         // sink needs no locking of its own.
@@ -108,10 +110,12 @@ TEST(ThreadPool, StreamingWindowBoundsInFlightItems) {
   constexpr std::size_t kWindow = 32;
   std::atomic<std::size_t> consumed{0};
   std::atomic<bool> violated{false};
-  pool.parallel_for_streaming(
+  pool.parallel_for_streaming_blocks(
       2000, /*chunk=*/4, kWindow,
-      [&](std::size_t i) {
-        if (i >= consumed.load() + kWindow) violated.store(true);
+      [&](std::size_t begin, std::size_t end) {
+        for (std::size_t i = begin; i < end; ++i) {
+          if (i >= consumed.load() + kWindow) violated.store(true);
+        }
       },
       [&](std::size_t prefix) { consumed.store(prefix); });
   EXPECT_FALSE(violated.load());
@@ -123,9 +127,11 @@ TEST(ThreadPool, StreamingSingleThreadAndSingleChunk) {
   ThreadPool pool(1);
   std::size_t total = 0;
   std::vector<std::size_t> prefixes;
-  pool.parallel_for_streaming(
+  pool.parallel_for_streaming_blocks(
       100, /*chunk=*/1000, /*window=*/8,
-      [&](std::size_t i) { total += i; },
+      [&](std::size_t begin, std::size_t end) {
+        for (std::size_t i = begin; i < end; ++i) total += i;
+      },
       [&](std::size_t prefix) { prefixes.push_back(prefix); });
   EXPECT_EQ(total, 99u * 100u / 2);
   EXPECT_EQ(prefixes, std::vector<std::size_t>({100}));
@@ -133,8 +139,8 @@ TEST(ThreadPool, StreamingSingleThreadAndSingleChunk) {
 
 TEST(ThreadPool, StreamingZeroItemsReportsNothing) {
   ThreadPool pool(2);
-  pool.parallel_for_streaming(
-      0, 1, 8, [](std::size_t) { FAIL() << "no items to run"; },
+  pool.parallel_for_streaming_blocks(
+      0, 1, 8, [](std::size_t, std::size_t) { FAIL() << "no items to run"; },
       [](std::size_t) { FAIL() << "no prefix to report"; });
 }
 
@@ -143,9 +149,11 @@ TEST(ThreadPool, StreamingReusableAcrossJobs) {
   for (int round = 0; round < 10; ++round) {
     std::atomic<int> runs{0};
     std::size_t last_prefix = 0;
-    pool.parallel_for_streaming(
+    pool.parallel_for_streaming_blocks(
         200, /*chunk=*/3, /*window=*/30,
-        [&](std::size_t) { runs.fetch_add(1); },
+        [&](std::size_t begin, std::size_t end) {
+          runs.fetch_add(static_cast<int>(end - begin));
+        },
         [&](std::size_t prefix) { last_prefix = prefix; });
     ASSERT_EQ(runs.load(), 200);
     ASSERT_EQ(last_prefix, 200u);

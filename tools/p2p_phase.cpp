@@ -222,23 +222,32 @@ std::string box_summary_json(const std::string& source,
   return out;
 }
 
-/// The extracted-frontier table (CSV/JSON via the shared report
-/// emitter): one row per grid row, both localizations side by side.
-p2p::engine::Table frontier_table(
-    const PhaseGrid& grid, const std::vector<PhaseFrontierPoint>& frontier) {
-  p2p::engine::Table table({"row", grid.y_axis, "bracketed", "x_lo", "x_hi",
-                            "interpolated", "value", "value_lo", "value_hi",
-                            "margin"});
+/// Streams the extracted-frontier table (CSV) to `path`: one row per
+/// grid row, both localizations side by side.
+void write_frontier_table(const std::string& path, const PhaseGrid& grid,
+                          const std::vector<PhaseFrontierPoint>& frontier) {
+  using p2p::engine::ReportFormat;
+  using p2p::engine::ReportWriter;
+  using p2p::engine::RowRenderer;
+  ReportWriter writer(path, ReportFormat::kCsv,
+                      {"row", grid.y_axis, "bracketed", "x_lo", "x_hi",
+                       "interpolated", "value", "value_lo", "value_hi",
+                       "margin"});
+  const RowRenderer renderer(writer.format(), writer.columns());
+  std::string arena;
   for (const PhaseFrontierPoint& pt : frontier) {
-    table.add_row({format_number(static_cast<double>(pt.row)),
-                   format_number(pt.y),
-                   format_number(pt.bracketed ? 1 : 0),
-                   format_number(pt.x_lo), format_number(pt.x_hi),
-                   format_number(pt.interpolated), format_number(pt.value),
-                   format_number(pt.value_lo), format_number(pt.value_hi),
-                   format_number(pt.margin)});
+    arena.clear();
+    RowRenderer::Row row(renderer, arena);
+    for (const double cell :
+         {static_cast<double>(pt.row), pt.y, pt.bracketed ? 1.0 : 0.0,
+          pt.x_lo, pt.x_hi, pt.interpolated, pt.value, pt.value_lo,
+          pt.value_hi, pt.margin}) {
+      row.number(cell);
+    }
+    row.end();
+    writer.write_rendered(arena, 1);
   }
-  return table;
+  writer.finish();
 }
 
 }  // namespace
@@ -397,7 +406,7 @@ int main(int argc, char** argv) {
     write_text(svg_out, render_svg(grid, frontier, render));
   }
   if (!frontier_out.empty()) {
-    write_text(frontier_out, frontier_table(grid, frontier).to_csv());
+    write_frontier_table(frontier_out, grid, frontier);
   }
   if (!diff_in.empty()) {
     // The diff reads --in as the variant and --diff as the baseline:
