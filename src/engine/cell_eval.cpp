@@ -249,6 +249,11 @@ void validate_caller_axes(const SweepGrid& grid) {
 
 void validate_effective_axes(const SweepGrid& effective,
                              const SweepOptions& options) {
+  // check_cell_scenario's pairing checks, once per grid instead of per
+  // cell: every cell's mix and k come from the values checked below.
+  P2P_ASSERT_MSG(
+      options.scenario.empty() == (options.scenario.num_pieces == 0),
+      "scenario mix and piece count must be set together");
   for (const auto& axis : effective.axes) {
     for (const double v : axis.values) {
       if (axis.name != "gamma") {  // inf = immediate departure
@@ -333,6 +338,8 @@ void fill_cell(CellResult& r, std::size_t cell, const CellParams& p,
   r.flash = p.flash;
   r.mix = p.mix;
   r.hetero = p.hetero;
+  // Unchecked: validate_effective_axes vetted the scenario pairing once
+  // per grid, so a scenario-free cell is one push of {empty, lambda}.
   expand_arrivals(options.scenario, p, arrival_scratch);
   r.theory = classify(SwarmParamsView{p.k, p.us, p.mu, p.gamma,
                                       arrival_scratch});

@@ -100,17 +100,28 @@ void fill_cell(CellResult& r, std::size_t cell, const CellParams& p,
                const SweepOptions& options,
                std::vector<ArrivalSpec>& arrival_scratch);
 
+/// Alignment of every ring slot the ordered pipelines hand between
+/// workers and the consumer. Adjacent slots belong to chunks that
+/// different workers fill at the same time, so a slot sharing a cache
+/// line with its neighbour turns every write into cross-core traffic
+/// (false sharing); 128 bytes also covers the adjacent-line prefetcher.
+inline constexpr std::size_t kSlotAlign = 128;
+
 /// Everything a worker needs to render one grid-schema row without
-/// touching shared mutable state: the columns' RowRenderer, every axis
-/// value pre-rendered to its format_number token, and the full bytes of
-/// the low-cardinality cells. Cached column positions count from the
-/// front of sweep_columns(options), so the renderer's columns may run
-/// past the grid schema (the adaptive table's box_* block).
+/// touching shared mutable state: the columns' RowRenderer and the full
+/// bytes (column prefixes included) of every cell that takes few
+/// values. Cached column positions count from the front of
+/// sweep_columns(options), so the renderer's columns may run past the
+/// grid schema (the adaptive table's box_* block).
 struct GridRenderPlan {
+  /// Size of render_grid_row's stack buffer; make_grid_render_plan
+  /// asserts that max_row_bytes fits.
+  static constexpr std::size_t kRowBufferBytes = 4096;
+
   explicit GridRenderPlan(RowRenderer r) : renderer(std::move(r)) {}
 
   RowRenderer renderer;
-  /// axis_tokens[axis][digit] = format_number of that grid value. k and
+  /// axis_tokens[axis][digit] = the full cell of that grid value. k and
   /// flash are rounded to their integer first: CellResult carries the
   /// *rounded* k / flash, and a raw axis value may sit anywhere within
   /// the 1e-9 integrality slack.
@@ -118,7 +129,7 @@ struct GridRenderPlan {
   /// The nine axis columns in render order, with maximal runs of
   /// single-valued axes collapsed into one pre-rendered byte span
   /// (cells > 0): a typical phase diagram varies two axes and pins
-  /// seven, so most of the row head is one memcpy.
+  /// seven, so most of the row head is one copy.
   struct RenderSegment {
     std::size_t axis = 0;   // grid slot of the varying axis (cells == 0)
     std::size_t field = 0;  // its render-order position, 0 = lambda
@@ -126,21 +137,20 @@ struct GridRenderPlan {
     std::string bytes;
   };
   std::vector<RenderSegment> segments;
-  /// The verdict and critical_piece cells take a handful of values per
-  /// run; their full cell bytes (column prefix included) are cached so
-  /// the hot loop appends them verbatim instead of allocating a verdict
-  /// string and re-deciding quoting per cell. verdict_tokens is indexed
-  /// by the Stability enum value; critical_tokens by critical_piece + 1
-  /// (so -1, the gamma <= mu branch, is slot 0).
+  /// The verdict cell followed by the margin column's prefix, indexed by
+  /// the Stability enum value: the margin's digits follow it directly.
   std::string verdict_tokens[3];
+  /// The critical_piece cell, indexed by critical_piece + 1 (so -1, the
+  /// gamma <= mu branch, is slot 0), followed by the const_tail_cells
+  /// sim cells every row shares.
   std::vector<std::string> critical_tokens;
+  /// Sim cells merged into every critical token: a theory-only sweep's
+  /// replicas = 0 and six NaNs (7), plus the NaN ctmc_mean_peers when
+  /// the CTMC column is disabled (8); 0 when the sweep simulates.
+  std::size_t const_tail_cells = 0;
   /// Full trailing sim_backend cells (absent under theory_only), indexed
   /// by the resolved backend (perpeer, typecount).
   std::string backend_tokens[2];
-  /// Theory-only sweeps without a CTMC column: the constant 8-cell sim
-  /// tail (replicas = 0 and seven NaNs) every row shares.
-  std::string const_tail;
-  std::size_t const_tail_cells = 0;
   /// Full policy cell (present only when simulating off the RandomUseful
   /// baseline): the policy is sweep-constant, so one cached cell serves
   /// every row.
@@ -148,6 +158,10 @@ struct GridRenderPlan {
   /// Full trailing fluid_verdict cells (present only under
   /// SweepOptions::fluid), indexed by the Stability enum value.
   std::string fluid_tokens[3];
+  /// Upper bound on one rendered grid-schema row: the longest cached
+  /// piece of every position, kMaxNumberChars per formatted number, and
+  /// the JSON row separator. Arenas reserve chunk * max_row_bytes once.
+  std::size_t max_row_bytes = 0;
 };
 
 /// Builds the plan for rows of `effective` (a defaults-filled grid)
@@ -158,11 +172,14 @@ GridRenderPlan make_grid_render_plan(const SweepGrid& effective,
                                      const ReportWriter& writer);
 
 /// Renders the grid-schema cells of `c` into `row` and leaves it open,
-/// so a caller with trailing columns appends them before row.end().
-/// With `digits` (the cell's per-axis value indices) the varying axis
-/// cells are cached tokens; without, they are rendered from c's own
-/// values — the route for cells that lie off the grid's digits
-/// (adaptive leaves) or were retained without them (run_sweep).
+/// so a caller with trailing columns appends them before row.end(). The
+/// row is assembled in a stack buffer from the plan's cached pieces and
+/// the directly formatted numbers, then lands in the arena with one
+/// Row::cells_verbatim. With `digits` (the cell's per-axis value
+/// indices) the varying axis cells are cached tokens; without, they are
+/// formatted from c's own values — the route for cells that lie off the
+/// grid's digits (adaptive leaves) or were retained without them
+/// (run_sweep).
 void render_grid_row(const GridRenderPlan& plan, const SweepOptions& options,
                      const std::vector<std::size_t>* digits,
                      const CellResult& c, RowRenderer::Row& row);

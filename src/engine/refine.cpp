@@ -300,11 +300,12 @@ constexpr std::uint8_t kSplit = 1;
 constexpr std::uint8_t kUniform = 2;
 
 /// One ring slot of rendered leaf rows: a claimed chunk's bytes and its
-/// row count.
-struct LeafChunk {
+/// row count, written once when the chunk is done.
+struct alignas(kSlotAlign) LeafChunk {
   std::string arena;
   std::size_t rows = 0;
 };
+static_assert(alignof(LeafChunk) == kSlotAlign);
 
 }  // namespace
 
@@ -535,8 +536,8 @@ AdaptiveSummary run_adaptive_stream(const SweepGrid& grid,
         leaves.size(), chunk, ring.size() * chunk,
         [&](std::size_t begin, std::size_t end) {
           LeafChunk& out = ring[(begin / chunk) % ring.size()];
-          out.arena.clear();
-          out.rows = end - begin;
+          std::string arena = std::move(out.arena);
+          arena.clear();
           CellResult cell;
           for (std::size_t i = begin; i < end; ++i) {
             const std::size_t b = leaves[i];
@@ -544,7 +545,7 @@ AdaptiveSummary run_adaptive_stream(const SweepGrid& grid,
             cell.index = first_leaf + i;
             // Leaves lie off the coarse grid's digits: the axis cells
             // come from the vertex's own values.
-            RowRenderer::Row row(plan.renderer, out.arena);
+            RowRenderer::Row row(plan.renderer, arena);
             render_grid_row(plan, options, /*digits=*/nullptr, cell, row);
             row.number(static_cast<double>(depth));
             row.number((decisions[b] & kUniform) != 0 ? 1 : 0);
@@ -553,6 +554,8 @@ AdaptiveSummary run_adaptive_stream(const SweepGrid& grid,
             }
             row.end();
           }
+          out.arena = std::move(arena);
+          out.rows = end - begin;
         },
         [&](std::size_t prefix) {
           while (emitted < prefix) {

@@ -1,5 +1,6 @@
 #include "engine/report.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 
@@ -7,24 +8,23 @@
 
 namespace p2p::engine {
 
-void format_number_into(std::string& out, double value) {
-  if (std::isnan(value)) {
-    out += "nan";
-    return;
-  }
+char* format_number_to(char* out, double value) {
+  if (std::isnan(value)) return std::copy_n("nan", 3, out);
   if (std::isinf(value)) {
-    out += value > 0 ? "inf" : "-inf";
-    return;
+    return value > 0 ? std::copy_n("inf", 3, out) : std::copy_n("-inf", 4, out);
   }
   // Shortest round-trip formatting: the emitted decimal parses back to
   // the exact same bit pattern. The previous "%.10g" silently dropped
   // precision (e.g. pi came back off by 4 ulps), so corpus CSVs were
   // lossy archives of the runs that produced them.
-  char buffer[64];
-  const auto [end, ec] =
-      std::to_chars(buffer, buffer + sizeof(buffer), value);
+  const auto [end, ec] = std::to_chars(out, out + kMaxNumberChars, value);
   P2P_ASSERT(ec == std::errc());
-  out.append(buffer, end);
+  return end;
+}
+
+void format_number_into(std::string& out, double value) {
+  char buffer[kMaxNumberChars];
+  out.append(buffer, format_number_to(buffer, value));
 }
 
 std::string format_number(double value) {
@@ -186,16 +186,6 @@ void RowRenderer::Row::number(double value) {
     *arena_ += "null";
   } else {
     format_number_into(*arena_, value);
-  }
-}
-
-void RowRenderer::Row::preformatted_number(std::string_view cell) {
-  append_prefix();
-  if (renderer_->format_ == ReportFormat::kJson &&
-      (cell == "inf" || cell == "-inf" || cell == "nan")) {
-    *arena_ += "null";
-  } else {
-    arena_->append(cell);
   }
 }
 

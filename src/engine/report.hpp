@@ -41,8 +41,17 @@ namespace p2p::engine {
 std::string format_number(double value);
 
 /// format_number appended to `out` in place: same bytes, no temporary
-/// string — the form every per-row hot path uses.
+/// string.
 void format_number_into(std::string& out, double value);
+
+/// The most bytes format_number emits: the shortest round-trip form of
+/// any double ("-2.2250738585072014e-308") is 24 characters.
+inline constexpr std::size_t kMaxNumberChars = 24;
+
+/// format_number written to `out`, which must have room for
+/// kMaxNumberChars bytes; returns one past the last byte written. The
+/// form the row assembler uses to format straight into its buffer.
+char* format_number_to(char* out, double value);
 
 /// Appends the JSON string literal for `s` (quoted; '"', '\\' and
 /// control characters escaped). The one JSON string encoder — report
@@ -70,6 +79,10 @@ class RowRenderer {
 
   std::size_t num_columns() const { return prefixes_.size(); }
   ReportFormat format() const { return format_; }
+  /// The bytes emitted before cell `column`'s value.
+  const std::string& prefix(std::size_t column) const {
+    return prefixes_[column];
+  }
 
   /// One row being rendered into an arena. In JSON the row's "}"
   /// terminator is withheld (the writer emits "},\n" or "}\n" when it
@@ -86,19 +99,15 @@ class RowRenderer {
     /// Appends format_number(value) as the next cell (JSON renders
     /// non-finite values as null).
     void number(double value);
-    /// Appends a cell that already carries format_number's bytes — the
-    /// memcpy fast path for cached axis-value tokens. JSON maps the
-    /// "inf"/"-inf"/"nan" spellings to null; no other inspection runs,
-    /// so the cell MUST have come from format_number.
-    void preformatted_number(std::string_view cell);
     /// Appends a general text cell: CSV quoting (cells containing
     /// commas, quotes or newlines are quoted, quotes doubled) and the
     /// JSON trichotomy — a JSON-grammar number unquoted, format_number's
     /// non-finite spellings as null, anything else a quoted string.
     void text(std::string_view cell);
-    /// Appends `count` cells previously rendered by this renderer at
-    /// the same column positions (prefixes included) — the cached
-    /// constant-suffix fast path. The bytes are trusted verbatim.
+    /// Appends `count` cells rendered for this renderer at the same
+    /// column positions (prefixes included) — how a row assembled
+    /// outside the arena (render_grid_row) lands in it with one copy.
+    /// The bytes are trusted verbatim; only the arity is checked.
     void cells_verbatim(std::string_view bytes, std::size_t count);
     /// Ends the row; aborts unless exactly num_columns() cells were
     /// emitted.

@@ -102,8 +102,7 @@ PolicyKind parse_policy(const std::string& spec) {
   return PolicyKind::kRandomUseful;
 }
 
-void expand_arrivals(const ScenarioSpec& scenario, const CellParams& p,
-                     std::vector<ArrivalSpec>& out) {
+void check_cell_scenario(const ScenarioSpec& scenario, const CellParams& p) {
   P2P_ASSERT_MSG(p.mix >= 0 && p.mix <= 1,
                  "axis mix must lie in [0, 1] (0 = empty-arrival stream, "
                  "1 = the named mix)");
@@ -119,7 +118,10 @@ void expand_arrivals(const ScenarioSpec& scenario, const CellParams& p,
                        scenario.name + "\" is defined over K = " +
                        std::to_string(scenario.num_pieces) + ")");
   }
+}
 
+void expand_arrivals(const ScenarioSpec& scenario, const CellParams& p,
+                     std::vector<ArrivalSpec>& out) {
   // Zero-rate streams are dropped so the m = 0 (and degenerate-weight)
   // expansions are byte-for-byte the homogeneous cell: same arrival list,
   // same RNG consumption, same report bytes.
@@ -133,6 +135,7 @@ void expand_arrivals(const ScenarioSpec& scenario, const CellParams& p,
 }
 
 ExpandedCell expand(const ScenarioSpec& scenario, const CellParams& p) {
+  check_cell_scenario(scenario, p);
   std::vector<ArrivalSpec> arrivals;
   expand_arrivals(scenario, p, arrivals);
   ExpandedCell cell{

@@ -110,13 +110,21 @@ struct ExpandedCell {
 /// piece count, or when mix/hetero leave their domains.
 ExpandedCell expand(const ScenarioSpec& scenario, const CellParams& p);
 
+/// expand()'s validation of the (scenario, p) pairing: aborts when mix
+/// leaves [0, 1], when mix > 0 with an empty scenario, when k differs
+/// from the scenario's piece count, or when the scenario's mix and piece
+/// count are not set together.
+void check_cell_scenario(const ScenarioSpec& scenario, const CellParams& p);
+
 /// The arrival-stream materialization inside expand(), writing into a
 /// reused buffer: clears `out`, then appends (1 - mix) * lambda on the
 /// empty type and mix * lambda across the mix fractions, dropping
-/// zero-rate streams. Runs expand()'s validation of the (scenario, p)
-/// pairing. The sweep engine's allocation-free theory path and the
-/// simulator path both materialize through here, so the classifier and
-/// the simulator can never disagree about the streams a cell carries.
+/// zero-rate streams. Does not validate: the caller has checked the
+/// pairing, per cell with check_cell_scenario or once per grid (the
+/// sweep engine's validate_effective_axes). The sweep engine's
+/// allocation-free theory path and the simulator path both materialize
+/// through here, so the classifier and the simulator can never disagree
+/// about the streams a cell carries.
 void expand_arrivals(const ScenarioSpec& scenario, const CellParams& p,
                      std::vector<ArrivalSpec>& out);
 

@@ -127,9 +127,39 @@ GridRenderPlan make_grid_render_plan(const SweepGrid& effective,
                                      const ReportWriter& writer) {
   const AxisSlots slots = resolve_axis_slots(effective);
   GridRenderPlan plan(RowRenderer(writer.format(), writer.columns()));
+  const RowRenderer& renderer = plan.renderer;
+  // Every cached piece is rendered through the real Row path at its
+  // real column position, so its bytes can never drift from what
+  // text() / number() would emit there. Positions count from the front
+  // of the grid schema, whatever columns the writer carries after it.
+  const std::size_t num_columns = renderer.num_columns();
+  const std::vector<std::string> grid_columns = sweep_columns(options);
+  const auto position = [&](std::string_view name) {
+    return static_cast<std::size_t>(
+        std::find(grid_columns.begin(), grid_columns.end(), name) -
+        grid_columns.begin());
+  };
+  const auto cache_cells = [&](std::size_t column, std::size_t count,
+                               const auto& emit) {
+    std::string bytes;
+    RowRenderer::Row row(renderer, bytes);
+    row.cells_verbatim({}, column);  // skip to `column`, emitting nothing
+    emit(row);
+    std::string cells = bytes;
+    // end() checks that emit() rendered exactly `count` cells.
+    row.cells_verbatim({}, num_columns - column - count);
+    row.end();
+    return cells;
+  };
+  // The nine axis columns (1..9, after the index) in render order.
+  const std::size_t order[9] = {slots.lambda, slots.us,  slots.mu,
+                                slots.gamma,  slots.k,   slots.eta,
+                                slots.flash,  slots.mix, slots.hetero};
+  double axis_values[9] = {};  // each single-valued axis's cell value
   plan.axis_tokens.resize(effective.axes.size());
   int max_k = 1;
-  for (std::size_t i = 0; i < effective.axes.size(); ++i) {
+  for (std::size_t j = 0; j < 9; ++j) {
+    const std::size_t i = order[j];
     plan.axis_tokens[i].reserve(effective.axes[i].values.size());
     for (const double v : effective.axes[i].values) {
       double cell_value = v;
@@ -140,48 +170,59 @@ GridRenderPlan make_grid_render_plan(const SweepGrid& effective,
       if (i == slots.flash) {
         cell_value = static_cast<double>(std::llround(v));
       }
-      plan.axis_tokens[i].push_back(format_number(cell_value));
+      axis_values[j] = cell_value;
+      plan.axis_tokens[i].push_back(cache_cells(
+          1 + j, 1, [&](RowRenderer::Row& row) { row.number(cell_value); }));
     }
   }
-  // Cache the low-cardinality cells' full bytes by rendering each
-  // candidate value through the real Row path at its real column
-  // position (so the cached bytes can never drift from what text() /
-  // number() would emit): the verdict strings, every critical_piece the
-  // grid's K values allow, the backend, policy and fluid tokens, and —
-  // in a theory-only sweep with the CTMC column disabled — the constant
-  // 8-cell sim tail every row shares. Positions count from the front of
-  // the grid schema, whatever columns the writer carries after it.
-  const std::size_t num_columns = plan.renderer.num_columns();
-  const std::vector<std::string> grid_columns = sweep_columns(options);
-  const auto position = [&](std::string_view name) {
-    return static_cast<std::size_t>(
-        std::find(grid_columns.begin(), grid_columns.end(), name) -
-        grid_columns.begin());
-  };
-  const auto cache_cells = [&](std::size_t column, std::size_t count,
-                               const auto& emit) {
-    std::string scratch;
-    RowRenderer::Row row(plan.renderer, scratch);
-    for (std::size_t c = 0; c < column; ++c) row.number(0);
-    const std::size_t mark = scratch.size();
-    emit(row);
-    std::string bytes = scratch.substr(mark);
-    for (std::size_t c = column + count; c < num_columns; ++c) row.number(0);
-    row.end();
-    return bytes;
-  };
+  // Collapse maximal runs of single-valued axis columns into one
+  // pre-rendered span each; varying axes stay per-cell.
+  for (std::size_t j = 0; j < 9;) {
+    if (effective.axes[order[j]].values.size() != 1) {
+      plan.segments.push_back({order[j], j, 0, {}});
+      ++j;
+      continue;
+    }
+    std::size_t len = 1;
+    while (j + len < 9 && effective.axes[order[j + len]].values.size() == 1) {
+      ++len;
+    }
+    std::string bytes =
+        cache_cells(1 + j, len, [&](RowRenderer::Row& row) {
+          for (std::size_t t = 0; t < len; ++t) {
+            row.number(axis_values[j + t]);
+          }
+        });
+    plan.segments.push_back({0, j, len, std::move(bytes)});
+    j += len;
+  }
   constexpr Stability kVerdicts[] = {Stability::kPositiveRecurrent,
                                      Stability::kTransient,
                                      Stability::kBorderline};
+  const std::size_t margin_column = position("margin");
   for (const Stability v : kVerdicts) {
     plan.verdict_tokens[static_cast<int>(v)] =
         cache_cells(position("verdict"), 1,
-                    [&](RowRenderer::Row& row) { row.text(to_string(v)); });
+                    [&](RowRenderer::Row& row) { row.text(to_string(v)); }) +
+        renderer.prefix(margin_column);
   }
+  // A theory-only sweep's sim cells are constant: replicas = 0 and six
+  // NaNs, plus ctmc_mean_peers unless the CTMC column is enabled.
+  const std::size_t replicas_column = position("replicas");
+  if (options.theory_only) {
+    plan.const_tail_cells = options.ctmc_max_peers > 0 ? 7 : 8;
+  }
+  const std::string const_tail = cache_cells(
+      replicas_column, plan.const_tail_cells, [&](RowRenderer::Row& row) {
+        for (std::size_t c = 0; c < plan.const_tail_cells; ++c) {
+          row.number(c == 0 ? 0 : std::nan(""));
+        }
+      });
   for (int piece = -1; piece < max_k; ++piece) {
     plan.critical_tokens.push_back(
         cache_cells(position("critical_piece"), 1,
-                    [&](RowRenderer::Row& row) { row.number(piece); }));
+                    [&](RowRenderer::Row& row) { row.number(piece); }) +
+        const_tail);
   }
   if (!options.theory_only) {
     for (const SimBackend b : {SimBackend::kPerPeer, SimBackend::kTypeCount}) {
@@ -203,112 +244,157 @@ GridRenderPlan make_grid_render_plan(const SweepGrid& effective,
                       [&](RowRenderer::Row& row) { row.text(to_string(v)); });
     }
   }
-  if (options.theory_only && options.ctmc_max_peers <= 0) {
-    plan.const_tail = cache_cells(
-        position("replicas"), 8, [&](RowRenderer::Row& row) {
-          row.number(0);  // replicas
-          for (int c = 0; c < 7; ++c) row.number(std::nan(""));
-        });
-    plan.const_tail_cells = 8;
-  }
-  // Collapse maximal runs of single-valued axis columns (columns 1..9,
-  // after the index) into one pre-rendered span each; varying axes stay
-  // per-cell.
-  const std::size_t order[9] = {slots.lambda, slots.us,  slots.mu,
-                                slots.gamma,  slots.k,   slots.eta,
-                                slots.flash,  slots.mix, slots.hetero};
-  for (std::size_t j = 0; j < 9;) {
-    if (effective.axes[order[j]].values.size() != 1) {
-      plan.segments.push_back({order[j], j, 0, {}});
-      ++j;
-      continue;
+
+  // The row bound: every cached piece at its longest, and every
+  // formatted number (the index included) at kMaxNumberChars behind its
+  // prefix.
+  const auto longest = [](const auto& tokens) {
+    std::size_t n = 0;
+    for (const std::string& t : tokens) n = std::max(n, t.size());
+    return n;
+  };
+  const auto numbers = [&](std::size_t column, std::size_t count) {
+    std::size_t n = 0;
+    for (std::size_t c = column; c < column + count; ++c) {
+      n += renderer.prefix(c).size() + kMaxNumberChars;
     }
-    std::size_t len = 1;
-    while (j + len < 9 && effective.axes[order[j + len]].values.size() == 1) {
-      ++len;
-    }
-    std::string bytes =
-        cache_cells(1 + j, len, [&](RowRenderer::Row& row) {
-          for (std::size_t t = 0; t < len; ++t) {
-            row.preformatted_number(plan.axis_tokens[order[j + t]][0]);
-          }
-        });
-    plan.segments.push_back({0, j, len, std::move(bytes)});
-    j += len;
+    return n;
+  };
+  std::size_t bound = numbers(0, 1);
+  for (const GridRenderPlan::RenderSegment& seg : plan.segments) {
+    bound += seg.cells > 0 ? seg.bytes.size()
+                           : std::max(longest(plan.axis_tokens[seg.axis]),
+                                      numbers(1 + seg.field, 1));
   }
+  bound += numbers(1 + 9, position("verdict") - (1 + 9));  // lambda_* cells
+  bound += longest(plan.verdict_tokens) + kMaxNumberChars +
+           longest(plan.critical_tokens);
+  bound += numbers(replicas_column + plan.const_tail_cells,
+                   8 - plan.const_tail_cells);
+  bound += longest(plan.backend_tokens) + plan.policy_token.size() +
+           longest(plan.fluid_tokens);
+  plan.max_row_bytes = bound + 3;  // the JSON "},\n" separator (CSV: '\n')
+  P2P_ASSERT_MSG(plan.max_row_bytes <= GridRenderPlan::kRowBufferBytes,
+                 "a grid row of up to " + std::to_string(plan.max_row_bytes) +
+                     " bytes exceeds the row buffer");
   return plan;
 }
+
+namespace {
+
+/// One grid row's cells assembled in a caller-supplied buffer: cached
+/// pieces are copied, numbers formatted in place behind their column's
+/// prefix. The column count is tracked so the bytes enter the arena
+/// through one arity-checked Row::cells_verbatim.
+class RowAssembler {
+ public:
+  RowAssembler(const RowRenderer& renderer, char* buffer)
+      : renderer_(renderer),
+        json_(renderer.format() == ReportFormat::kJson),
+        begin_(buffer),
+        end_(buffer) {}
+
+  /// `count` cached cells, prefixes included.
+  void cells(std::string_view bytes, std::size_t count) {
+    end_ = std::copy(bytes.begin(), bytes.end(), end_);
+    cells_ += count;
+  }
+  /// A number cell behind its column's prefix.
+  void number(double value) {
+    const std::string& prefix = renderer_.prefix(cells_);
+    end_ = std::copy(prefix.begin(), prefix.end(), end_);
+    value_only(value);
+  }
+  /// A number cell whose prefix the preceding cached piece carried.
+  void value_only(double value) {
+    end_ = json_ && !std::isfinite(value) ? std::copy_n("null", 4, end_)
+                                          : format_number_to(end_, value);
+    ++cells_;
+  }
+  /// The cell index. An integer below 2^53 that is not a multiple of 10
+  /// is its own format_number output: such integers are exact and >= 1
+  /// apart, so no shorter decimal round-trips, and scientific needs
+  /// every significant digit plus "e+NN". A trailing zero can flip that
+  /// (format_number(1e5) is "1e+05"), so multiples of 10 take the
+  /// double path.
+  void index(std::uint64_t index) {
+    if (index < (std::uint64_t{1} << 53) && (index == 0 || index % 10 != 0)) {
+      const std::string& prefix = renderer_.prefix(cells_);
+      end_ = std::copy(prefix.begin(), prefix.end(), end_);
+      end_ = std::to_chars(end_, end_ + kMaxNumberChars, index).ptr;
+      ++cells_;
+    } else {
+      number(static_cast<double>(index));
+    }
+  }
+
+  std::string_view bytes() const {
+    return {begin_, static_cast<std::size_t>(end_ - begin_)};
+  }
+  std::size_t num_cells() const { return cells_; }
+
+ private:
+  const RowRenderer& renderer_;
+  bool json_;
+  char* begin_;
+  char* end_;
+  std::size_t cells_ = 0;
+};
+
+}  // namespace
 
 void render_grid_row(const GridRenderPlan& plan, const SweepOptions& options,
                      const std::vector<std::size_t>* digits,
                      const CellResult& c, RowRenderer::Row& row) {
-  // Integer fast path for the cell index: for an integer below 2^53
-  // that is not a multiple of 10, its plain decimal digits ARE
-  // format_number's output — integers there are exactly representable
-  // and >= 1 apart, so no shorter decimal round-trips, and scientific
-  // needs every significant digit plus "e+NN", strictly longer. (A
-  // trailing zero can flip that: format_number(1e5) is "1e+05", so
-  // multiples of 10 take the double path.)
-  if (c.index < (std::uint64_t{1} << 53) &&
-      (c.index == 0 || c.index % 10 != 0)) {
-    char buf[20];
-    const auto res = std::to_chars(buf, buf + sizeof(buf), c.index);
-    row.preformatted_number(
-        std::string_view(buf, static_cast<std::size_t>(res.ptr - buf)));
-  } else {
-    row.number(static_cast<double>(c.index));
-  }
+  char buffer[GridRenderPlan::kRowBufferBytes];
+  RowAssembler out(plan.renderer, buffer);
+  out.index(c.index);
   // The nine axis cells (lambda, us, mu, gamma, k, eta, flash, mix,
   // hetero, in that order) — pinned axes come pre-merged into verbatim
   // spans by make_grid_render_plan.
   for (const GridRenderPlan::RenderSegment& seg : plan.segments) {
     if (seg.cells > 0) {
-      row.cells_verbatim(seg.bytes, seg.cells);
+      out.cells(seg.bytes, seg.cells);
     } else if (digits != nullptr) {
-      row.preformatted_number(plan.axis_tokens[seg.axis][(*digits)[seg.axis]]);
+      out.cells(plan.axis_tokens[seg.axis][(*digits)[seg.axis]], 1);
     } else {
       const double fields[9] = {c.lambda, c.us,  c.mu,
                                 c.gamma,  static_cast<double>(c.k),
                                 c.eta,    static_cast<double>(c.flash),
                                 c.mix,    c.hetero};
-      row.number(fields[seg.field]);
+      out.number(fields[seg.field]);
     }
   }
   if (!options.scenario.empty()) {
-    row.number((1.0 - c.mix) * c.lambda);
+    out.number((1.0 - c.mix) * c.lambda);
     for (const auto& a : options.scenario.mix) {
-      row.number(c.mix * c.lambda * a.rate);
+      out.number(c.mix * c.lambda * a.rate);
     }
   }
-  row.cells_verbatim(plan.verdict_tokens[static_cast<int>(c.theory.verdict)],
-                     1);
-  row.number(c.theory.margin);
-  row.cells_verbatim(
-      plan.critical_tokens[static_cast<std::size_t>(c.theory.critical_piece +
-                                                    1)],
-      1);
-  if (plan.const_tail_cells > 0) {
-    row.cells_verbatim(plan.const_tail, plan.const_tail_cells);
-  } else {
-    row.number(c.sim.replicas);
-    row.number(c.sim.final_peers_mean);
-    row.number(c.sim.mean_peers_mean);
-    row.number(c.sim.mean_sojourn);
-    row.number(c.sim.mean_peers_sem);
-    row.number(c.sim.mean_peers_lo);
-    row.number(c.sim.mean_peers_hi);
-    row.number(c.ctmc_mean_peers);
-    if (!options.theory_only) {
-      row.cells_verbatim(plan.backend_tokens[backend_token_slot(c.backend)],
-                         1);
-    }
+  out.cells(plan.verdict_tokens[static_cast<int>(c.theory.verdict)], 1);
+  out.value_only(c.theory.margin);
+  out.cells(plan.critical_tokens[static_cast<std::size_t>(
+                c.theory.critical_piece + 1)],
+            1 + plan.const_tail_cells);
+  if (plan.const_tail_cells == 0) {
+    out.number(c.sim.replicas);
+    out.number(c.sim.final_peers_mean);
+    out.number(c.sim.mean_peers_mean);
+    out.number(c.sim.mean_sojourn);
+    out.number(c.sim.mean_peers_sem);
+    out.number(c.sim.mean_peers_lo);
+    out.number(c.sim.mean_peers_hi);
   }
-  if (!plan.policy_token.empty()) {
-    row.cells_verbatim(plan.policy_token, 1);
+  if (plan.const_tail_cells < 8) out.number(c.ctmc_mean_peers);
+  if (!options.theory_only) {
+    out.cells(plan.backend_tokens[backend_token_slot(c.backend)], 1);
   }
+  if (!plan.policy_token.empty()) out.cells(plan.policy_token, 1);
   if (options.fluid) {
-    row.cells_verbatim(plan.fluid_tokens[static_cast<int>(c.fluid)], 1);
+    out.cells(plan.fluid_tokens[static_cast<int>(c.fluid)], 1);
   }
+  P2P_ASSERT(out.bytes().size() <= plan.max_row_bytes);
+  row.cells_verbatim(out.bytes(), out.num_cells());
 }
 
 namespace {
@@ -364,25 +450,44 @@ RingPlan plan_rings(std::size_t num_items, std::size_t replicas,
 /// the claim window past a prefix only after on_prefix returns, so no
 /// worker can touch the slot concurrently, and the hand-back is ordered
 /// by the pool mutex.
-struct CellSlot {
+struct alignas(kSlotAlign) CellSlot {
   CellResult result;
   std::string arena;
   std::atomic<std::size_t> pending{0};
 };
+static_assert(alignof(CellSlot) == kSlotAlign);
 
 /// One ring slot of the chunk-batched writer path (replicas == 1): the
 /// finished block's rendered bytes plus its verdict tallies. With one
 /// item per cell a claimed block is completed entirely by its worker,
 /// so the whole chunk's rows can share one arena and the consumer pays
 /// one write_rendered — and one ring access — per CHUNK instead of per
-/// cell. Reuse safety is the claim window again: a chunk index is only
-/// claimable within window_chunks of the consumed prefix, and the ring
-/// is larger than the window.
-struct ChunkSlot {
+/// cell. The worker renders into the arena moved out of the slot and
+/// tallies in locals, writing the slot once at block end. Reuse safety
+/// is the claim window again: a chunk index is only claimable within
+/// window_chunks of the consumed prefix, and the ring is larger than the
+/// window.
+struct alignas(kSlotAlign) ChunkSlot {
   std::string arena;
   std::size_t rows = 0;
-  std::size_t stable = 0, transient = 0, borderline = 0;
+  SweepSummary tally;  // cells unset
 };
+static_assert(alignof(ChunkSlot) == kSlotAlign);
+
+/// Adds `verdict` to the stable / transient / borderline tallies.
+void tally_verdict(SweepSummary& summary, Stability verdict) {
+  switch (verdict) {
+    case Stability::kPositiveRecurrent:
+      ++summary.stable;
+      break;
+    case Stability::kTransient:
+      ++summary.transient;
+      break;
+    case Stability::kBorderline:
+      ++summary.borderline;
+      break;
+  }
+}
 
 /// The shared sweep pipeline behind run_sweep and run_sweep_stream:
 /// validates, expands the grid, fans the (cell, replica) items across
@@ -480,13 +585,16 @@ SweepSummary sweep_cells_ordered(const SweepGrid& grid,
         std::vector<ArrivalSpec> arrival_scratch;
         if (chunk_mode) {
           // Chunk-batched path: one local CellResult reused across the
-          // block's cells, rows appended to the chunk's arena, verdicts
-          // tallied into the chunk slot (the sums are order-free, so
-          // the totals stay deterministic).
+          // block's cells, rows appended to the chunk's arena (moved out
+          // of the slot and reserved for the block's longest possible
+          // rows, so it never regrows), verdicts tallied in a local (the
+          // sums are order-free, so the totals stay deterministic). The
+          // slot is written once, at the end.
           ChunkSlot& cslot = chunk_slots[(begin / plan.chunk) & chunk_mask];
-          cslot.arena.clear();
-          cslot.rows = end - begin;
-          cslot.stable = cslot.transient = cslot.borderline = 0;
+          std::string arena = std::move(cslot.arena);
+          arena.clear();
+          arena.reserve((end - begin) * render->max_row_bytes);
+          SweepSummary tally;
           CellResult result;
           for (std::size_t cell = begin; cell < end; ++cell) {
             const CellParams p = cell_params(axis_slots, cursor.values(),
@@ -502,22 +610,15 @@ SweepSummary sweep_cells_ordered(const SweepGrid& grid,
                   std::span<const ReplicaSample>(&sample, 1), options,
                   agg_rng);
             }
-            switch (result.theory.verdict) {
-              case Stability::kPositiveRecurrent:
-                ++cslot.stable;
-                break;
-              case Stability::kTransient:
-                ++cslot.transient;
-                break;
-              case Stability::kBorderline:
-                ++cslot.borderline;
-                break;
-            }
-            RowRenderer::Row row(render->renderer, cslot.arena);
+            tally_verdict(tally, result.theory.verdict);
+            RowRenderer::Row row(render->renderer, arena);
             render_grid_row(*render, options, &cursor.digits(), result, row);
             row.end();
             if (cell + 1 < end) cursor.advance();
           }
+          cslot.arena = std::move(arena);
+          cslot.rows = end - begin;
+          cslot.tally = tally;
           return;
         }
         // single = the one-replica shape: item == cell, so the per-cell
@@ -581,9 +682,9 @@ SweepSummary sweep_cells_ordered(const SweepGrid& grid,
             ChunkSlot& cslot =
                 chunk_slots[(emitted / plan.chunk) & chunk_mask];
             writer->write_rendered(cslot.arena, cslot.rows);
-            summary.stable += cslot.stable;
-            summary.transient += cslot.transient;
-            summary.borderline += cslot.borderline;
+            summary.stable += cslot.tally.stable;
+            summary.transient += cslot.tally.transient;
+            summary.borderline += cslot.tally.borderline;
             emitted += cslot.rows;
           }
           return;
@@ -591,17 +692,7 @@ SweepSummary sweep_cells_ordered(const SweepGrid& grid,
         const std::size_t complete_cells = prefix_items / replicas;
         for (; emitted < complete_cells; ++emitted) {
           CellSlot& slot = slots[emitted & slot_mask];
-          switch (slot.result.theory.verdict) {
-            case Stability::kPositiveRecurrent:
-              ++summary.stable;
-              break;
-            case Stability::kTransient:
-              ++summary.transient;
-              break;
-            case Stability::kBorderline:
-              ++summary.borderline;
-              break;
-          }
+          tally_verdict(summary, slot.result.theory.verdict);
           if (writer != nullptr) {
             writer->write_rendered(slot.arena, 1);
           } else {
@@ -1012,11 +1103,12 @@ FrontierPoint bisect_row(const SweepGrid& rows, std::size_t row,
 
 /// One ring slot of in-flight frontier state; see CellSlot for the
 /// `pending` countdown and re-arm protocol.
-struct FrontierSlot {
+struct alignas(kSlotAlign) FrontierSlot {
   FrontierPoint point;
   std::string arena;
   std::atomic<std::size_t> pending{0};
 };
+static_assert(alignof(FrontierSlot) == kSlotAlign);
 
 /// Renders one localized frontier point into `arena`: the one frontier
 /// row encoder, for the streamed and the retained points alike.

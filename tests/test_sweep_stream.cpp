@@ -118,6 +118,106 @@ TEST(RunSweepStream, TheoryOnlyDeterminismMatrixMatchesRunSweep) {
   }
 }
 
+TEST(RunSweepStream, EveryColumnFamilyMatchesRunSweepAcrossTheMatrix) {
+  // The streamed rows are assembled from the plan's cached pieces (axis
+  // tokens, verdict + margin prefix, critical piece + constant sim tail)
+  // plus directly formatted numbers; run_sweep's retained cells format
+  // their axis values instead. Every column family must come out the
+  // same through both, at any (threads, chunk).
+  struct Case {
+    const char* name;
+    const char* grid;
+    SweepOptions options;
+  };
+  std::vector<Case> cases;
+  const auto add = [&](const char* name, const char* grid,
+                       const auto& configure) {
+    SweepOptions options;
+    options.horizon = 20;
+    configure(options);
+    cases.push_back({name, grid, options});
+  };
+  // Varying k and gamma = inf, with gamma <= mu cells (critical_piece
+  // -1, margin 0) at gamma = 0.5.
+  add("k/gamma", "lambda=0.5:3.0:9;us=0.2:1.7:5;k=1,2,4;gamma=0.5,1.25,inf",
+      [](SweepOptions& o) { o.theory_only = true; });
+  add("ctmc", "lambda=0.5:2.5:5;us=0.5,1;k=1,2;gamma=1.25,inf",
+      [](SweepOptions& o) {
+        o.theory_only = true;
+        o.ctmc_max_peers = 10;
+      });
+  add("fluid", "lambda=0.5:3.0:4;us=0.2:1.7:3;k=2", [](SweepOptions& o) {
+    o.theory_only = true;
+    o.fluid = true;
+  });
+  add("example2", "lambda=0.5:3.0:6;us=0:1:3;gamma=inf;k=4;mix=0,0.5,1",
+      [](SweepOptions& o) {
+        o.theory_only = true;
+        o.scenario = parse_scenario("example2");
+      });
+  // One replica per cell simulates through the chunk-batched route too:
+  // the backend, policy and fluid tails after the sim and CTMC cells.
+  add("rarest", "lambda=0.5,2;us=0.5,1.5;k=2", [](SweepOptions& o) {
+    o.scenario.policy = PolicyKind::kRarestFirst;
+    o.fluid = true;
+    o.ctmc_max_peers = 10;
+  });
+  // Past 100,000 cells, so cell 100000's "1e+05" spelling is assembled.
+  add("large", "lambda=0.5:3.0:317;us=0.2:1.7:316",
+      [](SweepOptions& o) { o.theory_only = true; });
+
+  for (const Case& c : cases) {
+    const SweepGrid grid = parse_grid(c.grid);
+    const SweepResult result = run_sweep(grid, c.options);
+    const std::string csv = render(result);
+    const std::string json = render(result, ReportFormat::kJson);
+    for (const int threads : {1, 4}) {
+      for (const std::size_t chunk :
+           {std::size_t{1}, std::size_t{7}, std::size_t{0}}) {
+        SweepOptions options = c.options;
+        options.threads = threads;
+        options.chunk = chunk;
+        EXPECT_EQ(stream_csv(grid, options), csv)
+            << c.name << " threads " << threads << " chunk " << chunk;
+        EXPECT_EQ(stream_json(grid, options), json)
+            << c.name << " threads " << threads << " chunk " << chunk;
+      }
+    }
+    // Both renderings share the cached pieces, so check the JSON keys and
+    // cells against the CSV: equal except that JSON spells inf as null,
+    // which reads back as nan.
+    const Table from_csv = read_csv(csv);
+    const Table from_json = read_json(json);
+    EXPECT_EQ(from_json.columns(), sweep_columns(c.options)) << c.name;
+    ASSERT_EQ(from_json.num_rows(), from_csv.num_rows()) << c.name;
+    for (std::size_t r = 0; r < from_csv.num_rows(); ++r) {
+      std::vector<std::string> expected = from_csv.row(r);
+      for (std::string& cell : expected) {
+        if (cell == "inf" || cell == "-inf") cell = "nan";
+      }
+      EXPECT_EQ(from_json.row(r), expected) << c.name << " row " << r;
+    }
+    if (std::string(c.name) == "k/gamma") {
+      const Table& table = from_csv;
+      const std::size_t margin = 11, critical = 12;
+      ASSERT_EQ(table.columns()[critical], "critical_piece");
+      ASSERT_EQ(table.columns()[margin], "margin");
+      bool altruistic = false;
+      for (std::size_t r = 0; r < table.num_rows(); ++r) {
+        if (table.row(r)[critical] == "-1") {
+          altruistic = true;
+          EXPECT_EQ(table.row(r)[margin], "0");
+        }
+      }
+      EXPECT_TRUE(altruistic);
+    }
+    if (std::string(c.name) == "large") {
+      EXPECT_NE(csv.find("\n1e+05,"), std::string::npos);
+      EXPECT_NE(json.find("{\"cell\": 1e+05, "), std::string::npos);
+    }
+  }
+}
+
 TEST(RunSweepStream, ReusedArenasCarryNoStaleBytesAcrossRuns) {
   // A grid far larger than the chunk ring recycles every arena many
   // times; a missing clear() would leave a prior cell's bytes in front

@@ -101,6 +101,7 @@ int run_emit(const std::string& emit_spec, int k, double us, double mu,
   engine::CellParams cell;
   cell.k = k;
   cell.mix = scenario.empty() ? 0.0 : 1.0;
+  engine::check_cell_scenario(scenario, cell);
 
   // Schedule grammar: ';'-separated lambda:duration segments.
   std::vector<LogSegment> segments;
