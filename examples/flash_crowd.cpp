@@ -22,7 +22,7 @@ void run(const char* name, const SwarmParams& params) {
   const auto theory = classify(params);
   std::printf("\n%s: %s\n  theory: %s, critical piece %d, margin %.3f\n",
               name, params.to_string().c_str(),
-              to_string(theory.verdict).c_str(), theory.critical_piece + 1,
+              to_string(theory.verdict), theory.critical_piece + 1,
               theory.margin);
 
   SwarmSim sim(params, SwarmSimOptions{.rng_seed = 7});

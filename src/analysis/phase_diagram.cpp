@@ -1,8 +1,12 @@
 #include "analysis/phase_diagram.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <iterator>
+#include <optional>
 #include <span>
+#include <string_view>
+#include <thread>
 #include <unordered_map>
 
 #include "engine/csv_reader.hpp"
@@ -70,14 +74,56 @@ void set_refinable(CellParams& p, const std::string& name, double v) {
   }
 }
 
-Stability parse_verdict(const std::string& cell, const std::string& context) {
-  for (const Stability v : {Stability::kPositiveRecurrent,
-                            Stability::kTransient, Stability::kBorderline}) {
-    if (cell == to_string(v)) return v;
+/// A row that failed a check, carried as its message to the thread that
+/// owns row order instead of aborting where it was found: ingestion
+/// aborts with the earliest failing row's message, whichever thread
+/// decoded it.
+struct RowError {
+  std::string message;
+};
+
+/// Per-row check: `msg` is built only when `expr` fails.
+#define P2P_ROW_CHECK(expr, msg)       \
+  do {                                 \
+    if (!(expr)) throw RowError{msg};  \
+  } while (false)
+
+/// One report row's cells plus its lazily built error context
+/// ("grid report row 7"), so a clean row allocates nothing.
+class RowCells {
+ public:
+  RowCells(std::span<const std::string_view> cells, const char* report,
+           std::size_t r)
+      : cells_(cells), report_(report), r_(r) {}
+
+  std::size_t index() const { return r_; }
+  std::string_view operator[](std::size_t col) const { return cells_[col]; }
+  std::string context() const {
+    return std::string(report_) + " report row " + std::to_string(r_);
   }
-  P2P_ASSERT_MSG(false, "unknown verdict \"" + cell + "\" in " + context);
-  return Stability::kBorderline;
-}
+
+  double num(std::size_t col) const {
+    double v = 0;
+    P2P_ROW_CHECK(engine::parse_report_number(cells_[col], &v),
+                  engine::report_number_error(cells_[col], context()));
+    return v;
+  }
+
+  Stability verdict(std::size_t col) const {
+    for (const Stability v : {Stability::kPositiveRecurrent,
+                              Stability::kTransient,
+                              Stability::kBorderline}) {
+      if (cells_[col] == to_string(v)) return v;
+    }
+    throw RowError{"unknown verdict \"" + std::string(cells_[col]) +
+                   "\" in " + context()};
+  }
+
+ private:
+  std::span<const std::string_view> cells_;
+  const char* report_;
+  std::size_t r_;
+};
 
 /// Exact-match value -> first-appearance index, tolerating +-0.0
 /// aliasing. Axis values come verbatim from the emitting grid, so
@@ -85,11 +131,19 @@ Stability parse_verdict(const std::string& cell, const std::string& context) {
 /// value".
 class ValueIndex {
  public:
-  /// Returns the value's index, inserting it if new.
+  /// Returns the value's index, inserting it if new. values_ holds
+  /// distinct values, so any slot equal to v is v's index: the last hit
+  /// and its successor (a slow axis repeating, a fast axis stepping or
+  /// wrapping) are probed before the hash.
   std::size_t insert(double v) {
+    if (!values_.empty()) {
+      if (values_[last_] == v) return last_;
+      const std::size_t next = last_ + 1 < values_.size() ? last_ + 1 : 0;
+      if (values_[next] == v) return last_ = next;
+    }
     const auto [it, inserted] = map_.try_emplace(key(v), values_.size());
     if (inserted) values_.push_back(v);
-    return it->second;
+    return last_ = it->second;
   }
   /// Index of an already-inserted value.
   std::size_t at(double v) const { return map_.at(key(v)); }
@@ -100,6 +154,7 @@ class ValueIndex {
   static double key(double v) { return v == 0 ? 0.0 : v; }
   std::unordered_map<double, std::size_t> map_;
   std::vector<double> values_;
+  std::size_t last_ = 0;
 };
 
 /// a == b up to fp noise from reconstructing products out of their
@@ -108,94 +163,99 @@ bool close(double a, double b) {
   return std::abs(a - b) <= 1e-9 * std::max({1.0, std::abs(a), std::abs(b)});
 }
 
-/// Shared ingestion core behind both build_phase_grid overloads: one
-/// pass over the rows pumped by `next_row` (an in-memory Table or the
-/// streaming CsvReader), retaining O(cells) typed state — never the
-/// document. The per-type block is kept as doubles for the post-pass
-/// scenario reconstruction, so rows are not revisited.
-PhaseGrid build_phase_grid_rows(
-    const std::vector<std::string>& columns,
-    const std::function<bool(std::vector<std::string>*)>& next_row,
-    const std::string& x_req, const std::string& y_req) {
-  const ReportSchema schema = engine::validate_report_schema(columns);
-  P2P_ASSERT_MSG(schema.kind == ReportKind::kGrid,
-                 "phase grids are built from grid reports, not frontier "
-                 "tables (header starts with \"row\")");
+/// The parameter head every grid row starts with (cell index first,
+/// then the axes in schema order). `k_raw`/`flash_raw` keep the
+/// unrounded integer axes for callers that check them.
+CellParams decode_params(const RowCells& row, double* k_raw,
+                         double* flash_raw) {
+  CellParams p;
+  p.lambda = row.num(1);
+  p.us = row.num(2);
+  p.mu = row.num(3);
+  p.gamma = row.num(4);
+  *k_raw = row.num(5);
+  p.k = static_cast<int>(std::lround(*k_raw));
+  p.eta = row.num(6);
+  *flash_raw = row.num(7);
+  p.flash = std::llround(*flash_raw);
+  p.mix = row.num(8);
+  p.hetero = row.num(9);
+  return p;
+}
 
-  // --- Typed ingestion, one streaming pass ---
-  std::vector<PhaseCell> parsed;
-  std::vector<ValueIndex> axis_values(kNumAxes);
-  const std::size_t tail = schema.tail_start;
-  const std::size_t block = engine::sweep_schema_head().size();
-  const std::size_t block_width = schema.mix_types.size() + 1;
-  // Optional trailing columns sit after the fixed tail, in the order
-  // the writer appends them: sim_backend, policy, fluid_verdict. Their
-  // positions depend on which are present, so derive them from the
-  // schema flags instead of fixed offsets.
-  std::size_t opt = tail + engine::sweep_schema_tail().size();
-  if (schema.has_backend) ++opt;
-  const std::size_t policy_col = schema.has_policy ? opt++ : 0;
-  const std::size_t fluid_col = schema.has_fluid ? opt : 0;
-  std::string policy;
-  // Row-major per-type block copies (lambda_empty first), when present.
-  std::vector<double> type_cols;
-  std::vector<std::string> row;
-  for (std::size_t r = 0; next_row(&row); ++r) {
-    const std::string ctx = "grid report row " + std::to_string(r);
-    const auto num = [&](std::size_t col) {
-      return engine::parse_report_number(row[col], ctx);
-    };
+int decode_replicas(const RowCells& row, std::size_t col) {
+  const double raw = row.num(col);
+  const int replicas = static_cast<int>(std::lround(raw));
+  P2P_ROW_CHECK(replicas >= 0 && std::abs(raw - replicas) < 1e-9,
+                "replicas must be a nonnegative integer (" + row.context() +
+                    ")");
+  return replicas;
+}
 
-    P2P_ASSERT_MSG(num(0) == static_cast<double>(r),
-                   "grid report cell indices must run 0..n-1 in row order "
-                   "(" + ctx + " has cell " + row[0] + ")");
-    PhaseCell c;
-    c.params.lambda = num(1);
-    c.params.us = num(2);
-    c.params.mu = num(3);
-    c.params.gamma = num(4);
-    const double k_raw = num(5);
-    c.params.k = static_cast<int>(std::lround(k_raw));
-    c.params.eta = num(6);
-    const double flash_raw = num(7);
-    c.params.flash = std::llround(flash_raw);
-    c.params.mix = num(8);
-    c.params.hetero = num(9);
+/// Column positions of a validated grid report, and the one-row decoder
+/// build_phase_grid runs on whichever thread holds the row. Every check
+/// that reads only the row (and its index) runs here, in one fixed
+/// order, so a row with several faults always reports the same one.
+struct GridRowDecoder {
+  explicit GridRowDecoder(const ReportSchema& schema)
+      : tail(schema.tail_start),
+        block(engine::sweep_schema_head().size()),
+        block_width(schema.has_scenario ? schema.mix_types.size() + 1 : 0) {
+    // Optional trailing columns sit after the fixed tail, in the order
+    // the writer appends them: sim_backend, policy, fluid_verdict. Their
+    // positions depend on which are present, so derive them from the
+    // schema flags instead of fixed offsets.
+    std::size_t opt = tail + engine::sweep_schema_tail().size();
+    if (schema.has_backend) ++opt;
+    has_policy = schema.has_policy;
+    policy_col = has_policy ? opt++ : 0;
+    has_fluid = schema.has_fluid;
+    fluid_col = has_fluid ? opt : 0;
+  }
 
-    P2P_ASSERT_MSG(std::isfinite(c.params.lambda) && c.params.lambda > 0,
-                   "lambda must be a positive finite number (" + ctx + ")");
-    P2P_ASSERT_MSG(std::isfinite(c.params.us) && c.params.us >= 0,
-                   "us must be a nonnegative finite number (" + ctx + ")");
-    P2P_ASSERT_MSG(std::isfinite(c.params.mu) && c.params.mu > 0,
-                   "mu must be a positive finite number (" + ctx + ")");
-    P2P_ASSERT_MSG(c.params.gamma > 0,  // inf allowed
-                   "gamma must be positive (" + ctx + ")");
-    P2P_ASSERT_MSG(c.params.k >= 1 && std::abs(k_raw - c.params.k) < 1e-9,
-                   "k must be a positive integer (" + ctx + ")");
-    P2P_ASSERT_MSG(std::isfinite(c.params.eta) && c.params.eta >= 1,
-                   "eta must be >= 1 (" + ctx + ")");
-    P2P_ASSERT_MSG(
-        c.params.flash >= 0 &&
-            std::abs(flash_raw - static_cast<double>(c.params.flash)) < 1e-9,
-        "flash must be a nonnegative integer (" + ctx + ")");
-    P2P_ASSERT_MSG(c.params.mix >= 0 && c.params.mix <= 1,
-                   "mix must lie in [0, 1] (" + ctx + ")");
-    P2P_ASSERT_MSG(c.params.hetero >= 0 && c.params.hetero < 1,
-                   "hetero must lie in [0, 1) (" + ctx + ")");
+  /// Decodes row r into `c` and its per-type block (block_width doubles)
+  /// into `type_cols`; throws RowError on the first failed check.
+  void decode(const RowCells& row, PhaseCell& c, double* type_cols) const {
+    const std::size_t r = row.index();
+    P2P_ROW_CHECK(row.num(0) == static_cast<double>(r),
+                  "grid report cell indices must run 0..n-1 in row order "
+                  "(" + row.context() + " has cell " + std::string(row[0]) +
+                      ")");
+    double k_raw = 0, flash_raw = 0;
+    c.params = decode_params(row, &k_raw, &flash_raw);
+    const CellParams& p = c.params;
+    const auto ctx = [&] { return " (" + row.context() + ")"; };
+    P2P_ROW_CHECK(std::isfinite(p.lambda) && p.lambda > 0,
+                  "lambda must be a positive finite number" + ctx());
+    P2P_ROW_CHECK(std::isfinite(p.us) && p.us >= 0,
+                  "us must be a nonnegative finite number" + ctx());
+    P2P_ROW_CHECK(std::isfinite(p.mu) && p.mu > 0,
+                  "mu must be a positive finite number" + ctx());
+    P2P_ROW_CHECK(p.gamma > 0,  // inf allowed
+                  "gamma must be positive" + ctx());
+    P2P_ROW_CHECK(p.k >= 1 && std::abs(k_raw - p.k) < 1e-9,
+                  "k must be a positive integer" + ctx());
+    P2P_ROW_CHECK(std::isfinite(p.eta) && p.eta >= 1,
+                  "eta must be >= 1" + ctx());
+    P2P_ROW_CHECK(
+        p.flash >= 0 &&
+            std::abs(flash_raw - static_cast<double>(p.flash)) < 1e-9,
+        "flash must be a nonnegative integer" + ctx());
+    P2P_ROW_CHECK(p.mix >= 0 && p.mix <= 1, "mix must lie in [0, 1]" + ctx());
+    P2P_ROW_CHECK(p.hetero >= 0 && p.hetero < 1,
+                  "hetero must lie in [0, 1)" + ctx());
 
-    c.verdict = parse_verdict(row[tail], ctx);
-    c.margin = num(tail + 1);
-    const double replicas_raw = num(tail + 3);
-    c.replicas = static_cast<int>(std::lround(replicas_raw));
-    P2P_ASSERT_MSG(c.replicas >= 0 &&
-                       std::abs(replicas_raw - c.replicas) < 1e-9,
-                   "replicas must be a nonnegative integer (" + ctx + ")");
-    c.sim_mean_peers = num(tail + 5);
-    c.ctmc_mean_peers = num(tail + 10);
-    if (schema.has_policy) {
+    c.verdict = row.verdict(tail);
+    c.margin = row.num(tail + 1);
+    c.replicas = decode_replicas(row, tail + 3);
+    c.sim_mean_peers = row.num(tail + 5);
+    c.ctmc_mean_peers = row.num(tail + 10);
+    if (has_policy) {
       // The policy is a sweep-level constant, so every row must repeat
-      // one token — and it must be a token the writer can emit.
-      const std::string& tok = row[policy_col];
+      // one token — and it must be a token the writer can emit. Later
+      // rows compare against row 0's token (policy0); whenever row 0 is
+      // itself malformed its own error is the earlier one.
+      const std::string_view tok = row[policy_col];
       if (r == 0) {
         bool known = false;
         for (const PolicyKind kind :
@@ -203,30 +263,78 @@ PhaseGrid build_phase_grid_rows(
               PolicyKind::kMostCommonFirst, PolicyKind::kSequential}) {
           if (tok == to_string(kind)) known = true;
         }
-        P2P_ASSERT_MSG(known,
-                       "unknown policy \"" + tok + "\" in " + ctx);
-        policy = tok;
+        P2P_ROW_CHECK(known, "unknown policy \"" + std::string(tok) +
+                                 "\" in " + row.context());
       } else {
-        P2P_ASSERT_MSG(tok == policy,
-                       "the policy column must be constant over the grid "
-                       "(" + ctx + " has \"" + tok + "\", row 0 had \"" +
-                           policy + "\")");
+        P2P_ROW_CHECK(tok == policy0,
+                      "the policy column must be constant over the grid "
+                      "(" + row.context() + " has \"" + std::string(tok) +
+                          "\", row 0 had \"" + policy0 + "\")");
       }
     }
-    if (schema.has_fluid) c.fluid = parse_verdict(row[fluid_col], ctx);
-
-    if (schema.has_scenario) {
-      for (std::size_t i = 0; i < block_width; ++i) {
-        type_cols.push_back(num(block + i));
-      }
+    if (has_fluid) c.fluid = row.verdict(fluid_col);
+    for (std::size_t i = 0; i < block_width; ++i) {
+      type_cols[i] = row.num(block + i);
     }
-    for (std::size_t a = 0; a < kNumAxes; ++a) {
-      axis_values[a].insert(axis_value(c.params, a));
-    }
-    parsed.push_back(c);
   }
-  const std::size_t n = parsed.size();
+
+  std::size_t tail, block, block_width;
+  bool has_policy = false, has_fluid = false;
+  std::size_t policy_col = 0, fluid_col = 0;
+  /// Row 0's policy cell, read ahead so every row can be checked alone.
+  std::string policy0;
+};
+
+/// Decodes row `row` into `c` and its per-type block, and records its
+/// axis values (first appearance decides their index).
+void decode_row(const GridRowDecoder& decoder, const RowCells& row,
+                PhaseCell& c, double* type_cols,
+                std::vector<ValueIndex>& axes) {
+  decoder.decode(row, c, type_cols);
+  for (std::size_t a = 0; a < kNumAxes; ++a) {
+    axes[a].insert(axis_value(c.params, a));
+  }
+}
+
+/// The typed rows of one ingestion, in row order: cells, their per-type
+/// blocks, and the first-appearance index of every axis.
+struct GridRows {
+  PhaseCells cells;  // moved whole into PhaseGrid::cells when row-major
+  std::vector<double> type_cols;  // row-major per-type blocks
+  std::vector<ValueIndex> axis_values = std::vector<ValueIndex>(kNumAxes);
+
+  /// Makes room for `more` rows.
+  void grow(std::size_t more, std::size_t block_width) {
+    cells.resize(cells.size() + more);
+    type_cols.resize(cells.size() * block_width);
+  }
+  /// Folds in the axis values a later run of rows saw, in their order:
+  /// values new to the grid keep their first-appearance order.
+  void merge(const std::vector<ValueIndex>& later) {
+    for (std::size_t a = 0; a < kNumAxes; ++a) {
+      for (const double v : later[a].values()) axis_values[a].insert(v);
+    }
+  }
+};
+
+ReportSchema grid_schema(const std::vector<std::string>& columns) {
+  const ReportSchema schema = engine::validate_report_schema(columns);
+  P2P_ASSERT_MSG(schema.kind == ReportKind::kGrid,
+                 "phase grids are built from grid reports, not frontier "
+                 "tables (header starts with \"row\")");
+  return schema;
+}
+
+/// Everything after typed ingestion: axis selection, tiling into
+/// row-major [y][x] slots, and scenario reconstruction from the per-type
+/// block. Shared by both build_phase_grid overloads.
+PhaseGrid assemble_phase_grid(const ReportSchema& schema, GridRows rows,
+                              const std::string& policy,
+                              const std::string& x_req,
+                              const std::string& y_req) {
+  const std::size_t n = rows.cells.size();
   P2P_ASSERT_MSG(n >= 1, "grid report has no rows");
+  const std::vector<ValueIndex>& axis_values = rows.axis_values;
 
   // --- Axis selection ---
   std::vector<std::size_t> varying;
@@ -286,26 +394,48 @@ PhaseGrid build_phase_grid_rows(
                  "grid report rows (" + std::to_string(n) +
                      ") do not tile the " + std::to_string(nx) + " x " +
                      std::to_string(ny) + " (x, y) product");
-  grid.cells.resize(n);
-  std::vector<char> filled(n, 0);
-  for (std::size_t r = 0; r < n; ++r) {
-    const std::size_t xi = axis_values[xi_axis].at(
-        axis_value(parsed[r].params, xi_axis));
-    const std::size_t yi = axis_values[yi_axis].at(
-        axis_value(parsed[r].params, yi_axis));
-    const std::size_t slot = yi * nx + xi;
-    P2P_ASSERT_MSG(!filled[slot],
-                   "grid report repeats the cell at (" + grid.x_axis + " = " +
-                       engine::format_number(grid.x_values[xi]) + ", " +
-                       grid.y_axis + " = " +
-                       engine::format_number(grid.y_values[yi]) + ")");
-    filled[slot] = 1;
-    grid.cells[slot] = parsed[r];
+  // Engine corpora in their default orientation already arrive in slot
+  // order: row r holds (x_values[r % nx], y_values[r / nx]). Then every
+  // slot is filled exactly once and the rows move in whole; any other
+  // order (a transposed --x/--y) tiles through the value index.
+  bool row_major = true;
+  for (std::size_t r = 0; r < n && row_major; ++r) {
+    const CellParams& p = rows.cells[r].params;
+    row_major = axis_value(p, xi_axis) == grid.x_values[r % nx] &&
+                axis_value(p, yi_axis) == grid.y_values[r / nx];
   }
-  // n == nx * ny and no slot repeated => every slot is filled.
+  PhaseCells by_row;  // row order, when it differs from slots
+  if (row_major) {
+    grid.cells = std::move(rows.cells);
+  } else {
+    by_row = std::move(rows.cells);
+    grid.cells.resize(n);
+    std::vector<char> filled(n, 0);
+    for (std::size_t r = 0; r < n; ++r) {
+      const std::size_t xi =
+          axis_values[xi_axis].at(axis_value(by_row[r].params, xi_axis));
+      const std::size_t yi =
+          axis_values[yi_axis].at(axis_value(by_row[r].params, yi_axis));
+      const std::size_t slot = yi * nx + xi;
+      P2P_ASSERT_MSG(!filled[slot],
+                     "grid report repeats the cell at (" + grid.x_axis +
+                         " = " + engine::format_number(grid.x_values[xi]) +
+                         ", " + grid.y_axis + " = " +
+                         engine::format_number(grid.y_values[yi]) + ")");
+      filled[slot] = 1;
+      grid.cells[slot] = by_row[r];
+    }
+    // n == nx * ny and no slot repeated => every slot is filled.
+  }
+  const PhaseCells& parsed = row_major ? grid.cells : by_row;
 
   // --- Scenario reconstruction from the per-type block ---
   if (schema.has_scenario) {
+    const std::size_t block_width = schema.mix_types.size() + 1;
+    const std::vector<double>& type_cols = rows.type_cols;
+    const auto ctx = [](std::size_t r) {
+      return "grid report row " + std::to_string(r);
+    };
     // The composition is recoverable from any cell with a nonzero typed
     // share; take the largest for the cleanest division.
     std::size_t best = n;
@@ -319,17 +449,17 @@ PhaseGrid build_phase_grid_rows(
     }
     std::vector<double> rates(schema.mix_types.size(), 0.0);
     if (best < n) {
-      const std::string ctx = "grid report row " + std::to_string(best);
       double total = 0;
       for (std::size_t i = 0; i < rates.size(); ++i) {
         rates[i] = type_cols[best * block_width + 1 + i] / best_ml;
         P2P_ASSERT_MSG(std::isfinite(rates[i]) && rates[i] >= 0,
-                       "per-type rates must be nonnegative (" + ctx + ")");
+                       "per-type rates must be nonnegative (" + ctx(best) +
+                           ")");
         total += rates[i];
       }
       P2P_ASSERT_MSG(std::abs(total - 1) <= 1e-9,
                      "per-type columns divided by mix * lambda must be "
-                     "fractions summing to 1 (" + ctx + ")");
+                     "fractions summing to 1 (" + ctx(best) + ")");
       const int k = parsed[best].params.k;
       grid.scenario.name = "ingested";
       grid.scenario.num_pieces = k;
@@ -346,22 +476,57 @@ PhaseGrid build_phase_grid_rows(
     // is corrupt, and the re-bisection below would silently classify
     // the wrong model.
     for (std::size_t r = 0; r < n; ++r) {
-      const std::string ctx = "grid report row " + std::to_string(r);
       const double lambda = parsed[r].params.lambda;
       const double mix = parsed[r].params.mix;
       P2P_ASSERT_MSG(
           close(type_cols[r * block_width], (1 - mix) * lambda),
-          "lambda_empty contradicts (1 - mix) * lambda (" + ctx + ")");
+          "lambda_empty contradicts (1 - mix) * lambda (" + ctx(r) + ")");
       for (std::size_t i = 0; i < rates.size(); ++i) {
         P2P_ASSERT_MSG(
             close(type_cols[r * block_width + 1 + i],
                   mix * lambda * rates[i]),
             "per-type column " + engine::mix_column_name(schema.mix_types[i]) +
-                " contradicts mix * lambda * fraction (" + ctx + ")");
+                " contradicts mix * lambda * fraction (" + ctx(r) + ")");
       }
     }
   }
   return grid;
+}
+
+/// One batch in flight, and what decoding it found.
+struct BatchSlot {
+  engine::CsvBatch batch;
+  std::string error;             // the first failure's message, or ""
+  std::vector<ValueIndex> axes;  // this batch's axis values
+};
+
+/// Cuts up to slots.size() batches off `reader`; returns how many.
+std::size_t cut_batches(engine::CsvReader& reader,
+                        std::vector<BatchSlot>& slots) {
+  std::size_t got = 0;
+  while (got < slots.size() && reader.next_batch(&slots[got].batch)) ++got;
+  return got;
+}
+
+/// Decodes every record of the slot's batch into `cells`/`type_cols`
+/// (the slots of its rows), noting the first failure instead of
+/// aborting.
+void decode_batch(BatchSlot& slot, const engine::CsvReader& reader,
+                  const GridRowDecoder& decoder, PhaseCell* cells,
+                  double* type_cols) {
+  slot.axes.assign(kNumAxes, ValueIndex());
+  engine::CsvBatchCursor cursor(slot.batch, reader);
+  std::vector<std::string_view> views;
+  try {
+    for (std::size_t i = 0; cursor.next(&views); ++i) {
+      decode_row(decoder, RowCells(views, "grid", cursor.row()), cells[i],
+                 type_cols + i * decoder.block_width, slot.axes);
+    }
+  } catch (const RowError& e) {
+    slot.error = e.message;
+    return;
+  }
+  slot.error = cursor.error().empty() ? slot.batch.error : cursor.error();
 }
 
 /// Shared ingestion core behind both build_box_grid overloads: one pass
@@ -370,7 +535,7 @@ PhaseGrid build_phase_grid_rows(
 /// ordinary grid columns at the same offsets the cartesian builder uses.
 BoxGrid build_box_grid_rows(
     const std::vector<std::string>& columns,
-    const std::function<bool(std::vector<std::string>*)>& next_row) {
+    const std::function<bool(std::vector<std::string_view>*)>& next_row) {
   const ReportSchema schema = engine::validate_report_schema(columns);
   P2P_ASSERT_MSG(schema.kind == ReportKind::kGrid && schema.has_boxes,
                  "box grids are built from adaptive grid reports (header "
@@ -388,54 +553,46 @@ BoxGrid build_box_grid_rows(
   const std::size_t y_slot = axis_index(grid.y_axis);
   const std::size_t x_slot = axis_index(grid.x_axis);
   const std::size_t tail = schema.tail_start;
+  const std::size_t box = schema.box_start;
 
-  std::vector<std::string> row;
-  for (std::size_t r = 0; next_row(&row); ++r) {
-    const std::string ctx = "adaptive report row " + std::to_string(r);
-    const auto num = [&](std::size_t col) {
-      return engine::parse_report_number(row[col], ctx);
-    };
-    P2P_ASSERT_MSG(num(0) == static_cast<double>(r),
-                   "adaptive report cell indices must run 0..n-1 in row "
-                   "order (" + ctx + " has cell " + row[0] + ")");
-    PhaseBox b;
-    b.params.lambda = num(1);
-    b.params.us = num(2);
-    b.params.mu = num(3);
-    b.params.gamma = num(4);
-    b.params.k = static_cast<int>(std::lround(num(5)));
-    b.params.eta = num(6);
-    b.params.flash = std::llround(num(7));
-    b.params.mix = num(8);
-    b.params.hetero = num(9);
-    b.verdict = parse_verdict(row[tail], ctx);
-    b.margin = num(tail + 1);
-    const double replicas_raw = num(tail + 3);
-    b.replicas = static_cast<int>(std::lround(replicas_raw));
-    P2P_ASSERT_MSG(b.replicas >= 0 &&
-                       std::abs(replicas_raw - b.replicas) < 1e-9,
-                   "replicas must be a nonnegative integer (" + ctx + ")");
-    b.sim_mean_peers = num(tail + 5);
+  std::vector<std::string_view> cells;
+  try {
+    for (std::size_t r = 0; next_row(&cells); ++r) {
+      const RowCells row(cells, "adaptive", r);
+      P2P_ROW_CHECK(row.num(0) == static_cast<double>(r),
+                    "adaptive report cell indices must run 0..n-1 in row "
+                    "order (" + row.context() + " has cell " +
+                        std::string(row[0]) + ")");
+      PhaseBox b;
+      double k_raw = 0, flash_raw = 0;
+      b.params = decode_params(row, &k_raw, &flash_raw);
+      b.verdict = row.verdict(tail);
+      b.margin = row.num(tail + 1);
+      b.replicas = decode_replicas(row, tail + 3);
+      b.sim_mean_peers = row.num(tail + 5);
 
-    const double depth_raw = num(schema.box_start);
-    b.depth = static_cast<int>(std::lround(depth_raw));
-    P2P_ASSERT_MSG(b.depth >= 0 && std::abs(depth_raw - b.depth) < 1e-9,
-                   "box_depth must be a nonnegative integer (" + ctx + ")");
-    const double uniform_raw = num(schema.box_start + 1);
-    P2P_ASSERT_MSG(uniform_raw == 0 || uniform_raw == 1,
-                   "box_uniform must be 0 or 1 (" + ctx + ")");
-    b.uniform = uniform_raw == 1;
-    b.ext_y = num(schema.box_start + 2);
-    b.ext_x = num(schema.box_start + 3);
-    P2P_ASSERT_MSG(std::isfinite(b.ext_x) && b.ext_x > 0 &&
-                       std::isfinite(b.ext_y) && b.ext_y > 0,
-                   "box extents must be positive finite numbers (" + ctx +
-                       ")");
-    b.x0 = axis_value(b.params, x_slot);
-    b.y0 = axis_value(b.params, y_slot);
-    P2P_ASSERT_MSG(std::isfinite(b.x0) && std::isfinite(b.y0),
-                   "box origins must be finite (" + ctx + ")");
-    grid.boxes.push_back(b);
+      const auto ctx = [&] { return " (" + row.context() + ")"; };
+      const double depth_raw = row.num(box);
+      b.depth = static_cast<int>(std::lround(depth_raw));
+      P2P_ROW_CHECK(b.depth >= 0 && std::abs(depth_raw - b.depth) < 1e-9,
+                    "box_depth must be a nonnegative integer" + ctx());
+      const double uniform_raw = row.num(box + 1);
+      P2P_ROW_CHECK(uniform_raw == 0 || uniform_raw == 1,
+                    "box_uniform must be 0 or 1" + ctx());
+      b.uniform = uniform_raw == 1;
+      b.ext_y = row.num(box + 2);
+      b.ext_x = row.num(box + 3);
+      P2P_ROW_CHECK(std::isfinite(b.ext_x) && b.ext_x > 0 &&
+                        std::isfinite(b.ext_y) && b.ext_y > 0,
+                    "box extents must be positive finite numbers" + ctx());
+      b.x0 = axis_value(b.params, x_slot);
+      b.y0 = axis_value(b.params, y_slot);
+      P2P_ROW_CHECK(std::isfinite(b.x0) && std::isfinite(b.y0),
+                    "box origins must be finite" + ctx());
+      grid.boxes.push_back(b);
+    }
+  } catch (const RowError& e) {
+    P2P_ASSERT_MSG(false, e.message);
   }
   P2P_ASSERT_MSG(!grid.boxes.empty(), "adaptive report has no rows");
 
@@ -469,6 +626,8 @@ BoxGrid build_box_grid_rows(
   return grid;
 }
 
+#undef P2P_ROW_CHECK
+
 }  // namespace
 
 const PhaseBox& BoxGrid::box_at(double x, double y) const {
@@ -493,40 +652,132 @@ const PhaseBox& BoxGrid::box_at(double x, double y) const {
 
 BoxGrid build_box_grid(const Table& table) {
   std::size_t r = 0;
-  return build_box_grid_rows(table.columns(),
-                             [&](std::vector<std::string>* cells) {
-                               if (r >= table.num_rows()) return false;
-                               *cells = table.row(r++);
-                               return true;
-                             });
+  return build_box_grid_rows(
+      table.columns(), [&](std::vector<std::string_view>* cells) {
+        if (r >= table.num_rows()) return false;
+        const std::vector<std::string>& row = table.row(r++);
+        cells->assign(row.begin(), row.end());
+        return true;
+      });
 }
 
 BoxGrid build_box_grid(engine::CsvReader& reader) {
   return build_box_grid_rows(
       reader.columns(),
-      [&](std::vector<std::string>* cells) { return reader.next_row(cells); });
+      [&](std::vector<std::string_view>* cells) {
+        return reader.next_row(cells);
+      });
 }
 
 PhaseGrid build_phase_grid(const Table& table, const std::string& x_axis,
                            const std::string& y_axis) {
-  std::size_t r = 0;
-  return build_phase_grid_rows(
-      table.columns(),
-      [&](std::vector<std::string>* cells) {
-        if (r >= table.num_rows()) return false;
-        *cells = table.row(r++);
-        return true;
-      },
-      x_axis, y_axis);
+  const ReportSchema schema = grid_schema(table.columns());
+  GridRowDecoder decoder(schema);
+  const std::size_t n = table.num_rows();
+  if (decoder.has_policy && n > 0) {
+    decoder.policy0 = table.row(0)[decoder.policy_col];
+  }
+  GridRows rows;
+  rows.grow(n, decoder.block_width);
+  std::vector<std::string_view> views;
+  try {
+    for (std::size_t r = 0; r < n; ++r) {
+      views.assign(table.row(r).begin(), table.row(r).end());
+      decode_row(decoder, RowCells(views, "grid", r), rows.cells[r],
+                 rows.type_cols.data() + r * decoder.block_width,
+                 rows.axis_values);
+    }
+  } catch (const RowError& e) {
+    P2P_ASSERT_MSG(false, e.message);
+  }
+  return assemble_phase_grid(schema, std::move(rows), decoder.policy0, x_axis,
+                             y_axis);
 }
 
 PhaseGrid build_phase_grid(engine::CsvReader& reader,
                            const std::string& x_axis,
-                           const std::string& y_axis) {
-  return build_phase_grid_rows(
-      reader.columns(),
-      [&](std::vector<std::string>* cells) { return reader.next_row(cells); },
-      x_axis, y_axis);
+                           const std::string& y_axis, int threads) {
+  P2P_ASSERT_MSG(threads >= 0, "phase-grid ingest threads must be >= 0");
+  if (threads == 0) {
+    threads = static_cast<int>(
+        std::max(1u, std::thread::hardware_concurrency()));
+  }
+  const ReportSchema schema = grid_schema(reader.columns());
+  GridRowDecoder decoder(schema);
+  GridRows rows;
+
+  // Rounds of up to `threads` batches, double-buffered: while the pool
+  // splits and decodes one round straight into its rows' slots, one
+  // pool item cuts the next round off the reader (record boundaries
+  // only). Between rounds the caller raises the round's first error in
+  // batch order and merges the batches' axis values in order, so the
+  // result and every message are the serial ones. Two rounds bound the
+  // bytes in flight; an input that fits one batch never starts a pool.
+  const auto window = static_cast<std::size_t>(threads);
+  std::vector<BatchSlot> rounds[2] = {std::vector<BatchSlot>(window),
+                                      std::vector<BatchSlot>(window)};
+  for (std::vector<BatchSlot>& round : rounds) {
+    for (BatchSlot& slot : round) reader.reserve_batch(&slot.batch);
+  }
+  std::size_t got[2] = {cut_batches(reader, rounds[0]), 0};
+  bool more = got[0] == window;  // the reader may hold further batches
+  if (got[0] > 0) {
+    if (decoder.has_policy) {
+      engine::CsvBatchCursor first(rounds[0][0].batch, reader);
+      std::vector<std::string_view> cells;
+      if (first.next(&cells)) decoder.policy0 = cells[decoder.policy_col];
+    }
+    // Engine rows are near-constant in length, so the first round's
+    // bytes per row sizes the whole corpus; reserving it keeps the
+    // typed rows from being copied as they grow.
+    std::size_t bytes = 0, records = 0;
+    for (std::size_t i = 0; i < got[0]; ++i) {
+      bytes += rounds[0][i].batch.bytes.size();
+      records += rounds[0][i].batch.rows;
+    }
+    if (bytes > 0 && reader.input_bytes() > bytes) {
+      const std::size_t estimate = static_cast<std::size_t>(
+          static_cast<double>(records) *
+          static_cast<double>(reader.input_bytes()) /
+          static_cast<double>(bytes) * 1.125);
+      rows.cells.reserve(estimate);
+      rows.type_cols.reserve(estimate * decoder.block_width);
+    }
+  }
+  std::optional<engine::ThreadPool> pool;
+  for (std::size_t cur = 0; got[cur] > 0; cur ^= 1) {
+    std::vector<BatchSlot>& slots = rounds[cur];
+    const std::size_t next = cur ^ 1;
+    got[next] = 0;
+    std::size_t added = 0;
+    for (std::size_t i = 0; i < got[cur]; ++i) added += slots[i].batch.rows;
+    rows.grow(added, decoder.block_width);
+    const std::size_t cutting = more ? 1 : 0;
+    const auto work = [&](std::size_t item) {
+      if (item < cutting) {
+        got[next] = cut_batches(reader, rounds[next]);
+        return;
+      }
+      BatchSlot& slot = slots[item - cutting];
+      const std::size_t first = slot.batch.first_row;
+      decode_batch(slot, reader, decoder, rows.cells.data() + first,
+                   rows.type_cols.data() + first * decoder.block_width);
+    };
+    const std::size_t items = cutting + got[cur];
+    if (items == 1) {
+      work(0);
+    } else {
+      if (!pool) pool.emplace(threads);
+      pool->parallel_for(items, work);
+    }
+    for (std::size_t i = 0; i < got[cur]; ++i) {
+      P2P_ASSERT_MSG(slots[i].error.empty(), slots[i].error);
+      rows.merge(slots[i].axes);
+    }
+    more = more && got[next] == window;
+  }
+  return assemble_phase_grid(schema, std::move(rows), decoder.policy0, x_axis,
+                             y_axis);
 }
 
 std::vector<PhaseFrontierPoint> extract_frontier(const PhaseGrid& grid,

@@ -36,6 +36,7 @@
 
 #include "analysis/confidence.hpp"
 #include "core/stability.hpp"
+#include "engine/page_allocator.hpp"
 #include "engine/report.hpp"
 #include "engine/scenario.hpp"
 
@@ -58,6 +59,8 @@ struct PhaseCell {
   Stability fluid = Stability::kBorderline;
 };
 
+using PhaseCells = std::vector<PhaseCell, engine::PageAllocator<PhaseCell>>;
+
 /// A rectangular phase-diagram view of an ingested grid report.
 struct PhaseGrid {
   /// The two varying axes: x is the fast (column) axis, y the slow
@@ -77,8 +80,9 @@ struct PhaseGrid {
   /// True when the corpus carried a fluid_verdict column (every cell's
   /// `fluid` field is then meaningful).
   bool has_fluid = false;
-  /// Row-major [y][x].
-  std::vector<PhaseCell> cells;
+  /// Row-major [y][x]. Page-mapped (engine/page_allocator.hpp), so a
+  /// dropped grid hands its pages back instead of leaving a heap hole.
+  PhaseCells cells;
 
   std::size_t num_x() const { return x_values.size(); }
   std::size_t num_y() const { return y_values.size(); }
@@ -100,13 +104,15 @@ PhaseGrid build_phase_grid(const engine::Table& table,
                            const std::string& x_axis = "",
                            const std::string& y_axis = "");
 
-/// Streaming overload: pulls rows straight off a CsvReader, so a
-/// million-cell corpus ingests in O(cells) typed state without ever
-/// holding the document (or an all-strings Table) in memory. Same
-/// validation and result as the Table overload.
+/// Streaming overload: pulls batches of whole records off a CsvReader
+/// and decodes them on `threads` OS threads (0 = all hardware cores),
+/// so a million-cell corpus ingests in O(cells) typed state without
+/// ever holding the document (or an all-strings Table) in memory. Same
+/// validation and result as the Table overload, for any thread count —
+/// a malformed corpus aborts with its earliest bad row's message.
 PhaseGrid build_phase_grid(engine::CsvReader& reader,
                            const std::string& x_axis = "",
-                           const std::string& y_axis = "");
+                           const std::string& y_axis = "", int threads = 0);
 
 /// One ingested leaf box of an adaptive multi-resolution report
 /// (engine/refine.hpp): the origin (lower-corner) vertex's evaluation

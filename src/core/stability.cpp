@@ -10,7 +10,7 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 }
 
-std::string to_string(Stability s) {
+const char* to_string(Stability s) {
   switch (s) {
     case Stability::kPositiveRecurrent:
       return "positive-recurrent";
@@ -59,7 +59,7 @@ double piece_threshold(const SwarmParams& params, int piece) {
 }
 
 std::string StabilityReport::to_string() const {
-  std::string s = "StabilityReport{" + p2p::to_string(verdict);
+  std::string s = std::string("StabilityReport{") + p2p::to_string(verdict);
   if (altruistic_branch) {
     s += ", branch=gamma<=mu";
   } else {

@@ -30,7 +30,9 @@ enum class Stability {
   kBorderline,  // equality in (3) for some k; Theorem 1 leaves this open
 };
 
-std::string to_string(Stability s);
+/// The verdict token reports spell ("positive-recurrent", "transient",
+/// "borderline"); a static string, so no call allocates.
+const char* to_string(Stability s);
 
 /// Delta_S of Eq. (4). Requires mu < gamma (otherwise the expression is
 /// not meaningful; the classifier handles gamma <= mu separately).

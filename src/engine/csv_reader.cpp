@@ -1,8 +1,14 @@
 #include "engine/csv_reader.hpp"
 
+#include <sys/stat.h>
+
+#include <algorithm>
+#include <bit>
 #include <cctype>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
 #include <string_view>
 
@@ -12,25 +18,32 @@
 
 namespace p2p::engine {
 
-double parse_report_number(const std::string& cell,
-                           const std::string& context) {
-  if (cell == "nan") return std::nan("");
-  if (cell == "inf") return std::numeric_limits<double>::infinity();
-  if (cell == "-inf") return -std::numeric_limits<double>::infinity();
-  // strtod alone is too liberal for a dialect check: it skips leading
-  // whitespace and accepts "+2" and hex floats ("0x10" -> 16.0), none
-  // of which format_number can emit. Pre-gate the spellings, then let
-  // strtod do the value work; isfinite rejects the remaining aliases
-  // ("infinity", "nan(...)").
-  const bool shape_ok =
-      !cell.empty() && (cell[0] == '-' || (cell[0] >= '0' && cell[0] <= '9')) &&
-      cell.find_first_of("xX") == std::string::npos;
-  char* end = nullptr;
-  const double v = shape_ok ? std::strtod(cell.c_str(), &end) : 0.0;
-  P2P_ASSERT_MSG(shape_ok && end == cell.c_str() + cell.size() &&
-                     std::isfinite(v),
-                 "expected a report number (format_number dialect), got \"" +
-                     cell + "\" in " + context);
+bool parse_report_number(std::string_view cell, double* value) {
+  if (cell == "nan") {
+    *value = std::nan("");
+  } else if (cell == "inf") {
+    *value = std::numeric_limits<double>::infinity();
+  } else if (cell == "-inf") {
+    *value = -std::numeric_limits<double>::infinity();
+  } else {
+    return parse_plain_decimal(cell, value);
+  }
+  return true;
+}
+
+std::string report_number_error(std::string_view cell,
+                                std::string_view context) {
+  std::string out = "expected a report number (format_number dialect), got \"";
+  out += cell;
+  out += "\" in ";
+  out += context;
+  return out;
+}
+
+double parse_report_number(std::string_view cell, std::string_view context) {
+  double v = 0;
+  P2P_ASSERT_MSG(parse_report_number(cell, &v),
+                 report_number_error(cell, context));
   return v;
 }
 
@@ -50,6 +63,187 @@ std::string preview_of(std::string_view text) {
 /// Read chunk size: matches the writer's flush threshold.
 constexpr std::size_t kReadChunk = 1 << 16;
 
+constexpr std::string_view kTruncated =
+    "truncated report CSV: final record has no terminating newline (or an "
+    "unterminated quoted cell)";
+
+/// The reader's abort text: `what`, then the source, the record's line
+/// and the line itself (`text` starts at the record).
+std::string record_error(std::string_view what, const std::string& source,
+                         std::size_t line, std::string_view text) {
+  std::string out(what);
+  out += " (" + source + " line " + std::to_string(line) + ": \"" +
+         preview_of(text) + "\")";
+  return out;
+}
+
+std::string arity_error(std::size_t got, std::size_t want) {
+  return "report CSV row has " + std::to_string(got) + " cells, expected " +
+         std::to_string(want);
+}
+
+/// Finds the '\n' that ends the record starting at `from` in `text`;
+/// npos when the record is not complete in `text`. `more` says bytes may
+/// follow `text`, so a quote on its last byte cannot be classified yet.
+/// `quoted` reports whether the record has any '"' (only then can it
+/// hold a newline of its own).
+///
+/// A record with no '"' before its first '\n' ends there: two memchr
+/// calls. Otherwise a state machine tracks quoted cells, which may span
+/// newlines. A '"' opens a quoted cell only at a cell boundary — a bare
+/// quote mid-cell is data to the scanner and a loud split error later,
+/// never a silent swallow-the-rest-of-the-file state.
+std::size_t find_record_end(std::string_view text, std::size_t from,
+                            bool more, bool* quoted) {
+  const char* base = text.data();
+  const auto* nl = static_cast<const char*>(
+      std::memchr(base + from, '\n', text.size() - from));
+  const std::size_t stop = nl != nullptr ? nl - base : text.size();
+  *quoted = std::memchr(base + from, '"', stop - from) != nullptr;
+  if (!*quoted) return nl != nullptr ? stop : std::string_view::npos;
+
+  bool in_quotes = false;
+  bool cell_start = true;
+  for (std::size_t i = from; i < text.size(); ++i) {
+    const char c = text[i];
+    if (in_quotes) {
+      if (c == '"') {
+        if (i + 1 < text.size() && text[i + 1] == '"') {
+          ++i;  // doubled quote: stay inside the cell
+        } else if (i + 1 == text.size() && more) {
+          return std::string_view::npos;  // cannot tell yet: refill decides
+        } else {
+          in_quotes = false;
+        }
+      }
+    } else if (c == '"' && cell_start) {
+      in_quotes = true;
+      cell_start = false;
+    } else if (c == ',') {
+      cell_start = true;
+    } else if (c == '\n') {
+      return i;
+    } else {
+      cell_start = false;
+    }
+  }
+  return std::string_view::npos;
+}
+
+/// Splits a quote-free record at every ','. Eight bytes at a time on
+/// little-endian hosts: the exact zero-byte test over (word ^ ",,,,")
+/// marks each comma's byte with its high bit, so a row of short numeric
+/// cells costs a few word operations per cell instead of a branch per
+/// byte.
+void split_unquoted(std::string_view record,
+                    std::vector<std::string_view>* cells) {
+  const char* p = record.data();
+  const char* const end = p + record.size();
+  const char* cell = p;
+  if constexpr (std::endian::native == std::endian::little) {
+    constexpr std::uint64_t kCommas = 0x2C2C2C2C2C2C2C2CULL;
+    constexpr std::uint64_t kLow7 = 0x7F7F7F7F7F7F7F7FULL;
+    for (; end - p >= 8; p += 8) {
+      std::uint64_t word = 0;
+      std::memcpy(&word, p, sizeof(word));
+      const std::uint64_t t = word ^ kCommas;
+      std::uint64_t hits = ~(((t & kLow7) + kLow7) | t | kLow7);
+      while (hits != 0) {
+        const char* comma = p + std::countr_zero(hits) / 8;
+        cells->emplace_back(cell, static_cast<std::size_t>(comma - cell));
+        cell = comma + 1;
+        hits &= hits - 1;
+      }
+    }
+  }
+  for (; p != end; ++p) {
+    if (*p == ',') {
+      cells->emplace_back(cell, static_cast<std::size_t>(p - cell));
+      cell = p + 1;
+    }
+  }
+  cells->emplace_back(cell, static_cast<std::size_t>(end - cell));
+}
+
+/// Splits one record (without its '\n') into cells, enforcing the
+/// writer's quoting discipline; nullptr on success, else what is wrong.
+/// `quoted` is find_record_end's flag: a quote-free record splits at
+/// every ',' with no per-byte state. Quoted cells are views between
+/// their quotes unless they hold doubled quotes; those are unescaped
+/// into `scratch`, reserved to the record's size first so no view into
+/// it moves.
+const char* split_record(std::string_view record, bool quoted,
+                         std::vector<std::string_view>* cells,
+                         std::string* scratch) {
+  cells->clear();
+  if (!quoted) {
+    split_unquoted(record, cells);
+    return nullptr;
+  }
+  scratch->clear();
+  scratch->reserve(record.size());
+  std::size_t i = 0;
+  while (true) {
+    if (i < record.size() && record[i] == '"') {
+      const std::size_t open = ++i;
+      bool escaped = false;
+      while (true) {
+        if (i >= record.size()) {
+          // The closing quote can only be missing here if the record
+          // terminator itself sat inside the quotes — find_record_end
+          // would have skipped it — so this is a stray state.
+          return "unterminated quoted cell in report CSV";
+        }
+        if (record[i] == '"') {
+          if (i + 1 < record.size() && record[i + 1] == '"') {
+            escaped = true;
+            i += 2;
+          } else {
+            break;
+          }
+        } else {
+          ++i;
+        }
+      }
+      const std::string_view body = record.substr(open, i - open);
+      ++i;  // closing quote
+      if (!escaped) {
+        cells->push_back(body);
+      } else {
+        const std::size_t start = scratch->size();
+        for (std::size_t j = 0; j < body.size(); ++j) {
+          scratch->push_back(body[j]);
+          if (body[j] == '"') ++j;  // "" -> "
+        }
+        cells->emplace_back(scratch->data() + start, scratch->size() - start);
+      }
+      if (i < record.size() && record[i] != ',') {
+        return "malformed quoting in report CSV: a quoted cell must be "
+               "followed by a comma or the end of the record";
+      }
+    } else {
+      const std::size_t start = i;
+      while (i < record.size() && record[i] != ',') {
+        if (record[i] == '"') {
+          return "malformed quoting in report CSV: bare '\"' inside an "
+                 "unquoted cell";
+        }
+        ++i;
+      }
+      cells->push_back(record.substr(start, i - start));
+    }
+    if (i >= record.size()) return nullptr;
+    ++i;  // skip ','
+  }
+}
+
+/// Lines a record spans: one, plus the newlines inside quoted cells.
+std::size_t record_lines(std::string_view record, bool quoted) {
+  return quoted ? 1 + static_cast<std::size_t>(
+                          std::count(record.begin(), record.end(), '\n'))
+                : 1;
+}
+
 }  // namespace
 
 CsvReader::CsvReader(const std::string& path) {
@@ -63,11 +257,11 @@ CsvReader::CsvReader(const std::string& path) {
                    "cannot open report input file \"" + path + "\"");
     owns_file_ = true;
   }
-  std::vector<std::string> header;
-  P2P_ASSERT_MSG(next_row(&header),
-                 "report CSV \"" + source_ + "\" is empty (no header line)");
-  columns_ = std::move(header);
-  rows_ = 0;  // the header is not a data row
+  struct stat st {};
+  if (fstat(fileno(file_), &st) == 0 && S_ISREG(st.st_mode)) {
+    input_bytes_ = static_cast<std::size_t>(st.st_size);
+  }
+  read_header();
 }
 
 CsvReader CsvReader::from_text(std::string text) {
@@ -75,12 +269,20 @@ CsvReader CsvReader::from_text(std::string text) {
   reader.source_ = "<string>";
   reader.exhausted_ = true;
   reader.buffer_ = std::move(text);
-  std::vector<std::string> header;
-  P2P_ASSERT_MSG(reader.next_row(&header),
-                 "report CSV <string> is empty (no header line)");
-  reader.columns_ = std::move(header);
-  reader.rows_ = 0;
+  reader.input_bytes_ = reader.buffer_.size();
+  reader.read_header();
   return reader;
+}
+
+void CsvReader::read_header() {
+  // from_text's "<string>" is a label, not a path, so it goes unquoted.
+  const std::string name =
+      file_ == nullptr ? source_ : "\"" + source_ + "\"";
+  std::vector<std::string> header;
+  P2P_ASSERT_MSG(next_row(&header),
+                 "report CSV " + name + " is empty (no header line)");
+  columns_ = std::move(header);
+  rows_ = 0;  // the header is not a data row
 }
 
 CsvReader::CsvReader(CsvReader&& other) noexcept
@@ -92,7 +294,9 @@ CsvReader::CsvReader(CsvReader&& other) noexcept
       pos_(other.pos_),
       line_(other.line_),
       columns_(std::move(other.columns_)),
-      rows_(other.rows_) {
+      rows_(other.rows_),
+      batch_bytes_(other.batch_bytes_),
+      input_bytes_(other.input_bytes_) {
   other.file_ = nullptr;
   other.owns_file_ = false;
 }
@@ -101,142 +305,154 @@ CsvReader::~CsvReader() {
   if (owns_file_ && file_ != nullptr) std::fclose(file_);
 }
 
-void CsvReader::refill() {
+void CsvReader::set_batch_bytes(std::size_t bytes) {
+  P2P_ASSERT_MSG(bytes >= 1, "CSV batch size must be at least one byte");
+  batch_bytes_ = bytes;
+}
+
+void CsvReader::fail(std::string_view what) const {
+  P2P_ASSERT_MSG(false, record_error(what, source_, line_,
+                                     std::string_view(buffer_).substr(pos_)));
+  std::abort();  // unreachable
+}
+
+void CsvReader::refill(std::size_t want) {
   if (exhausted_) return;
   // Compact the consumed prefix once per refill (not per row): rows are
-  // erased by bumping pos_, so a million-row file costs one memmove per
-  // 64 KiB chunk instead of one per record.
+  // consumed by bumping pos_, so a million-row file costs one memmove
+  // per read instead of one per record.
   if (pos_ > 0) {
     buffer_.erase(0, pos_);
     pos_ = 0;
   }
-  char chunk[kReadChunk];
-  const std::size_t got = std::fread(chunk, 1, sizeof(chunk), file_);
-  buffer_.append(chunk, got);
-  if (got < sizeof(chunk)) {
+  const std::size_t have = buffer_.size();
+  const std::size_t ask = std::max(want, kReadChunk);
+  buffer_.resize(have + ask);
+  const std::size_t got = std::fread(buffer_.data() + have, 1, ask, file_);
+  buffer_.resize(have + got);
+  if (got < ask) {
     P2P_ASSERT_MSG(std::ferror(file_) == 0,
                    "read error on report input file \"" + source_ + "\"");
     exhausted_ = true;
   }
 }
 
-bool CsvReader::next_row(std::vector<std::string>* cells) {
-  const auto fail = [&](const std::string& what) {
-    P2P_ASSERT_MSG(false,
-                   what + " (" + source_ + " line " + std::to_string(line_) +
-                       ": \"" +
-                       preview_of(std::string_view(buffer_).substr(pos_)) +
-                       "\")");
-  };
-
-  // Find the end of the next record: the first '\n' outside quotes.
-  // Quoted cells may span newlines (and, in a file-backed reader, chunk
-  // boundaries), so the scan restarts after every refill (which may
-  // compact the buffer and move pos_). A '"' opens a quoted cell only
-  // at a cell boundary — a bare quote mid-cell is data to the scanner
-  // and a loud parse error below, never a silent
-  // swallow-the-rest-of-the-file state.
-  std::size_t end = std::string::npos;
-  while (true) {
-    bool quoted = false;
-    bool cell_start = true;
-    for (std::size_t i = pos_; i < buffer_.size(); ++i) {
-      const char c = buffer_[i];
-      if (quoted) {
-        if (c == '"') {
-          if (i + 1 < buffer_.size() && buffer_[i + 1] == '"') {
-            ++i;  // doubled quote: stay inside the cell
-          } else if (i + 1 == buffer_.size() && !exhausted_) {
-            break;  // cannot tell yet: refill decides
-          } else {
-            quoted = false;
-          }
-        }
-      } else if (c == '"' && cell_start) {
-        quoted = true;
-        cell_start = false;
-      } else if (c == ',') {
-        cell_start = true;
-      } else if (c == '\n') {
-        end = i;
-        break;
-      } else {
-        cell_start = false;
-      }
-    }
-    if (end != std::string::npos) break;
+bool CsvReader::next_row(std::vector<std::string_view>* cells) {
+  bool quoted = false;
+  std::size_t end = 0;
+  while ((end = find_record_end(buffer_, pos_, !exhausted_, &quoted)) ==
+         std::string_view::npos) {
     if (exhausted_) {
       if (pos_ >= buffer_.size()) return false;  // clean end of file
       // Bytes with no terminating newline: the writer '\n'-terminates
       // every row, so the file was cut mid-record (or a quote never
       // closed).
-      fail("truncated report CSV: final record has no terminating "
-           "newline (or an unterminated quoted cell)");
+      fail(kTruncated);
     }
-    refill();
+    refill(kReadChunk);
   }
-
-  // Split the record [pos_, end) into cells, enforcing the writer's
-  // quoting discipline.
-  cells->clear();
   const std::string_view record(buffer_.data() + pos_, end - pos_);
-  std::size_t i = 0;
-  while (true) {
-    std::string cell;
-    if (i < record.size() && record[i] == '"') {
-      ++i;
-      while (true) {
-        if (i >= record.size()) {
-          // The closing quote can only be missing here if the record
-          // terminator itself sat inside the quotes — record scanning
-          // above would have skipped it — so this is a stray state.
-          fail("unterminated quoted cell in report CSV");
-        }
-        if (record[i] == '"') {
-          if (i + 1 < record.size() && record[i + 1] == '"') {
-            cell += '"';
-            i += 2;
-          } else {
-            ++i;
-            break;
-          }
-        } else {
-          cell += record[i++];
-        }
-      }
-      if (i < record.size() && record[i] != ',') {
-        fail("malformed quoting in report CSV: a quoted cell must be "
-             "followed by a comma or the end of the record");
-      }
-    } else {
-      const std::size_t start = i;
-      while (i < record.size() && record[i] != ',') {
-        if (record[i] == '"') {
-          fail("malformed quoting in report CSV: bare '\"' inside an "
-               "unquoted cell");
-        }
-        ++i;
-      }
-      cell.assign(record.substr(start, i - start));
-    }
-    cells->push_back(std::move(cell));
-    if (i >= record.size()) break;
-    ++i;  // skip ','
+  if (const char* what = split_record(record, quoted, cells, &scratch_)) {
+    fail(what);
   }
-
   if (!columns_.empty() && cells->size() != columns_.size()) {
-    fail("report CSV row has " + std::to_string(cells->size()) +
-         " cells, expected " + std::to_string(columns_.size()));
+    fail(arity_error(cells->size(), columns_.size()));
   }
-
   // Consume the record and its terminator by advancing pos_ (the
-  // buffer compacts at the next refill); line numbers advance by the
-  // newlines inside quoted cells too.
-  for (std::size_t j = pos_; j <= end; ++j) {
-    if (buffer_[j] == '\n') ++line_;
-  }
+  // buffer compacts at the next refill).
+  line_ += record_lines(record, quoted);
   pos_ = end + 1;
   ++rows_;
+  return true;
+}
+
+bool CsvReader::next_row(std::vector<std::string>* cells) {
+  if (!next_row(&views_)) return false;
+  cells->assign(views_.begin(), views_.end());
+  return true;
+}
+
+void CsvReader::reserve_batch(CsvBatch* batch) const {
+  // A refill tops the buffer up to batch_bytes_, or reads one more chunk
+  // past a record that outgrows it.
+  batch->bytes.reserve(batch_bytes_ + kReadChunk);
+}
+
+bool CsvReader::next_batch(CsvBatch* batch) {
+  batch->bytes.clear();
+  batch->error.clear();
+  batch->first_row = rows_;
+  batch->first_line = line_;
+  batch->rows = 0;
+  if (buffer_.size() - pos_ < batch_bytes_) {
+    refill(batch_bytes_ - (buffer_.size() - pos_));
+  }
+  // Whole records, each found with find_record_end's two-memchr fast
+  // path, until the batch reaches its target size.
+  std::size_t taken = 0;  // bytes of whole records past pos_
+  while (taken < batch_bytes_) {
+    bool quoted = false;
+    const std::size_t end =
+        find_record_end(buffer_, pos_ + taken, !exhausted_, &quoted);
+    if (end == std::string_view::npos) {
+      if (exhausted_) break;
+      refill(kReadChunk);  // moves pos_; `taken` stays relative to it
+      continue;
+    }
+    line_ += record_lines(
+        std::string_view(buffer_).substr(pos_ + taken, end - pos_ - taken),
+        quoted);
+    ++batch->rows;
+    taken = end + 1 - pos_;
+  }
+  if (taken == 0) {
+    if (pos_ >= buffer_.size()) return false;  // clean end of file
+    batch->error = record_error(kTruncated, source_, line_,
+                                std::string_view(buffer_).substr(pos_));
+    pos_ = buffer_.size();
+    return true;
+  }
+  if (pos_ == 0 && 2 * taken >= buffer_.size()) {
+    // The run is most of a freshly read buffer: hand the buffer itself
+    // over and keep only the partial record after it.
+    batch->bytes.swap(buffer_);
+    buffer_.assign(batch->bytes, taken);
+    batch->bytes.resize(taken);
+  } else {
+    batch->bytes.assign(buffer_, pos_, taken);
+    pos_ += taken;
+  }
+  rows_ += batch->rows;
+  return true;
+}
+
+CsvBatchCursor::CsvBatchCursor(const CsvBatch& batch, const CsvReader& reader)
+    : batch_(batch),
+      source_(reader.source()),
+      arity_(reader.columns().size()),
+      row_(batch.first_row),
+      line_(batch.first_line) {}
+
+bool CsvBatchCursor::next(std::vector<std::string_view>* cells) {
+  const std::string_view bytes = batch_.bytes;
+  if (pos_ >= bytes.size() || !error_.empty()) return false;
+  if (pos_ > 0) ++row_;
+  bool quoted = false;
+  // Batches hold whole records, so the end is always found.
+  const std::size_t end = find_record_end(bytes, pos_, false, &quoted);
+  const std::string_view record = bytes.substr(pos_, end - pos_);
+  const char* what = split_record(record, quoted, cells, &scratch_);
+  if (what == nullptr && cells->size() != arity_) {
+    error_ = record_error(arity_error(cells->size(), arity_), source_, line_,
+                          bytes.substr(pos_));
+    return false;
+  }
+  if (what != nullptr) {
+    error_ = record_error(what, source_, line_, bytes.substr(pos_));
+    return false;
+  }
+  line_ += record_lines(record, quoted);
+  pos_ = end + 1;
   return true;
 }
 

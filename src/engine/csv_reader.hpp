@@ -15,10 +15,26 @@
 // byte offset: corpus files are test-pinned artifacts, so a truncated,
 // reordered or wrong-arity file is a bug to surface loudly, never an
 // input to recover from silently.
+//
+// Two ways to pull rows, one record scanner and one cell splitter under
+// both:
+//   * next_row yields one record's cells as std::string_view. A view
+//     points into the reader's read buffer (or, for a quoted cell with
+//     doubled quotes, into a reader-owned unescape buffer) and stays
+//     valid until the next next_row/next_batch call on that reader. The
+//     std::string overload copies them out.
+//   * next_batch cuts the input into owned runs of whole records (about
+//     batch_bytes() each) tagged with their first row index and line
+//     number, so records can be split and decoded on other threads. A
+//     CsvBatchCursor walks one batch's records with next_row's splitter
+//     and arity check, but reports a malformed record instead of
+//     aborting — the caller raises the earliest row's error, so messages
+//     do not depend on which thread decoded what.
 #pragma once
 
 #include <cstdio>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "engine/report.hpp"
@@ -28,10 +44,31 @@
 namespace p2p::engine {
 
 /// Inverse of format_number: "nan", "inf", "-inf", or a finite decimal
-/// spelling (strtod must consume the whole cell — "", "1x", " 2" all
-/// abort, echoing `cell` and `context`).
-double parse_report_number(const std::string& cell,
-                           const std::string& context);
+/// spelling (engine/parse_util.hpp's parse_plain_decimal: an optional
+/// '-', then a digit, consumed whole, in range). Returns false for any
+/// other spelling — "", "1x", " 2", "+2", "0x10", "1e-400" — leaving the
+/// message to the caller.
+bool parse_report_number(std::string_view cell, double* value);
+
+/// Aborting form: echoes `cell` and `context` (report_number_error).
+double parse_report_number(std::string_view cell, std::string_view context);
+
+/// The message the aborting parse_report_number prints, for callers
+/// that defer the abort (or build `context` only on failure).
+std::string report_number_error(std::string_view cell,
+                                std::string_view context);
+
+/// A run of whole records cut from a CsvReader's input by next_batch.
+struct CsvBatch {
+  std::string bytes;           // whole records, each '\n'-terminated
+  std::size_t first_row = 0;   // data-row index of the first record
+  std::size_t first_line = 0;  // 1-based line number of the first record
+  std::size_t rows = 0;        // records in `bytes`
+  /// Non-empty when the input ended mid-record after these rows: the
+  /// reader's truncation message, to raise once every earlier row has
+  /// been checked.
+  std::string error;
+};
 
 /// Pulls rows one at a time out of a report CSV without retaining the
 /// document, so corpora larger than memory stream in O(row) space. The
@@ -39,6 +76,10 @@ double parse_report_number(const std::string& cell,
 /// yields one record and validates its arity against the header.
 class CsvReader {
  public:
+  /// Default next_batch size: large enough that a batch is worth a pool
+  /// claim, small enough that a few in flight per thread stay cheap.
+  static constexpr std::size_t kBatchBytes = std::size_t{1} << 20;
+
   /// Reads from `path`; "-" means stdin (so a fresh p2p_sweep run can
   /// be piped straight in). Aborts if the file cannot be opened or the
   /// header line is malformed.
@@ -53,18 +94,53 @@ class CsvReader {
   ~CsvReader();
 
   const std::vector<std::string>& columns() const { return columns_; }
+  /// Where the bytes come from ("<stdin>", "<string>" or the path), as
+  /// error messages name it.
+  const std::string& source() const { return source_; }
   /// Data rows returned so far (the header does not count).
   std::size_t rows_read() const { return rows_; }
 
-  /// Fills `cells` with the next data row; false at clean end of file.
-  /// Aborts — echoing the 1-based line number and the line itself — on
-  /// wrong arity, malformed quoting, or a truncated final record (a
-  /// file that does not end in '\n' was cut mid-row).
+  /// Fills `cells` with views of the next data row's cells; false at
+  /// clean end of file. The views stay valid until the next call on
+  /// this reader. Aborts — echoing the 1-based line number and the line
+  /// itself — on wrong arity, malformed quoting, or a truncated final
+  /// record (a file that does not end in '\n' was cut mid-row).
+  bool next_row(std::vector<std::string_view>* cells);
+
+  /// Owning form of next_row: the same record, copied out.
   bool next_row(std::vector<std::string>* cells);
+
+  /// Size of the whole input in bytes when it is known up front (an
+  /// in-memory document or a regular file), else 0 (a pipe). A hint for
+  /// reserving typed storage, never a bound.
+  std::size_t input_bytes() const { return input_bytes_; }
+
+  /// Target size of next_batch's runs (at least one whole record each).
+  /// Tests shrink it to cut small documents into many batches.
+  std::size_t batch_bytes() const { return batch_bytes_; }
+  void set_batch_bytes(std::size_t bytes);
+
+  /// Reserves `batch` so that next_batch fills it (and the read buffer
+  /// it trades places with) without allocating. Call it on the thread
+  /// that should own the memory: batches cut on pool threads then never
+  /// scatter megabyte buffers over per-thread heaps.
+  void reserve_batch(CsvBatch* batch) const;
+
+  /// Moves the next run of whole records (about batch_bytes()) into
+  /// `batch`; false at clean end of file. Only record boundaries are
+  /// found here (two memchr calls per quote-free record); splitting and
+  /// arity checks are CsvBatchCursor's, on any thread. A
+  /// truncated final record comes back as a batch with no rows and
+  /// `error` set, rather than as an abort.
+  bool next_batch(CsvBatch* batch);
 
  private:
   CsvReader() = default;
-  void refill();
+  void read_header();
+  /// Appends at least `want` bytes (if the input has them) after
+  /// compacting the consumed prefix.
+  void refill(std::size_t want);
+  [[noreturn]] void fail(std::string_view what) const;
 
   std::string source_;  // for error messages
   std::FILE* file_ = nullptr;
@@ -73,8 +149,41 @@ class CsvReader {
   std::string buffer_;      // read bytes; [pos_, end) not yet parsed
   std::size_t pos_ = 0;     // consumed prefix (compacted at refill)
   std::size_t line_ = 1;    // 1-based line number of the next record
+  std::string scratch_;     // unescaped quoted cells of the last row
+  std::vector<std::string_view> views_;  // the owning next_row's scratch
   std::vector<std::string> columns_;
   std::size_t rows_ = 0;
+  std::size_t batch_bytes_ = kBatchBytes;
+  std::size_t input_bytes_ = 0;
+};
+
+/// Walks one CsvBatch's records in order, splitting each with next_row's
+/// splitter and checking its arity against the reader's header.
+class CsvBatchCursor {
+ public:
+  /// `batch` and `reader` must outlive the cursor; only the reader's
+  /// source name and header width are read, so cursors on several
+  /// threads may share it while the caller keeps calling next_batch.
+  CsvBatchCursor(const CsvBatch& batch, const CsvReader& reader);
+
+  /// Fills `cells` with views of the next record's cells (valid until
+  /// the next call); false at the end of the batch, or on a malformed
+  /// record — then error() holds the message next_row would abort with.
+  bool next(std::vector<std::string_view>* cells);
+
+  /// Data-row index of the record last returned (or rejected).
+  std::size_t row() const { return row_; }
+  const std::string& error() const { return error_; }
+
+ private:
+  const CsvBatch& batch_;
+  const std::string& source_;
+  std::size_t arity_;
+  std::size_t pos_ = 0;
+  std::size_t row_;
+  std::size_t line_;  // line of the next record
+  std::string scratch_;
+  std::string error_;
 };
 
 /// Reads a whole CSV document into a Table: the inverse of a CSV

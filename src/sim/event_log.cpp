@@ -1,8 +1,11 @@
 #include "sim/event_log.hpp"
 
 #include <cctype>
-#include <cstdlib>
+#include <charconv>
+#include <limits>
 #include <memory>
+#include <string_view>
+#include <system_error>
 #include <vector>
 
 #include "engine/parse_util.hpp"
@@ -25,8 +28,7 @@ using engine::format_number_into;
 }
 
 /// Nonnegative decimal integer, full consumption, no signs/whitespace.
-std::uint64_t parse_uint_field(const std::string& cell,
-                               std::size_t line_number,
+std::uint64_t parse_uint_field(std::string_view cell, std::size_t line_number,
                                const std::string& line, const char* what) {
   if (cell.empty()) bad_line(line_number, line, std::string(what) + " missing");
   for (const char c : cell) {
@@ -35,30 +37,32 @@ std::uint64_t parse_uint_field(const std::string& cell,
                std::string(what) + " must be a nonnegative decimal integer");
     }
   }
-  char* end = nullptr;
-  const std::uint64_t v = std::strtoull(cell.c_str(), &end, 10);
-  if (end != cell.c_str() + cell.size()) {
-    bad_line(line_number, line,
-             std::string(what) + " must be a nonnegative decimal integer");
+  // All digits, so from_chars consumes the whole cell. A value past
+  // 2^64 - 1 saturates, so it fails finish_event's range checks with
+  // their own message.
+  std::uint64_t v = 0;
+  const auto result =
+      std::from_chars(cell.data(), cell.data() + cell.size(), v);
+  if (result.ec == std::errc::result_out_of_range) {
+    return std::numeric_limits<std::uint64_t>::max();
   }
   return v;
 }
 
-SwarmEventKind parse_kind(const std::string& cell, std::size_t line_number,
+SwarmEventKind parse_kind(std::string_view cell, std::size_t line_number,
                           const std::string& line) {
   if (cell == "arrive") return SwarmEventKind::kArrive;
   if (cell == "depart") return SwarmEventKind::kDepart;
   if (cell == "piece") return SwarmEventKind::kPiece;
   if (cell == "seed") return SwarmEventKind::kSeed;
-  bad_line(line_number, line, "unknown event kind \"" + cell + "\"");
+  bad_line(line_number, line,
+           "unknown event kind \"" + std::string(cell) + "\"");
 }
 
-double parse_time_field(const std::string& cell, std::size_t line_number,
+double parse_time_field(std::string_view cell, std::size_t line_number,
                         const std::string& line) {
-  char* end = nullptr;
-  const double t = std::strtod(cell.c_str(), &end);
-  if (!engine::plain_decimal_shape(cell) ||
-      end != cell.c_str() + cell.size() || !std::isfinite(t) || t < 0) {
+  double t = 0;
+  if (!engine::parse_plain_decimal(cell, &t) || t < 0) {
     bad_line(line_number, line,
              "timestamp must be a finite nonnegative decimal");
   }
@@ -100,8 +104,17 @@ SwarmEvent finish_event(double t, SwarmEventKind kind, std::uint64_t type,
 
 SwarmEvent parse_event_csv(const std::string& line, std::size_t line_number,
                            int num_pieces) {
-  const std::vector<std::string> cells = engine::split_list(line, ',');
-  if (cells.size() != 4) {
+  std::string_view cells[4];
+  std::size_t n = 0;  // cells seen
+  std::string_view rest = line;
+  while (true) {
+    const std::size_t comma = rest.find(',');
+    if (n < 4) cells[n] = rest.substr(0, comma);
+    ++n;
+    if (comma == std::string_view::npos) break;
+    rest.remove_prefix(comma + 1);
+  }
+  if (n != 4) {
     bad_line(line_number, line, "expected 4 cells (t,event,type,piece)");
   }
   const double t = parse_time_field(cells[0], line_number, line);
@@ -148,7 +161,7 @@ class JsonLineScanner {
     expect(':');
   }
 
-  std::string bare_token() {
+  std::string_view bare_token() {
     skip_space();
     const std::size_t start = pos_;
     while (pos_ < line_.size() && line_[pos_] != ',' && line_[pos_] != '}' &&
@@ -158,17 +171,18 @@ class JsonLineScanner {
     if (pos_ == start) {
       bad_line(line_number_, line_, "expected a value in JSON event");
     }
-    return line_.substr(start, pos_ - start);
+    return std::string_view(line_).substr(start, pos_ - start);
   }
 
-  std::string quoted_token() {
+  std::string_view quoted_token() {
     expect('"');
     const std::size_t start = pos_;
     while (pos_ < line_.size() && line_[pos_] != '"') ++pos_;
     if (pos_ >= line_.size()) {
       bad_line(line_number_, line_, "unterminated string in JSON event");
     }
-    const std::string s = line_.substr(start, pos_ - start);
+    const std::string_view s =
+        std::string_view(line_).substr(start, pos_ - start);
     ++pos_;
     return s;
   }

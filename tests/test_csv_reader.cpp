@@ -10,6 +10,9 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -76,6 +79,61 @@ TEST(ParseReportNumberDeath, RejectsOffDialectSpellingsStrtodWouldTake) {
   EXPECT_DEATH(parse_report_number("+2", "ctx"), "report number");
   EXPECT_DEATH(parse_report_number("0x10", "ctx"), "report number");
   EXPECT_DEATH(parse_report_number("2 ", "ctx"), "report number");
+}
+
+TEST(ParseReportNumber, DialectTable) {
+  // Every spelling the reader has pinned, with its verdict. Accepted
+  // finite spellings must parse to strtod's double bit for bit (the
+  // from_chars parser replaced a strtod one); the one intended change
+  // is underflow, which strtod silently read as 0 and which
+  // format_number cannot emit.
+  struct Case {
+    const char* cell;
+    bool accepted;
+  };
+  const Case cases[] = {
+      {"0", true},        {"-0", true},       {"3", true},
+      {"-1.5", true},     {"0.1", true},      {"1.", true},
+      {"00.5", true},     {"1e+05", true},    {"1E5", true},
+      {"1e-300", true},   {"5e-324", true},   {"123456789012345", true},
+      {"1234567890123456789", true},
+      {"1.7976931348623157e+308", true},
+      {"nan", true},      {"inf", true},      {"-inf", true},
+      {"", false},        {"-", false},       {"abc", false},
+      {"1x", false},      {"nan(2)", false},  {"-nan", false},
+      {"infinity", false}, {"INF", false},    {" 2", false},
+      {"2 ", false},      {"+2", false},      {"0x10", false},
+      {".5", false},      {"-.5", false},     {"1e", false},
+      {"1e400", false},   {"1e-400", false},  {"--1", false},
+      {"1,5", false},
+  };
+  for (const Case& c : cases) {
+    double v = 0;
+    EXPECT_EQ(parse_report_number(c.cell, &v), c.accepted) << c.cell;
+    const std::string cell = c.cell;
+    if (!c.accepted || cell == "nan" || cell == "inf" || cell == "-inf") {
+      continue;
+    }
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(v),
+              std::bit_cast<std::uint64_t>(std::strtod(c.cell, nullptr)))
+        << c.cell;
+  }
+  // The extremes format_number can emit round-trip exactly.
+  for (const double v : {std::numeric_limits<double>::denorm_min(),
+                         std::numeric_limits<double>::max(),
+                         -std::numeric_limits<double>::max()}) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(
+                  parse_report_number(format_number(v), "test")),
+              std::bit_cast<std::uint64_t>(v))
+        << format_number(v);
+  }
+  EXPECT_EQ(format_number(std::numeric_limits<double>::denorm_min()),
+            "5e-324");
+}
+
+TEST(ParseReportNumberDeath, UnderflowIsRejected) {
+  EXPECT_DEATH(parse_report_number("1e-400", "ctx"),
+               "got \"1e-400\" in ctx");
 }
 
 TEST(ReadCsv, RoundTripsPlainTable) {
@@ -175,6 +233,132 @@ TEST(CsvReader, StreamsAFileAcrossTheFlushBoundary) {
   EXPECT_EQ(rows, 4000u);
   EXPECT_EQ(reader.rows_read(), 4000u);
   std::remove(path.c_str());
+}
+
+/// Every row of `path`, read through the view overload, the owning
+/// overload and the batch cursor (`batch_bytes` per batch).
+struct ThreeReads {
+  std::vector<std::vector<std::string>> views, strings, batches;
+};
+
+ThreeReads read_three_ways(const std::string& path, std::size_t batch_bytes) {
+  ThreeReads out;
+  {
+    CsvReader reader(path);
+    std::vector<std::string_view> cells;
+    while (reader.next_row(&cells)) {
+      out.views.emplace_back(cells.begin(), cells.end());
+    }
+  }
+  {
+    CsvReader reader(path);
+    std::vector<std::string> cells;
+    while (reader.next_row(&cells)) out.strings.push_back(cells);
+  }
+  {
+    CsvReader reader(path);
+    reader.set_batch_bytes(batch_bytes);
+    CsvBatch batch;
+    std::size_t row = 0;
+    while (reader.next_batch(&batch)) {
+      EXPECT_TRUE(batch.error.empty()) << batch.error;
+      EXPECT_EQ(batch.first_row, row);
+      CsvBatchCursor cursor(batch, reader);
+      std::vector<std::string_view> cells;
+      while (cursor.next(&cells)) {
+        EXPECT_EQ(cursor.row(), row++);
+        out.batches.emplace_back(cells.begin(), cells.end());
+      }
+      EXPECT_TRUE(cursor.error().empty()) << cursor.error();
+    }
+    EXPECT_EQ(reader.rows_read(), row);
+  }
+  return out;
+}
+
+TEST(CsvReader, ViewStringAndBatchReadsAgreeAcrossRefillBoundaries) {
+  // Quoted, escaped and embedded-newline cells of varying length, laid
+  // out so records straddle every 64 KiB refill of a file-backed reader
+  // (and, at 4093-byte batches, most batch boundaries).
+  const std::vector<std::string> columns = {"i", "quoted", "plain", "tail"};
+  const std::string cells[] = {"a,b",        "say \"hi\"", "line\nbreak",
+                               "\"",         "\n",          "",
+                               "x\n\"y\",z", "1.5"};
+  std::vector<std::vector<std::string>> rows;
+  Rng rng(20261017);
+  std::size_t bytes = 0;
+  for (int i = 0; bytes < 5 * 65536; ++i) {
+    std::vector<std::string> row = {
+        std::to_string(i), cells[rng.uniform_int(std::size(cells))],
+        std::string(rng.uniform_int(std::uint64_t{300}), 'p'),
+        cells[rng.uniform_int(std::size(cells))] +
+            std::string(rng.uniform_int(std::uint64_t{40}), '"')};
+    for (const std::string& c : row) bytes += c.size() + 3;
+    rows.push_back(std::move(row));
+  }
+  const std::string text = render_text_rows(ReportFormat::kCsv, columns, rows);
+  const std::string path = ::testing::TempDir() + "csv_reader_three_ways.csv";
+  {
+    std::FILE* f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fwrite(text.data(), 1, text.size(), f), text.size());
+    std::fclose(f);
+  }
+  // Small batches are copied out of the read buffer; batches past one
+  // read chunk take the buffer itself and keep only its tail.
+  for (const std::size_t batch_bytes :
+       {std::size_t{4093}, std::size_t{70001}}) {
+    const ThreeReads got = read_three_ways(path, batch_bytes);
+    EXPECT_EQ(got.views, rows);
+    EXPECT_EQ(got.strings, rows);
+    EXPECT_EQ(got.batches, rows) << "batches of " << batch_bytes;
+  }
+  // The in-memory reader sees the same document.
+  const Table table = read_csv(text);
+  ASSERT_EQ(table.num_rows(), rows.size());
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    EXPECT_EQ(table.row(r), rows[r]) << "row " << r;
+  }
+  std::remove(path.c_str());
+}
+
+TEST(CsvReaderDeath, ErrorsAfterAMultiLineCellNameTheirOwnLine) {
+  // Row 1's quoted cell spans lines 2-3, so the bad record is line 4 —
+  // through next_row and through a batch cursor alike.
+  const std::string arity = "a,b\n\"x\ny\",1\nonly\n";
+  const std::string quoting = "a,b\n\"x\ny\",1\n\"p\"q,1\n";
+  EXPECT_DEATH(read_csv(arity), "line 4: \"only\"");
+  EXPECT_DEATH(read_csv(quoting), "quoted cell must be followed.*line 4");
+  for (const std::string& text : {arity, quoting}) {
+    CsvReader reader = CsvReader::from_text(text);
+    reader.set_batch_bytes(1);  // one record per batch
+    CsvBatch batch;
+    std::vector<std::string_view> cells;
+    ASSERT_TRUE(reader.next_batch(&batch));
+    EXPECT_EQ(batch.first_line, 2u);
+    EXPECT_TRUE(CsvBatchCursor(batch, reader).next(&cells));
+    ASSERT_TRUE(reader.next_batch(&batch));
+    EXPECT_EQ(batch.first_line, 4u);
+    CsvBatchCursor cursor(batch, reader);
+    EXPECT_FALSE(cursor.next(&cells));
+    EXPECT_EQ(cursor.row(), 1u);
+    EXPECT_NE(cursor.error().find("<string> line 4"), std::string::npos)
+        << cursor.error();
+  }
+}
+
+TEST(CsvReader, TruncatedTailComesBackAsABatchError) {
+  CsvReader reader = CsvReader::from_text("a,b\n1,2\n3,4");
+  CsvBatch batch;
+  ASSERT_TRUE(reader.next_batch(&batch));
+  EXPECT_EQ(batch.rows, 1u);
+  EXPECT_TRUE(batch.error.empty());
+  ASSERT_TRUE(reader.next_batch(&batch));
+  EXPECT_EQ(batch.rows, 0u);
+  EXPECT_EQ(batch.first_row, 1u);
+  EXPECT_NE(batch.error.find("truncated report CSV"), std::string::npos);
+  EXPECT_NE(batch.error.find("line 3: \"3,4\""), std::string::npos);
+  EXPECT_FALSE(reader.next_batch(&batch));
 }
 
 TEST(CsvReaderDeath, TruncatedFinalRecordAborts) {

@@ -79,8 +79,16 @@ TEST(EventLogDeathTest, MalformedLinesAbortEchoingTheLine) {
   EXPECT_DEATH(parse_event_line("1.5,arr", 1, 3), "4 cells");
   EXPECT_DEATH(parse_event_line("1.5,arrive,0,,", 1, 3), "4 cells");
   EXPECT_DEATH(parse_event_line("", 1, 3), "4 cells");
+  // The shared decimal gate: no '+', no leading '.', no underflow to 0.
+  EXPECT_DEATH(parse_event_line("+1,arrive,0,", 1, 3), "timestamp");
+  EXPECT_DEATH(parse_event_line(".5,arrive,0,", 1, 3), "timestamp");
+  EXPECT_DEATH(parse_event_line("1e-400,arrive,0,", 1, 3), "timestamp");
   // Type mask out of the K = 3 collection; non-numeric masks.
   EXPECT_DEATH(parse_event_line("1.5,arrive,8,", 1, 3), "type mask");
+  EXPECT_DEATH(parse_event_line("1.5,arrive,99999999999999999999,", 1, 3),
+               "type mask exceeds");
+  EXPECT_DEATH(parse_event_line("1.5,piece,1,99999999999999999999", 1, 3),
+               "outside");
   EXPECT_DEATH(parse_event_line("1.5,arrive,-1,", 1, 3), "type mask");
   EXPECT_DEATH(parse_event_line("1.5,arrive,2x,", 1, 3), "type mask");
   // Piece-field presence must match the kind.

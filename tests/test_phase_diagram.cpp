@@ -5,7 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -248,6 +253,156 @@ TEST(VerdictAgreement, TheoryOnlyGridHasNoSimCells) {
   EXPECT_EQ(agreement.cells_with_sim, 0u);
   EXPECT_TRUE(std::isnan(agreement.agreement));
   EXPECT_TRUE(std::isnan(agreement.threshold));
+}
+
+/// True when two grids agree field for field (NaN == NaN, -0 != +0).
+void expect_grids_identical(const PhaseGrid& a, const PhaseGrid& b,
+                            const std::string& what) {
+  const auto same = [](double x, double y) {
+    return std::bit_cast<std::uint64_t>(x) == std::bit_cast<std::uint64_t>(y);
+  };
+  EXPECT_EQ(a.x_axis, b.x_axis) << what;
+  EXPECT_EQ(a.y_axis, b.y_axis) << what;
+  EXPECT_EQ(a.x_values, b.x_values) << what;
+  EXPECT_EQ(a.y_values, b.y_values) << what;
+  EXPECT_EQ(a.policy, b.policy) << what;
+  EXPECT_EQ(a.has_fluid, b.has_fluid) << what;
+  EXPECT_EQ(a.scenario.name, b.scenario.name) << what;
+  EXPECT_EQ(a.scenario.num_pieces, b.scenario.num_pieces) << what;
+  ASSERT_EQ(a.scenario.mix.size(), b.scenario.mix.size()) << what;
+  for (std::size_t i = 0; i < a.scenario.mix.size(); ++i) {
+    EXPECT_EQ(a.scenario.mix[i].type, b.scenario.mix[i].type) << what;
+    EXPECT_TRUE(same(a.scenario.mix[i].rate, b.scenario.mix[i].rate)) << what;
+  }
+  ASSERT_EQ(a.cells.size(), b.cells.size()) << what;
+  for (std::size_t i = 0; i < a.cells.size(); ++i) {
+    const PhaseCell& x = a.cells[i];
+    const PhaseCell& y = b.cells[i];
+    const bool equal =
+        same(x.params.lambda, y.params.lambda) &&
+        same(x.params.us, y.params.us) && same(x.params.mu, y.params.mu) &&
+        same(x.params.gamma, y.params.gamma) && x.params.k == y.params.k &&
+        same(x.params.eta, y.params.eta) && x.params.flash == y.params.flash &&
+        same(x.params.mix, y.params.mix) &&
+        same(x.params.hetero, y.params.hetero) && x.verdict == y.verdict &&
+        same(x.margin, y.margin) && x.replicas == y.replicas &&
+        same(x.sim_mean_peers, y.sim_mean_peers) &&
+        same(x.ctmc_mean_peers, y.ctmc_mean_peers) && x.fluid == y.fluid;
+    EXPECT_TRUE(equal) << what << ": cell " << i;
+    if (!equal) return;
+  }
+}
+
+std::string slurp_archive(const std::string& name) {
+  std::ifstream in(std::string(P2P_EXPERIMENTS_DIR) + "/" + name,
+                   std::ios::binary);
+  std::ostringstream out;
+  out << in.rdbuf();
+  return out.str();
+}
+
+/// build_phase_grid over `text` through a CsvReader cutting
+/// `batch_bytes` batches, decoded on `threads` threads.
+PhaseGrid ingest(const std::string& text, std::size_t batch_bytes,
+                 int threads, const std::string& x = "",
+                 const std::string& y = "") {
+  engine::CsvReader reader = engine::CsvReader::from_text(text);
+  reader.set_batch_bytes(batch_bytes);
+  return build_phase_grid(reader, x, y, threads);
+}
+
+TEST(BuildPhaseGrid, BatchedIngestIsIdenticalAtEveryThreadCount) {
+  // A 160 x 160 theory corpus spans four default (1 MiB) batches; every
+  // thread count, in the default and the transposed orientation, must
+  // rebuild the grid the Table overload builds from the same bytes.
+  SweepOptions options;
+  options.theory_only = true;
+  const std::string corpus = engine::render(run_sweep(
+      parse_grid("lambda=0.5:3.0:160;us=0.2:1.7:160"), options));
+  ASSERT_GT(corpus.size(), 3 * engine::CsvReader::kBatchBytes);
+  const Table table = engine::read_csv(corpus);
+  for (const bool transposed : {false, true}) {
+    const std::string x = transposed ? "lambda" : "";
+    const std::string y = transposed ? "us" : "";
+    const PhaseGrid reference = build_phase_grid(table, x, y);
+    for (const int threads : {1, 2, 4, 8}) {
+      expect_grids_identical(
+          ingest(corpus, engine::CsvReader::kBatchBytes, threads, x, y),
+          reference,
+          "threads " + std::to_string(threads) +
+              (transposed ? " transposed" : ""));
+    }
+  }
+}
+
+TEST(BuildPhaseGrid, ArchivesIngestIdenticallyAtEveryThreadCount) {
+  // The scenario archive (per-type block) and the policy + fluid archive
+  // (trailing sim_backend/policy/fluid_verdict), cut into ~1 KiB batches
+  // so each spans several.
+  for (const char* name :
+       {"mix_example2_region.csv", "policy_rarest_region.csv"}) {
+    const std::string text = slurp_archive(name);
+    ASSERT_FALSE(text.empty()) << name;
+    const PhaseGrid reference = build_phase_grid(engine::read_csv(text));
+    for (const int threads : {1, 2, 4, 8}) {
+      expect_grids_identical(ingest(text, 1024, threads), reference,
+                             std::string(name) + " threads " +
+                                 std::to_string(threads));
+    }
+  }
+}
+
+TEST(PhaseCells, KeepCellsAcrossTheMappingThreshold) {
+  // Grown past PageAllocator's threshold, the storage moves from the
+  // heap to a mapped block; copies and moves keep every cell.
+  const std::size_t n =
+      2 * engine::PageAllocator<PhaseCell>::kMapBytes / sizeof(PhaseCell);
+  PhaseCells cells;
+  for (std::size_t i = 0; i < n; ++i) {
+    PhaseCell cell;
+    cell.margin = static_cast<double>(i);
+    cells.push_back(cell);
+  }
+  const PhaseCells copy = cells;
+  const PhaseCells moved = std::move(cells);
+  ASSERT_EQ(copy.size(), n);
+  ASSERT_EQ(moved.size(), n);
+  for (std::size_t i = 0; i < n; ++i) {
+    ASSERT_EQ(copy[i].margin, static_cast<double>(i)) << i;
+    ASSERT_EQ(moved[i].margin, static_cast<double>(i)) << i;
+  }
+}
+
+TEST(BuildPhaseGridDeath, EarliestMalformedRowWinsAtAnyThreadCount) {
+  // Two bad rows in different batches of one round (4 KiB batches hold
+  // ~30 rows, and a 4-thread round decodes four of them at once):
+  // whichever worker finishes first, the abort names the earlier row —
+  // also when the later fault is the reader's own (a truncated final
+  // record, in the last round).
+  SweepOptions options;
+  options.theory_only = true;
+  std::string corpus = engine::render(
+      run_sweep(parse_grid("lambda=0.5:3.0:64;us=0.2:1.7:64"), options));
+  const auto row_start = [&](int row) {
+    std::size_t pos = 0;
+    for (int i = 0; i <= row; ++i) pos = corpus.find('\n', pos) + 1;
+    return pos;
+  };
+  // Row 100: a verdict no writer emits; row 40: a lambda cell that is
+  // not a number.
+  const std::size_t late = corpus.find("positive-recurrent", row_start(100));
+  corpus.replace(late, std::strlen("positive-recurrent"), "wobbly");
+  const std::size_t early = corpus.find(',', row_start(40)) + 1;
+  corpus.replace(early, corpus.find(',', early) - early, "x");
+  EXPECT_DEATH(ingest(corpus, 4096, 4),
+               "got \"x\" in grid report row 40\n");
+  EXPECT_DEATH(ingest(corpus.substr(0, corpus.size() - 1), 4096, 4),
+               "got \"x\" in grid report row 40\n");
+  // Without the early fault, the later one is reported.
+  std::string late_only = corpus;
+  late_only.replace(early, 1, "1");
+  EXPECT_DEATH(ingest(late_only, 4096, 4),
+               "unknown verdict \"wobbly\" in grid report row 100\n");
 }
 
 TEST(BuildPhaseGridDeath, FrontierTableAborts) {

@@ -268,8 +268,8 @@ int main(int argc, char** argv) {
       "tol", 1e-3, "frontier re-bisection stopping width");
   const int threads_flag = flags.get_int(
       "threads", 0,
-      "worker threads for the per-row re-bisection (0 = all hardware "
-      "cores); output is byte-identical for any value");
+      "worker threads for corpus decoding and the per-row re-bisection "
+      "(0 = all hardware cores); output is byte-identical for any value");
   const int cell_px =
       flags.get_int("cell-px", 12, "square pixels per grid cell");
   const bool no_overlay = flags.get_bool(
@@ -388,7 +388,7 @@ int main(int argc, char** argv) {
     if (validate_report_schema(reader.columns()).has_boxes) {
       std::exit(run_box_mode(build_box_grid(reader)));
     }
-    return build_phase_grid(reader, x_axis, y_axis);
+    return build_phase_grid(reader, x_axis, y_axis, threads);
   }();
   const std::vector<PhaseFrontierPoint> frontier =
       extract_frontier(grid, tol, threads);
@@ -416,7 +416,7 @@ int main(int argc, char** argv) {
         return build_phase_grid(read_json_file(diff_in), x_axis, y_axis);
       }
       CsvReader reader(diff_in);
-      return build_phase_grid(reader, x_axis, y_axis);
+      return build_phase_grid(reader, x_axis, y_axis, threads);
     }();
     if (!diff_ppm_out.empty()) {
       write_text(diff_ppm_out, render_diff_ppm(baseline, grid, render));
