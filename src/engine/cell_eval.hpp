@@ -3,14 +3,19 @@
 // Internal header: everything a sweep-shaped driver needs to turn one
 // parameter point into a report row — deterministic per-work-item seed
 // derivation, the per-replica simulation harness, replica aggregation,
-// the closed-form/CTMC/fluid classification of a cell, and the grid /
-// option validators. `engine/sweep.cpp` (dense grids, per-row frontier
-// refinement) and `engine/refine.cpp` (adaptive multi-resolution boxes)
-// both evaluate through here, so a dense cell and an adaptive box corner
-// at the same parameters can never disagree.
+// the closed-form/CTMC/fluid classification of a cell, the grid /
+// option validators, and run_ordered_blocks, the one pipeline that hands
+// evaluated units from the workers to the writer in order.
+// `engine/sweep.cpp` (dense grids, per-row frontier refinement) and
+// `engine/refine.cpp` (adaptive multi-resolution boxes) both evaluate
+// through here, so a dense cell and an adaptive box corner at the same
+// parameters can never disagree.
 #pragma once
 
+#include <algorithm>
+#include <atomic>
 #include <cstdint>
+#include <iterator>
 #include <span>
 #include <string>
 #include <utility>
@@ -19,7 +24,9 @@
 #include "engine/report.hpp"
 #include "engine/scenario.hpp"
 #include "engine/sweep.hpp"
+#include "engine/thread_pool.hpp"
 #include "rand/rng.hpp"
+#include "util/assert.hpp"
 
 namespace p2p::engine {
 
@@ -54,9 +61,9 @@ struct AxisSlots {
 
 AxisSlots resolve_axis_slots(const SweepGrid& grid);
 
-/// extract_params without the name lookups and integrality asserts —
-/// validate_effective_axes already vetted every grid value once up
-/// front, so the per-cell path only rounds.
+/// The cell parameters at per-axis values `v` (aligned with the grid
+/// `s` was resolved on). validate_effective_axes vets every grid value
+/// once up front, so this only rounds k and flash.
 CellParams cell_params(const AxisSlots& s, const std::vector<double>& v,
                        PolicyKind policy);
 
@@ -100,12 +107,210 @@ void fill_cell(CellResult& r, std::size_t cell, const CellParams& p,
                const SweepOptions& options,
                std::vector<ArrivalSpec>& arrival_scratch);
 
-/// Alignment of every ring slot the ordered pipelines hand between
-/// workers and the consumer. Adjacent slots belong to chunks that
-/// different workers fill at the same time, so a slot sharing a cache
-/// line with its neighbour turns every write into cross-core traffic
-/// (false sharing); 128 bytes also covers the adjacent-line prefetcher.
+/// Adds `verdict` to a summary's stable / transient / borderline tallies.
+template <typename Tally>
+void tally_verdict(Tally& tally, Stability verdict) {
+  switch (verdict) {
+    case Stability::kPositiveRecurrent:
+      ++tally.stable;
+      break;
+    case Stability::kTransient:
+      ++tally.transient;
+      break;
+    case Stability::kBorderline:
+      ++tally.borderline;
+      break;
+  }
+}
+
+/// Alignment of run_ordered_blocks's ring slots. Neighbouring slots
+/// belong to blocks that different workers fill at the same time, so a
+/// slot sharing a cache line with its neighbour turns every write into
+/// cross-core traffic (false sharing); 128 bytes also covers the
+/// adjacent-line prefetcher.
 inline constexpr std::size_t kSlotAlign = 128;
+
+/// Sums per-block tallies.
+inline SweepSummary& operator+=(SweepSummary& a, const SweepSummary& b) {
+  a.cells += b.cells;
+  a.stable += b.stable;
+  a.transient += b.transient;
+  a.borderline += b.borderline;
+  return a;
+}
+
+/// The one ordered-evaluation core behind the grid sweep, the frontier
+/// and the adaptive leaves. The job is `units` units of `per_unit` work
+/// items (a unit's replicas; 1 for theory-only cells and leaves): item i
+/// is replica i % per_unit of unit i / per_unit. The pool claims blocks
+/// of `chunk` items (0 = auto), so a few units with many replicas still
+/// spread over every thread. A block evaluates its items, renders each
+/// unit it completes into its ring slot's arena (or, with `kept`, keeps
+/// the unit), and tallies it. The calling thread hands finished slots
+/// to `writer` or `kept` (exactly one is non-null) in block order, which
+/// is unit order, and returns the summed tallies.
+///
+/// A block's slot owns every unit whose first item lies in the block.
+/// Only the last of them can run past the block's end; its head,
+/// samples and `pending` countdown live in the owner slot. Each block
+/// holding some of its items writes their samples there and subtracts
+/// their count from `pending` (the owner only after publishing its own
+/// output). The acq_rel decrement that reaches zero has seen every
+/// other finisher's writes, so that block aggregates the unit and
+/// appends it to the owner's output. Units inside one block never touch
+/// the countdown: a per_unit == 1 job is purely block-batched.
+///
+/// Ring size and reuse safety. The pool claims at most W = 4 * threads
+/// + 2 blocks past the consumed prefix c, and moves c only after the
+/// consumer returns. The consumer emits a block once every unit it owns
+/// is complete, so the oldest unemitted block owns the unit the prefix
+/// stops inside: at most ceil((per_unit - 1) / chunk) blocks before c.
+/// Live blocks thus span at most W + ceil((per_unit - 1) / chunk)
+/// consecutive indices, and a ring of that many slots never gives one
+/// slot to two live blocks. The consumer re-arms a slot for block
+/// b + ring as it emits block b, before that block or any block holding
+/// its last unit's replicas can be claimed.
+///
+/// The Source supplies the Unit and Tally types, `row_bytes` (an arena
+/// reservation per unit) and walk(unit): a worker-local walker at
+/// `unit` with head(Unit&) (the non-replica part, run once),
+/// replica(r), finish(Unit&, samples, Tally&) (aggregate and tally),
+/// render(const Unit&, arena) and next().
+template <typename Source>
+typename Source::Tally run_ordered_blocks(
+    ThreadPool& pool, std::size_t units, std::size_t per_unit,
+    std::size_t chunk, const Source& source, ReportWriter* writer,
+    std::vector<typename Source::Unit>* kept) {
+  using Unit = typename Source::Unit;
+  using Tally = typename Source::Tally;
+  struct Output {
+    std::string arena;
+    std::size_t rows = 0;
+    std::vector<Unit> kept;
+    Tally tally{};
+  };
+  struct alignas(kSlotAlign) Slot {
+    Output out;
+    Unit straddler;
+    std::vector<ReplicaSample> samples;
+    std::atomic<std::size_t> pending{0};
+  };
+  P2P_ASSERT_MSG(units <= SIZE_MAX / per_unit,
+                 "work item count overflows size_t (" +
+                     std::to_string(units) + " units x " +
+                     std::to_string(per_unit) + " replicas)");
+  Tally total{};
+  const std::size_t n = units * per_unit;
+  if (n == 0) return total;
+  if (chunk == 0) chunk = ThreadPool::auto_chunk(n, pool.size());
+  const std::size_t num_blocks = (n - 1) / chunk + 1;
+  const std::size_t window = 4 * static_cast<std::size_t>(pool.size()) + 2;
+  const std::size_t ring =
+      std::min(num_blocks, window + (per_unit + chunk - 2) / chunk);
+  // Block b owns units [first_unit(b), first_unit(b + 1)).
+  const auto first_unit = [&](std::size_t b) {
+    return b == num_blocks ? units : (b * chunk + per_unit - 1) / per_unit;
+  };
+  std::vector<Slot> slots(ring);
+  const auto arm = [&](std::size_t b) {
+    Slot& slot = slots[b % ring];
+    const std::size_t last = first_unit(b + 1);
+    if (last > first_unit(b) &&
+        last * per_unit > b * chunk + std::min(chunk, n - b * chunk)) {
+      slot.samples.resize(per_unit);
+      slot.pending.store(per_unit, std::memory_order_relaxed);
+    } else {
+      slot.samples = {};
+    }
+  };
+  for (std::size_t b = 0; b < ring; ++b) arm(b);
+  const auto finish = [&](auto& walker, Unit& unit,
+                          std::span<const ReplicaSample> samples,
+                          Output& out) {
+    walker.finish(unit, samples, out.tally);
+    if (kept != nullptr) {
+      out.kept.push_back(unit);
+    } else {
+      walker.render(unit, out.arena);
+      ++out.rows;
+    }
+  };
+
+  std::size_t emitted = 0;  // blocks handed to the sink
+  pool.parallel_for_streaming_blocks(
+      n, chunk, window * chunk,
+      [&](std::size_t begin, std::size_t end) {
+        const std::size_t block = begin / chunk;
+        Slot& own = slots[block % ring];
+        const std::size_t owned = first_unit(block + 1) - first_unit(block);
+        Output out;
+        if (owned > 0) {
+          // The block's writes stay off the slot; the arena keeps its
+          // capacity across reuses.
+          out.arena = std::move(own.out.arena);
+          out.arena.clear();
+          out.arena.reserve(owned * source.row_bytes);
+        }
+        std::vector<ReplicaSample> local(per_unit);
+        Unit head;
+        std::size_t unit = begin / per_unit;
+        auto walker = source.walk(unit);
+        std::size_t straddled = 0;  // items of the owned straddler run here
+        for (std::size_t item = begin;;) {
+          const std::size_t first = unit * per_unit;
+          const std::size_t stop = std::min(end, first + per_unit);
+          if (item == first && stop == first + per_unit) {
+            walker.head(head);
+            for (std::size_t r = 0; r < per_unit; ++r) {
+              local[r] = walker.replica(r);
+            }
+            finish(walker, head, local, out);
+          } else {
+            Slot& owner = slots[first / chunk % ring];
+            if (item == first) walker.head(owner.straddler);
+            for (std::size_t it = item; it < stop; ++it) {
+              owner.samples[it - first] = walker.replica(it - first);
+            }
+            const std::size_t done = stop - item;
+            if (item == first) {
+              straddled = done;
+            } else if (owner.pending.fetch_sub(
+                           done, std::memory_order_acq_rel) == done) {
+              finish(walker, owner.straddler, owner.samples, owner.out);
+            }
+          }
+          item = stop;
+          if (item == end) break;
+          ++unit;
+          walker.next();
+        }
+        if (owned > 0) own.out = std::move(out);
+        if (straddled > 0 && own.pending.fetch_sub(
+                                 straddled, std::memory_order_acq_rel) ==
+                                 straddled) {
+          finish(walker, own.straddler, own.samples, own.out);
+        }
+      },
+      [&](std::size_t prefix) {
+        for (; emitted < num_blocks &&
+               first_unit(emitted + 1) * per_unit <= prefix;
+             ++emitted) {
+          Output& out = slots[emitted % ring].out;
+          if (first_unit(emitted + 1) > first_unit(emitted)) {
+            total += out.tally;
+            if (kept != nullptr) {
+              kept->insert(kept->end(),
+                           std::make_move_iterator(out.kept.begin()),
+                           std::make_move_iterator(out.kept.end()));
+            } else {
+              writer->write_rendered(out.arena, out.rows);
+            }
+          }
+          if (emitted + ring < num_blocks) arm(emitted + ring);
+        }
+      });
+  return total;
+}
 
 /// Everything a worker needs to render one grid-schema row without
 /// touching shared mutable state: the columns' RowRenderer and the full

@@ -299,13 +299,30 @@ class VertexStore {
 constexpr std::uint8_t kSplit = 1;
 constexpr std::uint8_t kUniform = 2;
 
-/// One ring slot of rendered leaf rows: a claimed chunk's bytes and its
-/// row count, written once when the chunk is done.
-struct alignas(kSlotAlign) LeafChunk {
-  std::string arena;
-  std::size_t rows = 0;
+/// One generation's leaf render as a run_ordered_blocks source: a unit
+/// is a leaf, with no replicas (its vertex is evaluated already), and
+/// `row(leaf, arena)` appends its whole row.
+template <typename LeafRow>
+struct LeafSource {
+  struct Unit {};
+  using Tally = SweepSummary;  // the decide scan tallies the leaves
+  struct Walker {
+    const LeafSource& source;
+    std::size_t leaf;
+    void head(Unit&) const {}
+    ReplicaSample replica(std::size_t) const { return {}; }
+    void finish(Unit&, std::span<const ReplicaSample>, Tally&) const {}
+    void render(const Unit&, std::string& arena) const {
+      source.row(leaf, arena);
+    }
+    void next() { ++leaf; }
+  };
+
+  Walker walk(std::size_t leaf) const { return {*this, leaf}; }
+
+  LeafRow row;
+  std::size_t row_bytes = 0;
 };
-static_assert(alignof(LeafChunk) == kSlotAlign);
 
 }  // namespace
 
@@ -417,9 +434,6 @@ AdaptiveSummary run_adaptive_stream(const SweepGrid& grid,
   std::vector<Slot> box_slots;
   std::vector<std::uint8_t> decisions;
   std::vector<std::size_t> leaves;
-  // The pool claims at most ring.size() chunks past the consumed prefix
-  // (the window), so chunk c may own ring slot c % ring.size().
-  std::vector<LeafChunk> ring(4 * static_cast<std::size_t>(pool.size()) + 2);
   std::vector<std::uint64_t> next;
 
   // Every generation runs four phases, and only the first and a linear
@@ -430,8 +444,8 @@ AdaptiveSummary run_adaptive_stream(const SweepGrid& grid,
   //   decide   — workers decide split / leaf / uniform per box, then one
   //              scan in box order numbers the leaves, tallies them and
   //              appends the children (the next generation);
-  //   render   — workers render the leaf rows into a ring of per-chunk
-  //              arenas, which the caller concatenates in order.
+  //   render   — workers render the leaf rows through run_ordered_blocks,
+  //              which hands them to the writer in leaf order.
   // Box order, leaf numbering and row bytes depend only on the grid.
   for (int depth = 0; !current.empty(); ++depth) {
     const std::uint64_t ext = lat.scale >> depth;
@@ -510,17 +524,7 @@ AdaptiveSummary run_adaptive_stream(const SweepGrid& grid,
         continue;
       }
       leaves.push_back(b);
-      switch (verdicts[box_slots[b * stride]]) {
-        case Stability::kPositiveRecurrent:
-          ++summary.stable;
-          break;
-        case Stability::kTransient:
-          ++summary.transient;
-          break;
-        case Stability::kBorderline:
-          ++summary.borderline;
-          break;
-      }
+      tally_verdict(summary, verdicts[box_slots[b * stride]]);
     }
     if (!leaves.empty()) {
       summary.boxes += leaves.size();
@@ -528,42 +532,21 @@ AdaptiveSummary run_adaptive_stream(const SweepGrid& grid,
     }
 
     // Render.
-    const std::size_t chunk =
-        options.chunk != 0 ? options.chunk
-                           : ThreadPool::auto_chunk(leaves.size(), pool.size());
-    std::size_t emitted = 0;
-    pool.parallel_for_streaming_blocks(
-        leaves.size(), chunk, ring.size() * chunk,
-        [&](std::size_t begin, std::size_t end) {
-          LeafChunk& out = ring[(begin / chunk) % ring.size()];
-          std::string arena = std::move(out.arena);
-          arena.clear();
-          CellResult cell;
-          for (std::size_t i = begin; i < end; ++i) {
-            const std::size_t b = leaves[i];
-            cell = store[box_slots[b * stride]].cell;
-            cell.index = first_leaf + i;
-            // Leaves lie off the coarse grid's digits: the axis cells
-            // come from the vertex's own values.
-            RowRenderer::Row row(plan.renderer, arena);
-            render_grid_row(plan, options, /*digits=*/nullptr, cell, row);
-            row.number(static_cast<double>(depth));
-            row.number((decisions[b] & kUniform) != 0 ? 1 : 0);
-            for (std::size_t j = 0; j < d; ++j) {
-              row.number(width(current[b], j));
-            }
-            row.end();
-          }
-          out.arena = std::move(arena);
-          out.rows = end - begin;
-        },
-        [&](std::size_t prefix) {
-          while (emitted < prefix) {
-            const LeafChunk& done = ring[(emitted / chunk) % ring.size()];
-            writer.write_rendered(done.arena, done.rows);
-            emitted += done.rows;
-          }
-        });
+    const auto render_leaf = [&](std::size_t i, std::string& arena) {
+      const std::size_t b = leaves[i];
+      CellResult cell = store[box_slots[b * stride]].cell;
+      cell.index = first_leaf + i;
+      // Leaves lie off the coarse grid's digits: the axis cells come from
+      // the vertex's own values.
+      RowRenderer::Row row(plan.renderer, arena);
+      render_grid_row(plan, options, /*digits=*/nullptr, cell, row);
+      row.number(static_cast<double>(depth));
+      row.number((decisions[b] & kUniform) != 0 ? 1 : 0);
+      for (std::size_t j = 0; j < d; ++j) row.number(width(current[b], j));
+      row.end();
+    };
+    run_ordered_blocks(pool, leaves.size(), 1, options.chunk,
+                       LeafSource{render_leaf}, &writer, nullptr);
     current.swap(next);
   }
 

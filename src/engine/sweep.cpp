@@ -1,12 +1,10 @@
 #include "engine/sweep.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
-#include <functional>
 #include <optional>
 #include <span>
 
@@ -37,83 +35,6 @@ double parse_value(const std::string& token, const std::string& spec) {
   return parse_number(token, spec, /*allow_inf=*/true,
                       "axis values must be numbers (or 'inf')");
 }
-
-double axis_value(const std::vector<Axis>& axes,
-                  const std::vector<double>& values,
-                  const std::string& name) {
-  for (std::size_t i = 0; i < axes.size(); ++i) {
-    if (axes[i].name == name) return values[i];
-  }
-  P2P_ASSERT_MSG(false, "sweep cell queried for an axis the grid lacks");
-  return 0;
-}
-
-CellParams extract_params(const std::vector<Axis>& axes,
-                          const std::vector<double>& values) {
-  CellParams p;
-  p.lambda = axis_value(axes, values, "lambda");
-  p.us = axis_value(axes, values, "us");
-  p.mu = axis_value(axes, values, "mu");
-  p.gamma = axis_value(axes, values, "gamma");
-  p.eta = axis_value(axes, values, "eta");
-  p.mix = axis_value(axes, values, "mix");
-  p.hetero = axis_value(axes, values, "hetero");
-  const double k_raw = axis_value(axes, values, "k");
-  p.k = static_cast<int>(std::lround(k_raw));
-  P2P_ASSERT_MSG(p.k >= 1 && std::abs(k_raw - p.k) < 1e-9,
-                 "axis k must take positive integer values");
-  const double flash_raw = axis_value(axes, values, "flash");
-  p.flash = std::llround(flash_raw);
-  P2P_ASSERT_MSG(p.flash >= 0 &&
-                     std::abs(flash_raw - static_cast<double>(p.flash)) < 1e-9,
-                 "axis flash must take nonnegative integer values");
-  return p;
-}
-
-/// Odometer over the grid's cell enumeration (last axis fastest): a
-/// worker walking a contiguous block of cells pays one div/mod chain at
-/// seek() and a carry-propagating increment per step after that, with
-/// the per-axis digit and value exposed directly — no per-cell vector
-/// allocation like SweepGrid::cell_values.
-class CellCursor {
- public:
-  explicit CellCursor(const SweepGrid& grid)
-      : grid_(&grid),
-        digits_(grid.axes.size(), 0),
-        values_(grid.axes.size(), 0) {}
-
-  void seek(std::size_t cell) {
-    std::size_t rem = cell;
-    for (std::size_t i = digits_.size(); i-- > 0;) {
-      const auto& vals = grid_->axes[i].values;
-      digits_[i] = rem % vals.size();
-      values_[i] = vals[digits_[i]];
-      rem /= vals.size();
-    }
-  }
-
-  void advance() {
-    for (std::size_t i = digits_.size(); i-- > 0;) {
-      const auto& vals = grid_->axes[i].values;
-      if (++digits_[i] < vals.size()) {
-        values_[i] = vals[digits_[i]];
-        return;
-      }
-      digits_[i] = 0;
-      values_[i] = vals[0];
-    }
-  }
-
-  /// Per-axis value indices of the current cell, aligned with the axes.
-  const std::vector<std::size_t>& digits() const { return digits_; }
-  /// Per-axis values of the current cell, aligned with the axes.
-  const std::vector<double>& values() const { return values_; }
-
- private:
-  const SweepGrid* grid_;
-  std::vector<std::size_t> digits_;
-  std::vector<double> values_;
-};
 
 /// backend_tokens index of a resolved backend.
 std::size_t backend_token_slot(SimBackend resolved) {
@@ -399,310 +320,127 @@ void render_grid_row(const GridRenderPlan& plan, const SweepOptions& options,
 
 namespace {
 
-/// Chunk, claim-window and ring sizing shared by the grid and frontier
-/// streaming pipelines.
-struct RingPlan {
-  /// Work items claimed per pool mutex acquisition.
-  std::size_t chunk = 1;
-  /// Claims may run this many items past the emitted prefix: enough
-  /// slack that one slow chunk does not stall the claimers, while
-  /// keeping live results O(chunk * threads) rather than O(num_items).
-  std::size_t window = 0;
-  /// Replica-sample ring length. The live span of unaggregated samples
-  /// is the claim window PLUS up to replicas-1 items of the block the
-  /// consumed prefix stopped inside (blocks are only aggregated whole),
-  /// rounded up to a whole number of replica blocks so each block's
-  /// samples stay contiguous modulo the ring, and capped at the job
-  /// itself. Ring reuse is safe because the pool opens the claim window
-  /// only after the consumer has taken the prefix: a writer's slot can
-  /// then only collide with an item of a fully aggregated block.
-  /// (Sizing to the bare window was a real bug: with
-  /// chunk % replicas != 0 a mid-block prefix let a claimable tail item
-  /// overwrite the straddling block's samples.)
-  std::size_t ring_items = 0;
-  /// Per-cell / per-row result ring length.
-  std::size_t block_ring = 1;
-};
-
-RingPlan plan_rings(std::size_t num_items, std::size_t replicas,
-                    const SweepOptions& options) {
-  RingPlan plan;
-  plan.chunk = options.chunk != 0
-                   ? options.chunk
-                   : ThreadPool::auto_chunk(num_items, options.threads);
-  const std::size_t window_chunks =
-      4 * static_cast<std::size_t>(options.threads) + 2;
-  plan.window = window_chunks * plan.chunk;
-  std::size_t ring_items = plan.window + (replicas - 1);
-  ring_items = ((ring_items + replicas - 1) / replicas) * replicas;
-  plan.ring_items = std::min(ring_items, num_items);
-  plan.block_ring = plan.ring_items / replicas + 1;
-  return plan;
-}
-
-/// One ring slot of in-flight cell state. `pending` is the replica
-/// countdown that elects the slot's aggregator/renderer: every worker
-/// block that finishes items of the cell decrements by the number it
-/// finished, and the decrement that reaches zero (an acq_rel RMW, so it
-/// observes every earlier finisher's writes through the release
-/// sequence) aggregates the samples and renders the row. The consumer
-/// re-arms `pending` with a relaxed store — safe because the pool opens
-/// the claim window past a prefix only after on_prefix returns, so no
-/// worker can touch the slot concurrently, and the hand-back is ordered
-/// by the pool mutex.
-struct alignas(kSlotAlign) CellSlot {
-  CellResult result;
-  std::string arena;
-  std::atomic<std::size_t> pending{0};
-};
-static_assert(alignof(CellSlot) == kSlotAlign);
-
-/// One ring slot of the chunk-batched writer path (replicas == 1): the
-/// finished block's rendered bytes plus its verdict tallies. With one
-/// item per cell a claimed block is completed entirely by its worker,
-/// so the whole chunk's rows can share one arena and the consumer pays
-/// one write_rendered — and one ring access — per CHUNK instead of per
-/// cell. The worker renders into the arena moved out of the slot and
-/// tallies in locals, writing the slot once at block end. Reuse safety
-/// is the claim window again: a chunk index is only claimable within
-/// window_chunks of the consumed prefix, and the ring is larger than the
-/// window.
-struct alignas(kSlotAlign) ChunkSlot {
-  std::string arena;
-  std::size_t rows = 0;
-  SweepSummary tally;  // cells unset
-};
-static_assert(alignof(ChunkSlot) == kSlotAlign);
-
-/// Adds `verdict` to the stable / transient / borderline tallies.
-void tally_verdict(SweepSummary& summary, Stability verdict) {
-  switch (verdict) {
-    case Stability::kPositiveRecurrent:
-      ++summary.stable;
-      break;
-    case Stability::kTransient:
-      ++summary.transient;
-      break;
-    case Stability::kBorderline:
-      ++summary.borderline;
-      break;
-  }
-}
-
-/// The shared sweep pipeline behind run_sweep and run_sweep_stream:
-/// validates, expands the grid, fans the (cell, replica) items across
-/// the pool in chunk-sized blocks, and emits each finished cell in index
-/// order as soon as every cell before it is complete. Live state is a
-/// ring of O(window) items.
-///
-/// Exactly one of `sink` / `writer` is non-null. With a writer, the
-/// cell's report row is rendered INSIDE the worker that finishes it
-/// (into the slot's reusable arena), and the consumer thread only
-/// concatenates finished spans into the writer — formatting scales with
-/// the pool instead of serializing on the consumer. With a sink, the
-/// CellResult is handed over unrendered (run_sweep keeps the structs).
-SweepSummary sweep_cells_ordered(const SweepGrid& grid,
+/// Validates a grid or frontier run and returns its effective grid. A
+/// run that simulates on a forced backend must never silently change
+/// the law: it aborts up front, naming the offending axis, instead of
+/// running out-of-domain cells on the wrong simulator (kAuto falls back
+/// per cell instead).
+SweepGrid checked_effective_grid(const SweepGrid& grid,
                                  const SweepOptions& options,
-                                 const std::function<void(CellResult&&)>* sink,
-                                 ReportWriter* writer) {
-  P2P_ASSERT((sink != nullptr) != (writer != nullptr));
+                                 bool simulates) {
   validate_caller_axes(grid);
   validate_options(options);
-  const SweepGrid effective = effective_grid(grid);
+  SweepGrid effective = effective_grid(grid);
   validate_effective_axes(effective, options);
-  if (!options.theory_only && options.sim_backend == SimBackend::kTypeCount) {
-    // A forced backend must never silently change the law: abort up
-    // front, naming the offending axis, instead of running out-of-domain
-    // cells on the wrong simulator (kAuto falls back per cell instead).
+  if (simulates && options.sim_backend == SimBackend::kTypeCount) {
     const std::string violation =
         typecount_domain_violation(effective, options.scenario);
     P2P_ASSERT_MSG(violation.empty(), violation);
   }
+  return effective;
+}
 
-  const std::size_t num_cells = effective.num_cells();
-  // Theory-only sweeps run one closed-form item per cell: fanning unused
-  // replica slots would just multiply claim traffic.
-  const std::size_t replicas =
-      options.theory_only ? 1 : static_cast<std::size_t>(options.replicas);
-  P2P_ASSERT_MSG(num_cells <= SIZE_MAX / replicas,
-                 "sweep work item count overflows size_t (" +
-                     std::to_string(num_cells) + " cells x " +
-                     std::to_string(replicas) + " replicas)");
-  const std::size_t num_items = num_cells * replicas;
+/// The grid sweep as a run_ordered_blocks source: a unit is a cell, its
+/// items are the cell's replicas.
+struct GridSource {
+  using Unit = CellResult;
+  using Tally = SweepSummary;
 
-  const RingPlan plan = plan_rings(num_items, replicas, options);
-  const std::size_t ring_items = plan.ring_items;
-  // The slot ring is rounded up to a power of two so the per-cell slot
-  // lookup is a mask, not a division — the ring only ever grows, so the
-  // reuse-safety argument (claim window opens after the consumer) is
-  // unchanged.
-  std::size_t cell_ring = 1;
-  while (cell_ring < plan.block_ring) cell_ring *= 2;
-  const std::size_t slot_mask = cell_ring - 1;
-
-  // With one item per cell and a writer, a claimed block is finished
-  // entirely by one worker, so the pipeline batches whole chunks: each
-  // block renders into its chunk's arena and the ring carries
-  // (range, bytes) instead of per-cell structs.
-  const bool chunk_mode = writer != nullptr && replicas == 1;
-  std::size_t chunk_ring = 1;
-  if (chunk_mode) {
-    const std::size_t window_chunks = plan.window / plan.chunk;
-    while (chunk_ring < window_chunks + 2) chunk_ring *= 2;
-  }
-  const std::size_t chunk_mask = chunk_ring - 1;
-  std::vector<ChunkSlot> chunk_slots(chunk_mode ? chunk_ring : 0);
-
-  std::vector<ReplicaSample> samples(
-      options.theory_only || chunk_mode ? 0 : ring_items);
-  std::vector<CellSlot> slots(chunk_mode ? 0 : cell_ring);
-  if (replicas > 1) {
-    for (auto& slot : slots) {
-      slot.pending.store(replicas, std::memory_order_relaxed);
+  /// Walks consecutive cells with an odometer (last axis fastest): one
+  /// div/mod chain at construction, a carry-propagating increment per
+  /// cell, and a reused arrival buffer, so the theory-only path
+  /// allocates nothing per cell. finish and render run on whichever
+  /// worker completes the cell; the seeds and bytes depend only on the
+  /// cell index.
+  class Walker {
+   public:
+    Walker(const GridSource& source, std::size_t cell)
+        : s_(source),
+          cell_(cell),
+          digits_(source.grid.axes.size()),
+          values_(digits_.size()) {
+      for (std::size_t i = digits_.size(), rem = cell; i-- > 0;) {
+        const std::vector<double>& vals = s_.grid.axes[i].values;
+        digits_[i] = rem % vals.size();
+        values_[i] = vals[digits_[i]];
+        rem /= vals.size();
+      }
+      p_ = cell_params(s_.slots, values_, s_.options.scenario.policy);
     }
-  }
+    void head(CellResult& r) {
+      fill_cell(r, cell_, p_, s_.options, arrivals_);
+    }
+    ReplicaSample replica(std::size_t r) const {
+      if (s_.options.theory_only) return {};
+      return simulate_replica(
+          p_, s_.options,
+          derive_seed(s_.options.base_seed, kStreamCellSim, cell_, r));
+    }
+    void finish(CellResult& r, std::span<const ReplicaSample> samples,
+                SweepSummary& tally) const {
+      if (!s_.options.theory_only) {
+        Rng agg_rng(
+            derive_seed(s_.options.base_seed, kStreamCellAgg, cell_, 0));
+        r.sim = aggregate_samples(samples, s_.options, agg_rng);
+      }
+      tally_verdict(tally, r.theory.verdict);
+    }
+    void render(const CellResult& r, std::string& arena) const {
+      RowRenderer::Row row(s_.plan->renderer, arena);
+      render_grid_row(*s_.plan, s_.options, &digits_, r, row);
+      row.end();
+    }
+    void next() {
+      ++cell_;
+      for (std::size_t i = digits_.size(); i-- > 0;) {
+        const std::vector<double>& vals = s_.grid.axes[i].values;
+        const bool carry = ++digits_[i] == vals.size();
+        if (carry) digits_[i] = 0;
+        values_[i] = vals[digits_[i]];
+        if (!carry) break;
+      }
+      p_ = cell_params(s_.slots, values_, s_.options.scenario.policy);
+    }
 
-  const AxisSlots axis_slots = resolve_axis_slots(effective);
-  std::optional<GridRenderPlan> render;
+   private:
+    const GridSource& s_;
+    std::size_t cell_;
+    std::vector<std::size_t> digits_;  // per-axis value indices
+    std::vector<double> values_;
+    CellParams p_;
+    std::vector<ArrivalSpec> arrivals_;
+  };
+
+  Walker walk(std::size_t cell) const { return Walker(*this, cell); }
+
+  const SweepGrid& grid;
+  const SweepOptions& options;
+  AxisSlots slots;
+  const GridRenderPlan* plan;  // null when the cells are kept
+  std::size_t row_bytes;
+};
+
+/// The shared sweep pipeline behind run_sweep (`kept`) and
+/// run_sweep_stream (`writer`).
+SweepSummary sweep_grid(const SweepGrid& grid, const SweepOptions& options,
+                        ReportWriter* writer, std::vector<CellResult>* kept) {
+  const SweepGrid effective =
+      checked_effective_grid(grid, options, !options.theory_only);
+  std::optional<GridRenderPlan> plan;
   if (writer != nullptr) {
-    render.emplace(make_grid_render_plan(effective, options, *writer));
+    plan.emplace(make_grid_render_plan(effective, options, *writer));
   }
-
-  SweepSummary summary;
-  summary.cells = num_cells;
-  std::size_t emitted = 0;
-
+  const GridSource source{effective, options, resolve_axis_slots(effective),
+                          plan ? &*plan : nullptr,
+                          plan ? plan->max_row_bytes : 0};
   ThreadPool pool(options.threads);
-  pool.parallel_for_streaming_blocks(
-      num_items, plan.chunk, plan.window,
-      [&](std::size_t begin, std::size_t end) {
-        // One claimed block: walk its cells with an odometer cursor and
-        // a reused arrival buffer — the per-item work is rounding, the
-        // closed form, and (in replica mode) the simulations; nothing
-        // here allocates per cell in the theory-only path.
-        CellCursor cursor(effective);
-        cursor.seek(begin / replicas);
-        std::vector<ArrivalSpec> arrival_scratch;
-        if (chunk_mode) {
-          // Chunk-batched path: one local CellResult reused across the
-          // block's cells, rows appended to the chunk's arena (moved out
-          // of the slot and reserved for the block's longest possible
-          // rows, so it never regrows), verdicts tallied in a local (the
-          // sums are order-free, so the totals stay deterministic). The
-          // slot is written once, at the end.
-          ChunkSlot& cslot = chunk_slots[(begin / plan.chunk) & chunk_mask];
-          std::string arena = std::move(cslot.arena);
-          arena.clear();
-          arena.reserve((end - begin) * render->max_row_bytes);
-          SweepSummary tally;
-          CellResult result;
-          for (std::size_t cell = begin; cell < end; ++cell) {
-            const CellParams p = cell_params(axis_slots, cursor.values(),
-                                             options.scenario.policy);
-            fill_cell(result, cell, p, options, arrival_scratch);
-            if (!options.theory_only) {
-              const ReplicaSample sample = simulate_replica(
-                  p, options,
-                  derive_seed(options.base_seed, kStreamCellSim, cell, 0));
-              Rng agg_rng(
-                  derive_seed(options.base_seed, kStreamCellAgg, cell, 0));
-              result.sim = aggregate_samples(
-                  std::span<const ReplicaSample>(&sample, 1), options,
-                  agg_rng);
-            }
-            tally_verdict(tally, result.theory.verdict);
-            RowRenderer::Row row(render->renderer, arena);
-            render_grid_row(*render, options, &cursor.digits(), result, row);
-            row.end();
-            if (cell + 1 < end) cursor.advance();
-          }
-          cslot.arena = std::move(arena);
-          cslot.rows = end - begin;
-          cslot.tally = tally;
-          return;
-        }
-        // single = the one-replica shape: item == cell, so the per-cell
-        // loop below runs no division at all.
-        const bool single = replicas == 1;
-        std::size_t item = begin;
-        while (item < end) {
-          const std::size_t cell = single ? item : item / replicas;
-          const std::size_t cell_end =
-              single ? item + 1 : std::min(end, (cell + 1) * replicas);
-          CellSlot& slot = slots[cell & slot_mask];
-          const CellParams p = cell_params(axis_slots, cursor.values(),
-                                           options.scenario.policy);
-          if (single || item % replicas == 0) {
-            fill_cell(slot.result, cell, p, options, arrival_scratch);
-          }
-          if (!options.theory_only) {
-            for (std::size_t it = item; it < cell_end; ++it) {
-              samples[it % ring_items] = simulate_replica(
-                  p, options,
-                  derive_seed(options.base_seed, kStreamCellSim, cell,
-                              it % replicas));
-            }
-          }
-          // The finisher that completes the cell (with one replica:
-          // always this block) aggregates and renders it, on whatever
-          // worker thread it ran — seeds and formatting depend only on
-          // the cell index, so the bytes cannot.
-          const std::size_t done = cell_end - item;
-          const bool last =
-              single ||
-              slot.pending.fetch_sub(done, std::memory_order_acq_rel) == done;
-          if (last) {
-            if (!options.theory_only) {
-              Rng agg_rng(
-                  derive_seed(options.base_seed, kStreamCellAgg, cell, 0));
-              slot.result.sim = aggregate_samples(
-                  std::span<const ReplicaSample>(
-                      samples.data() + (cell * replicas) % ring_items,
-                      replicas),
-                  options, agg_rng);
-            }
-            if (render) {
-              slot.arena.clear();
-              RowRenderer::Row row(render->renderer, slot.arena);
-              render_grid_row(*render, options, &cursor.digits(), slot.result,
-                              row);
-              row.end();
-            }
-          }
-          item = cell_end;
-          if (item < end) cursor.advance();
-        }
-      },
-      [&](std::size_t prefix_items) {
-        // The consumer runs serially on the calling thread in cell
-        // order; with a writer it only tallies verdicts and concatenates
-        // the pre-rendered spans — one span per chunk in chunk mode.
-        if (chunk_mode) {
-          while (emitted < prefix_items) {
-            ChunkSlot& cslot =
-                chunk_slots[(emitted / plan.chunk) & chunk_mask];
-            writer->write_rendered(cslot.arena, cslot.rows);
-            summary.stable += cslot.tally.stable;
-            summary.transient += cslot.tally.transient;
-            summary.borderline += cslot.tally.borderline;
-            emitted += cslot.rows;
-          }
-          return;
-        }
-        const std::size_t complete_cells = prefix_items / replicas;
-        for (; emitted < complete_cells; ++emitted) {
-          CellSlot& slot = slots[emitted & slot_mask];
-          tally_verdict(summary, slot.result.theory.verdict);
-          if (writer != nullptr) {
-            writer->write_rendered(slot.arena, 1);
-          } else {
-            (*sink)(std::move(slot.result));
-          }
-          if (replicas > 1) {
-            slot.pending.store(replicas, std::memory_order_relaxed);
-          }
-        }
-      });
+  // Theory-only sweeps run one closed-form item per cell: fanning unused
+  // replica items would just multiply claim traffic.
+  SweepSummary summary = run_ordered_blocks(
+      pool, effective.num_cells(),
+      options.theory_only ? 1 : static_cast<std::size_t>(options.replicas),
+      options.chunk, source, writer, kept);
+  summary.cells = effective.num_cells();
   return summary;
 }
 
@@ -837,10 +575,7 @@ SweepGrid default_region_grid() {
 SweepResult run_sweep(const SweepGrid& grid, const SweepOptions& options) {
   SweepResult result;
   result.options = options;
-  const std::function<void(CellResult&&)> sink = [&](CellResult&& cell) {
-    result.cells.push_back(std::move(cell));
-  };
-  sweep_cells_ordered(grid, options, &sink, nullptr);
+  sweep_grid(grid, options, nullptr, &result.cells);
   result.grid = effective_grid(grid);
   return result;
 }
@@ -851,7 +586,7 @@ SweepSummary run_sweep_stream(const SweepGrid& grid,
   P2P_ASSERT_MSG(writer.columns() == sweep_columns(options),
                  "run_sweep_stream writer must be built with "
                  "sweep_columns(options)");
-  return sweep_cells_ordered(grid, options, nullptr, &writer);
+  return sweep_grid(grid, options, &writer, nullptr);
 }
 
 namespace {
@@ -1050,19 +785,17 @@ namespace {
 /// values for the first adjacent verdict change, then halve the bracket
 /// until it is at most `tol` wide. No simulation runs here — Theorem 1
 /// is a formula — which is what lets refinement localize the boundary
-/// ~10 bisections deep for the price of one coarse cell.
-FrontierPoint bisect_row(const SweepGrid& rows, std::size_t row,
-                         const Axis& refined, const RefineOptions& refine,
+/// ~10 bisections deep for the price of one coarse cell. `slots` index
+/// the row's values with the refined value appended.
+FrontierPoint bisect_row(const SweepGrid& rows, const AxisSlots& slots,
+                         std::size_t row, const Axis& refined,
+                         const RefineOptions& refine,
                          const ScenarioSpec& scenario) {
-  std::vector<Axis> axes = rows.axes;
-  axes.push_back(Axis{refined.name, {}});
   std::vector<double> values = rows.cell_values(row);
   values.push_back(0);
   const auto params_at = [&](double v) {
     values.back() = v;
-    CellParams p = extract_params(axes, values);
-    p.policy = scenario.policy;
-    return p;
+    return cell_params(slots, values, scenario.policy);
   };
   const auto verdict_at = [&](double v) {
     return classify(expand(scenario, params_at(v)).params).verdict;
@@ -1100,15 +833,6 @@ FrontierPoint bisect_row(const SweepGrid& rows, std::size_t row,
   pt.margin = classify(expand(scenario, pt.params).params).margin;
   return pt;
 }
-
-/// One ring slot of in-flight frontier state; see CellSlot for the
-/// `pending` countdown and re-arm protocol.
-struct alignas(kSlotAlign) FrontierSlot {
-  FrontierPoint point;
-  std::string arena;
-  std::atomic<std::size_t> pending{0};
-};
-static_assert(alignof(FrontierSlot) == kSlotAlign);
 
 /// Renders one localized frontier point into `arena`: the one frontier
 /// row encoder, for the streamed and the retained points alike.
@@ -1153,41 +877,75 @@ void render_frontier_row(const RowRenderer& renderer,
   row.end();
 }
 
-/// The shared frontier pipeline behind refine_frontier and
-/// run_frontier_stream: validates, fans the (row, replica) items across
-/// the pool in chunk-sized blocks, and emits each localized point in
-/// row order as soon as every row before it is complete. Each block
+/// The frontier as a run_ordered_blocks source: a unit is a row, its
+/// items are the replicas at the row's localized point. Each block
 /// re-runs the closed-form bisection once per row it touches instead of
 /// publishing it across blocks: the bisection is a deterministic
-/// handful of classify() calls, cheap next to one replica simulation,
-/// and recomputing it keeps the live state a ring of O(chunk * threads)
-/// items with no cross-item synchronization. Unbracketed rows skip the
-/// simulation entirely. Seeds key on the row index, so adding an
-/// unbracketed row elsewhere in the grid never shifts another row's
-/// streams — and the emitted numbers match the retained-points emitter
-/// of PRs 2/3 bit-exactly.
-///
-/// Exactly one of `sink` / `writer` is non-null; with a writer the row
-/// bytes are rendered by the finishing worker, as in the grid pipeline.
-FrontierSummary frontier_points_ordered(
-    const SweepGrid& grid, const SweepOptions& options,
-    const RefineOptions& refine,
-    const std::function<void(FrontierPoint&&)>* sink, ReportWriter* writer,
-    SweepGrid* effective_out = nullptr) {
-  P2P_ASSERT((sink != nullptr) != (writer != nullptr));
-  validate_caller_axes(grid);
-  validate_options(options);
-  const SweepGrid effective = effective_grid(grid);
-  validate_effective_axes(effective, options);
-  if (options.sim_backend == SimBackend::kTypeCount) {
-    // Same forced-backend guard as the grid pipeline: frontier points
-    // always simulate, so an out-of-domain row axis must abort up front.
-    const std::string violation =
-        typecount_domain_violation(effective, options.scenario);
-    P2P_ASSERT_MSG(violation.empty(), violation);
-  }
-  if (effective_out != nullptr) *effective_out = effective;
+/// handful of classify() calls, cheap next to one replica simulation.
+/// Unbracketed rows skip the simulation entirely. Seeds key on the row
+/// index, so adding an unbracketed row elsewhere in the grid never
+/// shifts another row's streams.
+struct FrontierSource {
+  using Unit = FrontierPoint;
+  using Tally = std::size_t;  // bracketed rows
 
+  class Walker {
+   public:
+    Walker(const FrontierSource& source, std::size_t row)
+        : s_(source), row_(row), pt_(source.bisect(row)) {}
+    void head(FrontierPoint& pt) const { pt = pt_; }
+    ReplicaSample replica(std::size_t r) const {
+      if (!pt_.bracketed) return {};
+      return simulate_replica(
+          pt_.params, s_.options,
+          derive_seed(s_.options.base_seed, kStreamFrontierSim, row_, r));
+    }
+    void finish(FrontierPoint& pt, std::span<const ReplicaSample> samples,
+                std::size_t& bracketed) const {
+      if (!pt.bracketed) return;
+      Rng agg_rng(
+          derive_seed(s_.options.base_seed, kStreamFrontierAgg, row_, 0));
+      pt.sim = aggregate_samples(samples, s_.options, agg_rng);
+      ++bracketed;
+    }
+    void render(const FrontierPoint& pt, std::string& arena) const {
+      render_frontier_row(*s_.renderer, pt, s_.refine, s_.options, arena);
+    }
+    void next() { pt_ = s_.bisect(++row_); }
+
+   private:
+    const FrontierSource& s_;
+    std::size_t row_;
+    FrontierPoint pt_;
+  };
+
+  Walker walk(std::size_t row) const { return Walker(*this, row); }
+  FrontierPoint bisect(std::size_t row) const {
+    return bisect_row(rows, slots, row, refined, refine, options.scenario);
+  }
+
+  /// The effective grid without the refined axis, and the slots of its
+  /// values with the refined value appended.
+  const SweepGrid& rows;
+  AxisSlots slots;
+  const Axis& refined;
+  const RefineOptions& refine;
+  const SweepOptions& options;
+  const RowRenderer* renderer;  // null when the points are kept
+  std::size_t row_bytes = 0;
+};
+
+/// The shared frontier pipeline behind refine_frontier (`kept`) and
+/// run_frontier_stream (`writer`).
+FrontierSummary frontier_points_ordered(const SweepGrid& grid,
+                                        const SweepOptions& options,
+                                        const RefineOptions& refine,
+                                        ReportWriter* writer,
+                                        FrontierResult* kept) {
+  // Frontier points always simulate.
+  const SweepGrid effective =
+      checked_effective_grid(grid, options, /*simulates=*/true);
+  if (kept != nullptr) kept->grid = effective;
   P2P_ASSERT_MSG(refinable_axis(refine.axis),
                  "refine axis must be one of lambda, us, mu, gamma, mix");
   // The frontier's whole point is simulating at the localized flip;
@@ -1209,92 +967,18 @@ FrontierSummary frontier_points_ordered(
   for (const auto& axis : effective.axes) {
     if (axis.name != refine.axis) rows.axes.push_back(axis);
   }
-  const std::size_t num_rows = rows.num_cells();
-  const std::size_t replicas = static_cast<std::size_t>(options.replicas);
-  P2P_ASSERT_MSG(num_rows <= SIZE_MAX / replicas,
-                 "frontier work item count overflows size_t");
-  const std::size_t num_items = num_rows * replicas;
-
-  const RingPlan plan = plan_rings(num_items, replicas, options);
-  std::vector<ReplicaSample> samples(plan.ring_items);
-  std::vector<FrontierSlot> slots(plan.block_ring);
-  if (replicas > 1) {
-    for (auto& slot : slots) {
-      slot.pending.store(replicas, std::memory_order_relaxed);
-    }
-  }
-
+  SweepGrid layout = rows;
+  layout.axes.push_back(Axis{refine.axis, {}});
   std::optional<RowRenderer> renderer;
-  if (writer != nullptr) {
-    renderer.emplace(writer->format(), writer->columns());
-  }
-
-  FrontierSummary summary;
-  summary.rows = num_rows;
-  std::size_t emitted = 0;
-
+  if (writer != nullptr) renderer.emplace(writer->format(), writer->columns());
+  const FrontierSource source{rows, resolve_axis_slots(layout), *refined,
+                              refine, options,
+                              renderer ? &*renderer : nullptr};
   ThreadPool pool(options.threads);
-  pool.parallel_for_streaming_blocks(
-      num_items, plan.chunk, plan.window,
-      [&](std::size_t begin, std::size_t end) {
-        std::size_t item = begin;
-        while (item < end) {
-          const std::size_t row = item / replicas;
-          const std::size_t row_end = std::min(end, (row + 1) * replicas);
-          FrontierSlot& slot = slots[row % slots.size()];
-          FrontierPoint pt =
-              bisect_row(rows, row, *refined, refine, options.scenario);
-          if (item % replicas == 0) slot.point = pt;
-          if (pt.bracketed) {
-            for (std::size_t it = item; it < row_end; ++it) {
-              samples[it % plan.ring_items] = simulate_replica(
-                  pt.params, options,
-                  derive_seed(options.base_seed, kStreamFrontierSim, row,
-                              it % replicas));
-            }
-          }
-          const std::size_t done = row_end - item;
-          const bool last =
-              replicas == 1 ||
-              slot.pending.fetch_sub(done, std::memory_order_acq_rel) == done;
-          if (last) {
-            if (pt.bracketed) {
-              Rng agg_rng(derive_seed(options.base_seed, kStreamFrontierAgg,
-                                      row, 0));
-              slot.point.sim = aggregate_samples(
-                  std::span<const ReplicaSample>(
-                      samples.data() + (row * replicas) % plan.ring_items,
-                      replicas),
-                  options, agg_rng);
-              pt.sim = slot.point.sim;
-            }
-            if (renderer) {
-              slot.arena.clear();
-              render_frontier_row(*renderer, pt, refine, options, slot.arena);
-            }
-          }
-          item = row_end;
-        }
-      },
-      [&](std::size_t prefix_items) {
-        // The consumer runs serially on the calling thread in row order;
-        // with a writer it only tallies brackets and concatenates the
-        // pre-rendered spans.
-        const std::size_t complete_rows = prefix_items / replicas;
-        for (; emitted < complete_rows; ++emitted) {
-          FrontierSlot& slot = slots[emitted % slots.size()];
-          if (slot.point.bracketed) ++summary.bracketed;
-          if (writer != nullptr) {
-            writer->write_rendered(slot.arena, 1);
-          } else {
-            (*sink)(std::move(slot.point));
-          }
-          if (replicas > 1) {
-            slot.pending.store(replicas, std::memory_order_relaxed);
-          }
-        }
-      });
-  return summary;
+  const std::size_t bracketed = run_ordered_blocks(
+      pool, rows.num_cells(), static_cast<std::size_t>(options.replicas),
+      options.chunk, source, writer, kept != nullptr ? &kept->points : nullptr);
+  return {rows.num_cells(), bracketed};
 }
 
 }  // namespace
@@ -1305,11 +989,7 @@ FrontierResult refine_frontier(const SweepGrid& grid,
   FrontierResult result;
   result.refine = refine;
   result.options = options;
-  const std::function<void(FrontierPoint&&)> sink = [&](FrontierPoint&& pt) {
-    result.points.push_back(std::move(pt));
-  };
-  frontier_points_ordered(grid, options, refine, &sink, nullptr,
-                          &result.grid);
+  frontier_points_ordered(grid, options, refine, nullptr, &result);
   return result;
 }
 
@@ -1320,7 +1000,7 @@ FrontierSummary run_frontier_stream(const SweepGrid& grid,
   P2P_ASSERT_MSG(writer.columns() == frontier_columns(options),
                  "run_frontier_stream writer must be built with "
                  "frontier_columns(options)");
-  return frontier_points_ordered(grid, options, refine, nullptr, &writer);
+  return frontier_points_ordered(grid, options, refine, &writer, nullptr);
 }
 
 std::vector<std::string> frontier_columns(const SweepOptions& options) {

@@ -28,12 +28,14 @@
 // index order as their prefix completes, so the emitted report is
 // byte-identical for any --threads and any chunk size.
 //
-// Two entry points share one pipeline: run_sweep retains every
-// CellResult (tests, small grids); run_sweep_stream hands each finished
-// cell's row straight to a streaming ReportWriter and keeps only a
-// bounded ring of in-flight results — peak memory O(chunk * threads),
-// not O(num_cells). Both render rows through the same grid-row encoder,
-// so SweepResult::write emits the stream's bytes.
+// The grid sweep, the frontier and the adaptive leaves share one
+// ordered-evaluation core (run_ordered_blocks, engine/cell_eval.hpp):
+// workers evaluate and render claimed blocks into recycled ring slots,
+// and the calling thread hands the slots to the sink in order. run_sweep
+// keeps every CellResult (tests, small grids); run_sweep_stream streams
+// the rows to a ReportWriter in O(chunk * threads + replicas) memory,
+// not O(num_cells). Both render through one grid-row encoder, so
+// SweepResult::write emits the stream's bytes.
 //
 // Boundary refinement (refine_frontier) localizes the Theorem-1 phase
 // boundary instead of rasterizing it: per combination of the non-refined
@@ -347,11 +349,11 @@ struct SweepSummary {
 /// run_sweep's bounded-memory twin: identical validation, scheduling and
 /// numbers, but each cell's row is handed to `writer` (construct it with
 /// sweep_columns(options)) as soon as every cell before it has finished,
-/// and the CellResult is dropped. Live state is a ring of
-/// O(chunk * threads) items, so grid size no longer bounds memory. The
-/// caller finishes the writer. Emitted bytes equal
-/// run_sweep(...).write() into the same format, for any (threads, chunk)
-/// combination.
+/// and the CellResult is dropped. Live state is the ordered-evaluation
+/// core's ring of O(chunk * threads + replicas) items, so grid size no
+/// longer bounds memory. The caller finishes the writer. Emitted bytes
+/// equal run_sweep(...).write() into the same format, for any
+/// (threads, chunk) combination.
 SweepSummary run_sweep_stream(const SweepGrid& grid,
                               const SweepOptions& options,
                               ReportWriter& writer);
@@ -471,15 +473,15 @@ struct FrontierSummary {
   std::size_t bracketed = 0;
 };
 
-/// refine_frontier's bounded-memory twin, closing the last
-/// O(num_rows) buffer in the sweep engine: identical validation,
+/// refine_frontier's bounded-memory twin: identical validation,
 /// scheduling and numbers, but each localized point's row is handed to
 /// `writer` (construct it with frontier_columns(options)) as soon as
 /// every row before it has finished, and the FrontierPoint is dropped.
-/// Live state is a ring of O(chunk * threads) items, so a very tall
-/// coarse grid no longer bounds memory. The caller finishes the writer.
-/// Emitted bytes equal refine_frontier(...).write() into the same
-/// format, for any (threads, chunk) combination.
+/// Rows run through the same ordered-evaluation core as the grid, so
+/// live state is O(chunk * threads + replicas) items however tall the
+/// coarse grid. The caller finishes the writer. Emitted bytes equal
+/// refine_frontier(...).write() into the same format, for any
+/// (threads, chunk) combination.
 FrontierSummary run_frontier_stream(const SweepGrid& grid,
                                     const SweepOptions& options,
                                     const RefineOptions& refine,

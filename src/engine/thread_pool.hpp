@@ -12,10 +12,11 @@
 // chunk size.
 //
 // parallel_for_streaming_blocks hands each claimed chunk to the caller's
-// function as one index range, and additionally reports the contiguous
-// completed prefix to the caller between chunks, with a bounded claim
-// window, so a consumer can emit results in index order while the sweep
-// is still running and keep live buffering at O(window) instead of O(n).
+// function as one index range, reports the contiguous completed prefix
+// to the calling thread between chunks, and lets claims run only a
+// bounded window past the prefix the caller has consumed. It is the
+// engine of run_ordered_blocks (engine/cell_eval.hpp), whose ring of
+// block slots relies on exactly that window for its reuse safety.
 //
 // The calling thread participates in both entry points, so ThreadPool(n)
 // uses exactly n OS threads (n-1 workers + the caller) and ThreadPool(1)

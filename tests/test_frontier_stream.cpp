@@ -27,33 +27,45 @@ std::string stream_frontier(const SweepGrid& grid, const SweepOptions& options,
 
 TEST(FrontierStream, BytesEqualInMemoryEmitterAcrossThreadsAndChunks) {
   // The satellite determinism matrix: threads {1, 2, 8} x chunk
-  // {1, auto}, streamed bytes vs the retained-points emitter, both
-  // formats.
-  SweepGrid grid =
-      parse_grid("k=1;us=0.4,0.8,1.2;mu=1;gamma=1.25;lambda=0.5:9.5:4");
-  SweepOptions base;
-  base.horizon = 25;
-  base.replicas = 3;
-  RefineOptions refine;
-  refine.axis = "lambda";
-  refine.tol = 1e-2;
+  // {1, 7, auto}, streamed bytes vs the retained-points emitter, both
+  // formats. Chunk 7 divides neither replica count, so rows straddle
+  // block boundaries; with 64 replicas at chunk 1 a row spans more
+  // blocks than the claim window.
+  struct Shape {
+    const char* grid;
+    int replicas;
+  };
+  for (const Shape& shape :
+       {Shape{"k=1;us=0.4,0.8,1.2;mu=1;gamma=1.25;lambda=0.5:9.5:4", 3},
+        Shape{"k=1;us=0.4,0.8,1.2;mu=1;gamma=1.25;lambda=0.5:9.5:4", 64}}) {
+    const SweepGrid grid = parse_grid(shape.grid);
+    SweepOptions base;
+    base.horizon = shape.replicas > 8 ? 10 : 25;
+    base.replicas = shape.replicas;
+    RefineOptions refine;
+    refine.axis = "lambda";
+    refine.tol = 1e-2;
 
-  const FrontierResult result = refine_frontier(grid, base, refine);
-  const std::string want_csv = render(result);
-  const std::string want_json = render(result, ReportFormat::kJson);
-  ASSERT_GT(result.points.size(), 0u);
+    const FrontierResult result = refine_frontier(grid, base, refine);
+    const std::string want_csv = render(result);
+    const std::string want_json = render(result, ReportFormat::kJson);
+    ASSERT_EQ(result.points.size(), 3u);
 
-  for (const int threads : {1, 2, 8}) {
-    for (const std::size_t chunk : {std::size_t{1}, std::size_t{0}}) {
-      SweepOptions options = base;
-      options.threads = threads;
-      options.chunk = chunk;
-      EXPECT_EQ(stream_frontier(grid, options, refine, ReportFormat::kCsv),
-                want_csv)
-          << "threads " << threads << " chunk " << chunk;
-      EXPECT_EQ(stream_frontier(grid, options, refine, ReportFormat::kJson),
-                want_json)
-          << "threads " << threads << " chunk " << chunk;
+    for (const int threads : {1, 2, 8}) {
+      for (const std::size_t chunk :
+           {std::size_t{1}, std::size_t{7}, std::size_t{0}}) {
+        SweepOptions options = base;
+        options.threads = threads;
+        options.chunk = chunk;
+        EXPECT_EQ(stream_frontier(grid, options, refine, ReportFormat::kCsv),
+                  want_csv)
+            << "replicas " << shape.replicas << " threads " << threads
+            << " chunk " << chunk;
+        EXPECT_EQ(stream_frontier(grid, options, refine, ReportFormat::kJson),
+                  want_json)
+            << "replicas " << shape.replicas << " threads " << threads
+            << " chunk " << chunk;
+      }
     }
   }
 }

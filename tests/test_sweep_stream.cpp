@@ -68,26 +68,37 @@ TEST(RunSweepStream, DeterminismMatrixOverThreadsAndChunks) {
   // the ring-sizing regression corner: there the claim window (126
   // items) is an exact multiple of replicas, so a ring sized to the bare
   // window would let a tail item overwrite the samples of the cell a
-  // mid-cell prefix stopped inside.
-  const SweepGrid grid = parse_grid("lambda=0.5:3.0:16;us=0.5,1.5;k=2");
-  SweepOptions base;
-  base.horizon = 20;
-  base.replicas = 3;
-  base.threads = 1;
-  base.chunk = 1;
-  const std::string csv_ref = stream_csv(grid, base);
-  const std::string json_ref = stream_json(grid, base);
-  EXPECT_FALSE(csv_ref.empty());
-  for (const int threads : {1, 2, 4, 8}) {
-    for (const std::size_t chunk :
-         {std::size_t{1}, std::size_t{7}, std::size_t{0}}) {
-      SweepOptions options = base;
-      options.threads = threads;
-      options.chunk = chunk;
-      EXPECT_EQ(stream_csv(grid, options), csv_ref)
-          << "threads " << threads << " chunk " << chunk;
-      EXPECT_EQ(stream_json(grid, options), json_ref)
-          << "threads " << threads << " chunk " << chunk;
+  // mid-cell prefix stopped inside. The few-cell shape has 64 replicas
+  // per cell: at chunk 1 one cell spans more blocks than the
+  // 4 * threads + 2 claim window, so its samples and countdown sit in
+  // the owner block's slot while later blocks finish it.
+  struct Shape {
+    const char* grid;
+    int replicas;
+  };
+  for (const Shape& shape : {Shape{"lambda=0.5:3.0:16;us=0.5,1.5;k=2", 3},
+                             Shape{"lambda=0.4,0.8,1.2;us=1.5;k=2", 64}}) {
+    const SweepGrid grid = parse_grid(shape.grid);
+    SweepOptions base;
+    base.horizon = 20;
+    base.replicas = shape.replicas;
+    base.threads = 1;
+    base.chunk = 1;
+    const std::string csv_ref = stream_csv(grid, base);
+    const std::string json_ref = stream_json(grid, base);
+    EXPECT_FALSE(csv_ref.empty());
+    EXPECT_EQ(csv_ref, render(run_sweep(grid, base))) << shape.grid;
+    for (const int threads : {1, 2, 4, 8}) {
+      for (const std::size_t chunk :
+           {std::size_t{1}, std::size_t{7}, std::size_t{0}}) {
+        SweepOptions options = base;
+        options.threads = threads;
+        options.chunk = chunk;
+        EXPECT_EQ(stream_csv(grid, options), csv_ref)
+            << shape.grid << " threads " << threads << " chunk " << chunk;
+        EXPECT_EQ(stream_json(grid, options), json_ref)
+            << shape.grid << " threads " << threads << " chunk " << chunk;
+      }
     }
   }
 }
