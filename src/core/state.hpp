@@ -9,6 +9,7 @@
 // type-count simulator and the live monitor both need.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <numeric>
 #include <vector>
@@ -86,13 +87,30 @@ class TypeCountState {
 /// three exact in O(2^|c|) + O(2^(K-|c|)):
 ///
 ///   delta S = delta * (sub(c) + sup(c)) + delta^2   (old sums).
+///
+/// A download moves one peer from c to d = c | {piece}. transfer(c,
+/// piece) is bump(c, -1); bump(d, +1) with the cancelling terms dropped:
+/// the subsets of d are the subsets a of c plus the a | {piece}, and the
+/// supersets of c are the supersets of d plus the c | e for e subseteq
+/// F \ d, so only
+///
+///   sup(a | {piece}) += 1   for a subseteq c          (2^|c| writes)
+///   sub(c | e)       -= 1   for e subseteq F \ d      (2^(K-|c|-1))
+///   delta S = -(sub(c) + sup(c)) + (sub(d) - 1) + sup(d) + 2   (old sums)
+///
+/// remain, against 2^|c| + 2^(K-|c|) + 2^(|c|+1) + 2^(K-|c|-1) for the
+/// two bumps. sub and sup stay dense and exact for every mask. The ledger
+/// also keeps the set of occupied types {c : x_c > 0} as a 2^K-bit map,
+/// which find_occupied walks in ascending mask order, one countr_zero per
+/// occupied type plus one load per 64 types.
 class TypeCountLedger {
  public:
   explicit TypeCountLedger(int num_pieces)
       : state_(num_pieces),
         full_mask_((std::uint64_t{1} << num_pieces) - 1),
         sub_(state_.num_types(), 0),
-        sup_(state_.num_types(), 0) {}
+        sup_(state_.num_types(), 0),
+        occupied_((state_.num_types() + 63) / 64, 0) {}
 
   const TypeCountState& state() const { return state_; }
   std::uint64_t full_mask() const { return full_mask_; }
@@ -124,13 +142,60 @@ class TypeCountLedger {
       extra = (extra - comp) & comp;
     } while (extra != 0);
     state_.add(PieceSet(mask), delta);
+    sync_occupied(mask);
+  }
+
+  /// A peer of type `from` downloads `piece` (which it lacks): the fused
+  /// bump(from, -1); bump(from | {piece}, +1) of the class comment.
+  void transfer(std::uint64_t from, int piece) {
+    const std::uint64_t bit = std::uint64_t{1} << piece;
+    const std::uint64_t to = from | bit;
+    P2P_ASSERT(to != from);
+    pair_sum_ += -(sub_[from] + sup_[from]) + (sub_[to] - 1) + sup_[to] + 2;
+    for (std::uint64_t a = from;; a = (a - 1) & from) {
+      sup_[a | bit] += 1;
+      if (a == 0) break;
+    }
+    const std::uint64_t comp = full_mask_ & ~to;
+    std::uint64_t extra = 0;
+    do {
+      sub_[from | extra] -= 1;
+      extra = (extra - comp) & comp;
+    } while (extra != 0);
+    state_.transfer(PieceSet(from), PieceSet(to));
+    sync_occupied(from);
+    sync_occupied(to);
+  }
+
+  /// Calls `visit(c)` for each occupied type c (x_c > 0) in ascending
+  /// mask order until it returns true; returns that c, or num_types()
+  /// if every call returned false.
+  template <typename Visit>
+  std::uint64_t find_occupied(Visit&& visit) const {
+    for (std::size_t w = 0; w < occupied_.size(); ++w) {
+      for (std::uint64_t bits = occupied_[w]; bits != 0; bits &= bits - 1) {
+        const std::uint64_t mask =
+            (std::uint64_t{w} << 6) |
+            static_cast<std::uint64_t>(std::countr_zero(bits));
+        if (visit(mask)) return mask;
+      }
+    }
+    return state_.num_types();
   }
 
  private:
+  /// Brings mask's occupancy bit in line with x_mask.
+  void sync_occupied(std::uint64_t mask) {
+    const std::uint64_t bit = std::uint64_t{1} << (mask & 63);
+    std::uint64_t& word = occupied_[mask >> 6];
+    word = state_.count(mask) > 0 ? (word | bit) : (word & ~bit);
+  }
+
   TypeCountState state_;
   std::uint64_t full_mask_;
   std::vector<std::int64_t> sub_;
   std::vector<std::int64_t> sup_;
+  std::vector<std::uint64_t> occupied_;
   std::int64_t pair_sum_ = 0;
 };
 

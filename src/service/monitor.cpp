@@ -227,9 +227,7 @@ void StabilityMonitor::apply(const SwarmEvent& event, const std::string& line,
         monitor_fail("transfer delivers an invalid or already-held piece",
                      line, line_number);
       }
-      const std::uint64_t to = event.type | (std::uint64_t{1} << event.piece);
-      ledger_.bump(event.type, -1);
-      ledger_.bump(to, +1);
+      ledger_.transfer(event.type, event.piece);
       if (event.kind == SwarmEventKind::kPiece) {
         ++bucket.peer_downloads;
       } else {

@@ -66,14 +66,16 @@ void TypeCountSim::complete_download(std::uint64_t c_mask, PieceSet useful,
   ++counters_.downloads;
   if (piece == options_.tracked_piece) ++counters_.downloads_of_tracked;
   const double arrived = take_arrival_time(c_mask);
-  bump(c_mask, -1);
   if (params_.immediate_departure() && next == ledger_.full_mask()) {
+    bump(c_mask, -1);
     ++counters_.departures;
     sojourn_.add(occupancy_.now() - arrived);
     notify(SwarmEventKind::kDepart, next);
     return;
   }
-  bump(next, +1);
+  ledger_.transfer(c_mask, piece);
+  peers_by_type_.update(static_cast<std::size_t>(c_mask), -1);
+  peers_by_type_.update(static_cast<std::size_t>(next), +1);
   arrival_times_[next].push_back(arrived);
 }
 
@@ -124,40 +126,30 @@ void TypeCountSim::do_peer_tick() {
       if ((a_mask & ~b_mask) != 0) break;
     }
   } else {
-    // Exact inversion over types: uploader type a with weight
-    // x_a * (n - sup(a)) (its non-silent targets), then a uniform
-    // non-superset target. O(2^K), but this branch runs exactly when
-    // non-silent events are rare.
-    const std::uint64_t full = ledger_.full_mask();
+    // Exact inversion over the occupied types: uploader type a with
+    // weight x_a * (n - sup(a)) (its non-silent targets), then a uniform
+    // non-superset target. An unoccupied type has weight 0 in both
+    // draws, so skipping it leaves the chosen pair unchanged for every
+    // dart; each scan costs O(occupied types + 2^K / 64).
     auto r = static_cast<std::int64_t>(
         rng_.uniform_int(static_cast<std::uint64_t>(nonsilent)));
-    bool found = false;
-    for (std::uint64_t m = 0; m <= full; ++m) {
-      const std::int64_t xa = state().count(m);
-      if (xa == 0) continue;
-      const std::int64_t w = xa * (n - ledger_.sup(m));
-      if (r < w) {
-        a_mask = m;
-        found = true;
-        break;
-      }
+    a_mask = ledger_.find_occupied([&](std::uint64_t m) {
+      const std::int64_t w = state().count(m) * (n - ledger_.sup(m));
+      if (r < w) return true;
       r -= w;
-    }
-    P2P_ASSERT(found);
+      return false;
+    });
+    P2P_ASSERT(a_mask <= ledger_.full_mask());
     auto r2 = static_cast<std::int64_t>(rng_.uniform_int(
         static_cast<std::uint64_t>(n - ledger_.sup(a_mask))));
-    found = false;
-    for (std::uint64_t m = 0; m <= full; ++m) {
-      if ((m & a_mask) == a_mask) continue;  // b superseteq a: silent
+    b_mask = ledger_.find_occupied([&](std::uint64_t m) {
+      if ((m & a_mask) == a_mask) return false;  // b superseteq a: silent
       const std::int64_t xb = state().count(m);
-      if (r2 < xb) {
-        b_mask = m;
-        found = true;
-        break;
-      }
+      if (r2 < xb) return true;
       r2 -= xb;
-    }
-    P2P_ASSERT(found);
+      return false;
+    });
+    P2P_ASSERT(b_mask <= ledger_.full_mask());
   }
   const PieceSet useful = PieceSet(a_mask).minus(PieceSet(b_mask));
   complete_download(b_mask, useful, SwarmEventKind::kPiece);

@@ -295,6 +295,66 @@ TEST(Monitor, FinishEmitsAFinalAdvisoryAtTheLastEventTime) {
   EXPECT_EQ(advisories.size(), 1u);
 }
 
+std::uint64_t fnv1a(const std::string& bytes) {
+  std::uint64_t h = 1469598103934665603ULL;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+TEST(Monitor, K8OneClubTraceIsPinnedByDigest) {
+  // The committed K = 3 trace never reaches the type-count simulator's
+  // exact-inversion branch over 256 types; this K = 8 schedule does (its
+  // one-club grows to a peak of 1,102 peers). Both digests are the bytes
+  // of
+  //   p2p_monitor --k 8 --emit "1:300;4:600;1:300" --us 1 --mu 1
+  //       --gamma 2 --seed 7
+  // (sha256 d6f8730d...24cd9) and of its replay at --window 40 --every 5
+  // (sha256 5bd15113...b0017), so any change to the simulator's draws or
+  // to the monitor's ledger arithmetic shows up here.
+  const auto segment = [](double lambda, double duration) {
+    return LogSegment{SwarmParams(8, 1, 1, 2, {{PieceSet{}, lambda}}),
+                      duration};
+  };
+  EventLogOptions options;
+  options.seed = 7;
+  std::string log = event_log_csv_header();
+  std::size_t events = 0;
+  generate_event_log(
+      {segment(1, 300), segment(4, 600), segment(1, 300)}, options,
+      [&](const SwarmEvent& e) {
+        append_event_csv(log, e);
+        ++events;
+      });
+  EXPECT_EQ(events, 28121u);
+  EXPECT_EQ(fnv1a(log), 0x0b35575d6c1c01b7ULL);
+
+  MonitorConfig config;
+  config.num_pieces = 8;
+  config.window = 40;
+  config.advice_every = 5;
+  StabilityMonitor monitor(config);
+  std::string advice;
+  const AdvisorySink sink = [&](const Advisory& a) {
+    advice += advisory_json_line(a);
+  };
+  std::size_t line_number = 1;  // the header
+  std::size_t begin = log.find('\n') + 1;
+  while (begin < log.size()) {
+    const std::size_t end = log.find('\n', begin);
+    const std::string line = log.substr(begin, end - begin);
+    ++line_number;
+    monitor.feed(parse_event_line(line, line_number, 8), line, line_number,
+                 sink);
+    begin = end + 1;
+  }
+  monitor.finish(sink);
+  EXPECT_EQ(monitor.events_processed(), 28121u);
+  EXPECT_EQ(fnv1a(advice), 0x27cf1455f8235805ULL);
+}
+
 TEST(MonitorDeathTest, InconsistentStreamsAbortEchoingTheLine) {
   MonitorConfig config;
   config.num_pieces = 3;

@@ -1,7 +1,8 @@
 // The type-count chain's law, checked where it is implemented:
 //   * TypeCountLedger, the incremental subset/superset/pair-sum identity
 //     the type-count simulator and the monitor both run on, against
-//     brute-force sums after every bump;
+//     brute-force sums after every bump and every fused transfer, and
+//     its occupancy walk against the occupied types;
 //   * TypeCountSim's event accounting and invariants, and the stable,
 //     transient and missing-piece regimes;
 //   * distributional agreement between TypeCountSim and the enumerated-
@@ -42,6 +43,27 @@ void expect_matches_brute_force(const TypeCountLedger& ledger) {
   ASSERT_EQ(ledger.pair_sum(), pair_sum);
   const std::int64_t n = x.total_peers();
   ASSERT_EQ(ledger.nonsilent_pairs(), n * n - pair_sum);
+  // find_occupied visits exactly {c : x_c > 0}, ascending.
+  std::vector<std::uint64_t> occupied, visited;
+  for (std::uint64_t c = 0; c <= full; ++c) {
+    if (x.count(c) > 0) occupied.push_back(c);
+  }
+  const std::uint64_t none = ledger.find_occupied([&](std::uint64_t c) {
+    visited.push_back(c);
+    return false;
+  });
+  ASSERT_EQ(none, x.num_types());
+  ASSERT_EQ(visited, occupied);
+}
+
+/// A random occupied type, from the ledger's own occupancy walk.
+std::uint64_t random_occupied(const TypeCountLedger& ledger, Rng& rng) {
+  std::vector<std::uint64_t> occupied;
+  ledger.find_occupied([&](std::uint64_t c) {
+    occupied.push_back(c);
+    return false;
+  });
+  return occupied[rng.uniform_int(occupied.size())];
 }
 
 TEST(TypeCountLedger, IncrementalSumsMatchBruteForceAfterEveryBump) {
@@ -72,6 +94,52 @@ TEST(TypeCountLedger, IncrementalSumsMatchBruteForceAfterEveryBump) {
       ASSERT_NO_FATAL_FAILURE(expect_matches_brute_force(ledger))
           << "after bump " << i << " (x_" << mask << " += " << delta << ")";
     }
+  }
+}
+
+TEST(TypeCountLedger, FusedTransfersMatchBruteForceBetweenBumps) {
+  for (const int k : {1, 3, 8, 12}) {
+    SCOPED_TRACE("K = " + std::to_string(k));
+    TypeCountLedger ledger(k);
+    Rng rng(static_cast<std::uint64_t>(200 + k));
+    const int steps = k < 12 ? 400 : 24;
+    int transfers = 0;
+    for (int i = 0; i < steps; ++i) {
+      const bool can_transfer =
+          ledger.state().total_peers() > ledger.state().seeds();
+      if (can_transfer && rng.uniform() < 0.6) {
+        // A non-seed peer downloads one of its missing pieces.
+        std::uint64_t from = random_occupied(ledger, rng);
+        while (from == ledger.full_mask()) from = random_occupied(ledger, rng);
+        const PieceSet missing = PieceSet(from).complement(k);
+        const int piece = missing.nth(
+            static_cast<int>(rng.uniform_int(
+                static_cast<std::uint64_t>(missing.size()))));
+        const std::int64_t stay = ledger.state().count(from) - 1;
+        ledger.transfer(from, piece);
+        ++transfers;
+        ASSERT_EQ(ledger.state().count(from), stay);
+        ASSERT_NO_FATAL_FAILURE(expect_matches_brute_force(ledger))
+            << "after step " << i << " (transfer from " << from
+            << ", piece " << piece << ")";
+        continue;
+      }
+      // An arrival batch of a random type, or a departure batch of an
+      // occupied one.
+      const bool depart = ledger.state().total_peers() > 0 &&
+                          rng.uniform() < 0.3;
+      const std::uint64_t mask = depart
+                                     ? random_occupied(ledger, rng)
+                                     : rng.uniform_int(ledger.full_mask() + 1);
+      const std::int64_t size =
+          1 + static_cast<std::int64_t>(rng.uniform_int(5));
+      const std::int64_t delta =
+          depart ? -std::min(size, ledger.state().count(mask)) : size;
+      ledger.bump(mask, delta);
+      ASSERT_NO_FATAL_FAILURE(expect_matches_brute_force(ledger))
+          << "after step " << i << " (x_" << mask << " += " << delta << ")";
+    }
+    EXPECT_GE(transfers, steps / 4);
   }
 }
 
