@@ -2,16 +2,20 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <span>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "engine/cell_eval.hpp"
+#include "engine/page_allocator.hpp"
 #include "engine/parse_util.hpp"
 #include "engine/thread_pool.hpp"
 #include "rand/rng.hpp"
@@ -26,6 +30,9 @@ namespace {
 /// sliced instead.
 constexpr std::size_t kMaxAdaptiveAxes = 6;
 constexpr int kMaxAdaptiveDepth = 20;
+
+/// A vertex's fine index on each adaptive axis.
+using Coords = std::array<std::uint64_t, kMaxAdaptiveAxes>;
 
 /// The fine vertex lattice the refinement subdivides into. Each adaptive
 /// axis's caller values are the coarse vertices; with S = 2^max_depth,
@@ -46,6 +53,7 @@ struct AdaptiveLattice {
   /// Every effective axis's first value; adaptive slots get overwritten
   /// per vertex.
   std::vector<double> base_values;
+  int depth_bits = 0;       // max_depth
   std::uint64_t scale = 1;  // 2^max_depth fine steps per coarse box
   /// Per adaptive axis: coarse box count, fine vertex count
   /// (boxes * scale + 1), and the row-major key stride.
@@ -54,18 +62,42 @@ struct AdaptiveLattice {
   std::vector<std::uint64_t> strides;
   std::size_t dense_equivalent = 1;
 
-  /// Fine index on adaptive axis j of the vertex with this key.
-  std::uint64_t coord(std::uint64_t key, std::size_t j) const {
-    return (key / strides[j]) % dims[j];
+  /// Fine indices of the vertex with this key.
+  Coords coords(std::uint64_t key) const {
+    Coords g{};
+    for (std::size_t j = axes.size(); j-- > 0;) {
+      g[j] = key % dims[j];
+      key /= dims[j];
+    }
+    return g;
   }
 
+  /// Axis j's value at fine index g. S is a power of two, so g / S and
+  /// g mod S are a shift and a mask.
   double vertex_value(std::size_t j, std::uint64_t g) const {
     const std::vector<double>& vals = effective.axes[axes[j]].values;
-    const std::uint64_t ci = g / scale;
-    const std::uint64_t f = g % scale;
+    const std::uint64_t ci = g >> depth_bits;
+    const std::uint64_t f = g & (scale - 1);
     if (f == 0) return vals[ci];
     return vals[ci] + (vals[ci + 1] - vals[ci]) *
                           (static_cast<double>(f) / static_cast<double>(scale));
+  }
+
+  /// Physical width on axis j of a box at fine index g with fine extent
+  /// `ext`.
+  double width(std::size_t j, std::uint64_t g, std::uint64_t ext) const {
+    return vertex_value(j, g + ext) - vertex_value(j, g);
+  }
+
+  /// The cell parameters at fine indices `g`; `values` is the caller's
+  /// scratch.
+  CellParams params(const Coords& g, std::vector<double>& values,
+                    PolicyKind policy) const {
+    values = base_values;
+    for (std::size_t j = 0; j < axes.size(); ++j) {
+      values[axes[j]] = vertex_value(j, g[j]);
+    }
+    return cell_params(slots, values, policy);
   }
 };
 
@@ -87,6 +119,7 @@ AdaptiveLattice make_lattice(const SweepGrid& grid,
   lat.effective = effective_grid(grid);
   validate_effective_axes(lat.effective, options);
   lat.slots = resolve_axis_slots(lat.effective);
+  lat.depth_bits = adaptive.max_depth;
   lat.scale = std::uint64_t{1} << adaptive.max_depth;
   for (std::size_t i = 0; i < lat.effective.axes.size(); ++i) {
     const Axis& axis = lat.effective.axes[i];
@@ -140,12 +173,21 @@ AdaptiveLattice make_lattice(const SweepGrid& grid,
   return lat;
 }
 
-/// One evaluated lattice vertex: the full cell classification plus
-/// whether the CI-straddle escalation ran extra replica rounds here.
-struct VertexResult {
-  CellResult cell;
-  bool escalated = false;
+/// What the store keeps of one evaluated vertex: the fields of its
+/// CellResult that the vertex key does not determine (a leaf re-derives
+/// its axis values from the key when it renders), and whether the
+/// CI-straddle escalation ran extra replica rounds here. The two enums
+/// are narrowed to a byte each, which packs a record into 104 bytes.
+struct VertexRecord {
+  StabilityReport theory;
+  SimAggregate sim;
+  double ctmc_mean_peers;
+  std::uint8_t backend;  // SimBackend
+  std::uint8_t fluid;    // Stability
+  bool escalated;
 };
+static_assert(std::is_trivially_destructible_v<VertexRecord>,
+              "VertexStore frees its blocks without destroying records");
 
 /// Classifies (and, unless theory_only, simulates) one vertex. Replica
 /// seeds are (base_seed, kStreamAdaptiveSim, key, replica index) and each
@@ -153,20 +195,24 @@ struct VertexResult {
 /// kStreamAdaptiveAgg, key, round): pure functions of the vertex, so the
 /// result is identical no matter which thread — or which generation —
 /// evaluates it.
-void evaluate_vertex(const AdaptiveLattice& lat, const SweepOptions& options,
-                     const AdaptiveOptions& adaptive, std::uint64_t key,
-                     VertexResult& out) {
+VertexRecord evaluate_vertex(const AdaptiveLattice& lat,
+                             const SweepOptions& options,
+                             const AdaptiveOptions& adaptive,
+                             std::uint64_t key) {
   thread_local std::vector<double> values;
   thread_local std::vector<ArrivalSpec> arrival_scratch;
   thread_local std::vector<ReplicaSample> samples;
-  values = lat.base_values;
-  for (std::size_t j = 0; j < lat.axes.size(); ++j) {
-    values[lat.axes[j]] = lat.vertex_value(j, lat.coord(key, j));
-  }
-  const CellParams p = cell_params(lat.slots, values, options.scenario.policy);
-  fill_cell(out.cell, /*cell=*/0, p, options, arrival_scratch);
-  out.escalated = false;
-  if (options.theory_only) return;
+  const CellParams p =
+      lat.params(lat.coords(key), values, options.scenario.policy);
+  CellResult cell;
+  fill_cell(cell, /*cell=*/0, p, options, arrival_scratch);
+  VertexRecord out{cell.theory,
+                   cell.sim,
+                   cell.ctmc_mean_peers,
+                   static_cast<std::uint8_t>(cell.backend),
+                   static_cast<std::uint8_t>(cell.fluid),
+                   /*escalated=*/false};
+  if (options.theory_only) return out;
 
   // Active learning over the replica budget: every vertex gets the base
   // round; a vertex whose bootstrap CI straddles the decision threshold
@@ -188,111 +234,199 @@ void evaluate_vertex(const AdaptiveLattice& lat, const SweepOptions& options,
     }
     Rng agg_rng(derive_seed(options.base_seed, kStreamAdaptiveAgg, key,
                             static_cast<std::uint64_t>(round)));
-    out.cell.sim = aggregate_samples(samples, options, agg_rng);
+    out.sim = aggregate_samples(samples, options, agg_rng);
     if (round + 1 >= rounds) break;
-    const double lo = out.cell.sim.mean_peers_lo;
-    const double hi = out.cell.sim.mean_peers_hi;
+    const double lo = out.sim.mean_peers_lo;
+    const double hi = out.sim.mean_peers_hi;
     const bool straddles = std::isfinite(lo) && std::isfinite(hi) &&
                            lo <= adaptive.sim_threshold &&
                            adaptive.sim_threshold <= hi;
     if (!straddles) break;
     out.escalated = true;
   }
+  return out;
+}
+
+/// The report cell of leaf number `index`, whose origin vertex has the
+/// parameters `p` and the record `v`.
+CellResult leaf_cell(std::size_t index, const CellParams& p,
+                     const VertexRecord& v) {
+  CellResult c;
+  c.index = index;
+  c.lambda = p.lambda;
+  c.us = p.us;
+  c.mu = p.mu;
+  c.gamma = p.gamma;
+  c.k = p.k;
+  c.eta = p.eta;
+  c.flash = p.flash;
+  c.mix = p.mix;
+  c.hetero = p.hetero;
+  c.theory = v.theory;
+  c.sim = v.sim;
+  c.ctmc_mean_peers = v.ctmc_mean_peers;
+  c.backend = static_cast<SimBackend>(v.backend);
+  c.fluid = static_cast<Stability>(v.fluid);
+  return c;
 }
 
 /// A vertex's position in evaluation order: its index into VertexStore.
 using Slot = std::uint32_t;
 
-/// Flat open-addressing index from vertex key to slot: linear probing
-/// over a power-of-two table kept at most 3/4 full, Fibonacci-hashed.
-/// Keys are never erased, and a new key gets the next slot.
-class VertexIndex {
- public:
-  VertexIndex() { rehash(1024); }
-
-  std::size_t size() const { return size_; }
-
-  /// The slot of `key`, first inserting it as slot size() when absent
-  /// (`inserted` says which).
-  Slot find_or_insert(std::uint64_t key, bool& inserted) {
-    if (4 * (size_ + 1) > 3 * table_.size()) rehash(2 * table_.size());
-    for (std::size_t i = bucket(key);; i = (i + 1) & mask_) {
-      Entry& e = table_[i];
-      if (e.key == key) {
-        inserted = false;
-        return e.slot;
-      }
-      if (e.key == kEmpty) {
-        P2P_ASSERT_MSG(size_ < std::numeric_limits<Slot>::max(),
-                       "adaptive refinement needs more vertices than a 32-bit "
-                       "slot can number; lower the depth or coarsen the grid");
-        e.key = key;
-        e.slot = static_cast<Slot>(size_++);
-        inserted = true;
-        return e.slot;
-      }
-    }
-  }
-
- private:
-  /// No lattice key reaches it: keys lie below dense_equivalent, which
-  /// make_lattice bounds by the u64 maximum.
-  static constexpr std::uint64_t kEmpty =
-      std::numeric_limits<std::uint64_t>::max();
-  struct Entry {
-    std::uint64_t key = kEmpty;
-    Slot slot = 0;
-  };
-
-  std::size_t bucket(std::uint64_t key) const {
-    return static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ULL) >> shift_);
-  }
-
-  void rehash(std::size_t capacity) {
-    const std::vector<Entry> old =
-        std::exchange(table_, std::vector<Entry>(capacity));
-    mask_ = capacity - 1;
-    shift_ = 64 - static_cast<unsigned>(std::countr_zero(capacity));
-    for (const Entry& e : old) {
-      if (e.key == kEmpty) continue;
-      std::size_t i = bucket(e.key);
-      while (table_[i].key != kEmpty) i = (i + 1) & mask_;
-      table_[i] = e;
-    }
-  }
-
-  std::vector<Entry> table_;
-  std::size_t mask_ = 0;
-  unsigned shift_ = 0;
-  std::size_t size_ = 0;
-};
-
 /// Evaluated vertices by slot, shared across generations: a vertex
 /// introduced as one generation's edge midpoint is a later generation's
 /// corner, and is never paid for twice. Each generation's new vertices
-/// get one exactly sized block that never moves, so workers fill it in
-/// place while earlier blocks stay readable.
+/// get one exactly sized block of raw storage that never moves. The
+/// worker that evaluates a vertex constructs its record in place, so no
+/// block is initialized on the caller, and earlier blocks stay readable.
 class VertexStore {
  public:
-  std::size_t size() const { return ends_.empty() ? 0 : ends_.back(); }
-
-  /// Appends a block for slots [size(), size() + n).
-  VertexResult* add_block(std::size_t n) {
-    blocks_.push_back(std::make_unique<VertexResult[]>(n));
-    ends_.push_back(size() + n);
-    return blocks_.back().get();
+  VertexStore() = default;
+  VertexStore(const VertexStore&) = delete;
+  VertexStore& operator=(const VertexStore&) = delete;
+  ~VertexStore() {
+    for (std::size_t b = 0; b < blocks_.size(); ++b) {
+      PageAllocator<VertexRecord>().deallocate(
+          blocks_[b], ends_[b] - (b == 0 ? 0 : ends_[b - 1]));
+    }
   }
 
-  const VertexResult& operator[](Slot slot) const {
+  std::size_t size() const { return ends_.empty() ? 0 : ends_.back(); }
+
+  /// Appends unconstructed storage for slots [size(), size() + n).
+  VertexRecord* add_block(std::size_t n) {
+    blocks_.push_back(PageAllocator<VertexRecord>().allocate(n));
+    ends_.push_back(size() + n);
+    return blocks_.back();
+  }
+
+  const VertexRecord& operator[](Slot slot) const {
     const std::size_t b = static_cast<std::size_t>(
         std::upper_bound(ends_.begin(), ends_.end(), slot) - ends_.begin());
     return blocks_[b][slot - (b == 0 ? 0 : ends_[b - 1])];
   }
 
  private:
-  std::vector<std::unique_ptr<VertexResult[]>> blocks_;
+  std::vector<VertexRecord*> blocks_;
   /// ends_[b]: one past block b's last slot.
   std::vector<std::size_t> ends_;
+};
+
+/// One box of a generation: its origin (lower-corner) vertex key and,
+/// from depth 1 on, the slots of the two corners it inherits from the
+/// parent it was split from. A parent's 2^d children are consecutive in
+/// child order, so box b is child p = b mod 2^d, and it inherits corner
+/// p (the parent's corner p) and corner ~p (the parent's center).
+struct Box {
+  std::uint64_t key;
+  Slot corner;
+  Slot center;
+};
+
+/// A shared corner awaiting dedupe: its key and its box_slots position.
+struct Candidate {
+  std::uint64_t key;
+  std::size_t at;
+};
+
+/// Shared corners are deduplicated in kShards independent shards chosen
+/// by the top kShardBits of the key's Fibonacci hash. The shard count is
+/// fixed, so slot numbering does not depend on the thread count.
+constexpr unsigned kShardBits = 6;
+constexpr std::size_t kShards = std::size_t{1} << kShardBits;
+constexpr std::uint64_t kFibonacci = 0x9E3779B97F4A7C15ULL;
+
+std::size_t shard_of(std::uint64_t key) {
+  return static_cast<std::size_t>((key * kFibonacci) >> (64 - kShardBits));
+}
+
+/// Numbers one shard's distinct keys 0, 1, ... in first-seen order,
+/// through a flat open-addressing table (linear probing, at most half
+/// full, indexed by the hash bits below the shard's). Writes each
+/// candidate's number to its box_slots entry, moves the distinct keys in
+/// that order to the front of `shard`, and returns their count.
+std::size_t dedupe_shard(std::span<Candidate> shard, Slot* box_slots) {
+  if (shard.empty()) return 0;
+  // No lattice key reaches it: keys lie below dense_equivalent, which
+  // make_lattice bounds by the u64 maximum.
+  constexpr std::uint64_t kEmpty = std::numeric_limits<std::uint64_t>::max();
+  struct Entry {
+    std::uint64_t key = kEmpty;
+    Slot number = 0;
+  };
+  const std::size_t capacity = std::bit_ceil(2 * shard.size());
+  const unsigned shift =
+      64 - static_cast<unsigned>(std::countr_zero(capacity));
+  std::vector<Entry> table(capacity);
+  std::size_t distinct = 0;
+  for (const Candidate& cand : shard) {
+    const std::uint64_t key = cand.key;
+    const std::size_t at = cand.at;
+    std::size_t i =
+        static_cast<std::size_t>(((key * kFibonacci) << kShardBits) >> shift);
+    while (table[i].key != key && table[i].key != kEmpty) {
+      i = (i + 1) & (capacity - 1);
+    }
+    if (table[i].key == kEmpty) {
+      table[i] = {key, static_cast<Slot>(distinct)};
+      shard[distinct++].key = key;  // never past `cand`: safe in place
+    }
+    box_slots[at] = table[i].number;
+  }
+  return distinct;
+}
+
+/// An allocator whose resize() leaves trivially constructible elements
+/// unwritten: a generation's scratch buffers are filled in full by the
+/// pool right after they are sized, so zeroing them first would only be
+/// a serial memset on the caller.
+template <typename T>
+struct UninitAllocator : std::allocator<T> {
+  template <typename U>
+  struct rebind {
+    using other = UninitAllocator<U>;
+  };
+  UninitAllocator() = default;
+  template <typename U>
+  UninitAllocator(const UninitAllocator<U>&) noexcept {}
+  template <typename U>
+  void construct(U* p) noexcept {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+  }
+};
+
+template <typename T>
+using Scratch = std::vector<T, UninitAllocator<T>>;
+
+/// Boxes per block in a generation's block-parallel passes.
+constexpr std::size_t kBoxBlock = 1024;
+
+/// Runs fn(block, begin, end) on the pool for [0, n) cut into blocks of
+/// kBoxBlock.
+template <typename Fn>
+void for_box_blocks(ThreadPool& pool, std::size_t n, const Fn& fn) {
+  pool.parallel_for(
+      (n + kBoxBlock - 1) / kBoxBlock,
+      [&](std::size_t block) {
+        fn(block, block * kBoxBlock, std::min(n, (block + 1) * kBoxBlock));
+      },
+      1);
+}
+
+/// One box block's decide counts and leaf verdict tallies, then where
+/// its leaves and children start.
+struct BlockTally {
+  std::size_t leaves = 0;
+  std::size_t splits = 0;
+  std::size_t stable = 0;
+  std::size_t transient = 0;
+  std::size_t borderline = 0;
+  std::size_t first_leaf = 0;
+  std::size_t first_child = 0;
 };
 
 /// Per-box decision bits.
@@ -305,7 +439,7 @@ constexpr std::uint8_t kUniform = 2;
 template <typename LeafRow>
 struct LeafSource {
   struct Unit {};
-  using Tally = SweepSummary;  // the decide scan tallies the leaves
+  using Tally = SweepSummary;  // the decide pass tallies the leaves
   struct Walker {
     const LeafSource& source;
     std::size_t leaf;
@@ -347,6 +481,9 @@ AdaptiveOptions parse_adaptive(const std::string& spec) {
     P2P_ASSERT_MSG(adaptive.tol >= 0,
                    "adaptive tolerance must be nonnegative (got \"" + spec +
                        "\")");
+    // -0 passes the check above but would echo as "-0" in the stderr
+    // line and the --summary archive: a zero tolerance is +0.
+    if (adaptive.tol == 0) adaptive.tol = 0;
   }
   return adaptive;
 }
@@ -382,7 +519,9 @@ AdaptiveSummary run_adaptive_stream(const SweepGrid& grid,
   AdaptiveSummary summary;
   summary.dense_equivalent = lat.dense_equivalent;
   const std::size_t d = lat.axes.size();
-  const std::uint64_t corners = std::uint64_t{1} << d;
+  const std::size_t corners = std::size_t{1} << d;
+  const std::size_t all = corners - 1;  // the corner with every axis set
+  ThreadPool pool(options.threads);
 
   // A (sub)box is its origin (lower-corner) vertex key. Generation g
   // holds the boxes of depth g, whose fine extent is scale >> g on every
@@ -390,23 +529,23 @@ AdaptiveSummary run_adaptive_stream(const SweepGrid& grid,
   // Generation 0: the coarse boxes, row-major over the per-axis box
   // counts (last adaptive axis fastest) — the enumeration order a dense
   // sweep over the coarse lattice uses.
-  std::vector<std::uint64_t> current;
+  Scratch<Box> current;
   {
     std::size_t total = 1;
     for (const std::uint64_t nb : lat.boxes) total *= nb;
-    current.reserve(total);
-    std::array<std::uint64_t, kMaxAdaptiveAxes> box{};
-    for (std::size_t i = 0; i < total; ++i) {
-      std::uint64_t key = 0;
-      for (std::size_t j = 0; j < d; ++j) {
-        key += box[j] * lat.scale * lat.strides[j];
-      }
-      current.push_back(key);
-      for (std::size_t j = d; j-- > 0;) {
-        if (++box[j] < lat.boxes[j]) break;
-        box[j] = 0;
-      }
-    }
+    current.resize(total);
+    for_box_blocks(pool, total,
+                   [&](std::size_t, std::size_t begin, std::size_t end) {
+                     for (std::size_t b = begin; b < end; ++b) {
+                       std::uint64_t rest = b, key = 0;
+                       for (std::size_t j = d; j-- > 0;) {
+                         key += (rest % lat.boxes[j]) * lat.scale *
+                                lat.strides[j];
+                         rest /= lat.boxes[j];
+                       }
+                       current[b] = {key, 0, 0};
+                     }
+                   });
   }
   // Key offsets of the 2^d corners of a box with fine extent `step`:
   // corner c shifts axis j by step when bit (d - 1 - j) of c is set.
@@ -414,7 +553,7 @@ AdaptiveSummary run_adaptive_stream(const SweepGrid& grid,
   // parent's center.
   const auto corner_offsets = [&](std::uint64_t step) {
     std::array<std::uint64_t, std::size_t{1} << kMaxAdaptiveAxes> offsets{};
-    for (std::uint64_t c = 0; c < corners; ++c) {
+    for (std::size_t c = 0; c < corners; ++c) {
       for (std::size_t j = 0; j < d; ++j) {
         if (((c >> (d - 1 - j)) & 1) != 0) offsets[c] += step * lat.strides[j];
       }
@@ -422,136 +561,259 @@ AdaptiveSummary run_adaptive_stream(const SweepGrid& grid,
     return offsets;
   };
 
-  ThreadPool pool(options.threads);
   const GridRenderPlan plan =
       make_grid_render_plan(lat.effective, options, writer);
-  VertexIndex index;
   VertexStore store;
   // Per-slot theory verdicts, the only vertex field the decide phase
-  // reads, packed densely instead of at VertexResult's stride.
-  std::vector<Stability> verdicts;
-  std::vector<std::uint64_t> new_keys;
-  std::vector<Slot> box_slots;
-  std::vector<std::uint8_t> decisions;
-  std::vector<std::size_t> leaves;
-  std::vector<std::uint64_t> next;
+  // reads, packed densely instead of at VertexRecord's stride.
+  Scratch<Stability> verdicts;
+  Scratch<Slot> box_slots;
+  std::vector<std::size_t> shard_at;
+  Scratch<Candidate> candidates;
+  Scratch<std::uint8_t> decisions;
+  std::vector<BlockTally> tallies;
+  Scratch<std::size_t> leaves;
+  Scratch<Box> next;
+  std::atomic<std::size_t> escalated{0};
 
-  // Every generation runs four phases, and only the first and a linear
-  // scan in the third are serial:
-  //   plan     — resolve each box's corner and center keys to slots,
-  //              appending first-seen keys (first-need order);
-  //   evaluate — workers fill the generation's block of new vertices;
-  //   decide   — workers decide split / leaf / uniform per box, then one
-  //              scan in box order numbers the leaves, tallies them and
-  //              appends the children (the next generation);
+  // Every generation runs four phases, each on the pool; the caller only
+  // adds up per-block and per-shard counts between the passes.
+  //   plan     — give every box corner and center a slot. At depth >= 1
+  //              a box is child p of a parent, and its corner c sits at
+  //              parent offset (p + c) * ext: corner p is the parent's
+  //              corner p, corner ~p the parent's center, and both are
+  //              inherited. Its center (odd multiples of ext / 2) is new
+  //              and its own: slot base + b. The other corners are edge
+  //              and face midpoints of mixed parity in ext units, while
+  //              every vertex of an earlier generation is all-even or
+  //              all-odd, so they are new too and need deduplication
+  //              only against this generation: they (and every corner at
+  //              depth 0) are sharded by key hash, deduplicated per
+  //              shard, and numbered shard by shard in box order;
+  //   evaluate — workers construct the generation's block of new
+  //              vertex records in place;
+  //   decide   — workers decide split / leaf / uniform per box and count
+  //              per block; the blocks then place their leaves and the
+  //              children (the next generation) at the counts' prefix;
   //   render   — workers render the leaf rows through run_ordered_blocks,
   //              which hands them to the writer in leaf order.
-  // Box order, leaf numbering and row bytes depend only on the grid.
+  // Box order, leaf numbering and row bytes depend only on the grid: a
+  // vertex's record is a pure function of its key, whatever its slot.
   for (int depth = 0; !current.empty(); ++depth) {
     const std::uint64_t ext = lat.scale >> depth;
     const bool centered = depth < adaptive.max_depth;
     const std::size_t stride = corners + (centered ? 1 : 0);
     const auto corner = corner_offsets(ext);
     const auto half = corner_offsets(ext / 2);
-    const auto width = [&](std::uint64_t box, std::size_t j) {
-      const std::uint64_t g = lat.coord(box, j);
-      return lat.vertex_value(j, g + ext) - lat.vertex_value(j, g);
+    const std::size_t boxes = current.size();
+    const std::size_t blocks = (boxes + kBoxBlock - 1) / kBoxBlock;
+    // Calls fn(at, key) for every shared corner of boxes [begin, end) in
+    // box order: every corner at depth 0, and all but the two inherited
+    // ones (c == p, c == ~p for child index p = b mod 2^d) later; `at` is
+    // its box_slots index.
+    const auto for_shared = [&](std::size_t begin, std::size_t end,
+                                const auto& fn) {
+      for (std::size_t b = begin; b < end; ++b) {
+        for (std::size_t c = 0; c < corners; ++c) {
+          if (depth > 0 && (c == (b & all) || c == (~b & all))) continue;
+          fn(b * stride + c, current[b].key + corner[c]);
+        }
+      }
     };
 
-    // Plan: slots [0, 2^d) of a box are its corners, slot 2^d its center.
-    new_keys.clear();
-    box_slots.resize(current.size() * stride);
-    for (std::size_t b = 0; b < current.size(); ++b) {
-      for (std::size_t s = 0; s < stride; ++s) {
-        const std::uint64_t key =
-            current[b] + (s < corners ? corner[s] : half[corners - 1]);
-        bool inserted = false;
-        box_slots[b * stride + s] = index.find_or_insert(key, inserted);
-        if (inserted) new_keys.push_back(key);
+    // Plan. Slots [0, 2^d) of a box are its corners, slot 2^d its center.
+    // Count each block's shared corners per shard...
+    shard_at.assign(blocks * kShards, 0);
+    for_box_blocks(
+        pool, boxes, [&](std::size_t blk, std::size_t begin, std::size_t end) {
+          std::size_t* counts = &shard_at[blk * kShards];
+          for_shared(begin, end, [&](std::size_t, std::uint64_t key) {
+            ++counts[shard_of(key)];
+          });
+        });
+    // ...turn the counts into each (block, shard)'s first candidate, so
+    // a shard's candidates lie in block order, which is box order...
+    std::array<std::size_t, kShards + 1> shard_begin{};
+    std::size_t total = 0;
+    for (std::size_t s = 0; s < kShards; ++s) {
+      shard_begin[s] = total;
+      for (std::size_t block = 0; block < blocks; ++block) {
+        const std::size_t count = shard_at[block * kShards + s];
+        shard_at[block * kShards + s] = total;
+        total += count;
       }
     }
+    shard_begin[kShards] = total;
+    // ...scatter them there...
+    candidates.clear();  // a regrow then copies nothing
+    candidates.resize(total);
+    for_box_blocks(
+        pool, boxes, [&](std::size_t blk, std::size_t begin, std::size_t end) {
+          std::size_t* next_at = &shard_at[blk * kShards];
+          for_shared(begin, end, [&](std::size_t at, std::uint64_t key) {
+            candidates[next_at[shard_of(key)]++] = {key, at};
+          });
+        });
+    // ...and number each shard's distinct keys on its own.
+    box_slots.clear();
+    box_slots.resize(boxes * stride);
+    std::array<std::size_t, kShards> distinct{};
+    pool.parallel_for(
+        kShards,
+        [&](std::size_t s) {
+          distinct[s] = dedupe_shard(
+              std::span(candidates)
+                  .subspan(shard_begin[s], shard_begin[s + 1] - shard_begin[s]),
+              box_slots.data());
+        },
+        1);
+    // The new vertices take slots base + i: the centers in box order,
+    // then each shard's distinct shared corners.
+    const std::size_t base = store.size();
+    const std::size_t centers = centered ? boxes : 0;
+    std::array<std::size_t, kShards> shard_slot{};
+    std::size_t fresh = centers;
+    for (std::size_t s = 0; s < kShards; ++s) {
+      shard_slot[s] = base + fresh;
+      fresh += distinct[s];
+    }
+    P2P_ASSERT_MSG(base + fresh <= std::numeric_limits<Slot>::max(),
+                   "adaptive refinement needs more vertices than a 32-bit "
+                   "slot can number; lower the depth or coarsen the grid");
+    for_box_blocks(
+        pool, boxes, [&](std::size_t, std::size_t begin, std::size_t end) {
+          for (std::size_t b = begin; b < end; ++b) {
+            Slot* slots = &box_slots[b * stride];
+            if (depth > 0) {
+              slots[b & all] = current[b].corner;
+              slots[~b & all] = current[b].center;
+            }
+            if (centered) slots[corners] = static_cast<Slot>(base + b);
+          }
+          for_shared(begin, end, [&](std::size_t at, std::uint64_t key) {
+            box_slots[at] += static_cast<Slot>(shard_slot[shard_of(key)]);
+          });
+        });
+    // A shard's distinct keys sit at the front of its candidates.
+    const auto shared_key = [&](std::size_t slot) {
+      const std::size_t s = static_cast<std::size_t>(
+          std::upper_bound(shard_slot.begin(), shard_slot.end(), slot) -
+          shard_slot.begin() - 1);
+      return candidates[shard_begin[s] + (slot - shard_slot[s])].key;
+    };
 
     // Evaluate.
-    if (!new_keys.empty()) {
-      const std::size_t base = store.size();
-      VertexResult* block = store.add_block(new_keys.size());
-      verdicts.resize(index.size());
-      pool.parallel_for(
-          new_keys.size(),
-          [&](std::size_t i) {
-            evaluate_vertex(lat, options, adaptive, new_keys[i], block[i]);
-            verdicts[base + i] = block[i].cell.theory.verdict;
-          },
-          options.chunk);
-      summary.escalated += static_cast<std::size_t>(
-          std::count_if(block, block + new_keys.size(),
-                        [](const VertexResult& v) { return v.escalated; }));
-    }
+    VertexRecord* block = store.add_block(fresh);
+    verdicts.resize(base + fresh);
+    pool.parallel_for(
+        fresh,
+        [&](std::size_t i) {
+          const std::uint64_t key = i < centers ? current[i].key + half[all]
+                                                : shared_key(base + i);
+          const VertexRecord& v = *std::construct_at(
+              block + i, evaluate_vertex(lat, options, adaptive, key));
+          verdicts[base + i] = v.theory.verdict;
+          if (v.escalated) ++escalated;
+        },
+        options.chunk);
 
     // Decide: subdivide into the 2^d children when the corner/center
     // verdicts disagree, unless the depth cap or the physical tolerance
     // stops it; otherwise the box is a leaf carrying its origin vertex.
-    decisions.resize(current.size());
-    pool.parallel_for(
-        current.size(),
-        [&](std::size_t b) {
-          const Slot* slots = &box_slots[b * stride];
-          const Stability first = verdicts[slots[0]];
-          bool uniform = true;
-          for (std::size_t s = 1; s < stride; ++s) {
-            if (verdicts[slots[s]] != first) uniform = false;
-          }
-          bool split = !uniform && centered;
-          if (split && adaptive.tol > 0) {
-            bool within_tol = true;
-            for (std::size_t j = 0; j < d; ++j) {
-              if (width(current[b], j) > adaptive.tol) within_tol = false;
+    decisions.clear();
+    decisions.resize(boxes);
+    tallies.assign(blocks, BlockTally{});
+    for_box_blocks(
+        pool, boxes, [&](std::size_t blk, std::size_t begin, std::size_t end) {
+          BlockTally& tally = tallies[blk];
+          for (std::size_t b = begin; b < end; ++b) {
+            const Slot* slots = &box_slots[b * stride];
+            const Stability first = verdicts[slots[0]];
+            bool uniform = true;
+            for (std::size_t s = 1; s < stride; ++s) {
+              if (verdicts[slots[s]] != first) uniform = false;
             }
-            if (within_tol) split = false;
+            bool split = !uniform && centered;
+            if (split && adaptive.tol > 0) {
+              const Coords g = lat.coords(current[b].key);
+              bool within_tol = true;
+              for (std::size_t j = 0; j < d; ++j) {
+                if (lat.width(j, g[j], ext) > adaptive.tol) within_tol = false;
+              }
+              if (within_tol) split = false;
+            }
+            decisions[b] = static_cast<std::uint8_t>(
+                (split ? kSplit : 0) | (uniform ? kUniform : 0));
+            if (split) {
+              ++tally.splits;
+            } else {
+              ++tally.leaves;
+              tally_verdict(tally, first);
+            }
           }
-          decisions[b] = static_cast<std::uint8_t>((split ? kSplit : 0) |
-                                                   (uniform ? kUniform : 0));
-        },
-        options.chunk);
+        });
     const std::size_t first_leaf = summary.boxes;
-    leaves.clear();
-    next.clear();
-    for (std::size_t b = 0; b < current.size(); ++b) {
-      if ((decisions[b] & kSplit) != 0) {
-        for (std::uint64_t c = 0; c < corners; ++c) {
-          next.push_back(current[b] + half[c]);
-        }
-        continue;
-      }
-      leaves.push_back(b);
-      tally_verdict(summary, verdicts[box_slots[b * stride]]);
+    std::size_t num_leaves = 0, num_children = 0;
+    for (BlockTally& tally : tallies) {
+      tally.first_leaf = num_leaves;
+      tally.first_child = num_children;
+      num_leaves += tally.leaves;
+      num_children += tally.splits * corners;
+      summary.stable += tally.stable;
+      summary.transient += tally.transient;
+      summary.borderline += tally.borderline;
     }
-    if (!leaves.empty()) {
-      summary.boxes += leaves.size();
+    leaves.clear();
+    leaves.resize(num_leaves);
+    next.clear();
+    next.resize(num_children);
+    for_box_blocks(
+        pool, boxes, [&](std::size_t blk, std::size_t begin, std::size_t end) {
+          std::size_t leaf = tallies[blk].first_leaf;
+          std::size_t child = tallies[blk].first_child;
+          for (std::size_t b = begin; b < end; ++b) {
+            if ((decisions[b] & kSplit) == 0) {
+              leaves[leaf++] = b;
+              continue;
+            }
+            const Slot* slots = &box_slots[b * stride];
+            for (std::size_t c = 0; c < corners; ++c) {
+              next[child++] = {current[b].key + half[c], slots[c],
+                               slots[corners]};
+            }
+          }
+        });
+    if (num_leaves > 0) {
+      summary.boxes += num_leaves;
       summary.max_depth_reached = depth;
     }
 
-    // Render.
+    // Render: a leaf's axis values and widths come from its origin key.
     const auto render_leaf = [&](std::size_t i, std::string& arena) {
+      thread_local std::vector<double> values;
       const std::size_t b = leaves[i];
-      CellResult cell = store[box_slots[b * stride]].cell;
-      cell.index = first_leaf + i;
+      const Coords g = lat.coords(current[b].key);
+      const CellResult cell =
+          leaf_cell(first_leaf + i,
+                    lat.params(g, values, options.scenario.policy),
+                    store[box_slots[b * stride]]);
       // Leaves lie off the coarse grid's digits: the axis cells come from
       // the vertex's own values.
       RowRenderer::Row row(plan.renderer, arena);
       render_grid_row(plan, options, /*digits=*/nullptr, cell, row);
       row.number(static_cast<double>(depth));
       row.number((decisions[b] & kUniform) != 0 ? 1 : 0);
-      for (std::size_t j = 0; j < d; ++j) row.number(width(current[b], j));
+      for (std::size_t j = 0; j < d; ++j) row.number(lat.width(j, g[j], ext));
       row.end();
     };
-    run_ordered_blocks(pool, leaves.size(), 1, options.chunk,
+    run_ordered_blocks(pool, num_leaves, 1, options.chunk,
                        LeafSource{render_leaf}, &writer, nullptr);
     current.swap(next);
   }
 
   summary.evaluated = store.size();
   summary.simulated = options.theory_only ? 0 : store.size();
+  summary.escalated = escalated.load();
   return summary;
 }
 

@@ -5,13 +5,13 @@
 // caller's grid values become a coarse *vertex lattice* whose gaps are
 // the depth-0 boxes (a quadtree in 2-D, sparse 2^d-ary boxes in
 // higher-D), and only boxes whose corner/center verdicts disagree are
-// subdivided — generation by generation. The calling thread plans a
-// generation (resolving every box's vertices through a flat vertex
-// index); the thread pool then evaluates its new vertices, decides its
-// boxes and renders its leaf rows, which the caller concatenates in
-// order. Vertices are shared between neighboring boxes and across
-// generations, so the evaluation count scales with the frontier's area,
-// not the volume's.
+// subdivided — generation by generation. The thread pool plans a
+// generation (a child inherits two of its corners from its parent, and
+// the rest are deduplicated within the generation only), evaluates its
+// new vertices, decides its boxes and renders its leaf rows, which the
+// caller concatenates in order. Vertices are shared between neighboring
+// boxes and across generations, so the evaluation count scales with the
+// frontier's area, not the volume's.
 //
 // The report is the grid schema plus a trailing multi-resolution block:
 //

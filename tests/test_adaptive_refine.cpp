@@ -8,15 +8,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstddef>
 #include <cstdio>
 #include <limits>
+#include <map>
 #include <random>
 #include <string>
 #include <vector>
 
 #include "analysis/phase_diagram.hpp"
+#include "core/model.hpp"
+#include "core/stability.hpp"
 #include "engine/csv_reader.hpp"
 #include "engine/refine.hpp"
 #include "engine/report.hpp"
@@ -77,6 +81,23 @@ TEST(ParseAdaptive, DepthAloneAndDepthColonTol) {
   EXPECT_EQ(with_tol.max_depth, 3);
   EXPECT_EQ(with_tol.tol, 0.05);
   EXPECT_EQ(parse_adaptive("0").max_depth, 0);
+}
+
+TEST(ParseAdaptive, NegativeZeroToleranceIsPositiveZero) {
+  // --summary spells tol with format_number, which keeps the sign of
+  // -0: the two specs must parse to bit-identical options, so one run
+  // archives the same bytes under either spelling.
+  const AdaptiveOptions negative = parse_adaptive("5:-0");
+  const AdaptiveOptions positive = parse_adaptive("5:0");
+  EXPECT_FALSE(std::signbit(negative.tol));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(negative.tol),
+            std::bit_cast<std::uint64_t>(positive.tol));
+  EXPECT_EQ(format_number(negative.tol), "0");
+  EXPECT_EQ(negative.max_depth, positive.max_depth);
+  EXPECT_EQ(negative.max_sim_rounds, positive.max_sim_rounds);
+  EXPECT_EQ(std::isnan(negative.sim_threshold),
+            std::isnan(positive.sim_threshold));
+  EXPECT_FALSE(std::signbit(parse_adaptive("2:-0.0e3").tol));
 }
 
 TEST(ParseAdaptiveDeath, MalformedSpecsDieEchoingTheSpec) {
@@ -177,6 +198,45 @@ TEST(RunAdaptiveStream, UniformLeavesAgreeWithTheDenseSweepAtMatchedResolution) 
   }
 }
 
+void expect_same_summary(const AdaptiveSummary& a, const AdaptiveSummary& b) {
+  EXPECT_EQ(a.boxes, b.boxes);
+  EXPECT_EQ(a.evaluated, b.evaluated);
+  EXPECT_EQ(a.simulated, b.simulated);
+  EXPECT_EQ(a.escalated, b.escalated);
+  EXPECT_EQ(a.max_depth_reached, b.max_depth_reached);
+  EXPECT_EQ(a.dense_equivalent, b.dense_equivalent);
+  EXPECT_EQ(a.stable, b.stable);
+  EXPECT_EQ(a.transient, b.transient);
+  EXPECT_EQ(a.borderline, b.borderline);
+}
+
+/// Runs `grid` over threads {1, 2, 4, 8} x chunk {1, 7, auto} in CSV and
+/// JSON: every point must emit the bytes and the whole summary of the
+/// reference run at `base`.
+void expect_invariant_across_the_matrix(const SweepGrid& grid,
+                                        const SweepOptions& base,
+                                        const AdaptiveOptions& adaptive) {
+  for (const ReportFormat format : {ReportFormat::kCsv, ReportFormat::kJson}) {
+    const AdaptiveRun ref = adaptive_report(grid, base, adaptive, format);
+    for (const int threads : {1, 2, 4, 8}) {
+      for (const std::size_t chunk :
+           {std::size_t{1}, std::size_t{7}, std::size_t{0}}) {
+        SCOPED_TRACE(
+            std::string(format == ReportFormat::kCsv ? "csv" : "json") +
+            " threads " + std::to_string(threads) + " chunk " +
+            std::to_string(chunk));
+        SweepOptions options = base;
+        options.threads = threads;
+        options.chunk = chunk;
+        const AdaptiveRun run =
+            adaptive_report(grid, options, adaptive, format);
+        EXPECT_EQ(run.out, ref.out);
+        expect_same_summary(run.summary, ref.summary);
+      }
+    }
+  }
+}
+
 TEST(RunAdaptiveStream, ByteDeterminismAcrossTheThreadsChunkMatrix) {
   // The whole adaptive loop — vertex claiming, generation barriers,
   // escalation rounds, leaf emission — may not let scheduling touch the
@@ -193,35 +253,9 @@ TEST(RunAdaptiveStream, ByteDeterminismAcrossTheThreadsChunkMatrix) {
   adaptive.sim_threshold = 8;
   adaptive.max_sim_rounds = 2;
   const AdaptiveRun csv_ref = adaptive_report(grid, base, adaptive);
-  const AdaptiveRun json_ref =
-      adaptive_report(grid, base, adaptive, ReportFormat::kJson);
   EXPECT_FALSE(csv_ref.out.empty());
-  for (const int threads : {1, 2, 4, 8}) {
-    for (const std::size_t chunk :
-         {std::size_t{1}, std::size_t{7}, std::size_t{0}}) {
-      SweepOptions options = base;
-      options.threads = threads;
-      options.chunk = chunk;
-      EXPECT_EQ(adaptive_report(grid, options, adaptive).out, csv_ref.out)
-          << "threads " << threads << " chunk " << chunk;
-      EXPECT_EQ(
-          adaptive_report(grid, options, adaptive, ReportFormat::kJson).out,
-          json_ref.out)
-          << "threads " << threads << " chunk " << chunk;
-    }
-  }
-}
-
-void expect_same_summary(const AdaptiveSummary& a, const AdaptiveSummary& b) {
-  EXPECT_EQ(a.boxes, b.boxes);
-  EXPECT_EQ(a.evaluated, b.evaluated);
-  EXPECT_EQ(a.simulated, b.simulated);
-  EXPECT_EQ(a.escalated, b.escalated);
-  EXPECT_EQ(a.max_depth_reached, b.max_depth_reached);
-  EXPECT_EQ(a.dense_equivalent, b.dense_equivalent);
-  EXPECT_EQ(a.stable, b.stable);
-  EXPECT_EQ(a.transient, b.transient);
-  EXPECT_EQ(a.borderline, b.borderline);
+  EXPECT_GT(csv_ref.summary.escalated, 0u);
+  expect_invariant_across_the_matrix(grid, base, adaptive);
 }
 
 TEST(RunAdaptiveStream, ThreeDimensionalVolumeIsInvariantAcrossTheMatrix) {
@@ -268,23 +302,191 @@ TEST(RunAdaptiveStream, ThreeDimensionalVolumeIsInvariantAcrossTheMatrix) {
   EXPECT_GT(altruistic, 0u);
   EXPECT_GT(frontier, 0u);
 
-  for (const int threads : {1, 2, 4, 8}) {
-    for (const std::size_t chunk :
-         {std::size_t{1}, std::size_t{7}, std::size_t{0}}) {
-      SCOPED_TRACE("threads " + std::to_string(threads) + " chunk " +
-                   std::to_string(chunk));
-      SweepOptions options = base;
-      options.threads = threads;
-      options.chunk = chunk;
-      const AdaptiveRun csv = adaptive_report(grid, options, adaptive);
-      EXPECT_EQ(csv.out, csv_ref.out);
-      expect_same_summary(csv.summary, csv_ref.summary);
-      const AdaptiveRun json =
-          adaptive_report(grid, options, adaptive, ReportFormat::kJson);
-      EXPECT_EQ(json.out, json_ref.out);
-      expect_same_summary(json.summary, json_ref.summary);
+  expect_invariant_across_the_matrix(grid, base, adaptive);
+}
+
+TEST(RunAdaptiveStream, FourDimensionalVolumeIsInvariantAcrossTheMatrix) {
+  // A box of a 4-D lattice has 16 corners, and a child shares only two
+  // of them with its parent (the parent's corner at its own child index
+  // and the parent's center); the other 14 are edge, face and cell
+  // midpoints that neighbouring children share. The gamma axis crosses
+  // mu, so both Theorem-1 branches meet inside the volume.
+  const SweepGrid grid = parse_grid(
+      "lambda=0.5:3.0:3;us=0.2:1.7:2;mu=0.5:2.0:2;gamma=0.8:2.0:2");
+  SweepOptions base;
+  base.theory_only = true;
+  base.threads = 1;
+  base.chunk = 1;
+  AdaptiveOptions adaptive;
+  adaptive.max_depth = 3;
+  const AdaptiveRun ref = adaptive_report(grid, base, adaptive);
+  EXPECT_EQ(ref.summary.max_depth_reached, 3);
+  EXPECT_EQ(ref.summary.stable + ref.summary.transient +
+                ref.summary.borderline,
+            ref.summary.boxes);
+  EXPECT_LT(ref.summary.evaluated, ref.summary.dense_equivalent);
+  expect_invariant_across_the_matrix(grid, base, adaptive);
+}
+
+/// What a brute-force replay of the refinement sees: the distinct
+/// vertices it classified, and its leaves' origin verdicts in report
+/// order.
+struct OracleRun {
+  std::size_t evaluated = 0;
+  std::vector<Stability> leaf_verdicts;
+  int max_depth_reached = 0;
+};
+
+/// Replays the subdivision box by box with none of the engine's slot
+/// bookkeeping: every box classifies each of its corners and its center
+/// at its fine-lattice values (fine_lattice's exact expression), and the
+/// vertex keys land in one ordered map, so a vertex the engine evaluated
+/// twice, or shared wrongly between boxes, cannot hide. `axes` are the
+/// adaptive axes in grid order (from lambda, us, mu, gamma); the rest
+/// take the default region grid's values (mu 1, gamma 1.25, k 3).
+OracleRun replay_refinement(const std::vector<Axis>& axes, int max_depth,
+                            double tol) {
+  const std::size_t d = axes.size();
+  const std::uint64_t scale = std::uint64_t{1} << max_depth;
+  std::vector<std::vector<double>> fine;
+  std::vector<std::uint64_t> dims, boxes;
+  for (const Axis& axis : axes) {
+    fine.push_back(fine_lattice(axis.values, max_depth));
+    dims.push_back(fine.back().size());
+    boxes.push_back(axis.values.size() - 1);
+  }
+  using Point = std::vector<std::uint64_t>;
+  std::map<std::uint64_t, Stability> verdicts;
+  const auto verdict_at = [&](const Point& g) {
+    std::uint64_t key = 0;
+    for (std::size_t j = 0; j < d; ++j) key = key * dims[j] + g[j];
+    const auto [it, fresh] = verdicts.try_emplace(key);
+    if (fresh) {
+      double lambda = 0, us = 0, mu = 1, gamma = 1.25;
+      for (std::size_t j = 0; j < d; ++j) {
+        const double v = fine[j][g[j]];
+        if (axes[j].name == "lambda") lambda = v;
+        if (axes[j].name == "us") us = v;
+        if (axes[j].name == "mu") mu = v;
+        if (axes[j].name == "gamma") gamma = v;
+      }
+      it->second =
+          classify(SwarmParams(3, us, mu, gamma, {{PieceSet{}, lambda}}))
+              .verdict;
+    }
+    return it->second;
+  };
+
+  OracleRun run;
+  std::vector<Point> current;  // box origins, row-major coarse order
+  for (Point box(d, 0);;) {
+    Point origin(d);
+    for (std::size_t j = 0; j < d; ++j) origin[j] = box[j] * scale;
+    current.push_back(origin);
+    std::size_t j = d;
+    while (j-- > 0 && ++box[j] == boxes[j]) box[j] = 0;
+    if (j == std::size_t(-1)) break;
+  }
+  for (int depth = 0; !current.empty(); ++depth) {
+    const std::uint64_t ext = scale >> depth;
+    const bool centered = depth < max_depth;
+    std::vector<Point> next;
+    for (const Point& origin : current) {
+      const auto shifted = [&](std::uint64_t c, std::uint64_t step) {
+        Point g = origin;
+        for (std::size_t j = 0; j < d; ++j) {
+          if (((c >> (d - 1 - j)) & 1) != 0) g[j] += step;
+        }
+        return g;
+      };
+      const Stability first = verdict_at(origin);
+      bool uniform = true;
+      for (std::uint64_t c = 1; c < (std::uint64_t{1} << d); ++c) {
+        if (verdict_at(shifted(c, ext)) != first) uniform = false;
+      }
+      if (centered) {
+        const std::uint64_t all = (std::uint64_t{1} << d) - 1;
+        if (verdict_at(shifted(all, ext / 2)) != first) uniform = false;
+      }
+      bool split = !uniform && centered;
+      if (split && tol > 0) {
+        bool within_tol = true;
+        for (std::size_t j = 0; j < d; ++j) {
+          if (fine[j][origin[j] + ext] - fine[j][origin[j]] > tol) {
+            within_tol = false;
+          }
+        }
+        if (within_tol) split = false;
+      }
+      if (split) {
+        for (std::uint64_t c = 0; c < (std::uint64_t{1} << d); ++c) {
+          next.push_back(shifted(c, ext / 2));
+        }
+      } else {
+        run.leaf_verdicts.push_back(first);
+        run.max_depth_reached = depth;
+      }
+    }
+    current = std::move(next);
+  }
+  run.evaluated = verdicts.size();
+  return run;
+}
+
+TEST(RunAdaptiveStream, EvaluatesExactlyTheVerticesOfABruteForceReplay) {
+  // The engine never looks a vertex up in earlier generations: a child
+  // inherits two corners from its parent and every other corner is new
+  // by parity. The replay checks that bookkeeping against the plain
+  // definition — the evaluated count is the number of distinct vertices
+  // the subdivision touches, the leaves come out in the same order, and
+  // every leaf carries its origin's closed-form verdict.
+  // The 3-D mu axis crosses gamma = 1.25, so the altruistic branch
+  // meets the one-club frontier. The 4-D volume sits where the frontier
+  // clips a corner of the box, which keeps depth 5 at a few thousand
+  // vertices.
+  const std::vector<std::vector<Axis>> lattices = {
+      {Axis{"lambda", {0.6, 1.3, 2.0}}, Axis{"us", {0.2, 0.4, 0.6}}},
+      {Axis{"lambda", {0.6, 1.3, 2.0}}, Axis{"us", {0.2, 0.4, 0.6}},
+       Axis{"mu", {0.5, 2.0}}},
+      {Axis{"lambda", {0.9, 1.4}}, Axis{"us", {0.1, 0.25}},
+       Axis{"mu", {0.5, 0.8}}, Axis{"gamma", {1.0, 1.6}}}};
+  bool tol_stopped_early = false;
+  for (const std::vector<Axis>& axes : lattices) {
+    const std::size_t d = axes.size();
+    SweepGrid grid;
+    for (const Axis& axis : axes) grid.set_axis(axis);
+    SweepOptions options;
+    options.theory_only = true;
+    options.threads = 3;
+    for (int depth = 0; depth <= 5; ++depth) {
+      for (const double tol : {0.0, 0.05}) {
+        SCOPED_TRACE("d " + std::to_string(d) + " depth " +
+                     std::to_string(depth) + " tol " + format_number(tol));
+        AdaptiveOptions adaptive;
+        adaptive.max_depth = depth;
+        adaptive.tol = tol;
+        const AdaptiveRun run = adaptive_report(grid, options, adaptive);
+        const OracleRun oracle = replay_refinement(axes, depth, tol);
+        EXPECT_EQ(run.summary.evaluated, oracle.evaluated);
+        EXPECT_EQ(run.summary.boxes, oracle.leaf_verdicts.size());
+        EXPECT_EQ(run.summary.max_depth_reached, oracle.max_depth_reached);
+        tol_stopped_early |= tol > 0 && oracle.max_depth_reached < depth;
+
+        const Table table = read_csv(run.out);
+        const auto& cols = table.columns();
+        const std::size_t c_verdict = static_cast<std::size_t>(
+            std::find(cols.begin(), cols.end(), "verdict") - cols.begin());
+        ASSERT_LT(c_verdict, cols.size());
+        ASSERT_EQ(table.num_rows(), oracle.leaf_verdicts.size());
+        for (std::size_t r = 0; r < table.num_rows(); ++r) {
+          ASSERT_EQ(table.row(r)[c_verdict],
+                    to_string(oracle.leaf_verdicts[r]))
+              << "leaf " << r;
+        }
+      }
     }
   }
+  EXPECT_TRUE(tol_stopped_early);
 }
 
 TEST(RunAdaptiveStream, DepthZeroDegeneratesToTheDensePipelineRowForRow) {
