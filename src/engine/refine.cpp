@@ -173,32 +173,43 @@ AdaptiveLattice make_lattice(const SweepGrid& grid,
   return lat;
 }
 
-/// What the store keeps of one evaluated vertex: the fields of its
-/// CellResult that the vertex key does not determine (a leaf re-derives
-/// its axis values from the key when it renders), and whether the
-/// CI-straddle escalation ran extra replica rounds here. The two enums
-/// are narrowed to a byte each, which packs a record into 104 bytes.
+/// What the store keeps of one evaluated vertex for every run: the
+/// rendered fields of its Theorem-1 report, its backend and fluid
+/// verdict, and whether the CI-straddle escalation ran extra replica
+/// rounds here. A leaf re-derives its axis values from its key, and a
+/// theory-only run's sim cells are constant, so this is all a
+/// theory-only vertex needs: 16 bytes.
 struct VertexRecord {
-  StabilityReport theory;
-  SimAggregate sim;
-  double ctmc_mean_peers;
-  std::uint8_t backend;  // SimBackend
-  std::uint8_t fluid;    // Stability
+  double margin;
+  std::int8_t critical_piece;  // in [-1, kMaxPieces)
+  std::uint8_t verdict;        // Stability
+  std::uint8_t backend;        // SimBackend
+  std::uint8_t fluid;          // Stability
   bool escalated;
 };
-static_assert(std::is_trivially_destructible_v<VertexRecord>,
+static_assert(sizeof(VertexRecord) == 16);
+
+/// The per-vertex sidecar of a run that simulates or solves the CTMC:
+/// the cells a theory-only run renders as constants.
+struct VertexSim {
+  SimAggregate sim;
+  double ctmc_mean_peers;
+};
+static_assert(std::is_trivially_destructible_v<VertexRecord> &&
+                  std::is_trivially_destructible_v<VertexSim>,
               "VertexStore frees its blocks without destroying records");
 
-/// Classifies (and, unless theory_only, simulates) one vertex. Replica
-/// seeds are (base_seed, kStreamAdaptiveSim, key, replica index) and each
-/// aggregation round draws its bootstrap from (base_seed,
-/// kStreamAdaptiveAgg, key, round): pure functions of the vertex, so the
-/// result is identical no matter which thread — or which generation —
-/// evaluates it.
+/// Classifies (and, unless theory_only, simulates) one vertex; `sim` is
+/// null unless the run keeps the sidecar (every simulating run does),
+/// and is constructed in place otherwise. Replica seeds are (base_seed,
+/// kStreamAdaptiveSim, key, replica index) and each aggregation round
+/// draws its bootstrap from (base_seed, kStreamAdaptiveAgg, key, round):
+/// pure functions of the vertex, so the result is identical no matter
+/// which thread — or which generation — evaluates it.
 VertexRecord evaluate_vertex(const AdaptiveLattice& lat,
                              const SweepOptions& options,
                              const AdaptiveOptions& adaptive,
-                             std::uint64_t key) {
+                             std::uint64_t key, VertexSim* sim) {
   thread_local std::vector<double> values;
   thread_local std::vector<ArrivalSpec> arrival_scratch;
   thread_local std::vector<ReplicaSample> samples;
@@ -206,12 +217,15 @@ VertexRecord evaluate_vertex(const AdaptiveLattice& lat,
       lat.params(lat.coords(key), values, options.scenario.policy);
   CellResult cell;
   fill_cell(cell, /*cell=*/0, p, options, arrival_scratch);
-  VertexRecord out{cell.theory,
-                   cell.sim,
-                   cell.ctmc_mean_peers,
+  VertexRecord out{cell.theory.margin,
+                   static_cast<std::int8_t>(cell.theory.critical_piece),
+                   static_cast<std::uint8_t>(cell.theory.verdict),
                    static_cast<std::uint8_t>(cell.backend),
                    static_cast<std::uint8_t>(cell.fluid),
                    /*escalated=*/false};
+  if (sim != nullptr) {
+    std::construct_at(sim, VertexSim{cell.sim, cell.ctmc_mean_peers});
+  }
   if (options.theory_only) return out;
 
   // Active learning over the replica budget: every vertex gets the base
@@ -234,10 +248,10 @@ VertexRecord evaluate_vertex(const AdaptiveLattice& lat,
     }
     Rng agg_rng(derive_seed(options.base_seed, kStreamAdaptiveAgg, key,
                             static_cast<std::uint64_t>(round)));
-    out.sim = aggregate_samples(samples, options, agg_rng);
+    sim->sim = aggregate_samples(samples, options, agg_rng);
     if (round + 1 >= rounds) break;
-    const double lo = out.sim.mean_peers_lo;
-    const double hi = out.sim.mean_peers_hi;
+    const double lo = sim->sim.mean_peers_lo;
+    const double hi = sim->sim.mean_peers_hi;
     const bool straddles = std::isfinite(lo) && std::isfinite(hi) &&
                            lo <= adaptive.sim_threshold &&
                            adaptive.sim_threshold <= hi;
@@ -247,12 +261,27 @@ VertexRecord evaluate_vertex(const AdaptiveLattice& lat,
   return out;
 }
 
-/// The report cell of leaf number `index`, whose origin vertex has the
-/// parameters `p` and the record `v`.
-CellResult leaf_cell(std::size_t index, const CellParams& p,
-                     const VertexRecord& v) {
+/// The report cell of leaf number `index` whose origin vertex has the
+/// record `v` and, when the run keeps it, the sidecar `sim`. The axis
+/// fields stay unset: the caller fills them when the row needs them.
+CellResult leaf_cell(std::size_t index, const VertexRecord& v,
+                     const VertexSim* sim) {
   CellResult c;
   c.index = index;
+  c.theory.verdict = static_cast<Stability>(v.verdict);
+  c.theory.margin = v.margin;
+  c.theory.critical_piece = v.critical_piece;
+  if (sim != nullptr) {
+    c.sim = sim->sim;
+    c.ctmc_mean_peers = sim->ctmc_mean_peers;
+  }
+  c.backend = static_cast<SimBackend>(v.backend);
+  c.fluid = static_cast<Stability>(v.fluid);
+  return c;
+}
+
+/// Copies the parameters `p` into the axis fields of `c`.
+void set_axis_fields(CellResult& c, const CellParams& p) {
   c.lambda = p.lambda;
   c.us = p.us;
   c.mu = p.mu;
@@ -262,12 +291,6 @@ CellResult leaf_cell(std::size_t index, const CellParams& p,
   c.flash = p.flash;
   c.mix = p.mix;
   c.hetero = p.hetero;
-  c.theory = v.theory;
-  c.sim = v.sim;
-  c.ctmc_mean_peers = v.ctmc_mean_peers;
-  c.backend = static_cast<SimBackend>(v.backend);
-  c.fluid = static_cast<Stability>(v.fluid);
-  return c;
 }
 
 /// A vertex's position in evaluation order: its index into VertexStore.
@@ -276,38 +299,54 @@ using Slot = std::uint32_t;
 /// Evaluated vertices by slot, shared across generations: a vertex
 /// introduced as one generation's edge midpoint is a later generation's
 /// corner, and is never paid for twice. Each generation's new vertices
-/// get one exactly sized block of raw storage that never moves. The
-/// worker that evaluates a vertex constructs its record in place, so no
-/// block is initialized on the caller, and earlier blocks stay readable.
+/// get one exactly sized block of raw records, plus one of sidecars when
+/// the run keeps them; blocks never move. The worker that evaluates a
+/// vertex constructs its record in place, so no block is initialized on
+/// the caller, and earlier blocks stay readable.
 class VertexStore {
  public:
-  VertexStore() = default;
+  explicit VertexStore(bool with_sims) : with_sims_(with_sims) {}
   VertexStore(const VertexStore&) = delete;
   VertexStore& operator=(const VertexStore&) = delete;
   ~VertexStore() {
-    for (std::size_t b = 0; b < blocks_.size(); ++b) {
-      PageAllocator<VertexRecord>().deallocate(
-          blocks_[b], ends_[b] - (b == 0 ? 0 : ends_[b - 1]));
+    for (std::size_t b = 0; b < records_.size(); ++b) {
+      const std::size_t n = ends_[b] - (b == 0 ? 0 : ends_[b - 1]);
+      PageAllocator<VertexRecord>().deallocate(records_[b], n);
+      if (with_sims_) PageAllocator<VertexSim>().deallocate(sims_[b], n);
     }
   }
 
   std::size_t size() const { return ends_.empty() ? 0 : ends_.back(); }
 
+  /// Unconstructed storage for one block's slots; sims is null unless
+  /// the store keeps sidecars.
+  struct Block {
+    VertexRecord* records;
+    VertexSim* sims;
+  };
+
   /// Appends unconstructed storage for slots [size(), size() + n).
-  VertexRecord* add_block(std::size_t n) {
-    blocks_.push_back(PageAllocator<VertexRecord>().allocate(n));
+  Block add_block(std::size_t n) {
+    records_.push_back(PageAllocator<VertexRecord>().allocate(n));
+    sims_.push_back(with_sims_ ? PageAllocator<VertexSim>().allocate(n)
+                               : nullptr);
     ends_.push_back(size() + n);
-    return blocks_.back();
+    return {records_.back(), sims_.back()};
   }
 
-  const VertexRecord& operator[](Slot slot) const {
+  /// The record of `slot` and its sidecar (null unless kept).
+  std::pair<const VertexRecord*, const VertexSim*> operator[](
+      Slot slot) const {
     const std::size_t b = static_cast<std::size_t>(
         std::upper_bound(ends_.begin(), ends_.end(), slot) - ends_.begin());
-    return blocks_[b][slot - (b == 0 ? 0 : ends_[b - 1])];
+    const std::size_t i = slot - (b == 0 ? 0 : ends_[b - 1]);
+    return {&records_[b][i], with_sims_ ? &sims_[b][i] : nullptr};
   }
 
  private:
-  std::vector<VertexRecord*> blocks_;
+  bool with_sims_;
+  std::vector<VertexRecord*> records_;
+  std::vector<VertexSim*> sims_;
   /// ends_[b]: one past block b's last slot.
   std::vector<std::size_t> ends_;
 };
@@ -458,6 +497,92 @@ struct LeafSource {
   std::size_t row_bytes = 0;
 };
 
+/// The full cell (column prefix included) that Row::number(value)
+/// renders at `column` of `renderer`'s rows.
+std::string number_cell(const RowRenderer& renderer, std::size_t column,
+                        double value) {
+  std::string cell;
+  RowRenderer::Row row(renderer, cell);
+  row.cells_verbatim({}, column);  // skip to `column`, emitting nothing
+  row.number(value);
+  return cell;
+}
+
+/// The cells of one generation's leaf rows that are pure functions of
+/// the lattice, rendered once so that a leaf row formats only its
+/// margin. A leaf of generation `depth` has its origin at fine index
+/// t * ext (ext = scale >> depth) on axis j, t < boxes_j << depth; its
+/// value cells go into the render plan's axis_tokens, indexed by t, for
+/// render_grid_row's digits path, and its width cells are indexed by t
+/// too. Widths are keyed by the origin, not by the depth alone: on an
+/// unevenly spaced lattice, and through rounding on an even one, boxes
+/// of one depth differ in width.
+struct LeafTokens {
+  /// widths[j][t]: axis j's box_ext cell.
+  std::vector<std::vector<std::string>> widths;
+  /// The box_depth and box_uniform cells, indexed by box_uniform.
+  std::string tails[2];
+};
+
+/// Builds generation `depth`'s tokens on the pool: the value cells into
+/// plan.axis_tokens, the rest into `tokens`. Returns false, building
+/// nothing, when an axis table would hold more entries than the
+/// generation's `num_leaves` leaves: those few leaves are formatted
+/// instead, so a deep run never tokenizes millions of coordinates for a
+/// handful of rows.
+bool build_leaf_tokens(ThreadPool& pool, const AdaptiveLattice& lat,
+                       int depth, std::size_t num_leaves,
+                       GridRenderPlan& plan, LeafTokens& tokens) {
+  const std::size_t d = lat.axes.size();
+  std::array<std::size_t, kMaxAdaptiveAxes + 1> table_begin{};
+  for (std::size_t j = 0; j < d; ++j) {
+    const std::uint64_t entries = lat.boxes[j] << depth;
+    if (entries > num_leaves) return false;
+    table_begin[j + 1] = table_begin[j] + entries;
+  }
+  const RowRenderer& renderer = plan.renderer;
+  // Axis j's render column, and the box_depth column (the box block
+  // closes the row).
+  std::array<std::size_t, kMaxAdaptiveAxes> value_columns{};
+  for (const GridRenderPlan::RenderSegment& seg : plan.segments) {
+    for (std::size_t j = 0; j < d; ++j) {
+      if (seg.cells == 0 && seg.axis == lat.axes[j]) {
+        value_columns[j] = 1 + seg.field;
+      }
+    }
+  }
+  const std::size_t box_column = renderer.num_columns() - 2 - d;
+  tokens.widths.resize(d);
+  for (std::size_t j = 0; j < d; ++j) {
+    const std::size_t entries = table_begin[j + 1] - table_begin[j];
+    plan.axis_tokens[lat.axes[j]].resize(entries);
+    tokens.widths[j].resize(entries);
+  }
+  const std::uint64_t ext = lat.scale >> depth;
+  const auto build = [&](std::size_t, std::size_t begin, std::size_t end) {
+    std::size_t j = 0;
+    for (std::size_t e = begin; e < end; ++e) {
+      while (e >= table_begin[j + 1]) ++j;
+      const std::size_t t = e - table_begin[j];
+      const std::uint64_t origin = t * ext;
+      plan.axis_tokens[lat.axes[j]][t] = number_cell(
+          renderer, value_columns[j], lat.vertex_value(j, origin));
+      tokens.widths[j][t] = number_cell(renderer, box_column + 2 + j,
+                                        lat.width(j, origin, ext));
+    }
+  };
+  for_box_blocks(pool, table_begin[d], build);
+  for (const int uniform : {0, 1}) {
+    std::string& tail = tokens.tails[uniform];
+    tail.clear();
+    RowRenderer::Row row(renderer, tail);
+    row.cells_verbatim({}, box_column);
+    row.number(depth);
+    row.number(uniform);
+  }
+  return true;
+}
+
 }  // namespace
 
 AdaptiveOptions parse_adaptive(const std::string& spec) {
@@ -561,9 +686,10 @@ AdaptiveSummary run_adaptive_stream(const SweepGrid& grid,
     return offsets;
   };
 
-  const GridRenderPlan plan =
-      make_grid_render_plan(lat.effective, options, writer);
-  VertexStore store;
+  GridRenderPlan plan = make_grid_render_plan(lat.effective, options, writer);
+  LeafTokens tokens;
+  VertexStore store(/*with_sims=*/!options.theory_only ||
+                    options.ctmc_max_peers > 0);
   // Per-slot theory verdicts, the only vertex field the decide phase
   // reads, packed densely instead of at VertexRecord's stride.
   Scratch<Stability> verdicts;
@@ -591,12 +717,14 @@ AdaptiveSummary run_adaptive_stream(const SweepGrid& grid,
   //              depth 0) are sharded by key hash, deduplicated per
   //              shard, and numbered shard by shard in box order;
   //   evaluate — workers construct the generation's block of new
-  //              vertex records in place;
+  //              vertex records (and sidecars) in place;
   //   decide   — workers decide split / leaf / uniform per box and count
   //              per block; the blocks then place their leaves and the
   //              children (the next generation) at the counts' prefix;
-  //   render   — workers render the leaf rows through run_ordered_blocks,
-  //              which hands them to the writer in leaf order.
+  //   render   — workers render the generation's lattice tokens (axis
+  //              values and box widths by origin coordinate), then the
+  //              leaf rows from them through run_ordered_blocks, which
+  //              hands the rows to the writer in leaf order.
   // Box order, leaf numbering and row bytes depend only on the grid: a
   // vertex's record is a pure function of its key, whatever its slot.
   for (int depth = 0; !current.empty(); ++depth) {
@@ -703,7 +831,7 @@ AdaptiveSummary run_adaptive_stream(const SweepGrid& grid,
     };
 
     // Evaluate.
-    VertexRecord* block = store.add_block(fresh);
+    const VertexStore::Block block = store.add_block(fresh);
     verdicts.resize(base + fresh);
     pool.parallel_for(
         fresh,
@@ -711,8 +839,11 @@ AdaptiveSummary run_adaptive_stream(const SweepGrid& grid,
           const std::uint64_t key = i < centers ? current[i].key + half[all]
                                                 : shared_key(base + i);
           const VertexRecord& v = *std::construct_at(
-              block + i, evaluate_vertex(lat, options, adaptive, key));
-          verdicts[base + i] = v.theory.verdict;
+              block.records + i,
+              evaluate_vertex(lat, options, adaptive, key,
+                              block.sims == nullptr ? nullptr
+                                                    : block.sims + i));
+          verdicts[base + i] = static_cast<Stability>(v.verdict);
           if (v.escalated) ++escalated;
         },
         options.chunk);
@@ -788,22 +919,46 @@ AdaptiveSummary run_adaptive_stream(const SweepGrid& grid,
       summary.max_depth_reached = depth;
     }
 
-    // Render: a leaf's axis values and widths come from its origin key.
+    // Render. A leaf's axis values and widths come from its origin key:
+    // through the generation's tokens, or formatted when the generation
+    // is too deep for its few leaves to pay for a table.
+    const bool tokenized =
+        num_leaves > 0 &&
+        build_leaf_tokens(pool, lat, depth, num_leaves, plan, tokens);
+    const int shift = lat.depth_bits - depth;  // origin g = t << shift
     const auto render_leaf = [&](std::size_t i, std::string& arena) {
       thread_local std::vector<double> values;
+      thread_local std::vector<std::size_t> digits;
       const std::size_t b = leaves[i];
       const Coords g = lat.coords(current[b].key);
-      const CellResult cell =
-          leaf_cell(first_leaf + i,
-                    lat.params(g, values, options.scenario.policy),
-                    store[box_slots[b * stride]]);
-      // Leaves lie off the coarse grid's digits: the axis cells come from
-      // the vertex's own values.
+      const auto [v, sim] = store[box_slots[b * stride]];
+      CellResult cell = leaf_cell(first_leaf + i, *v, sim);
+      // Tokenized, render_grid_row reads the axis fields only for the
+      // per-type arrival-rate columns.
+      if (!tokenized || !options.scenario.empty()) {
+        set_axis_fields(cell, lat.params(g, values, options.scenario.policy));
+      }
+      if (tokenized) {
+        digits.resize(lat.effective.axes.size());
+        for (std::size_t j = 0; j < d; ++j) {
+          digits[lat.axes[j]] = g[j] >> shift;
+        }
+      }
+      const bool uniform = (decisions[b] & kUniform) != 0;
       RowRenderer::Row row(plan.renderer, arena);
-      render_grid_row(plan, options, /*digits=*/nullptr, cell, row);
-      row.number(static_cast<double>(depth));
-      row.number((decisions[b] & kUniform) != 0 ? 1 : 0);
-      for (std::size_t j = 0; j < d; ++j) row.number(lat.width(j, g[j], ext));
+      render_grid_row(plan, options, tokenized ? &digits : nullptr, cell, row);
+      if (tokenized) {
+        row.cells_verbatim(tokens.tails[uniform ? 1 : 0], 2);
+        for (std::size_t j = 0; j < d; ++j) {
+          row.cells_verbatim(tokens.widths[j][g[j] >> shift], 1);
+        }
+      } else {
+        row.number(static_cast<double>(depth));
+        row.number(uniform ? 1 : 0);
+        for (std::size_t j = 0; j < d; ++j) {
+          row.number(lat.width(j, g[j], ext));
+        }
+      }
       row.end();
     };
     run_ordered_blocks(pool, num_leaves, 1, options.chunk,

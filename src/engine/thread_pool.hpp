@@ -142,9 +142,15 @@ class ThreadPool {
   /// The range-naming throw guard for the block API.
   static BlockFn guarded_block(const BlockFn& fn) {
     return [&fn](std::size_t begin, std::size_t end) {
+      // Appended piece by piece: GCC 12 flags `"[" + std::string` with a
+      // false -Wrestrict overlap warning.
       const auto range = [begin, end] {
-        return "[" + std::to_string(begin) + ", " + std::to_string(end) +
-               ")";
+        std::string r = "[";
+        r += std::to_string(begin);
+        r += ", ";
+        r += std::to_string(end);
+        r += ')';
+        return r;
       };
       try {
         fn(begin, end);

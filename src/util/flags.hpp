@@ -6,6 +6,7 @@
 // different experiment).
 #pragma once
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -40,38 +41,23 @@ class Flags {
 
   double get_double(const std::string& name, double fallback,
                     const std::string& help) {
-    describe(name, std::to_string(fallback), help);
-    const auto it = values_.find(name);
-    if (it == values_.end()) return fallback;
-    consumed_.insert(name);
-    const std::string& token = it->second;
-    // Shape-gate before strtod: its grammar also accepts "nan",
-    // "inf"/"infinity" (any case), hex floats and leading whitespace —
-    // spellings that would silently run a different experiment than the
-    // flag suggests. Only plain finite decimals pass.
-    const std::size_t first = token.size() > 1 && token[0] == '-' ? 1 : 0;
-    const bool decimal_shape =
-        token.size() > first && token[first] >= '0' && token[first] <= '9' &&
-        token.find_first_of("xX") == std::string::npos;
-    char* end = nullptr;
-    const double v = std::strtod(token.c_str(), &end);
-    if (!decimal_shape || *end != '\0' || !std::isfinite(v)) {
-      fail("flag --" + name + " expects a number (finite decimal), got '" +
-           token + "'");
-    }
-    return v;
+    describe(name, shortest(fallback), help);
+    const std::string* token = find(name);
+    return token == nullptr ? fallback : parse_decimal(name, *token);
   }
 
   int get_int(const std::string& name, int fallback,
               const std::string& help) {
-    const double v = get_double(name, static_cast<double>(fallback), help);
+    describe(name, std::to_string(fallback), help);
+    const std::string* token = find(name);
+    if (token == nullptr) return fallback;
+    const double v = parse_decimal(name, *token);
     // Range-check before the cast: float-to-int conversion of an
     // out-of-range value is undefined behavior, not a detectable wrap.
     constexpr double lo = std::numeric_limits<int>::min();
     constexpr double hi = std::numeric_limits<int>::max();
     if (!(v >= lo && v <= hi) || v != std::floor(v)) {
-      fail("flag --" + name + " expects an integer, got '" +
-           std::to_string(v) + "'");
+      fail("flag --" + name + " expects an integer, got '" + *token + "'");
     }
     return static_cast<int>(v);
   }
@@ -79,19 +65,16 @@ class Flags {
   std::string get_string(const std::string& name, const std::string& fallback,
                          const std::string& help) {
     describe(name, fallback, help);
-    const auto it = values_.find(name);
-    if (it == values_.end()) return fallback;
-    consumed_.insert(name);
-    return it->second;
+    const std::string* token = find(name);
+    return token == nullptr ? fallback : *token;
   }
 
   bool get_bool(const std::string& name, bool fallback,
                 const std::string& help) {
     describe(name, fallback ? "true" : "false", help);
-    const auto it = values_.find(name);
-    if (it == values_.end()) return fallback;
-    consumed_.insert(name);
-    return it->second != "false" && it->second != "0";
+    const std::string* token = find(name);
+    if (token == nullptr) return fallback;
+    return *token != "false" && *token != "0";
   }
 
   /// Call after all getters: aborts with usage on unknown flags or --help.
@@ -114,6 +97,40 @@ class Flags {
     if (!values_.emplace(name, std::move(value)).second) {
       fail("flag --" + name + " given more than once");
     }
+  }
+
+  /// The value given for `name`, marked consumed; null when absent.
+  const std::string* find(const std::string& name) {
+    const auto it = values_.find(name);
+    if (it == values_.end()) return nullptr;
+    consumed_.insert(name);
+    return &it->second;
+  }
+
+  /// Parses a numeric flag's token, failing with the token verbatim.
+  double parse_decimal(const std::string& name, const std::string& token) {
+    // Shape-gate before strtod: its grammar also accepts "nan",
+    // "inf"/"infinity" (any case), hex floats and leading whitespace —
+    // spellings that would silently run a different experiment than the
+    // flag suggests. Only plain finite decimals pass.
+    const std::size_t first = token.size() > 1 && token[0] == '-' ? 1 : 0;
+    const bool decimal_shape =
+        token.size() > first && token[first] >= '0' && token[first] <= '9' &&
+        token.find_first_of("xX") == std::string::npos;
+    char* end = nullptr;
+    const double v = std::strtod(token.c_str(), &end);
+    if (!decimal_shape || *end != '\0' || !std::isfinite(v)) {
+      fail("flag --" + name + " expects a number (finite decimal), got '" +
+           token + "'");
+    }
+    return v;
+  }
+
+  /// The shortest decimal that reads back as `v` ("0.25", not
+  /// "0.250000").
+  static std::string shortest(double v) {
+    char buf[32];
+    return std::string(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
   }
 
   struct Description {

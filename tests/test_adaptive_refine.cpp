@@ -12,9 +12,11 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdio>
+#include <cstdlib>
 #include <limits>
 #include <map>
 #include <random>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -655,6 +657,194 @@ TEST(RunAdaptiveStream, TolStopsSubdivisionAtThePhysicalWidth) {
     EXPECT_LE(b.ext_x, capped.tol);
     EXPECT_LE(b.ext_y, capped.tol);
   }
+}
+
+/// Checks every leaf row of `out` — an adaptive report in `format` over
+/// the adaptive `axes` (grid order) at `max_depth` — against the fine
+/// lattice: each axis cell is format_number of a fine vertex value,
+/// found by exact lookup in fine_lattice, whose index is a multiple of
+/// the row's box extent, and each box_ext cell is format_number of the
+/// box's width at that origin. Returns the number of rows checked.
+std::size_t expect_leaf_cells_on_the_lattice(const std::vector<Axis>& axes,
+                                             int max_depth,
+                                             const std::string& out,
+                                             ReportFormat format) {
+  const std::uint64_t scale = std::uint64_t{1} << max_depth;
+  std::vector<std::vector<double>> fine;
+  for (const Axis& axis : axes) {
+    fine.push_back(fine_lattice(axis.values, max_depth));
+  }
+  const Table table =
+      format == ReportFormat::kCsv ? read_csv(out) : read_json(out);
+  const ReportSchema schema = validate_report_schema(table.columns());
+  EXPECT_TRUE(schema.has_boxes);
+  std::vector<std::size_t> value_columns;
+  for (const Axis& axis : axes) {
+    const auto& cols = table.columns();
+    value_columns.push_back(static_cast<std::size_t>(
+        std::find(cols.begin(), cols.end(), axis.name) - cols.begin()));
+  }
+  // A mismatch usually repeats on many rows: count them, show the first.
+  std::size_t mismatches = 0;
+  std::string first;
+  const auto mismatch = [&](std::size_t r, const std::string& what) {
+    if (mismatches++ == 0) first = "row " + std::to_string(r) + ": " + what;
+  };
+  for (std::size_t r = 0; r < table.num_rows(); ++r) {
+    const std::vector<std::string>& row = table.row(r);
+    const int depth = std::stoi(row[schema.box_start]);
+    const std::uint64_t ext = scale >> depth;
+    for (std::size_t j = 0; j < axes.size(); ++j) {
+      const std::string& cell = row[value_columns[j]];
+      const double x = std::strtod(cell.c_str(), nullptr);
+      const auto it = std::lower_bound(fine[j].begin(), fine[j].end(), x);
+      if (it == fine[j].end() || *it != x) {
+        mismatch(r, axes[j].name + " " + cell + " is no lattice value");
+        continue;
+      }
+      const auto g = static_cast<std::uint64_t>(it - fine[j].begin());
+      if (g % ext != 0 || g + ext >= fine[j].size()) {
+        mismatch(r, axes[j].name + " origin " + std::to_string(g) +
+                        " is off the depth-" + std::to_string(depth) +
+                        " boxes");
+        continue;
+      }
+      if (cell != format_number(*it)) {
+        mismatch(r, axes[j].name + " " + cell + " != " + format_number(*it));
+      }
+      const std::string want = format_number(fine[j][g + ext] - fine[j][g]);
+      const std::string& got = row[schema.box_start + 2 + j];
+      if (got != want) {
+        mismatch(r, kBoxExtPrefix + axes[j].name + " " + got + " != " + want);
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << first;
+  return table.num_rows();
+}
+
+TEST(RunAdaptiveStream, LeafCellsAreTheLatticeValuesOfAnUnevenVolume) {
+  // Leaves render their axis and box_ext cells from per-generation
+  // tokens. On a jittered, unevenly spaced lattice the boxes of one
+  // depth differ in width from coarse box to coarse box (and, through
+  // rounding, within one), so a token must be keyed by the box's
+  // origin: every cell has to be format_number of the value the lattice
+  // defines there, in both formats.
+  const std::vector<Axis> axes = {Axis{"lambda", {0.503, 1.1, 2.987}},
+                                  Axis{"us", {0.2011, 0.45, 1.693}},
+                                  Axis{"mu", {0.4977, 1.61, 2.0083}}};
+  SweepGrid grid;
+  for (const Axis& axis : axes) grid.set_axis(axis);
+  SweepOptions options;
+  options.theory_only = true;
+  options.threads = 4;
+  AdaptiveOptions adaptive;
+  adaptive.max_depth = 6;
+  std::string csv;
+  for (const ReportFormat format : {ReportFormat::kCsv, ReportFormat::kJson}) {
+    SCOPED_TRACE(format == ReportFormat::kCsv ? "csv" : "json");
+    const AdaptiveRun run = adaptive_report(grid, options, adaptive, format);
+    EXPECT_EQ(run.summary.max_depth_reached, 6);
+    EXPECT_EQ(expect_leaf_cells_on_the_lattice(axes, adaptive.max_depth,
+                                               run.out, format),
+              run.summary.boxes);
+    if (format == ReportFormat::kCsv) csv = run.out;
+  }
+  // The lattice really does give one depth several widths per axis
+  // (from depth 1 on; depth 0 has too few leaves to tell).
+  const Table table = read_csv(csv);
+  const ReportSchema schema = validate_report_schema(table.columns());
+  std::map<std::pair<std::size_t, std::string>, std::set<std::string>> widths;
+  for (std::size_t r = 0; r < table.num_rows(); ++r) {
+    for (std::size_t j = 0; j < axes.size(); ++j) {
+      widths[{j, table.row(r)[schema.box_start]}].insert(
+          table.row(r)[schema.box_start + 2 + j]);
+    }
+  }
+  for (const auto& [key, cells] : widths) {
+    if (key.second == "0") continue;
+    EXPECT_GT(cells.size(), 1u)
+        << axes[key.first].name << " at depth " << key.second;
+  }
+}
+
+/// The lambda at which the one-club frontier crosses `us` (default k 3,
+/// mu 1, gamma 1.25), bisected on the closed form.
+double frontier_lambda(double us) {
+  double lo = 0, hi = 100;
+  for (int i = 0; i < 200; ++i) {
+    const double mid = lo + (hi - lo) / 2;
+    const Stability v =
+        classify(SwarmParams(3, us, 1, 1.25, {{PieceSet{}, mid}})).verdict;
+    (v == Stability::kPositiveRecurrent ? lo : hi) = mid;
+  }
+  return lo;
+}
+
+TEST(RunAdaptiveStream, DeepRunsRenderExactCellsWithBoundedTokens) {
+  // A generation's token table on axis j has boxes_j * 2^depth entries;
+  // a generation with fewer leaves than that formats its rows instead.
+  // Both routes must emit the lattice's exact cells. At depth 20 a
+  // frontier that clips one corner of a single box leaves a handful of
+  // leaves per generation against tables of up to 2^20 entries; at
+  // depth 14 a frontier across the box leaves enough rows for the
+  // deepest generations to take the token route.
+  const double corner = frontier_lambda(0.5);
+  const std::vector<std::vector<Axis>> lattices = {
+      {Axis{"lambda", {corner - 1, corner + 1e-5}}, Axis{"us", {0.5, 0.6}}},
+      {Axis{"lambda", {0.6, 2.3}}, Axis{"us", {0.2, 0.6}}}};
+  const int depths[] = {20, 14};
+  for (std::size_t l = 0; l < lattices.size(); ++l) {
+    SCOPED_TRACE("depth " + std::to_string(depths[l]));
+    SweepGrid grid;
+    for (const Axis& axis : lattices[l]) grid.set_axis(axis);
+    SweepOptions options;
+    options.theory_only = true;
+    options.threads = 4;
+    AdaptiveOptions adaptive;
+    adaptive.max_depth = depths[l];
+    const AdaptiveRun run = adaptive_report(grid, options, adaptive);
+    EXPECT_EQ(run.summary.max_depth_reached, depths[l]);
+    EXPECT_EQ(expect_leaf_cells_on_the_lattice(lattices[l], depths[l], run.out,
+                                               ReportFormat::kCsv),
+              run.summary.boxes);
+    if (l == 0) {
+      EXPECT_LT(run.summary.boxes, 1000u);
+    }
+  }
+}
+
+TEST(RunAdaptiveStream, CtmcAndFluidRunsAreInvariantAcrossTheMatrix) {
+  // The theory-only runs that keep more per vertex than the verdict:
+  // --ctmc-cap stores each vertex's CTMC mean in the sidecar, --fluid its
+  // fluid verdict byte. Both must render the same bytes under every
+  // schedule.
+  const SweepGrid grid = parse_grid("k=2;lambda=0.5:3.0:3;us=0.2:1.7:3");
+  AdaptiveOptions adaptive;
+  adaptive.max_depth = 2;
+  SweepOptions ctmc;
+  ctmc.theory_only = true;
+  ctmc.ctmc_max_peers = 4;
+  ctmc.threads = 1;
+  ctmc.chunk = 1;
+  const Table table = read_csv(adaptive_report(grid, ctmc, adaptive).out);
+  const auto& cols = table.columns();
+  const std::size_t c_ctmc = static_cast<std::size_t>(
+      std::find(cols.begin(), cols.end(), "ctmc_mean_peers") - cols.begin());
+  ASSERT_LT(c_ctmc, cols.size());
+  ASSERT_GT(table.num_rows(), 0u);
+  for (std::size_t r = 0; r < table.num_rows(); ++r) {
+    EXPECT_TRUE(std::isfinite(std::stod(table.row(r)[c_ctmc]))) << "row " << r;
+  }
+  expect_invariant_across_the_matrix(grid, ctmc, adaptive);
+
+  SweepOptions fluid;
+  fluid.theory_only = true;
+  fluid.fluid = true;
+  fluid.horizon = 10;  // the fluid ODE's span; both verdicts still occur
+  fluid.threads = 1;
+  fluid.chunk = 1;
+  expect_invariant_across_the_matrix(grid, fluid, adaptive);
 }
 
 TEST(RunAdaptiveStreamDeath, WriterWithDenseColumnsAborts) {

@@ -84,6 +84,42 @@ TEST(FlagsDeath, OutOfIntRangeFlagAborts) {
       "expects an integer");
 }
 
+TEST(FlagsDeath, IntegerErrorsEchoTheTokenVerbatim) {
+  // The message names what was typed, not a reformatted double: no
+  // "1.500000", and no 300-digit expansion of 1e300.
+  EXPECT_DEATH(
+      {
+        Flags f = make({"--threads", "1.5"});
+        f.get_int("threads", 0, "");
+      },
+      "expects an integer, got '1\\.5'\n");
+  EXPECT_DEATH(
+      {
+        Flags f = make({"--threads=1e300"});
+        f.get_int("threads", 0, "");
+      },
+      "expects an integer, got '1e300'\n");
+}
+
+TEST(FlagsDeath, HelpPrintsIntegerDefaultsAsIntegers) {
+  // Integer defaults print as integers and double defaults in their
+  // shortest round-trip form ("0.25", "1e-06"), never "%f"-padded.
+  EXPECT_EXIT(
+      {
+        Flags f = make({"--help"});
+        f.get_int("threads", 0, "worker threads");
+        f.get_int("seed", 1, "base seed");
+        f.get_double("rate", 0.25, "arrival rate");
+        f.get_double("tol", 1e-6, "tolerance");
+        f.finish();
+      },
+      testing::ExitedWithCode(0),
+      "--rate +arrival rate \\(default 0\\.25\\)\n"
+      "  --seed +base seed \\(default 1\\)\n"
+      "  --threads +worker threads \\(default 0\\)\n"
+      "  --tol +tolerance \\(default 1e-06\\)\n");
+}
+
 TEST(FlagsDeath, DuplicateFlagAborts) {
   EXPECT_DEATH(make({"--k=1", "--k=2"}), "more than once");
 }
