@@ -1,6 +1,9 @@
 // M0: microbenchmarks for the hot paths of the library (google-benchmark).
 #include <benchmark/benchmark.h>
 
+#include <charconv>
+#include <vector>
+
 #include "coding/coded_swarm.hpp"
 #include "coding/gf.hpp"
 #include "coding/subspace.hpp"
@@ -10,8 +13,10 @@
 #include "ctmc/muinf_chain.hpp"
 #include "ctmc/stationary.hpp"
 #include "rand/rng.hpp"
+#include "sim/event_log.hpp"
 #include "sim/swarm.hpp"
 #include "sim/typecount_sim.hpp"
+#include "util/number_format.hpp"
 
 namespace {
 
@@ -137,6 +142,52 @@ void BM_SubspaceInsert(benchmark::State& state) {
                                                    state.range(0)));
 }
 BENCHMARK(BM_SubspaceInsert)->Arg(8)->Arg(16)->Arg(32);
+
+// Number printing per call: format_number_to against the
+// std::to_chars(double) it reproduces, on two value sets. Arg 0 is
+// uniform on [0.2, 8) (margins and axis values); arg 1 the timestamps
+// of a K=8 event log at the lambda = 2 frontier (trace_emit's numbers).
+std::vector<double> printer_values(std::int64_t set) {
+  std::vector<double> values;
+  if (set == 0) {
+    Rng rng(11);
+    for (int i = 0; i < 4096; ++i) values.push_back(0.2 + 7.8 * rng.uniform());
+    return values;
+  }
+  const std::vector<LogSegment> segments = {
+      {SwarmParams(8, 1, 1, 2, {{PieceSet{}, 2.0}}), 400}};
+  generate_event_log(segments, EventLogOptions{}, [&](const SwarmEvent& e) {
+    if (values.size() < 4096) values.push_back(e.t);
+  });
+  return values;
+}
+
+template <typename Print>
+void run_printer(benchmark::State& state, Print print) {
+  const std::vector<double> values = printer_values(state.range(0));
+  char buffer[64];
+  std::size_t i = 0;
+  for (auto _ : state) {
+    char* end = print(buffer, values[i]);
+    benchmark::DoNotOptimize(end);
+    benchmark::ClobberMemory();
+    if (++i == values.size()) i = 0;
+  }
+}
+
+void BM_FormatNumber(benchmark::State& state) {
+  run_printer(state, [](char* out, double v) {
+    return format_number_to(out, v);
+  });
+}
+BENCHMARK(BM_FormatNumber)->Arg(0)->Arg(1);
+
+void BM_StdToChars(benchmark::State& state) {
+  run_printer(state, [](char* out, double v) {
+    return std::to_chars(out, out + 64, v).ptr;
+  });
+}
+BENCHMARK(BM_StdToChars)->Arg(0)->Arg(1);
 
 }  // namespace
 

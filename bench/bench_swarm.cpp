@@ -35,6 +35,7 @@
 #include "sim/typecount_sim.hpp"
 #include "util/assert.hpp"
 #include "util/flags.hpp"
+#include "util/number_format.hpp"
 
 namespace {
 
@@ -127,7 +128,6 @@ long peak_rss_kb() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  using engine::format_number;
   using engine::write_text;
 
   Flags flags(argc, argv);

@@ -4,8 +4,8 @@
 #include <cstdio>
 #include <functional>
 
-#include "engine/report.hpp"
 #include "util/assert.hpp"
+#include "util/number_format.hpp"
 
 namespace p2p::analysis {
 
@@ -100,7 +100,7 @@ void validate(const PhaseGrid& grid, const RenderOptions& options) {
 /// formatter as the report pipeline, so diagram bytes can never drift
 /// from the corpus bytes they are rendered from.
 void fmt_into(std::string& out, double v) {
-  engine::format_number_into(out, v);
+  format_number_into(out, v);
 }
 
 std::string fmt(double v) {

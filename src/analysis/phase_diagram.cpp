@@ -14,6 +14,7 @@
 #include "engine/thread_pool.hpp"
 #include "rand/rng.hpp"
 #include "util/assert.hpp"
+#include "util/number_format.hpp"
 
 namespace p2p::analysis {
 
@@ -419,9 +420,9 @@ PhaseGrid assemble_phase_grid(const ReportSchema& schema, GridRows rows,
       const std::size_t slot = yi * nx + xi;
       P2P_ASSERT_MSG(!filled[slot],
                      "grid report repeats the cell at (" + grid.x_axis +
-                         " = " + engine::format_number(grid.x_values[xi]) +
+                         " = " + format_number(grid.x_values[xi]) +
                          ", " + grid.y_axis + " = " +
-                         engine::format_number(grid.y_values[yi]) + ")");
+                         format_number(grid.y_values[yi]) + ")");
       filled[slot] = 1;
       grid.cells[slot] = by_row[r];
     }
@@ -621,8 +622,8 @@ BoxGrid build_box_grid_rows(
       (grid.x_max - grid.x_min) * (grid.y_max - grid.y_min);
   P2P_ASSERT_MSG(std::abs(measure - window) <= 1e-9 * window,
                  "adaptive leaves do not tile their bounding window "
-                 "(total box measure " + engine::format_number(measure) +
-                     " vs window " + engine::format_number(window) + ")");
+                 "(total box measure " + format_number(measure) +
+                     " vs window " + format_number(window) + ")");
   return grid;
 }
 
@@ -640,13 +641,13 @@ const PhaseBox& BoxGrid::box_at(double x, double y) const {
     if (!in_x || !in_y) continue;
     P2P_ASSERT_MSG(found == nullptr,
                    "adaptive leaves overlap at (" +
-                       engine::format_number(x) + ", " +
-                       engine::format_number(y) + ")");
+                       format_number(x) + ", " +
+                       format_number(y) + ")");
     found = &b;
   }
   P2P_ASSERT_MSG(found != nullptr,
-                 "no adaptive leaf contains (" + engine::format_number(x) +
-                     ", " + engine::format_number(y) + ")");
+                 "no adaptive leaf contains (" + format_number(x) +
+                     ", " + format_number(y) + ")");
   return *found;
 }
 

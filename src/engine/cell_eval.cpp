@@ -118,19 +118,36 @@ AxisSlots resolve_axis_slots(const SweepGrid& grid) {
   return s;
 }
 
+void set_cell_axis(CellParams& p, const AxisSlots& s, std::size_t axis,
+                   double v) {
+  if (axis == s.lambda) {
+    p.lambda = v;
+  } else if (axis == s.us) {
+    p.us = v;
+  } else if (axis == s.mu) {
+    p.mu = v;
+  } else if (axis == s.gamma) {
+    p.gamma = v;
+  } else if (axis == s.eta) {
+    p.eta = v;
+  } else if (axis == s.mix) {
+    p.mix = v;
+  } else if (axis == s.hetero) {
+    p.hetero = v;
+  } else if (axis == s.k) {
+    p.k = static_cast<int>(std::lround(v));
+  } else if (axis == s.flash) {
+    p.flash = std::llround(v);
+  }
+}
+
 CellParams cell_params(const AxisSlots& s, const std::vector<double>& v,
                        PolicyKind policy) {
   CellParams p;
-  p.lambda = v[s.lambda];
-  p.us = v[s.us];
-  p.mu = v[s.mu];
-  p.gamma = v[s.gamma];
-  p.eta = v[s.eta];
-  p.mix = v[s.mix];
-  p.hetero = v[s.hetero];
-  p.k = static_cast<int>(std::lround(v[s.k]));
-  p.flash = std::llround(v[s.flash]);
   p.policy = policy;
+  for (std::size_t axis = 0; axis < v.size(); ++axis) {
+    set_cell_axis(p, s, axis, v[axis]);
+  }
   return p;
 }
 

@@ -61,9 +61,16 @@ struct AxisSlots {
 
 AxisSlots resolve_axis_slots(const SweepGrid& grid);
 
+/// Sets the one field of `p` that grid axis `axis` drives to the axis
+/// value `v`, rounding k and flash to integers: the one axis-to-field
+/// mapping, and how an odometer step updates only the axes whose digit
+/// moved.
+void set_cell_axis(CellParams& p, const AxisSlots& s, std::size_t axis,
+                   double v);
+
 /// The cell parameters at per-axis values `v` (aligned with the grid
-/// `s` was resolved on). validate_effective_axes vets every grid value
-/// once up front, so this only rounds k and flash.
+/// `s` was resolved on), each set by set_cell_axis.
+/// validate_effective_axes vets every grid value once up front.
 CellParams cell_params(const AxisSlots& s, const std::vector<double>& v,
                        PolicyKind policy);
 

@@ -1,37 +1,11 @@
 #include "engine/report.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <cmath>
 
 #include "util/assert.hpp"
 
 namespace p2p::engine {
-
-char* format_number_to(char* out, double value) {
-  if (std::isnan(value)) return std::copy_n("nan", 3, out);
-  if (std::isinf(value)) {
-    return value > 0 ? std::copy_n("inf", 3, out) : std::copy_n("-inf", 4, out);
-  }
-  // Shortest round-trip formatting: the emitted decimal parses back to
-  // the exact same bit pattern. The previous "%.10g" silently dropped
-  // precision (e.g. pi came back off by 4 ulps), so corpus CSVs were
-  // lossy archives of the runs that produced them.
-  const auto [end, ec] = std::to_chars(out, out + kMaxNumberChars, value);
-  P2P_ASSERT(ec == std::errc());
-  return end;
-}
-
-void format_number_into(std::string& out, double value) {
-  char buffer[kMaxNumberChars];
-  out.append(buffer, format_number_to(buffer, value));
-}
-
-std::string format_number(double value) {
-  std::string out;
-  format_number_into(out, value);
-  return out;
-}
 
 void append_json_string(std::string& out, std::string_view s) {
   out += '"';

@@ -3,9 +3,9 @@
 // Cells are formatted to strings once, by the producer, in cell-index
 // order — so the emitted bytes depend only on the results, never on
 // thread count or scheduling. Numbers go through format_number
-// (std::to_chars shortest round-trip form, with "inf"/"-inf"/"nan"
-// spelled out) so CSV diffs are stable across runs and every emitted
-// decimal parses back to the exact bit pattern.
+// (util/number_format.hpp: std::to_chars's shortest round-trip bytes,
+// with "inf"/"-inf"/"nan" spelled out) so CSV diffs are stable across
+// runs and every emitted decimal parses back to the exact bit pattern.
 //
 // One serializer turns cells into report bytes:
 //
@@ -33,25 +33,9 @@
 #include <thread>
 #include <vector>
 
+#include "util/number_format.hpp"
+
 namespace p2p::engine {
-
-/// Deterministic number rendering: std::to_chars shortest form that
-/// round-trips to the identical double; non-finite values become "inf",
-/// "-inf" or "nan".
-std::string format_number(double value);
-
-/// format_number appended to `out` in place: same bytes, no temporary
-/// string.
-void format_number_into(std::string& out, double value);
-
-/// The most bytes format_number emits: the shortest round-trip form of
-/// any double ("-2.2250738585072014e-308") is 24 characters.
-inline constexpr std::size_t kMaxNumberChars = 24;
-
-/// format_number written to `out`, which must have room for
-/// kMaxNumberChars bytes; returns one past the last byte written. The
-/// form the row assembler uses to format straight into its buffer.
-char* format_number_to(char* out, double value);
 
 /// Appends the JSON string literal for `s` (quoted; '"', '\\' and
 /// control characters escaped). The one JSON string encoder — report

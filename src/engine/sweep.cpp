@@ -1,7 +1,6 @@
 #include "engine/sweep.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
@@ -232,21 +231,13 @@ class RowAssembler {
                                           : format_number_to(end_, value);
     ++cells_;
   }
-  /// The cell index. An integer below 2^53 that is not a multiple of 10
-  /// is its own format_number output: such integers are exact and >= 1
-  /// apart, so no shorter decimal round-trips, and scientific needs
-  /// every significant digit plus "e+NN". A trailing zero can flip that
-  /// (format_number(1e5) is "1e+05"), so multiples of 10 take the
-  /// double path.
+  /// The cell index: format_number's bytes for it, straight from the
+  /// integer.
   void index(std::uint64_t index) {
-    if (index < (std::uint64_t{1} << 53) && (index == 0 || index % 10 != 0)) {
-      const std::string& prefix = renderer_.prefix(cells_);
-      end_ = std::copy(prefix.begin(), prefix.end(), end_);
-      end_ = std::to_chars(end_, end_ + kMaxNumberChars, index).ptr;
-      ++cells_;
-    } else {
-      number(static_cast<double>(index));
-    }
+    const std::string& prefix = renderer_.prefix(cells_);
+    end_ = std::copy(prefix.begin(), prefix.end(), end_);
+    end_ = format_integer_to(end_, index);
+    ++cells_;
   }
 
   std::string_view bytes() const {
@@ -355,17 +346,15 @@ struct GridSource {
   class Walker {
    public:
     Walker(const GridSource& source, std::size_t cell)
-        : s_(source),
-          cell_(cell),
-          digits_(source.grid.axes.size()),
-          values_(digits_.size()) {
+        : s_(source), cell_(cell), digits_(source.grid.axes.size()) {
+      std::vector<double> values(digits_.size());
       for (std::size_t i = digits_.size(), rem = cell; i-- > 0;) {
         const std::vector<double>& vals = s_.grid.axes[i].values;
         digits_[i] = rem % vals.size();
-        values_[i] = vals[digits_[i]];
+        values[i] = vals[digits_[i]];
         rem /= vals.size();
       }
-      p_ = cell_params(s_.slots, values_, s_.options.scenario.policy);
+      p_ = cell_params(s_.slots, values, s_.options.scenario.policy);
     }
     void head(CellResult& r) {
       fill_cell(r, cell_, p_, s_.options, arrivals_);
@@ -390,23 +379,24 @@ struct GridSource {
       render_grid_row(*s_.plan, s_.options, &digits_, r, row);
       row.end();
     }
+    /// Advances the odometer; only the parameters of the axes whose
+    /// digit moved are rewritten (a pinned axis never moves).
     void next() {
       ++cell_;
       for (std::size_t i = digits_.size(); i-- > 0;) {
         const std::vector<double>& vals = s_.grid.axes[i].values;
+        if (vals.size() == 1) continue;
         const bool carry = ++digits_[i] == vals.size();
         if (carry) digits_[i] = 0;
-        values_[i] = vals[digits_[i]];
+        set_cell_axis(p_, s_.slots, i, vals[digits_[i]]);
         if (!carry) break;
       }
-      p_ = cell_params(s_.slots, values_, s_.options.scenario.policy);
     }
 
    private:
     const GridSource& s_;
     std::size_t cell_;
     std::vector<std::size_t> digits_;  // per-axis value indices
-    std::vector<double> values_;
     CellParams p_;
     std::vector<ArrivalSpec> arrivals_;
   };

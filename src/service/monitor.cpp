@@ -7,6 +7,7 @@
 #include "analysis/provisioning.hpp"
 #include "engine/report.hpp"
 #include "util/assert.hpp"
+#include "util/number_format.hpp"
 
 namespace p2p::service {
 
@@ -32,7 +33,7 @@ void append_json_number(std::string& out, double value) {
     out += "null";
     return;
   }
-  engine::format_number_into(out, value);
+  format_number_into(out, value);
 }
 
 }  // namespace
@@ -346,9 +347,9 @@ void StabilityMonitor::feed(const SwarmEvent& event, const std::string& line,
                  line_number);
   }
   if (saw_event_ && event.t < last_event_t_) {
-    monitor_fail("timestamp " + engine::format_number(event.t) +
+    monitor_fail("timestamp " + format_number(event.t) +
                      " goes backwards (previous event at " +
-                     engine::format_number(last_event_t_) + ")",
+                     format_number(last_event_t_) + ")",
                  line, line_number);
   }
   while (config_.advice_every * static_cast<double>(tick_) <= event.t) {

@@ -123,7 +123,7 @@ struct Advisory {
 };
 
 /// One '\n'-terminated JSON advisory line. Deterministic bytes: numbers
-/// via engine/report.hpp format_number (non-finite -> null), mix keys in
+/// via util/number_format.hpp format_number (non-finite -> null), mix keys in
 /// ascending mask order.
 std::string advisory_json_line(const Advisory& advisory);
 

@@ -9,16 +9,14 @@
 #include <vector>
 
 #include "engine/parse_util.hpp"
-#include "engine/report.hpp"
 #include "rand/rng.hpp"
 #include "sim/swarm.hpp"
 #include "sim/typecount_sim.hpp"
+#include "util/number_format.hpp"
 
 namespace p2p {
 
 namespace {
-
-using engine::format_number_into;
 
 [[noreturn]] void bad_line(std::size_t line_number, const std::string& line,
                            const std::string& reason) {

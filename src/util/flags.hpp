@@ -6,7 +6,6 @@
 // different experiment).
 #pragma once
 
-#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -14,6 +13,8 @@
 #include <map>
 #include <set>
 #include <string>
+
+#include "util/number_format.hpp"
 
 namespace p2p {
 
@@ -128,10 +129,7 @@ class Flags {
 
   /// The shortest decimal that reads back as `v` ("0.25", not
   /// "0.250000").
-  static std::string shortest(double v) {
-    char buf[32];
-    return std::string(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
-  }
+  static std::string shortest(double v) { return format_number(v); }
 
   struct Description {
     std::string fallback;

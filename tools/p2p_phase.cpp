@@ -42,6 +42,7 @@
 #include "engine/report.hpp"
 #include "engine/sweep.hpp"
 #include "util/flags.hpp"
+#include "util/number_format.hpp"
 
 namespace {
 
@@ -49,7 +50,7 @@ using p2p::Stability;
 using p2p::analysis::PhaseFrontierPoint;
 using p2p::analysis::PhaseGrid;
 using p2p::analysis::VerdictAgreement;
-using p2p::engine::format_number;
+using p2p::format_number;
 
 /// JSON rendering of one double: format_number's spelling, with the
 /// non-finite values mapped to null like the report emitter does.

@@ -67,6 +67,7 @@
 #include "engine/report.hpp"
 #include "engine/sweep.hpp"
 #include "util/flags.hpp"
+#include "util/number_format.hpp"
 
 namespace {
 
@@ -78,7 +79,7 @@ namespace {
 std::string adaptive_summary_json(
     const p2p::engine::AdaptiveSummary& summary,
     const p2p::engine::AdaptiveOptions& adaptive, int replicas) {
-  using p2p::engine::format_number;
+  using p2p::format_number;
   const auto json_num = [](double v) {
     const std::string s = format_number(v);
     return (s == "nan" || s == "inf" || s == "-inf") ? std::string("null")
