@@ -27,9 +27,11 @@ constexpr const char* kSurface = "#fcfcfb";
 constexpr const char* kTextPrimary = "#0b0b0b";
 constexpr const char* kTextSecondary = "#52514e";
 
+/// `t` lies in [0, 1], so every channel value lies between two palette
+/// channels and is never negative.
 Rgb lerp(Rgb a, Rgb b, double t) {
   const auto mix = [t](int x, int y) {
-    return static_cast<int>(std::lround(x + (y - x) * t));
+    return detail::round_channel(x + (y - x) * t);
   };
   return {mix(a.r, b.r), mix(a.g, b.g), mix(a.b, b.b)};
 }

@@ -101,4 +101,17 @@ std::string render_boxes_ppm(const BoxGrid& grid,
 std::string render_boxes_svg(const BoxGrid& grid,
                              const RenderOptions& options = {});
 
+namespace detail {
+
+/// A color channel value v >= 0 rounded to the nearest integer, halves
+/// up: std::lround on that domain, bit for bit, without the libm call.
+/// v - whole is exact (v and whole are within a factor of two, or whole
+/// is 0), so the halfway test sees the true remainder.
+inline int round_channel(double v) {
+  const int whole = static_cast<int>(v);
+  return whole + (v - whole >= 0.5 ? 1 : 0);
+}
+
+}  // namespace detail
+
 }  // namespace p2p::analysis

@@ -1,9 +1,11 @@
 #include "analysis/phase_diagram.hpp"
 
 #include <algorithm>
+#include <condition_variable>
 #include <functional>
 #include <iterator>
-#include <optional>
+#include <memory>
+#include <mutex>
 #include <span>
 #include <string_view>
 #include <thread>
@@ -286,11 +288,14 @@ struct GridRowDecoder {
   std::string policy0;
 };
 
-/// Decodes row `row` into `c` and its per-type block, and records its
-/// axis values (first appearance decides their index).
+/// Constructs `slot` and decodes row `row` into it and its per-type
+/// block, and records its axis values (first appearance decides their
+/// index). `slot` is raw storage (GridRows::grow leaves it unconstructed),
+/// so the decoding thread is the one that first writes its pages.
 void decode_row(const GridRowDecoder& decoder, const RowCells& row,
-                PhaseCell& c, double* type_cols,
+                PhaseCell* slot, double* type_cols,
                 std::vector<ValueIndex>& axes) {
+  PhaseCell& c = *std::construct_at(slot);
   decoder.decode(row, c, type_cols);
   for (std::size_t a = 0; a < kNumAxes; ++a) {
     axes[a].insert(axis_value(c.params, a));
@@ -304,10 +309,18 @@ struct GridRows {
   std::vector<double> type_cols;  // row-major per-type blocks
   std::vector<ValueIndex> axis_values = std::vector<ValueIndex>(kNumAxes);
 
-  /// Makes room for `more` rows.
+  /// Makes room for `more` rows. The new cells are left unconstructed
+  /// (PhaseCells' resize contract): decode_row constructs each one on the
+  /// thread that decodes it.
   void grow(std::size_t more, std::size_t block_width) {
     cells.resize(cells.size() + more);
     type_cols.resize(cells.size() * block_width);
+  }
+  /// True when `more` rows fit the reserved storage, so growing moves
+  /// no cell.
+  bool fits(std::size_t more, std::size_t block_width) const {
+    const std::size_t n = cells.size() + more;
+    return n <= cells.capacity() && n * block_width <= type_cols.capacity();
   }
   /// Folds in the axis values a later run of rows saw, in their order:
   /// values new to the grid keep their first-appearance order.
@@ -410,7 +423,7 @@ PhaseGrid assemble_phase_grid(const ReportSchema& schema, GridRows rows,
     grid.cells = std::move(rows.cells);
   } else {
     by_row = std::move(rows.cells);
-    grid.cells.resize(n);
+    grid.cells.resize(n);  // unconstructed: each slot is constructed once
     std::vector<char> filled(n, 0);
     for (std::size_t r = 0; r < n; ++r) {
       const std::size_t xi =
@@ -424,7 +437,7 @@ PhaseGrid assemble_phase_grid(const ReportSchema& schema, GridRows rows,
                          ", " + grid.y_axis + " = " +
                          format_number(grid.y_values[yi]) + ")");
       filled[slot] = 1;
-      grid.cells[slot] = by_row[r];
+      std::construct_at(&grid.cells[slot], by_row[r]);
     }
     // n == nx * ny and no slot repeated => every slot is filled.
   }
@@ -501,14 +514,6 @@ struct BatchSlot {
   std::vector<ValueIndex> axes;  // this batch's axis values
 };
 
-/// Cuts up to slots.size() batches off `reader`; returns how many.
-std::size_t cut_batches(engine::CsvReader& reader,
-                        std::vector<BatchSlot>& slots) {
-  std::size_t got = 0;
-  while (got < slots.size() && reader.next_batch(&slots[got].batch)) ++got;
-  return got;
-}
-
 /// Decodes every record of the slot's batch into `cells`/`type_cols`
 /// (the slots of its rows), noting the first failure instead of
 /// aborting.
@@ -520,7 +525,7 @@ void decode_batch(BatchSlot& slot, const engine::CsvReader& reader,
   std::vector<std::string_view> views;
   try {
     for (std::size_t i = 0; cursor.next(&views); ++i) {
-      decode_row(decoder, RowCells(views, "grid", cursor.row()), cells[i],
+      decode_row(decoder, RowCells(views, "grid", cursor.row()), cells + i,
                  type_cols + i * decoder.block_width, slot.axes);
     }
   } catch (const RowError& e) {
@@ -684,7 +689,7 @@ PhaseGrid build_phase_grid(const Table& table, const std::string& x_axis,
   try {
     for (std::size_t r = 0; r < n; ++r) {
       views.assign(table.row(r).begin(), table.row(r).end());
-      decode_row(decoder, RowCells(views, "grid", r), rows.cells[r],
+      decode_row(decoder, RowCells(views, "grid", r), rows.cells.data() + r,
                  rows.type_cols.data() + r * decoder.block_width,
                  rows.axis_values);
     }
@@ -707,76 +712,120 @@ PhaseGrid build_phase_grid(engine::CsvReader& reader,
   GridRowDecoder decoder(schema);
   GridRows rows;
 
-  // Rounds of up to `threads` batches, double-buffered: while the pool
-  // splits and decodes one round straight into its rows' slots, one
-  // pool item cuts the next round off the reader (record boundaries
-  // only). Between rounds the caller raises the round's first error in
-  // batch order and merges the batches' axis values in order, so the
-  // result and every message are the serial ones. Two rounds bound the
-  // bytes in flight; an input that fits one batch never starts a pool.
-  const auto window = static_cast<std::size_t>(threads);
-  std::vector<BatchSlot> rounds[2] = {std::vector<BatchSlot>(window),
-                                      std::vector<BatchSlot>(window)};
-  for (std::vector<BatchSlot>& round : rounds) {
-    for (BatchSlot& slot : round) reader.reserve_batch(&slot.batch);
-  }
-  std::size_t got[2] = {cut_batches(reader, rounds[0]), 0};
-  bool more = got[0] == window;  // the reader may hold further batches
-  if (got[0] > 0) {
+  // A ring of 2 * threads batch slots bounds the bytes in flight. Every
+  // thread runs one loop, taking the first job it can: commit a cut
+  // batch (grow the rows for it), cut the next batch off the reader (one
+  // cutter at a time, record boundaries only), or decode the oldest
+  // committed batch. Cutting ahead keeps the decoders fed, so no thread
+  // waits on a round. Batches retire in batch order: the first error
+  // retired is the earliest row's, and axis values merge in row order,
+  // so the result and every message are the serial ones.
+  const std::size_t ring = 2 * static_cast<std::size_t>(threads);
+  std::vector<BatchSlot> slots(ring);
+  for (BatchSlot& slot : slots) reader.reserve_batch(&slot.batch);
+
+  // The caller cuts two batches: the first names the policy and sizes
+  // the corpus, and only a second one makes a pool worth starting.
+  std::size_t cut = 0;  // batches cut and committed
+  while (cut < 2 && reader.next_batch(&slots[cut].batch)) ++cut;
+  bool end = cut < 2;  // the reader has returned its last batch
+  if (cut > 0) {
+    const engine::CsvBatch& first = slots[0].batch;
     if (decoder.has_policy) {
-      engine::CsvBatchCursor first(rounds[0][0].batch, reader);
+      engine::CsvBatchCursor cursor(first, reader);
       std::vector<std::string_view> cells;
-      if (first.next(&cells)) decoder.policy0 = cells[decoder.policy_col];
+      if (cursor.next(&cells)) decoder.policy0 = cells[decoder.policy_col];
     }
-    // Engine rows are near-constant in length, so the first round's
-    // bytes per row sizes the whole corpus; reserving it keeps the
-    // typed rows from being copied as they grow.
-    std::size_t bytes = 0, records = 0;
-    for (std::size_t i = 0; i < got[0]; ++i) {
-      bytes += rounds[0][i].batch.bytes.size();
-      records += rounds[0][i].batch.rows;
-    }
-    if (bytes > 0 && reader.input_bytes() > bytes) {
+    // Engine rows are near-constant in length, so the first batch's
+    // bytes per row sizes the whole corpus; reserving it keeps the typed
+    // rows from being copied (with every decode stopped) as they grow.
+    if (first.rows > 0 && reader.input_bytes() > first.bytes.size()) {
       const std::size_t estimate = static_cast<std::size_t>(
-          static_cast<double>(records) *
+          static_cast<double>(first.rows) *
           static_cast<double>(reader.input_bytes()) /
-          static_cast<double>(bytes) * 1.125);
+          static_cast<double>(first.bytes.size()) * 1.125);
       rows.cells.reserve(estimate);
       rows.type_cols.reserve(estimate * decoder.block_width);
     }
+    for (std::size_t b = 0; b < cut; ++b) {
+      rows.grow(slots[b].batch.rows, decoder.block_width);
+    }
   }
-  std::optional<engine::ThreadPool> pool;
-  for (std::size_t cur = 0; got[cur] > 0; cur ^= 1) {
-    std::vector<BatchSlot>& slots = rounds[cur];
-    const std::size_t next = cur ^ 1;
-    got[next] = 0;
-    std::size_t added = 0;
-    for (std::size_t i = 0; i < got[cur]; ++i) added += slots[i].batch.rows;
-    rows.grow(added, decoder.block_width);
-    const std::size_t cutting = more ? 1 : 0;
-    const auto work = [&](std::size_t item) {
-      if (item < cutting) {
-        got[next] = cut_batches(reader, rounds[next]);
-        return;
+
+  std::mutex mutex;
+  std::condition_variable changed;
+  std::size_t claimed = 0;   // batches handed to a decoder
+  std::size_t decoding = 0;  // decodes in flight
+  std::size_t retired = 0;   // batches checked and merged, in order
+  std::vector<char> decoded(ring, 0);
+  bool cutting = false;  // a thread is inside next_batch
+  bool pending = false;  // slot cut % ring holds a cut, uncommitted batch
+  std::string error;     // the earliest failing batch's message
+  const auto work = [&](std::size_t) {
+    std::unique_lock<std::mutex> lock(mutex);
+    while (error.empty()) {
+      if (pending) {
+        // Growing past the reserve moves every cell: only with all
+        // committed batches decoded and none in flight.
+        const std::size_t more = slots[cut % ring].batch.rows;
+        if (rows.fits(more, decoder.block_width) ||
+            (decoding == 0 && claimed == cut)) {
+          rows.grow(more, decoder.block_width);
+          ++cut;
+          pending = false;
+          changed.notify_all();
+          continue;
+        }
       }
-      BatchSlot& slot = slots[item - cutting];
-      const std::size_t first = slot.batch.first_row;
-      decode_batch(slot, reader, decoder, rows.cells.data() + first,
-                   rows.type_cols.data() + first * decoder.block_width);
-    };
-    const std::size_t items = cutting + got[cur];
-    if (items == 1) {
-      work(0);
-    } else {
-      if (!pool) pool.emplace(threads);
-      pool->parallel_for(items, work);
+      if (!end && !cutting && !pending && cut - retired < ring) {
+        cutting = true;
+        engine::CsvBatch& batch = slots[cut % ring].batch;
+        lock.unlock();
+        const bool got = reader.next_batch(&batch);
+        lock.lock();
+        cutting = false;
+        if (got) {
+          pending = true;
+        } else {
+          end = true;
+        }
+        changed.notify_all();
+        continue;
+      }
+      if (claimed < cut) {
+        BatchSlot& slot = slots[claimed++ % ring];
+        ++decoding;
+        const std::size_t first = slot.batch.first_row;
+        PhaseCell* cells = rows.cells.data() + first;
+        double* type_cols =
+            rows.type_cols.data() + first * decoder.block_width;
+        lock.unlock();
+        decode_batch(slot, reader, decoder, cells, type_cols);
+        lock.lock();
+        --decoding;
+        decoded[&slot - slots.data()] = 1;
+        while (error.empty() && retired < claimed && decoded[retired % ring]) {
+          BatchSlot& done = slots[retired % ring];
+          decoded[retired % ring] = 0;
+          ++retired;
+          error = done.error;
+          if (error.empty()) rows.merge(done.axes);
+        }
+        changed.notify_all();
+        continue;
+      }
+      if (end && !cutting && !pending && retired == cut) break;
+      changed.wait(lock);
     }
-    for (std::size_t i = 0; i < got[cur]; ++i) {
-      P2P_ASSERT_MSG(slots[i].error.empty(), slots[i].error);
-      rows.merge(slots[i].axes);
-    }
-    more = more && got[next] == window;
+    changed.notify_all();
+  };
+  if (cut > 1 && threads > 1) {
+    engine::ThreadPool pool(threads);
+    pool.parallel_for(static_cast<std::size_t>(threads), work);
+  } else {
+    work(0);
   }
+  P2P_ASSERT_MSG(error.empty(), error);
   return assemble_phase_grid(schema, std::move(rows), decoder.policy0, x_axis,
                              y_axis);
 }

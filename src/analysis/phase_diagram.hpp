@@ -32,6 +32,7 @@
 #include <cmath>
 #include <cstdint>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "analysis/confidence.hpp"
@@ -59,6 +60,15 @@ struct PhaseCell {
   Stability fluid = Stability::kBorderline;
 };
 
+static_assert(std::is_trivially_destructible_v<PhaseCell>,
+              "PhaseCells may hold cells that were never constructed");
+
+/// Page-mapped cell storage (engine/page_allocator.hpp). resize() and
+/// the size-taking constructor leave the new cells UNCONSTRUCTED: the
+/// code that grows the vector must std::construct_at every new cell
+/// before anything reads it — the ingest constructs each on the worker
+/// that decodes it. push_back, assign, copies and moves construct as
+/// usual.
 using PhaseCells = std::vector<PhaseCell, engine::PageAllocator<PhaseCell>>;
 
 /// A rectangular phase-diagram view of an ingested grid report.

@@ -268,7 +268,7 @@ CsvReader CsvReader::from_text(std::string text) {
   CsvReader reader;
   reader.source_ = "<string>";
   reader.exhausted_ = true;
-  reader.buffer_ = std::move(text);
+  reader.buffer_.assign(text.begin(), text.end());
   reader.input_bytes_ = reader.buffer_.size();
   reader.read_header();
   return reader;
@@ -312,7 +312,7 @@ void CsvReader::set_batch_bytes(std::size_t bytes) {
 
 void CsvReader::fail(std::string_view what) const {
   P2P_ASSERT_MSG(false, record_error(what, source_, line_,
-                                     std::string_view(buffer_).substr(pos_)));
+                                     buffered().substr(pos_)));
   std::abort();  // unreachable
 }
 
@@ -322,7 +322,8 @@ void CsvReader::refill(std::size_t want) {
   // consumed by bumping pos_, so a million-row file costs one memmove
   // per read instead of one per record.
   if (pos_ > 0) {
-    buffer_.erase(0, pos_);
+    buffer_.erase(buffer_.begin(),
+                  buffer_.begin() + static_cast<std::ptrdiff_t>(pos_));
     pos_ = 0;
   }
   const std::size_t have = buffer_.size();
@@ -340,7 +341,7 @@ void CsvReader::refill(std::size_t want) {
 bool CsvReader::next_row(std::vector<std::string_view>* cells) {
   bool quoted = false;
   std::size_t end = 0;
-  while ((end = find_record_end(buffer_, pos_, !exhausted_, &quoted)) ==
+  while ((end = find_record_end(buffered(), pos_, !exhausted_, &quoted)) ==
          std::string_view::npos) {
     if (exhausted_) {
       if (pos_ >= buffer_.size()) return false;  // clean end of file
@@ -393,14 +394,14 @@ bool CsvReader::next_batch(CsvBatch* batch) {
   while (taken < batch_bytes_) {
     bool quoted = false;
     const std::size_t end =
-        find_record_end(buffer_, pos_ + taken, !exhausted_, &quoted);
+        find_record_end(buffered(), pos_ + taken, !exhausted_, &quoted);
     if (end == std::string_view::npos) {
       if (exhausted_) break;
       refill(kReadChunk);  // moves pos_; `taken` stays relative to it
       continue;
     }
     line_ += record_lines(
-        std::string_view(buffer_).substr(pos_ + taken, end - pos_ - taken),
+        buffered().substr(pos_ + taken, end - pos_ - taken),
         quoted);
     ++batch->rows;
     taken = end + 1 - pos_;
@@ -408,7 +409,7 @@ bool CsvReader::next_batch(CsvBatch* batch) {
   if (taken == 0) {
     if (pos_ >= buffer_.size()) return false;  // clean end of file
     batch->error = record_error(kTruncated, source_, line_,
-                                std::string_view(buffer_).substr(pos_));
+                                buffered().substr(pos_));
     pos_ = buffer_.size();
     return true;
   }
@@ -416,10 +417,12 @@ bool CsvReader::next_batch(CsvBatch* batch) {
     // The run is most of a freshly read buffer: hand the buffer itself
     // over and keep only the partial record after it.
     batch->bytes.swap(buffer_);
-    buffer_.assign(batch->bytes, taken);
+    buffer_.assign(batch->bytes.begin() + static_cast<std::ptrdiff_t>(taken),
+                   batch->bytes.end());
     batch->bytes.resize(taken);
   } else {
-    batch->bytes.assign(buffer_, pos_, taken);
+    const auto from = buffer_.begin() + static_cast<std::ptrdiff_t>(pos_);
+    batch->bytes.assign(from, from + static_cast<std::ptrdiff_t>(taken));
     pos_ += taken;
   }
   rows_ += batch->rows;
@@ -434,7 +437,7 @@ CsvBatchCursor::CsvBatchCursor(const CsvBatch& batch, const CsvReader& reader)
       line_(batch.first_line) {}
 
 bool CsvBatchCursor::next(std::vector<std::string_view>* cells) {
-  const std::string_view bytes = batch_.bytes;
+  const std::string_view bytes(batch_.bytes.data(), batch_.bytes.size());
   if (pos_ >= bytes.size() || !error_.empty()) return false;
   if (pos_ > 0) ++row_;
   bool quoted = false;

@@ -39,6 +39,7 @@
 
 #include "engine/report.hpp"
 #include "engine/sweep.hpp"
+#include "engine/uninit_allocator.hpp"
 #include "util/piece_set.hpp"
 
 namespace p2p::engine {
@@ -58,9 +59,13 @@ double parse_report_number(std::string_view cell, std::string_view context);
 std::string report_number_error(std::string_view cell,
                                 std::string_view context);
 
+/// Raw input bytes. Growing one does not zero the new bytes: the reader
+/// grows its buffer only to fread into it.
+using CsvBytes = std::vector<char, UninitAllocator<char>>;
+
 /// A run of whole records cut from a CsvReader's input by next_batch.
 struct CsvBatch {
-  std::string bytes;           // whole records, each '\n'-terminated
+  CsvBytes bytes;              // whole records, each '\n'-terminated
   std::size_t first_row = 0;   // data-row index of the first record
   std::size_t first_line = 0;  // 1-based line number of the first record
   std::size_t rows = 0;        // records in `bytes`
@@ -142,11 +147,18 @@ class CsvReader {
   void refill(std::size_t want);
   [[noreturn]] void fail(std::string_view what) const;
 
+  /// The read buffer as text. An empty vector's data() may be null,
+  /// which the memchr scans must never be handed.
+  std::string_view buffered() const {
+    return buffer_.empty() ? std::string_view("")
+                           : std::string_view(buffer_.data(), buffer_.size());
+  }
+
   std::string source_;  // for error messages
   std::FILE* file_ = nullptr;
   bool owns_file_ = false;
   bool exhausted_ = false;  // no more bytes behind buffer_
-  std::string buffer_;      // read bytes; [pos_, end) not yet parsed
+  CsvBytes buffer_;         // read bytes; [pos_, end) not yet parsed
   std::size_t pos_ = 0;     // consumed prefix (compacted at refill)
   std::size_t line_ = 1;    // 1-based line number of the next record
   std::string scratch_;     // unescaped quoted cells of the last row

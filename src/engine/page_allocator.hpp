@@ -8,9 +8,25 @@
 // one more block. Through malloc, building a grid while the previous one
 // is still alive makes the process's peak RSS depend on how other
 // threads' frees happen to interleave with the heap: one grid more or
-// less resident from one run to the next. Pages of a mapped block
-// that are reserved but never written are not resident either, so an
-// over-reserved capacity costs address space only.
+// less resident from one run to the next.
+//
+// Every mapped block is advised MADV_HUGEPAGE (the advice is a hint: its
+// result is ignored, and a kernel whose transparent huge pages are off
+// simply keeps 4 KiB pages). Where the kernel honors it, the first write
+// to each 2 MiB-aligned stretch of the block faults in one huge page
+// instead of 512 small ones, which is most of the cost of filling a
+// fresh multi-megabyte buffer. Pages that are reserved but never
+// written stay non-resident, so an over-reserved capacity costs address
+// space only — except that the huge page holding the last written byte
+// is resident whole: up to 2 MiB of reserved-but-unwritten tail per
+// block can count towards RSS.
+//
+// Unlike std::allocator, construct() with no arguments does nothing:
+// resize() on a container of this allocator leaves the new elements
+// unconstructed, and whoever fills them std::construct_at's each one —
+// typically on the worker thread that computes it, so the pages are
+// first touched there and not by a serial pass on the caller. Copies,
+// moves and push_back construct as usual.
 #pragma once
 
 #include <sys/mman.h>
@@ -18,6 +34,7 @@
 #include <cstddef>
 #include <limits>
 #include <new>
+#include <utility>
 
 namespace p2p::engine {
 
@@ -43,6 +60,7 @@ struct PageAllocator {
     void* p = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
                    MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
     if (p == MAP_FAILED) throw std::bad_alloc();
+    (void)madvise(p, bytes, MADV_HUGEPAGE);
     return static_cast<T*>(p);
   }
 
@@ -53,6 +71,14 @@ struct PageAllocator {
     } else {
       munmap(p, bytes);
     }
+  }
+
+  /// Leaves the element unconstructed (see the header comment).
+  template <class U>
+  void construct(U*) noexcept {}
+  template <class U, class... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
   }
 
   friend bool operator==(const PageAllocator&, const PageAllocator&) {

@@ -18,6 +18,7 @@
 #include "engine/page_allocator.hpp"
 #include "engine/parse_util.hpp"
 #include "engine/thread_pool.hpp"
+#include "engine/uninit_allocator.hpp"
 #include "rand/rng.hpp"
 #include "util/assert.hpp"
 
@@ -415,29 +416,9 @@ std::size_t dedupe_shard(std::span<Candidate> shard, Slot* box_slots) {
   return distinct;
 }
 
-/// An allocator whose resize() leaves trivially constructible elements
-/// unwritten: a generation's scratch buffers are filled in full by the
-/// pool right after they are sized, so zeroing them first would only be
-/// a serial memset on the caller.
-template <typename T>
-struct UninitAllocator : std::allocator<T> {
-  template <typename U>
-  struct rebind {
-    using other = UninitAllocator<U>;
-  };
-  UninitAllocator() = default;
-  template <typename U>
-  UninitAllocator(const UninitAllocator<U>&) noexcept {}
-  template <typename U>
-  void construct(U* p) noexcept {
-    ::new (static_cast<void*>(p)) U;
-  }
-  template <typename U, typename... Args>
-  void construct(U* p, Args&&... args) {
-    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
-  }
-};
-
+/// A generation's scratch buffers are filled in full by the pool right
+/// after they are sized, so zeroing them first would only be a serial
+/// memset on the caller.
 template <typename T>
 using Scratch = std::vector<T, UninitAllocator<T>>;
 

@@ -29,17 +29,18 @@ PhaseGrid tiny_grid() {
   grid.y_axis = "lambda";
   grid.x_values = {0.5, 1.0};
   grid.y_values = {1.0, 2.0};
-  grid.cells.resize(4);
   const auto cell = [](Stability verdict, double margin) {
     PhaseCell c;
     c.verdict = verdict;
     c.margin = margin;
     return c;
   };
-  grid.cells[0] = cell(Stability::kPositiveRecurrent, 1.0);   // (y0, x0)
-  grid.cells[1] = cell(Stability::kPositiveRecurrent, 0.25);  // (y0, x1)
-  grid.cells[2] = cell(Stability::kTransient, -1.0);          // (y1, x0)
-  grid.cells[3] = cell(Stability::kBorderline, 0.0);          // (y1, x1)
+  grid.cells = {
+      cell(Stability::kPositiveRecurrent, 1.0),   // (y0, x0)
+      cell(Stability::kPositiveRecurrent, 0.25),  // (y0, x1)
+      cell(Stability::kTransient, -1.0),          // (y1, x0)
+      cell(Stability::kBorderline, 0.0),          // (y1, x1)
+  };
   return grid;
 }
 
@@ -196,6 +197,47 @@ TEST(RenderOverlay, LandsOnTheExampleOneClosedForm) {
     EXPECT_LE(std::abs(found - (expect_col - 1)), 2)
         << "lambda " << lambda << ": marker at " << found << ", expected ~"
         << expect_col - 1;
+  }
+}
+
+TEST(RoundChannel, EqualsLroundOnEveryPaletteRamp) {
+  // lerp rounds x + (y - x) * t for channels x, y of the palette (the
+  // midpoint, both poles, ink) and t in [0, 1]; the inline rounding must
+  // be std::lround there, halfway values included.
+  const int channels[] = {0xf0, 0xef, 0xec, 0x0d, 0x36,
+                          0x6b, 0x7f, 0x1f, 0x1e, 0x0b};
+  const auto expect_lround = [](double v) {
+    ASSERT_EQ(detail::round_channel(v), std::lround(v)) << "v = " << v;
+  };
+  constexpr int kSteps = 20000;
+  std::size_t exact_halves = 0;
+  for (const int x : channels) {
+    for (const int y : channels) {
+      for (int i = 0; i <= kSteps; ++i) {
+        const double t = static_cast<double>(i) / kSteps;
+        expect_lround(x + (y - x) * t);
+      }
+      if (x == y) continue;
+      // Every t that puts the value on k + 0.5, and its neighbours.
+      for (int k = std::min(x, y); k < std::max(x, y); ++k) {
+        const double t_half = (k + 0.5 - x) / (y - x);
+        for (const double t : {std::nextafter(t_half, 0.0), t_half,
+                               std::nextafter(t_half, 1.0)}) {
+          if (t < 0 || t > 1) continue;
+          const double v = x + (y - x) * t;
+          exact_halves += v == k + 0.5;
+          expect_lround(v);
+        }
+      }
+    }
+  }
+  EXPECT_GT(exact_halves, 0u);
+  for (int k = 0; k < 256; ++k) {
+    for (const double v : {static_cast<double>(k), k + 0.5,
+                           std::nextafter(k + 0.5, 0.0),
+                           std::nextafter(k + 0.5, 256.0)}) {
+      expect_lround(v);
+    }
   }
 }
 

@@ -335,6 +335,71 @@ TEST(BuildPhaseGrid, BatchedIngestIsIdenticalAtEveryThreadCount) {
   }
 }
 
+TEST(BuildPhaseGrid, WorkerConstructedCellsKeepTheirDefaults) {
+  // The ingest leaves grown cells unconstructed until the decoding
+  // worker constructs each one, so a cell it skipped would read as the
+  // mapping's zero bytes (fluid 0 = positive-recurrent). This grid is
+  // past 2 MiB — page-mapped and huge-page eligible — and the corpus
+  // has no fluid_verdict column: every cell must equal a
+  // value-initialized cell carrying the sweep's own numbers.
+  constexpr std::size_t kSide = 160;
+  SweepOptions options;
+  options.theory_only = true;
+  const engine::SweepResult result = run_sweep(
+      parse_grid("lambda=0.5:3.0:160;us=0.2:1.7:160"), options);
+  ASSERT_GT(result.cells.size() * sizeof(PhaseCell), std::size_t{2} << 20);
+  const std::string corpus = engine::render(result);
+  ASSERT_EQ(corpus.find("fluid_verdict"), std::string::npos);
+  const Table table = engine::read_csv(corpus);
+
+  for (const bool transposed : {false, true}) {
+    const std::string x = transposed ? "lambda" : "";
+    const std::string y = transposed ? "us" : "";
+    // Cell r of the sweep is (lambda index r / kSide, us index r % kSide);
+    // the default grid keeps that order, the transposed one puts lambda
+    // on x.
+    PhaseGrid reference = build_phase_grid(table, x, y);
+    reference.cells.clear();
+    for (std::size_t slot = 0; slot < result.cells.size(); ++slot) {
+      const std::size_t r =
+          transposed ? (slot % kSide) * kSide + slot / kSide : slot;
+      const engine::CellResult& cell = result.cells[r];
+      PhaseCell c{};
+      c.params.lambda = cell.lambda;
+      c.params.us = cell.us;
+      c.params.mu = cell.mu;
+      c.params.gamma = cell.gamma;
+      c.params.k = cell.k;
+      c.params.eta = cell.eta;
+      c.params.flash = cell.flash;
+      c.params.mix = cell.mix;
+      c.params.hetero = cell.hetero;
+      c.verdict = cell.theory.verdict;
+      c.margin = cell.theory.margin;
+      c.replicas = cell.sim.replicas;
+      c.sim_mean_peers = cell.sim.mean_peers_mean;
+      c.ctmc_mean_peers = cell.ctmc_mean_peers;
+      reference.cells.push_back(c);
+    }
+    const std::string orientation = transposed ? " transposed" : "";
+    const PhaseGrid from_table = build_phase_grid(table, x, y);
+    expect_grids_identical(from_table, reference, "table" + orientation);
+    for (const PhaseCell& c : from_table.cells) {
+      ASSERT_EQ(c.fluid, Stability::kBorderline) << "table" << orientation;
+    }
+    for (const int threads : {1, 2, 4, 8}) {
+      const std::string what =
+          "threads " + std::to_string(threads) + orientation;
+      const PhaseGrid grid =
+          ingest(corpus, engine::CsvReader::kBatchBytes, threads, x, y);
+      expect_grids_identical(grid, reference, what);
+      for (const PhaseCell& c : grid.cells) {
+        ASSERT_EQ(c.fluid, Stability::kBorderline) << what;
+      }
+    }
+  }
+}
+
 TEST(BuildPhaseGrid, ArchivesIngestIdenticallyAtEveryThreadCount) {
   // The scenario archive (per-type block) and the policy + fluid archive
   // (trailing sim_backend/policy/fluid_verdict), cut into ~1 KiB batches
