@@ -846,7 +846,7 @@ std::vector<PhaseFrontierPoint> extract_frontier(const PhaseGrid& grid,
     pt.y = grid.y_values[yi];
 
     // Coarse scan: first adjacent verdict change in grid order — the
-    // same convention as refine_frontier, so the two localizations are
+    // same convention as run_frontier_stream, so the two localizations are
     // comparable row for row.
     std::size_t b = nx;
     for (std::size_t xi = 0; xi + 1 < nx; ++xi) {
@@ -877,7 +877,7 @@ std::vector<PhaseFrontierPoint> extract_frontier(const PhaseGrid& grid,
     }
 
     // Closed-form re-derivation: rebuild the bracket cell, bisect the
-    // classify() flip — exactly what refine_frontier does at sweep
+    // classify() flip — exactly what run_frontier_stream does at sweep
     // time, now recovered from the archive.
     if (can_bisect && std::isfinite(pt.x_lo) && std::isfinite(pt.x_hi)) {
       CellParams p = grid.at(yi, b).params;

@@ -15,7 +15,7 @@
 //     axis, so between coarse cells sharing a critical piece the
 //     interpolant is exact), and a closed-form re-bisection of the
 //     bracket via classify() on the reconstructed cells — the same
-//     localization refine_frontier performs at sweep time, now
+//     localization run_frontier_stream performs at sweep time, now
 //     recoverable from the archive alone. The golden-corpus suite
 //     pins archived frontier tables against this re-derivation.
 //
@@ -192,7 +192,7 @@ struct PhaseFrontierPoint {
   double interpolated = std::nan("");
   /// Closed-form re-bisection of the bracket down to `tol` (midpoint
   /// and final bracket), via classify() on the reconstructed cells —
-  /// matches refine_frontier run on the same coarse grid. NaN when x
+  /// matches run_frontier_stream on the same coarse grid. NaN when x
   /// is not a refinable axis (k, eta, flash, hetero never flip the
   /// closed form along themselves) or a bracket endpoint is inf.
   double value = std::nan("");
@@ -202,8 +202,8 @@ struct PhaseFrontierPoint {
 };
 
 /// Extracts the frontier from every grid row (scanning x in grid order
-/// for the first adjacent verdict change, like refine_frontier's coarse
-/// scan). `tol` is the re-bisection stopping width. Rows are
+/// for the first adjacent verdict change, like run_frontier_stream's
+/// coarse scan). `tol` is the re-bisection stopping width. Rows are
 /// independent, so they fan across `threads` OS threads; each row's
 /// point depends only on the row, so the result is identical for any
 /// thread count.

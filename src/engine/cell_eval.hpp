@@ -15,7 +15,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <iterator>
 #include <span>
 #include <string>
 #include <utility>
@@ -152,9 +151,8 @@ inline SweepSummary& operator+=(SweepSummary& a, const SweepSummary& b) {
 /// is replica i % per_unit of unit i / per_unit. The pool claims blocks
 /// of `chunk` items (0 = auto), so a few units with many replicas still
 /// spread over every thread. A block evaluates its items, renders each
-/// unit it completes into its ring slot's arena (or, with `kept`, keeps
-/// the unit), and tallies it. The calling thread hands finished slots
-/// to `writer` or `kept` (exactly one is non-null) in block order, which
+/// unit it completes into its ring slot's arena, and tallies it. The
+/// calling thread hands finished slots to `writer` in block order, which
 /// is unit order, and returns the summed tallies.
 ///
 /// A block's slot owns every unit whose first item lies in the block.
@@ -186,14 +184,12 @@ inline SweepSummary& operator+=(SweepSummary& a, const SweepSummary& b) {
 template <typename Source>
 typename Source::Tally run_ordered_blocks(
     ThreadPool& pool, std::size_t units, std::size_t per_unit,
-    std::size_t chunk, const Source& source, ReportWriter* writer,
-    std::vector<typename Source::Unit>* kept) {
+    std::size_t chunk, const Source& source, ReportWriter& writer) {
   using Unit = typename Source::Unit;
   using Tally = typename Source::Tally;
   struct Output {
     std::string arena;
     std::size_t rows = 0;
-    std::vector<Unit> kept;
     Tally tally{};
   };
   struct alignas(kSlotAlign) Slot {
@@ -235,12 +231,8 @@ typename Source::Tally run_ordered_blocks(
                           std::span<const ReplicaSample> samples,
                           Output& out) {
     walker.finish(unit, samples, out.tally);
-    if (kept != nullptr) {
-      out.kept.push_back(unit);
-    } else {
-      walker.render(unit, out.arena);
-      ++out.rows;
-    }
+    walker.render(unit, out.arena);
+    ++out.rows;
   };
 
   std::size_t emitted = 0;  // blocks handed to the sink
@@ -305,13 +297,7 @@ typename Source::Tally run_ordered_blocks(
           Output& out = slots[emitted % ring].out;
           if (first_unit(emitted + 1) > first_unit(emitted)) {
             total += out.tally;
-            if (kept != nullptr) {
-              kept->insert(kept->end(),
-                           std::make_move_iterator(out.kept.begin()),
-                           std::make_move_iterator(out.kept.end()));
-            } else {
-              writer->write_rendered(out.arena, out.rows);
-            }
+            writer.write_rendered(out.arena, out.rows);
           }
           if (emitted + ring < num_blocks) arm(emitted + ring);
         }
@@ -389,9 +375,9 @@ GridRenderPlan make_grid_render_plan(const SweepGrid& effective,
 /// the directly formatted numbers, then lands in the arena with one
 /// Row::cells_verbatim. With `digits` (the cell's per-axis value
 /// indices) the varying axis cells are cached tokens; without, they are
-/// formatted from c's own values — the route for cells that lie off the
-/// grid's digits (adaptive leaves) or were retained without them
-/// (run_sweep).
+/// formatted from c's own values. Only the adaptive generations whose
+/// lattice values have no token table (engine/refine.cpp's formatted
+/// fallback) take that route.
 void render_grid_row(const GridRenderPlan& plan, const SweepOptions& options,
                      const std::vector<std::size_t>* digits,
                      const CellResult& c, RowRenderer::Row& row);

@@ -943,7 +943,7 @@ AdaptiveSummary run_adaptive_stream(const SweepGrid& grid,
       row.end();
     };
     run_ordered_blocks(pool, num_leaves, 1, options.chunk,
-                       LeafSource{render_leaf}, &writer, nullptr);
+                       LeafSource{render_leaf}, writer);
     current.swap(next);
   }
 

@@ -127,10 +127,10 @@ struct AdaptiveSummary {
 
 /// Streams the adaptive refinement of `grid` under the sweep `options`
 /// to `writer` (construct it with adaptive_columns(grid, options)).
-/// Missing axes take default_region_grid values like run_sweep; at least
-/// two axes must vary, every varying axis must be refinable with
-/// strictly increasing finite values, and the fine lattice must fit a
-/// 64-bit vertex key. Rows are leaf boxes in deterministic order
+/// Missing axes take default_region_grid values like run_sweep_stream;
+/// at least two axes must vary, every varying axis must be refinable
+/// with strictly increasing finite values, and the fine lattice must fit
+/// a 64-bit vertex key. Rows are leaf boxes in deterministic order
 /// (generation by generation, box order within a generation), each
 /// generation's rows written once its boxes are decided. Byte-identical
 /// for any (threads, chunk).

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
-#include <optional>
 #include <span>
 
 #include "core/model.hpp"
@@ -375,8 +374,8 @@ struct GridSource {
       tally_verdict(tally, r.theory.verdict);
     }
     void render(const CellResult& r, std::string& arena) const {
-      RowRenderer::Row row(s_.plan->renderer, arena);
-      render_grid_row(*s_.plan, s_.options, &digits_, r, row);
+      RowRenderer::Row row(s_.plan.renderer, arena);
+      render_grid_row(s_.plan, s_.options, &digits_, r, row);
       row.end();
     }
     /// Advances the odometer; only the parameters of the axes whose
@@ -406,33 +405,9 @@ struct GridSource {
   const SweepGrid& grid;
   const SweepOptions& options;
   AxisSlots slots;
-  const GridRenderPlan* plan;  // null when the cells are kept
+  const GridRenderPlan& plan;
   std::size_t row_bytes;
 };
-
-/// The shared sweep pipeline behind run_sweep (`kept`) and
-/// run_sweep_stream (`writer`).
-SweepSummary sweep_grid(const SweepGrid& grid, const SweepOptions& options,
-                        ReportWriter* writer, std::vector<CellResult>* kept) {
-  const SweepGrid effective =
-      checked_effective_grid(grid, options, !options.theory_only);
-  std::optional<GridRenderPlan> plan;
-  if (writer != nullptr) {
-    plan.emplace(make_grid_render_plan(effective, options, *writer));
-  }
-  const GridSource source{effective, options, resolve_axis_slots(effective),
-                          plan ? &*plan : nullptr,
-                          plan ? plan->max_row_bytes : 0};
-  ThreadPool pool(options.threads);
-  // Theory-only sweeps run one closed-form item per cell: fanning unused
-  // replica items would just multiply claim traffic.
-  SweepSummary summary = run_ordered_blocks(
-      pool, effective.num_cells(),
-      options.theory_only ? 1 : static_cast<std::size_t>(options.replicas),
-      options.chunk, source, writer, kept);
-  summary.cells = effective.num_cells();
-  return summary;
-}
 
 }  // namespace
 
@@ -562,21 +537,26 @@ SweepGrid default_region_grid() {
   return grid;
 }
 
-SweepResult run_sweep(const SweepGrid& grid, const SweepOptions& options) {
-  SweepResult result;
-  result.options = options;
-  sweep_grid(grid, options, nullptr, &result.cells);
-  result.grid = effective_grid(grid);
-  return result;
-}
-
 SweepSummary run_sweep_stream(const SweepGrid& grid,
                               const SweepOptions& options,
                               ReportWriter& writer) {
   P2P_ASSERT_MSG(writer.columns() == sweep_columns(options),
                  "run_sweep_stream writer must be built with "
                  "sweep_columns(options)");
-  return sweep_grid(grid, options, &writer, nullptr);
+  const SweepGrid effective =
+      checked_effective_grid(grid, options, !options.theory_only);
+  const GridRenderPlan plan = make_grid_render_plan(effective, options, writer);
+  const GridSource source{effective, options, resolve_axis_slots(effective),
+                          plan, plan.max_row_bytes};
+  ThreadPool pool(options.threads);
+  // Theory-only sweeps run one closed-form item per cell: fanning unused
+  // replica items would just multiply claim traffic.
+  SweepSummary summary = run_ordered_blocks(
+      pool, effective.num_cells(),
+      options.theory_only ? 1 : static_cast<std::size_t>(options.replicas),
+      options.chunk, source, writer);
+  summary.cells = effective.num_cells();
+  return summary;
 }
 
 namespace {
@@ -728,24 +708,6 @@ std::string typecount_domain_violation(const SweepGrid& grid,
   return {};
 }
 
-std::string typecount_domain_violation(const SweepGrid& grid) {
-  return typecount_domain_violation(grid, ScenarioSpec{});
-}
-
-void SweepResult::write(ReportWriter& writer) const {
-  P2P_ASSERT_MSG(writer.columns() == sweep_columns(options),
-                 "SweepResult::write needs a writer built with "
-                 "sweep_columns(options)");
-  const GridRenderPlan plan = make_grid_render_plan(grid, options, writer);
-  std::string arena;
-  for (const CellResult& c : cells) {
-    RowRenderer::Row row(plan.renderer, arena);
-    render_grid_row(plan, options, /*digits=*/nullptr, c, row);
-    row.end();
-  }
-  writer.write_rendered(arena, cells.size());
-}
-
 RefineOptions parse_refine(const std::string& spec) {
   const auto colon = spec.find(':');
   P2P_ASSERT_MSG(colon != std::string::npos && colon > 0 &&
@@ -825,7 +787,7 @@ FrontierPoint bisect_row(const SweepGrid& rows, const AxisSlots& slots,
 }
 
 /// Renders one localized frontier point into `arena`: the one frontier
-/// row encoder, for the streamed and the retained points alike.
+/// row encoder.
 void render_frontier_row(const RowRenderer& renderer,
                          const FrontierPoint& pt, const RefineOptions& refine,
                          const SweepOptions& options, std::string& arena) {
@@ -899,7 +861,7 @@ struct FrontierSource {
       ++bracketed;
     }
     void render(const FrontierPoint& pt, std::string& arena) const {
-      render_frontier_row(*s_.renderer, pt, s_.refine, s_.options, arena);
+      render_frontier_row(s_.renderer, pt, s_.refine, s_.options, arena);
     }
     void next() { pt_ = s_.bisect(++row_); }
 
@@ -921,28 +883,29 @@ struct FrontierSource {
   const Axis& refined;
   const RefineOptions& refine;
   const SweepOptions& options;
-  const RowRenderer* renderer;  // null when the points are kept
+  const RowRenderer& renderer;
   std::size_t row_bytes = 0;
 };
 
-/// The shared frontier pipeline behind refine_frontier (`kept`) and
-/// run_frontier_stream (`writer`).
-FrontierSummary frontier_points_ordered(const SweepGrid& grid,
-                                        const SweepOptions& options,
-                                        const RefineOptions& refine,
-                                        ReportWriter* writer,
-                                        FrontierResult* kept) {
+}  // namespace
+
+FrontierSummary run_frontier_stream(const SweepGrid& grid,
+                                    const SweepOptions& options,
+                                    const RefineOptions& refine,
+                                    ReportWriter& writer) {
+  P2P_ASSERT_MSG(writer.columns() == frontier_columns(options),
+                 "run_frontier_stream writer must be built with "
+                 "frontier_columns(options)");
   // Frontier points always simulate.
   const SweepGrid effective =
       checked_effective_grid(grid, options, /*simulates=*/true);
-  if (kept != nullptr) kept->grid = effective;
   P2P_ASSERT_MSG(refinable_axis(refine.axis),
                  "refine axis must be one of lambda, us, mu, gamma, mix");
   // The frontier's whole point is simulating at the localized flip;
   // accepting theory_only here would silently skip those sims while the
   // table still advertises replica columns.
   P2P_ASSERT_MSG(!options.theory_only,
-                 "theory_only applies to grid sweeps, not refine_frontier");
+                 "theory_only applies to grid sweeps, not frontier runs");
   P2P_ASSERT_MSG(std::isfinite(refine.tol) && refine.tol > 0,
                  "refine tolerance must be positive and finite");
   const Axis* refined = effective.find_axis(refine.axis);
@@ -959,38 +922,14 @@ FrontierSummary frontier_points_ordered(const SweepGrid& grid,
   }
   SweepGrid layout = rows;
   layout.axes.push_back(Axis{refine.axis, {}});
-  std::optional<RowRenderer> renderer;
-  if (writer != nullptr) renderer.emplace(writer->format(), writer->columns());
+  const RowRenderer renderer(writer.format(), writer.columns());
   const FrontierSource source{rows, resolve_axis_slots(layout), *refined,
-                              refine, options,
-                              renderer ? &*renderer : nullptr};
+                              refine, options, renderer};
   ThreadPool pool(options.threads);
   const std::size_t bracketed = run_ordered_blocks(
       pool, rows.num_cells(), static_cast<std::size_t>(options.replicas),
-      options.chunk, source, writer, kept != nullptr ? &kept->points : nullptr);
+      options.chunk, source, writer);
   return {rows.num_cells(), bracketed};
-}
-
-}  // namespace
-
-FrontierResult refine_frontier(const SweepGrid& grid,
-                               const SweepOptions& options,
-                               const RefineOptions& refine) {
-  FrontierResult result;
-  result.refine = refine;
-  result.options = options;
-  frontier_points_ordered(grid, options, refine, nullptr, &result);
-  return result;
-}
-
-FrontierSummary run_frontier_stream(const SweepGrid& grid,
-                                    const SweepOptions& options,
-                                    const RefineOptions& refine,
-                                    ReportWriter& writer) {
-  P2P_ASSERT_MSG(writer.columns() == frontier_columns(options),
-                 "run_frontier_stream writer must be built with "
-                 "frontier_columns(options)");
-  return frontier_points_ordered(grid, options, refine, &writer, nullptr);
 }
 
 std::vector<std::string> frontier_columns(const SweepOptions& options) {
@@ -1002,18 +941,6 @@ std::vector<std::string> frontier_columns(const SweepOptions& options) {
       /*with_backend=*/true,
       options.scenario.policy != PolicyKind::kRandomUseful,
       /*with_fluid=*/false);
-}
-
-void FrontierResult::write(ReportWriter& writer) const {
-  P2P_ASSERT_MSG(writer.columns() == frontier_columns(options),
-                 "FrontierResult::write needs a writer built with "
-                 "frontier_columns(options)");
-  const RowRenderer renderer(writer.format(), writer.columns());
-  std::string arena;
-  for (const FrontierPoint& pt : points) {
-    render_frontier_row(renderer, pt, refine, options, arena);
-  }
-  writer.write_rendered(arena, points.size());
 }
 
 }  // namespace p2p::engine

@@ -31,19 +31,18 @@
 // The grid sweep, the frontier and the adaptive leaves share one
 // ordered-evaluation core (run_ordered_blocks, engine/cell_eval.hpp):
 // workers evaluate and render claimed blocks into recycled ring slots,
-// and the calling thread hands the slots to the sink in order. run_sweep
-// keeps every CellResult (tests, small grids); run_sweep_stream streams
-// the rows to a ReportWriter in O(chunk * threads + replicas) memory,
-// not O(num_cells). Both render through one grid-row encoder, so
-// SweepResult::write emits the stream's bytes.
+// and the calling thread hands the slots to the ReportWriter in order.
+// run_sweep_stream thus streams a grid's rows in O(chunk * threads +
+// replicas) memory, not O(num_cells); the report is the only result,
+// and tests read its bytes back (read_csv / parse_report_number).
 //
-// Boundary refinement (refine_frontier) localizes the Theorem-1 phase
-// boundary instead of rasterizing it: per combination of the non-refined
-// axes ("row"), it scans the refined axis's coarse values for a verdict
-// flip, bisects the bracket down to a requested tolerance (the verdict
-// is closed form, so bisection costs no simulation), and then spends the
-// simulation budget only at the localized frontier point — R replicas
-// with the same CI aggregation as replica mode.
+// Boundary refinement (run_frontier_stream) localizes the Theorem-1
+// phase boundary instead of rasterizing it: per combination of the
+// non-refined axes ("row"), it scans the refined axis's coarse values for
+// a verdict flip, bisects the bracket down to a requested tolerance (the
+// verdict is closed form, so bisection costs no simulation), and then
+// spends the simulation budget only at the localized frontier point — R
+// replicas with the same CI aggregation as replica mode.
 #pragma once
 
 #include <cmath>
@@ -178,14 +177,13 @@ struct SweepGrid {
 SweepGrid parse_grid(const std::string& spec);
 
 /// Empty when every cell of `grid` (missing axes filled from the
-/// default region grid, like run_sweep does) under `scenario` lies in
-/// the type-count backend's domain; otherwise a message naming the
-/// offending axis and value. Shared by the engine's forced-typecount
+/// default region grid, like run_sweep_stream does) under `scenario`
+/// lies in the type-count backend's domain; otherwise a message naming
+/// the offending axis and value. Shared by the engine's forced-typecount
 /// validation and p2p_sweep's friendly pre-flight error, so the two
 /// never disagree on the domain.
 std::string typecount_domain_violation(const SweepGrid& grid,
                                        const ScenarioSpec& scenario);
-std::string typecount_domain_violation(const SweepGrid& grid);
 
 /// The standard Theorem-1 region grid: lambda 0.5:3.0:16 crossed with
 /// us 0.2:1.7:16 (256 cells) at mu = 1, gamma = 1.25, K = 3, eta = 1,
@@ -278,7 +276,7 @@ struct SimAggregate {
   double mean_sojourn = std::nan("");
 };
 
-/// One classified grid cell.
+/// One classified grid cell: what a grid row's columns record.
 struct CellResult {
   std::size_t index = 0;
   double lambda = 0, us = 0, mu = 0, gamma = 0;
@@ -305,37 +303,17 @@ struct CellResult {
   Stability fluid = Stability::kBorderline;
 };
 
-struct SweepResult {
-  SweepGrid grid;
-  SweepOptions options;
-  std::vector<CellResult> cells;
-
-  /// Appends one row per cell, in cell-index order, to `writer` (built
-  /// with sweep_columns(options)); the caller finishes it. The bytes
-  /// equal run_sweep_stream's for the same grid and options.
-  void write(ReportWriter& writer) const;
-};
-
 /// The grid table's column names for `options` — what a ReportWriter
-/// for run_sweep_stream or SweepResult::write must be constructed with:
-/// cell, lambda, us, mu, gamma, k, eta, flash, mix, hetero, [per-type
-/// arrival-rate columns when the scenario is non-empty: lambda_empty
-/// then lambda_t<pieces> per mix type, one-based and '.'-joined, e.g.
-/// lambda_t1.2], verdict, margin, critical_piece, replicas,
-/// sim_final_peers, sim_mean_peers, sim_mean_sojourn,
-/// sim_mean_peers_sem, sim_mean_peers_lo, sim_mean_peers_hi,
-/// ctmc_mean_peers[, sim_backend unless theory_only][, policy when
+/// for run_sweep_stream must be constructed with: cell, lambda, us, mu,
+/// gamma, k, eta, flash, mix, hetero, [per-type arrival-rate columns
+/// when the scenario is non-empty: lambda_empty then lambda_t<pieces>
+/// per mix type, one-based and '.'-joined, e.g. lambda_t1.2], verdict,
+/// margin, critical_piece, replicas, sim_final_peers, sim_mean_peers,
+/// sim_mean_sojourn, sim_mean_peers_sem, sim_mean_peers_lo,
+/// sim_mean_peers_hi, ctmc_mean_peers[, sim_backend unless theory_only][, policy when
 /// simulating off the RandomUseful baseline][, fluid_verdict when
 /// options.fluid].
 std::vector<std::string> sweep_columns(const SweepOptions& options);
-
-/// Runs every (cell, replica) pair of `grid` across `options.threads`
-/// threads. Axes not present in `grid` take the default_region_grid()
-/// values (so an empty grid runs the full 256-cell region sweep); the
-/// effective grid is returned in SweepResult::grid. Aborts on unknown
-/// axis names, inf on any axis but gamma, or invalid parameter values
-/// (lambda/mu <= 0, eta < 1, fractional flash, ...).
-SweepResult run_sweep(const SweepGrid& grid, const SweepOptions& options);
 
 /// What a streamed sweep leaves behind: the verdict tallies the tool
 /// prints to stderr (the cells themselves went to the writer).
@@ -346,14 +324,17 @@ struct SweepSummary {
   std::size_t borderline = 0;
 };
 
-/// run_sweep's bounded-memory twin: identical validation, scheduling and
-/// numbers, but each cell's row is handed to `writer` (construct it with
-/// sweep_columns(options)) as soon as every cell before it has finished,
-/// and the CellResult is dropped. Live state is the ordered-evaluation
-/// core's ring of O(chunk * threads + replicas) items, so grid size no
-/// longer bounds memory. The caller finishes the writer. Emitted bytes
-/// equal run_sweep(...).write() into the same format, for any
-/// (threads, chunk) combination.
+/// Runs every (cell, replica) pair of `grid` across `options.threads`
+/// threads and hands each cell's row to `writer` (construct it with
+/// sweep_columns(options)) as soon as every cell before it has
+/// finished. Axes not present in `grid` take the default_region_grid()
+/// values (so an empty grid runs the full 256-cell region sweep). Live
+/// state is the ordered-evaluation core's ring of O(chunk * threads +
+/// replicas) items, so grid size does not bound memory. The caller
+/// finishes the writer. The bytes are identical for any (threads, chunk)
+/// combination. Aborts on unknown axis names, inf on any axis but gamma,
+/// or invalid parameter values (lambda/mu <= 0, eta < 1, fractional
+/// flash, ...).
 SweepSummary run_sweep_stream(const SweepGrid& grid,
                               const SweepOptions& options,
                               ReportWriter& writer);
@@ -406,24 +387,10 @@ struct FrontierPoint {
   SimAggregate sim;
 };
 
-struct FrontierResult {
-  /// The effective (defaults-filled) grid refinement started from.
-  SweepGrid grid;
-  RefineOptions refine;
-  SweepOptions options;
-  /// One point per row, in row order.
-  std::vector<FrontierPoint> points;
-
-  /// Appends one row per point, in row order, to `writer` (built with
-  /// frontier_columns(options)); the caller finishes it. The bytes equal
-  /// run_frontier_stream's for the same grid and options.
-  void write(ReportWriter& writer) const;
-};
-
 /// The frontier table's column names for `options` — what a
-/// ReportWriter for run_frontier_stream or FrontierResult::write must be
-/// constructed with: row, axis, bracketed, value, value_lo, value_hi,
-/// margin, lambda, us, mu, gamma, k, eta, flash, mix, hetero, [the same
+/// ReportWriter for run_frontier_stream must be constructed with: row,
+/// axis, bracketed, value, value_lo, value_hi, margin, lambda, us, mu,
+/// gamma, k, eta, flash, mix, hetero, [the same
 /// per-type arrival-rate columns as the grid table when the scenario is
 /// non-empty], replicas, sim_mean_peers, sim_mean_peers_sem,
 /// sim_mean_peers_lo, sim_mean_peers_hi, sim_backend[, policy when the
@@ -431,7 +398,7 @@ struct FrontierResult {
 std::vector<std::string> frontier_columns(const SweepOptions& options);
 
 /// The one closed-form bisection of a Theorem-1 verdict flip, shared by
-/// refine_frontier and the phase-diagram re-bisection
+/// run_frontier_stream and the phase-diagram re-bisection
 /// (analysis/phase_diagram.hpp): halves the bracket [lo, hi] — `at_lo` is
 /// the verdict at lo, and hi classifies differently — toward the flip
 /// until it is at most `tol` wide, and returns the final bracket. 200
@@ -452,20 +419,6 @@ std::pair<double, double> bisect_verdict_flip(double lo, double hi,
   return {lo, hi};
 }
 
-/// For each combination of the non-refined axes ("row"), scans the
-/// refined axis's coarse values (in axis order) for the first adjacent
-/// Theorem-1 verdict change, bisects that bracket down to `refine.tol`
-/// (closed form, no simulation), then runs options.replicas SwarmSim
-/// replicas at the localized frontier point — the (row, replica) items
-/// go through the same chunked claiming as the grid sweep
-/// (options.chunk), so a tall coarse grid does not serialize on the
-/// claim mutex. Same determinism contract as run_sweep. Aborts if the
-/// refined axis is missing, non-refinable, has < 2 values, or contains
-/// inf.
-FrontierResult refine_frontier(const SweepGrid& grid,
-                               const SweepOptions& options,
-                               const RefineOptions& refine);
-
 /// What a streamed frontier run leaves behind (the points themselves
 /// went to the writer).
 struct FrontierSummary {
@@ -473,15 +426,20 @@ struct FrontierSummary {
   std::size_t bracketed = 0;
 };
 
-/// refine_frontier's bounded-memory twin: identical validation,
-/// scheduling and numbers, but each localized point's row is handed to
-/// `writer` (construct it with frontier_columns(options)) as soon as
-/// every row before it has finished, and the FrontierPoint is dropped.
-/// Rows run through the same ordered-evaluation core as the grid, so
-/// live state is O(chunk * threads + replicas) items however tall the
-/// coarse grid. The caller finishes the writer. Emitted bytes equal
-/// refine_frontier(...).write() into the same format, for any
-/// (threads, chunk) combination.
+/// For each combination of the non-refined axes ("row"), scans the
+/// refined axis's coarse values (in axis order) for the first adjacent
+/// Theorem-1 verdict change, bisects that bracket down to `refine.tol`
+/// (closed form, no simulation), then runs options.replicas SwarmSim
+/// replicas at the localized frontier point. Each point's row is handed
+/// to `writer` (construct it with frontier_columns(options)) as soon as
+/// every row before it has finished. The (row, replica) items go through
+/// the grid's ordered-evaluation core and chunked claiming
+/// (options.chunk), so live state is O(chunk * threads + replicas) items
+/// however tall the coarse grid, and a tall grid does not serialize on
+/// the claim mutex. The caller finishes the writer. Same determinism
+/// contract as run_sweep_stream. Aborts if the refined axis is missing,
+/// non-refinable, has < 2 values, or contains inf, and under
+/// theory_only.
 FrontierSummary run_frontier_stream(const SweepGrid& grid,
                                     const SweepOptions& options,
                                     const RefineOptions& refine,

@@ -193,7 +193,7 @@ TEST(ReadCsv, SweepTableWithScenarioColumnsRoundTrips) {
   options.horizon = 20;
   options.replicas = 2;
   options.scenario = parse_scenario("example2:3,1");
-  const std::string csv = render(run_sweep(grid, options));
+  const std::string csv = sweep_report(grid, options);
   const Table back = read_csv(csv);
   EXPECT_EQ(render_table(back), csv);
   // And the schema survives recognizably.

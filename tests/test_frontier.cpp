@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "engine/sweep.hpp"
 #include "report_helpers.hpp"
@@ -34,9 +35,10 @@ TEST(RefineFrontier, LocalizesKnownCriticalLambda) {
   RefineOptions refine;
   refine.axis = "lambda";
   refine.tol = 1e-3;
-  const FrontierResult result = refine_frontier(grid, options, refine);
-  ASSERT_EQ(result.points.size(), 1u);
-  const FrontierPoint& pt = result.points[0];
+  const std::vector<FrontierPoint> points =
+      frontier_points(grid, options, refine);
+  ASSERT_EQ(points.size(), 1u);
+  const FrontierPoint& pt = points[0];
   ASSERT_TRUE(pt.bracketed);
   EXPECT_LE(pt.value_hi - pt.value_lo, refine.tol * (1 + 1e-12));
   EXPECT_NEAR(pt.value, 5.0, refine.tol);
@@ -56,12 +58,13 @@ TEST(RefineFrontier, PerRowFrontierTracksSeedRate) {
   RefineOptions refine;
   refine.axis = "lambda";
   refine.tol = 1e-3;
-  const FrontierResult result = refine_frontier(grid, options, refine);
-  ASSERT_EQ(result.points.size(), 3u);
+  const std::vector<FrontierPoint> points =
+      frontier_points(grid, options, refine);
+  ASSERT_EQ(points.size(), 3u);
   const double expected[] = {2.0, 4.0, 6.0};
   for (int row = 0; row < 3; ++row) {
-    ASSERT_TRUE(result.points[row].bracketed) << "row " << row;
-    EXPECT_NEAR(result.points[row].value, expected[row], refine.tol)
+    ASSERT_TRUE(points[row].bracketed) << "row " << row;
+    EXPECT_NEAR(points[row].value, expected[row], refine.tol)
         << "row " << row;
   }
 }
@@ -75,10 +78,11 @@ TEST(RefineFrontier, RefinesAlongUsToo) {
   RefineOptions refine;
   refine.axis = "us";
   refine.tol = 5e-4;
-  const FrontierResult result = refine_frontier(grid, options, refine);
-  ASSERT_EQ(result.points.size(), 1u);
-  ASSERT_TRUE(result.points[0].bracketed);
-  EXPECT_NEAR(result.points[0].value, 1.0, refine.tol);
+  const std::vector<FrontierPoint> points =
+      frontier_points(grid, options, refine);
+  ASSERT_EQ(points.size(), 1u);
+  ASSERT_TRUE(points[0].bracketed);
+  EXPECT_NEAR(points[0].value, 1.0, refine.tol);
 }
 
 TEST(RefineFrontier, UnbracketedRowEmitsNaNAndSkipsSim) {
@@ -89,9 +93,10 @@ TEST(RefineFrontier, UnbracketedRowEmitsNaNAndSkipsSim) {
   RefineOptions refine;
   refine.axis = "lambda";
   refine.tol = 1e-2;
-  const FrontierResult result = refine_frontier(grid, options, refine);
-  ASSERT_EQ(result.points.size(), 1u);
-  const FrontierPoint& pt = result.points[0];
+  const std::vector<FrontierPoint> points =
+      frontier_points(grid, options, refine);
+  ASSERT_EQ(points.size(), 1u);
+  const FrontierPoint& pt = points[0];
   EXPECT_FALSE(pt.bracketed);
   EXPECT_TRUE(std::isnan(pt.value));
   EXPECT_TRUE(std::isnan(pt.margin));
@@ -115,8 +120,8 @@ TEST(RefineFrontier, ByteIdenticalAcrossThreadCounts) {
   RefineOptions refine;
   refine.axis = "lambda";
   refine.tol = 1e-2;
-  const std::string csv1 = render(refine_frontier(grid, one, refine));
-  const std::string csv4 = render(refine_frontier(grid, four, refine));
+  const std::string csv1 = frontier_report(grid, one, refine);
+  const std::string csv4 = frontier_report(grid, four, refine);
   EXPECT_FALSE(csv1.empty());
   EXPECT_EQ(csv1, csv4);
 }
@@ -129,8 +134,9 @@ TEST(RefineFrontier, FrontierSimGetsReplicaCi) {
   RefineOptions refine;
   refine.axis = "lambda";
   refine.tol = 1e-2;
-  const FrontierResult result = refine_frontier(grid, options, refine);
-  const FrontierPoint& pt = result.points[0];
+  const std::vector<FrontierPoint> points =
+      frontier_points(grid, options, refine);
+  const FrontierPoint& pt = points[0];
   ASSERT_TRUE(pt.bracketed);
   EXPECT_EQ(pt.sim.replicas, 5);
   EXPECT_GT(pt.sim.mean_peers_sem, 0.0);
@@ -145,7 +151,7 @@ TEST(RefineFrontier, TableSchemaIsStable) {
   RefineOptions refine;
   refine.axis = "lambda";
   refine.tol = 0.1;
-  const Table table = read_back(refine_frontier(grid, options, refine));
+  const Table table = read_csv(frontier_report(grid, options, refine));
   ASSERT_EQ(table.num_columns(), 22u);
   EXPECT_EQ(table.columns().front(), "row");
   EXPECT_EQ(table.columns()[14], "mix");
@@ -163,13 +169,13 @@ TEST(RefineFrontierDeath, NonRefinableAxesAbort) {
   RefineOptions refine;
   refine.tol = 0.1;
   refine.axis = "k";
-  EXPECT_DEATH(refine_frontier(grid, options, refine), "refine axis");
+  EXPECT_DEATH(frontier_report(grid, options, refine), "refine axis");
   refine.axis = "eta";
-  EXPECT_DEATH(refine_frontier(grid, options, refine), "refine axis");
+  EXPECT_DEATH(frontier_report(grid, options, refine), "refine axis");
   refine.axis = "hetero";  // theory is homogeneous: nothing to bisect
-  EXPECT_DEATH(refine_frontier(grid, options, refine), "refine axis");
+  EXPECT_DEATH(frontier_report(grid, options, refine), "refine axis");
   refine.axis = "bogus";
-  EXPECT_DEATH(refine_frontier(grid, options, refine), "refine axis");
+  EXPECT_DEATH(frontier_report(grid, options, refine), "refine axis");
 }
 
 TEST(RefineFrontierDeath, SingleCoarseValueAborts) {
@@ -179,7 +185,7 @@ TEST(RefineFrontierDeath, SingleCoarseValueAborts) {
   RefineOptions refine;
   refine.axis = "lambda";
   refine.tol = 0.1;
-  EXPECT_DEATH(refine_frontier(grid, options, refine),
+  EXPECT_DEATH(frontier_report(grid, options, refine),
                ">= 2 coarse values");
 }
 
@@ -190,7 +196,7 @@ TEST(RefineFrontierDeath, InfOnRefinedAxisAborts) {
   RefineOptions refine;
   refine.axis = "gamma";
   refine.tol = 0.1;
-  EXPECT_DEATH(refine_frontier(grid, options, refine), "must be finite");
+  EXPECT_DEATH(frontier_report(grid, options, refine), "must be finite");
 }
 
 }  // namespace

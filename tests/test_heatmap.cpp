@@ -18,7 +18,7 @@ namespace p2p::analysis {
 namespace {
 
 using engine::parse_grid;
-using engine::run_sweep;
+using engine::sweep_report;
 using engine::SweepOptions;
 
 /// A hand-built 2 x 2 grid: bottom row stable (margins 1 and 0.25),
@@ -160,7 +160,7 @@ TEST(RenderOverlay, LandsOnTheExampleOneClosedForm) {
   SweepOptions options;
   options.horizon = 10;
   options.theory_only = true;
-  const engine::Table table = read_back(run_sweep(
+  const engine::Table table = engine::read_csv(sweep_report(
       parse_grid("k=1;mu=1;gamma=1.25;lambda=2,4,6;us=0.2:1.7:16"),
       options));
   const PhaseGrid grid = build_phase_grid(table);  // x=us, y=lambda

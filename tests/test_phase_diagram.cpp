@@ -1,5 +1,5 @@
 // Phase-diagram analysis: grid ingestion, scenario reconstruction,
-// frontier re-derivation (cross-checked against refine_frontier and the
+// frontier re-derivation (cross-checked against run_frontier_stream and the
 // paper's closed forms), and the theory-vs-sim agreement statistics.
 #include "analysis/phase_diagram.hpp"
 
@@ -23,8 +23,9 @@ namespace {
 
 using engine::parse_grid;
 using engine::parse_scenario;
+using engine::read_csv;
 using engine::RefineOptions;
-using engine::run_sweep;
+using engine::sweep_report;
 using engine::SweepGrid;
 using engine::SweepOptions;
 using engine::Table;
@@ -34,7 +35,7 @@ Table small_region_table(int replicas = 1) {
   SweepOptions options;
   options.horizon = 30;
   options.replicas = replicas;
-  return read_back(run_sweep(grid, options));
+  return read_csv(sweep_report(grid, options));
 }
 
 TEST(BuildPhaseGrid, DetectsAxesAndIngestsCells) {
@@ -91,7 +92,7 @@ TEST(BuildPhaseGrid, ReconstructsScenarioFromPerTypeColumns) {
   SweepOptions options;
   options.horizon = 15;
   options.scenario = parse_scenario("example2:3,1");
-  const Table table = read_back(run_sweep(sweep, options));
+  const Table table = read_csv(sweep_report(sweep, options));
 
   const PhaseGrid grid = build_phase_grid(table);
   ASSERT_EQ(grid.scenario.mix.size(), 2u);
@@ -112,8 +113,8 @@ TEST(BuildPhaseGrid, ReconstructsScenarioFromPerTypeColumns) {
 }
 
 TEST(ExtractFrontier, MatchesRefineFrontierBitForBit) {
-  // The same coarse grid through both localizers: refine_frontier at
-  // sweep time vs extract_frontier on the ingested table. Identical
+  // The same coarse grid through both localizers: run_frontier_stream
+  // at sweep time vs extract_frontier on the ingested table. Identical
   // brackets and bisection arithmetic => identical doubles.
   const std::string spec = "k=1;mu=1;gamma=1.25;us=0.4,0.8,1.2;lambda=1:9:5";
   SweepOptions options;
@@ -122,9 +123,9 @@ TEST(ExtractFrontier, MatchesRefineFrontierBitForBit) {
   refine.axis = "lambda";
   refine.tol = 1e-3;
   const auto points =
-      engine::refine_frontier(parse_grid(spec), options, refine).points;
+      engine::frontier_points(parse_grid(spec), options, refine);
 
-  const Table table = read_back(run_sweep(parse_grid(spec), options));
+  const Table table = read_csv(sweep_report(parse_grid(spec), options));
   const PhaseGrid grid = build_phase_grid(table, "lambda", "us");
   const auto extracted = extract_frontier(grid, refine.tol);
 
@@ -144,7 +145,7 @@ TEST(ExtractFrontier, LandsOnTheClosedForms) {
   SweepOptions options;
   options.horizon = 10;
   options.theory_only = true;
-  const Table table = read_back(run_sweep(
+  const Table table = read_csv(sweep_report(
       parse_grid("k=1;mu=1;gamma=1.25;us=0.4,0.8,1.2;lambda=0.5:9.5:10"),
       options));
   const PhaseGrid grid = build_phase_grid(table, "lambda", "us");
@@ -165,7 +166,7 @@ TEST(ExtractFrontier, OneClubFrontierAtSeedProvisioningBound) {
   options.horizon = 10;
   options.theory_only = true;
   options.scenario = parse_scenario("oneclub:4");
-  const Table table = read_back(run_sweep(
+  const Table table = read_csv(sweep_report(
       parse_grid("k=4;us=1;mu=1;gamma=1.25;mix=0,0.5,1;lambda=1:9:5"),
       options));
   const PhaseGrid grid = build_phase_grid(table, "lambda", "mix");
@@ -184,7 +185,7 @@ TEST(ExtractFrontier, MarginInterpolationIsExactWhenMarginIsLinear) {
   SweepOptions options;
   options.horizon = 10;
   options.theory_only = true;
-  const Table table = read_back(run_sweep(
+  const Table table = read_csv(sweep_report(
       parse_grid("k=1;mu=1;gamma=1.25;us=1;lambda=4,6"), options));
   const PhaseGrid grid = build_phase_grid(table, "lambda", "us");
   const auto frontier = extract_frontier(grid, 1e-6);
@@ -198,7 +199,7 @@ TEST(ExtractFrontier, ThreadCountCannotChangeTheResult) {
   SweepOptions options;
   options.horizon = 10;
   options.theory_only = true;
-  const Table table = read_back(run_sweep(
+  const Table table = read_csv(sweep_report(
       parse_grid("k=1;mu=1;gamma=1.25;us=0.2:1.7:8;lambda=0.5:9.5:12"),
       options));
   const PhaseGrid grid = build_phase_grid(table, "lambda", "us");
@@ -245,7 +246,7 @@ TEST(VerdictAgreement, TheoryOnlyGridHasNoSimCells) {
   SweepOptions options;
   options.horizon = 10;
   options.theory_only = true;
-  const Table table = read_back(run_sweep(
+  const Table table = read_csv(sweep_report(
       parse_grid("k=1;mu=1;gamma=1.25;us=0.6,1.0;lambda=2,6"),
       options));
   const VerdictAgreement agreement =
@@ -317,8 +318,8 @@ TEST(BuildPhaseGrid, BatchedIngestIsIdenticalAtEveryThreadCount) {
   // rebuild the grid the Table overload builds from the same bytes.
   SweepOptions options;
   options.theory_only = true;
-  const std::string corpus = engine::render(run_sweep(
-      parse_grid("lambda=0.5:3.0:160;us=0.2:1.7:160"), options));
+  const std::string corpus = engine::sweep_report(
+      parse_grid("lambda=0.5:3.0:160;us=0.2:1.7:160"), options);
   ASSERT_GT(corpus.size(), 3 * engine::CsvReader::kBatchBytes);
   const Table table = engine::read_csv(corpus);
   for (const bool transposed : {false, true}) {
@@ -345,12 +346,12 @@ TEST(BuildPhaseGrid, WorkerConstructedCellsKeepTheirDefaults) {
   constexpr std::size_t kSide = 160;
   SweepOptions options;
   options.theory_only = true;
-  const engine::SweepResult result = run_sweep(
-      parse_grid("lambda=0.5:3.0:160;us=0.2:1.7:160"), options);
-  ASSERT_GT(result.cells.size() * sizeof(PhaseCell), std::size_t{2} << 20);
-  const std::string corpus = engine::render(result);
-  ASSERT_EQ(corpus.find("fluid_verdict"), std::string::npos);
+  const std::string corpus =
+      sweep_report(parse_grid("lambda=0.5:3.0:160;us=0.2:1.7:160"), options);
   const Table table = engine::read_csv(corpus);
+  const std::vector<engine::CellResult> cells = engine::decode_cells(table);
+  ASSERT_GT(cells.size() * sizeof(PhaseCell), std::size_t{2} << 20);
+  ASSERT_EQ(corpus.find("fluid_verdict"), std::string::npos);
 
   for (const bool transposed : {false, true}) {
     const std::string x = transposed ? "lambda" : "";
@@ -360,10 +361,10 @@ TEST(BuildPhaseGrid, WorkerConstructedCellsKeepTheirDefaults) {
     // on x.
     PhaseGrid reference = build_phase_grid(table, x, y);
     reference.cells.clear();
-    for (std::size_t slot = 0; slot < result.cells.size(); ++slot) {
+    for (std::size_t slot = 0; slot < cells.size(); ++slot) {
       const std::size_t r =
           transposed ? (slot % kSide) * kSide + slot / kSide : slot;
-      const engine::CellResult& cell = result.cells[r];
+      const engine::CellResult& cell = cells[r];
       PhaseCell c{};
       c.params.lambda = cell.lambda;
       c.params.us = cell.us;
@@ -446,8 +447,8 @@ TEST(BuildPhaseGridDeath, EarliestMalformedRowWinsAtAnyThreadCount) {
   // record, in the last round).
   SweepOptions options;
   options.theory_only = true;
-  std::string corpus = engine::render(
-      run_sweep(parse_grid("lambda=0.5:3.0:64;us=0.2:1.7:64"), options));
+  std::string corpus =
+      sweep_report(parse_grid("lambda=0.5:3.0:64;us=0.2:1.7:64"), options);
   const auto row_start = [&](int row) {
     std::size_t pos = 0;
     for (int i = 0; i <= row; ++i) pos = corpus.find('\n', pos) + 1;
@@ -476,7 +477,7 @@ TEST(BuildPhaseGridDeath, FrontierTableAborts) {
   RefineOptions refine;
   refine.axis = "lambda";
   refine.tol = 0.1;
-  const Table table = read_back(engine::refine_frontier(
+  const Table table = read_csv(engine::frontier_report(
       parse_grid("k=1;us=1;lambda=1,9"), options, refine));
   EXPECT_DEATH(build_phase_grid(table), "not frontier");
 }
@@ -485,7 +486,7 @@ TEST(BuildPhaseGridDeath, ThirdVaryingAxisAborts) {
   SweepOptions options;
   options.horizon = 5;
   options.theory_only = true;
-  const Table table = read_back(run_sweep(
+  const Table table = read_csv(sweep_report(
       parse_grid("k=1;mu=1,2;us=0.6,1.0;lambda=2,6"), options));
   EXPECT_DEATH(build_phase_grid(table, "lambda", "us"),
                "\"mu\" varies");
@@ -547,7 +548,7 @@ TEST(BuildPhaseGridDeath, ContradictoryPerTypeColumnAborts) {
   options.horizon = 10;
   options.theory_only = true;
   options.scenario = parse_scenario("example2:3,1");
-  const Table table = read_back(run_sweep(sweep, options));
+  const Table table = read_csv(sweep_report(sweep, options));
   Table corrupt(table.columns());
   for (std::size_t r = 0; r < table.num_rows(); ++r) {
     std::vector<std::string> row = table.row(r);

@@ -40,8 +40,8 @@ TEST(PolicySweep, ExplicitRandomUsefulIsByteIdenticalToBaseline) {
   SweepOptions explicit_random = sim_options();
   explicit_random.scenario.policy = PolicyKind::kRandomUseful;
 
-  const std::string csv = render(run_sweep(grid, baseline));
-  EXPECT_EQ(csv, render(run_sweep(grid, explicit_random)));
+  const std::string csv = sweep_report(grid, baseline);
+  EXPECT_EQ(csv, sweep_report(grid, explicit_random));
   const Table a = read_csv(csv);
   // The baseline never grows a policy column: archived corpora keep
   // their bytes.
@@ -57,7 +57,7 @@ TEST(PolicySweep, PolicyAndFluidColumnsValidateAndIngest) {
   options.scenario.policy = PolicyKind::kRarestFirst;
   options.fluid = true;
 
-  const Table table = read_back(run_sweep(grid, options));
+  const Table table = read_csv(sweep_report(grid, options));
   const std::vector<std::string>& columns = table.columns();
   ASSERT_GE(columns.size(), 3u);
   EXPECT_EQ(columns[columns.size() - 3], std::string(kSimBackendColumn));
@@ -98,7 +98,7 @@ TEST(PolicySweep, TheoryOnlyFluidGridHasNoBackendOrPolicyColumn) {
   // column stays suppressed so the header never claims a policy ran.
   options.scenario.policy = PolicyKind::kSequential;
 
-  const Table table = read_back(run_sweep(grid, options));
+  const Table table = read_csv(sweep_report(grid, options));
   EXPECT_EQ(table.columns().back(), std::string(kFluidVerdictColumn));
   for (const std::string& column : table.columns()) {
     EXPECT_NE(column, std::string(kPolicyColumn));
@@ -120,13 +120,13 @@ TEST(PolicySweep, EveryPolicyReproducesTheCtmcOccupancy) {
   const CellParams cell = [&] {
     SweepOptions theory;
     theory.theory_only = true;
-    const SweepResult r = run_sweep(grid, theory);
+    const CellResult c = sweep_cells(grid, theory).at(0);
     CellParams p;
-    p.lambda = r.cells[0].lambda;
-    p.us = r.cells[0].us;
-    p.mu = r.cells[0].mu;
-    p.gamma = r.cells[0].gamma;
-    p.k = r.cells[0].k;
+    p.lambda = c.lambda;
+    p.us = c.us;
+    p.mu = c.mu;
+    p.gamma = c.gamma;
+    p.k = c.k;
     return p;
   }();
   const double exact =
@@ -144,9 +144,9 @@ TEST(PolicySweep, EveryPolicyReproducesTheCtmcOccupancy) {
     options.replicas = 8;
     options.threads = 4;
     options.scenario.policy = policy;
-    const SweepResult result = run_sweep(grid, options);
-    ASSERT_EQ(result.cells.size(), 1u);
-    const SimAggregate& sim = result.cells[0].sim;
+    const std::vector<CellResult> cells = sweep_cells(grid, options);
+    ASSERT_EQ(cells.size(), 1u);
+    const SimAggregate& sim = cells[0].sim;
     ASSERT_TRUE(std::isfinite(sim.mean_peers_mean)) << to_string(policy);
     // The bootstrap CI over 8 replicas is a rough instrument; widen it
     // by half the exact mean so the test pins the law, not the noise.
@@ -178,7 +178,7 @@ TEST(PolicySweepDeath, ForcedTypecountRejectsNonBaselinePolicyByName) {
   SweepOptions options = sim_options();
   options.scenario.policy = PolicyKind::kRarestFirst;
   options.sim_backend = SimBackend::kTypeCount;
-  EXPECT_DEATH(run_sweep(grid, options),
+  EXPECT_DEATH(sweep_report(grid, options),
                "axis policy takes the value rarest-first");
   // The friendly-message helper names the same violation for the CLI.
   EXPECT_NE(typecount_domain_violation(SweepGrid{}, options.scenario).find(

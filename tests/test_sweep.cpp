@@ -175,13 +175,12 @@ TEST(RunSweep, TheoremOneVerdictsOnKnownCells) {
   SweepGrid grid = parse_grid("k=1;us=1;mu=1;gamma=1.25;lambda=1,9");
   SweepOptions options;
   options.horizon = 60;
-  const SweepResult result = run_sweep(grid, options);
-  ASSERT_EQ(result.cells.size(), 2u);
-  EXPECT_EQ(result.cells[0].theory.verdict, Stability::kPositiveRecurrent);
-  EXPECT_EQ(result.cells[1].theory.verdict, Stability::kTransient);
+  const std::vector<CellResult> cells = sweep_cells(grid, options);
+  ASSERT_EQ(cells.size(), 2u);
+  EXPECT_EQ(cells[0].theory.verdict, Stability::kPositiveRecurrent);
+  EXPECT_EQ(cells[1].theory.verdict, Stability::kTransient);
   // The transient cell piles up peers; the stable one stays modest.
-  EXPECT_GT(result.cells[1].sim.final_peers_mean,
-            4 * result.cells[0].sim.final_peers_mean);
+  EXPECT_GT(cells[1].sim.final_peers_mean, 4 * cells[0].sim.final_peers_mean);
 }
 
 TEST(RunSweep, ByteIdenticalAcrossThreadCounts) {
@@ -191,8 +190,8 @@ TEST(RunSweep, ByteIdenticalAcrossThreadCounts) {
   one.threads = 1;
   SweepOptions four = one;
   four.threads = 4;
-  const std::string csv1 = render(run_sweep(grid, one));
-  const std::string csv4 = render(run_sweep(grid, four));
+  const std::string csv1 = sweep_report(grid, one);
+  const std::string csv4 = sweep_report(grid, four);
   EXPECT_FALSE(csv1.empty());
   EXPECT_EQ(csv1, csv4);
 }
@@ -204,8 +203,8 @@ TEST(RunSweep, SeedChangesSimButNotTheory) {
   a.base_seed = 1;
   SweepOptions b = a;
   b.base_seed = 2;
-  const CellResult ca = run_sweep(grid, a).cells[0];
-  const CellResult cb = run_sweep(grid, b).cells[0];
+  const CellResult ca = sweep_cells(grid, a)[0];
+  const CellResult cb = sweep_cells(grid, b)[0];
   EXPECT_EQ(ca.theory.verdict, cb.theory.verdict);
   EXPECT_NE(ca.sim.mean_peers_mean, cb.sim.mean_peers_mean);
 }
@@ -217,15 +216,15 @@ TEST(RunSweep, CtmcColumnGatedByPieceCount) {
   SweepOptions options;
   options.horizon = 20;
   options.ctmc_max_peers = 6;
-  const SweepResult result = run_sweep(grid, options);
-  ASSERT_EQ(result.cells.size(), 2u);
-  EXPECT_TRUE(std::isfinite(result.cells[0].ctmc_mean_peers));  // K = 3
-  EXPECT_GT(result.cells[0].ctmc_mean_peers, 0.0);
-  EXPECT_TRUE(std::isnan(result.cells[1].ctmc_mean_peers));  // K = 4
+  const Table table = read_csv(sweep_report(grid, options));
+  const std::vector<CellResult> cells = decode_cells(table);
+  ASSERT_EQ(cells.size(), 2u);
+  EXPECT_TRUE(std::isfinite(cells[0].ctmc_mean_peers));  // K = 3
+  EXPECT_GT(cells[0].ctmc_mean_peers, 0.0);
+  EXPECT_TRUE(std::isnan(cells[1].ctmc_mean_peers));  // K = 4
   // A skipped solve must read as "nan" in the table, never as 0 — the
   // column is documented "NaN unless the CTMC solve ran". It sits just
   // before the trailing sim_backend column.
-  const Table table = read_back(result);
   EXPECT_EQ(table.row(1)[table.num_columns() - 2], "nan");
 }
 
@@ -238,10 +237,10 @@ TEST(RunSweep, CtmcColumnGatedByStateBudget) {
   SweepOptions options;
   options.horizon = 5;
   options.ctmc_max_peers = 60;
-  const SweepResult result = run_sweep(grid, options);
-  ASSERT_EQ(result.cells.size(), 2u);
-  EXPECT_TRUE(std::isfinite(result.cells[0].ctmc_mean_peers));  // K = 1
-  EXPECT_TRUE(std::isnan(result.cells[1].ctmc_mean_peers));     // K = 3
+  const std::vector<CellResult> cells = sweep_cells(grid, options);
+  ASSERT_EQ(cells.size(), 2u);
+  EXPECT_TRUE(std::isfinite(cells[0].ctmc_mean_peers));  // K = 1
+  EXPECT_TRUE(std::isnan(cells[1].ctmc_mean_peers));     // K = 3
 }
 
 TEST(CellResult, CtmcDefaultsToNaNNotZero) {
@@ -256,7 +255,7 @@ TEST(RunSweep, TableSchemaIsStable) {
   SweepGrid grid = parse_grid("lambda=1;us=1;k=1");
   SweepOptions options;
   options.horizon = 10;
-  const Table table = read_back(run_sweep(grid, options));
+  const Table table = read_csv(sweep_report(grid, options));
   ASSERT_EQ(table.num_columns(), 22u);
   EXPECT_EQ(table.columns().front(), "cell");
   EXPECT_EQ(table.columns()[8], "mix");
@@ -270,9 +269,9 @@ TEST(RunSweep, SingleReplicaEmitsNaNUncertainty) {
   SweepGrid grid = parse_grid("lambda=1;us=1;k=1");
   SweepOptions options;
   options.horizon = 20;
-  const SweepResult result = run_sweep(grid, options);
-  ASSERT_EQ(result.cells.size(), 1u);
-  const SimAggregate& sim = result.cells[0].sim;
+  const std::vector<CellResult> cells = sweep_cells(grid, options);
+  ASSERT_EQ(cells.size(), 1u);
+  const SimAggregate& sim = cells[0].sim;
   EXPECT_EQ(sim.replicas, 1);
   EXPECT_TRUE(std::isfinite(sim.mean_peers_mean));
   EXPECT_TRUE(std::isnan(sim.mean_peers_sem));
@@ -285,8 +284,8 @@ TEST(RunSweep, ReplicaAggregatesAreOrderedAndFinite) {
   SweepOptions options;
   options.horizon = 60;
   options.replicas = 6;
-  const SweepResult result = run_sweep(grid, options);
-  const SimAggregate& sim = result.cells[0].sim;
+  const std::vector<CellResult> cells = sweep_cells(grid, options);
+  const SimAggregate& sim = cells[0].sim;
   EXPECT_EQ(sim.replicas, 6);
   EXPECT_GT(sim.mean_peers_sem, 0.0);
   EXPECT_LE(sim.mean_peers_lo, sim.mean_peers_mean);
@@ -302,8 +301,8 @@ TEST(RunSweep, ReplicaModeByteIdenticalAcrossThreadCounts) {
   one.threads = 1;
   SweepOptions four = one;
   four.threads = 4;
-  const std::string csv1 = render(run_sweep(grid, one));
-  const std::string csv4 = render(run_sweep(grid, four));
+  const std::string csv1 = sweep_report(grid, one);
+  const std::string csv4 = sweep_report(grid, four);
   EXPECT_FALSE(csv1.empty());
   EXPECT_EQ(csv1, csv4);
 }
@@ -318,8 +317,8 @@ TEST(RunSweep, ReplicaCiCoversExactStationaryMean) {
   options.warmup = 80;
   options.replicas = 16;
   options.ctmc_max_peers = 60;
-  const SweepResult result = run_sweep(grid, options);
-  const CellResult& cell = result.cells[0];
+  const std::vector<CellResult> cells = sweep_cells(grid, options);
+  const CellResult& cell = cells[0];
   ASSERT_TRUE(std::isfinite(cell.ctmc_mean_peers));
   EXPECT_LE(cell.sim.mean_peers_lo, cell.ctmc_mean_peers);
   EXPECT_GE(cell.sim.mean_peers_hi, cell.ctmc_mean_peers);
@@ -337,10 +336,8 @@ TEST(RunSweep, WarmupRemovesEmptyStartBias) {
   cold.replicas = 8;
   SweepOptions warm = cold;
   warm.warmup = 50;
-  const double cold_mean =
-      run_sweep(grid, cold).cells[0].sim.mean_peers_mean;
-  const double warm_mean =
-      run_sweep(grid, warm).cells[0].sim.mean_peers_mean;
+  const double cold_mean = sweep_cells(grid, cold)[0].sim.mean_peers_mean;
+  const double warm_mean = sweep_cells(grid, warm)[0].sim.mean_peers_mean;
   EXPECT_GT(warm_mean, cold_mean);
 }
 
@@ -354,8 +351,8 @@ TEST(RunSweep, CollapsedMeasurementWindowYieldsNaNNotZero) {
   options.horizon = 1;
   options.warmup = 0.5;
   options.replicas = 3;
-  const SweepResult result = run_sweep(grid, options);
-  const SimAggregate& sim = result.cells[0].sim;
+  const std::vector<CellResult> cells = sweep_cells(grid, options);
+  const SimAggregate& sim = cells[0].sim;
   EXPECT_EQ(sim.replicas, 3);
   EXPECT_TRUE(std::isnan(sim.mean_peers_mean));
   EXPECT_TRUE(std::isnan(sim.mean_peers_sem));
@@ -368,13 +365,12 @@ TEST(RunSweep, FlashAxisInjectsOneClubCrowd) {
                               "flash=0,200");
   SweepOptions options;
   options.horizon = 30;
-  const SweepResult result = run_sweep(grid, options);
-  ASSERT_EQ(result.cells.size(), 2u);
-  EXPECT_EQ(result.cells[0].flash, 0);
-  EXPECT_EQ(result.cells[1].flash, 200);
-  EXPECT_EQ(result.cells[0].theory.verdict, result.cells[1].theory.verdict);
-  EXPECT_GT(result.cells[1].sim.final_peers_mean,
-            result.cells[0].sim.final_peers_mean + 100);
+  const std::vector<CellResult> cells = sweep_cells(grid, options);
+  ASSERT_EQ(cells.size(), 2u);
+  EXPECT_EQ(cells[0].flash, 0);
+  EXPECT_EQ(cells[1].flash, 200);
+  EXPECT_EQ(cells[0].theory.verdict, cells[1].theory.verdict);
+  EXPECT_GT(cells[1].sim.final_peers_mean, cells[0].sim.final_peers_mean + 100);
 }
 
 TEST(RunSweep, EtaAxisLeavesTheoryFixedButChangesSim) {
@@ -385,67 +381,75 @@ TEST(RunSweep, EtaAxisLeavesTheoryFixedButChangesSim) {
                               "eta=1,8");
   SweepOptions options;
   options.horizon = 60;
-  const SweepResult result = run_sweep(grid, options);
-  ASSERT_EQ(result.cells.size(), 2u);
-  EXPECT_EQ(result.cells[0].theory.verdict, result.cells[1].theory.verdict);
-  EXPECT_EQ(result.cells[0].theory.margin, result.cells[1].theory.margin);
-  EXPECT_NE(result.cells[0].sim.mean_peers_mean,
-            result.cells[1].sim.mean_peers_mean);
+  const std::vector<CellResult> cells = sweep_cells(grid, options);
+  ASSERT_EQ(cells.size(), 2u);
+  EXPECT_EQ(cells[0].theory.verdict, cells[1].theory.verdict);
+  EXPECT_EQ(cells[0].theory.margin, cells[1].theory.margin);
+  EXPECT_NE(cells[0].sim.mean_peers_mean, cells[1].sim.mean_peers_mean);
 }
 
 TEST(RunSweep, MissingAxesFallBackToDefaultRegionGrid) {
-  // Only k given: the other four axes come from default_region_grid,
-  // so the effective grid is the 256-cell region sweep at K = 1.
+  // Only k given: the other axes come from default_region_grid, so the
+  // effective grid is the 256-cell region sweep at K = 1 — its 16 x 16
+  // lambda x us values, last axis fastest.
   SweepGrid grid = parse_grid("k=1");
   SweepOptions options;
   options.horizon = 5;
-  const SweepResult result = run_sweep(grid, options);
-  EXPECT_EQ(result.cells.size(), 256u);
-  ASSERT_NE(result.grid.find_axis("lambda"), nullptr);
-  EXPECT_EQ(result.grid.find_axis("lambda")->values.size(), 16u);
-  EXPECT_EQ(result.cells[0].k, 1);
+  const std::vector<CellResult> cells = sweep_cells(grid, options);
+  ASSERT_EQ(cells.size(), 256u);
+  const SweepGrid region = default_region_grid();
+  const std::vector<double>& lambdas = region.find_axis("lambda")->values;
+  const std::vector<double>& us = region.find_axis("us")->values;
+  ASSERT_EQ(lambdas.size(), 16u);
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    EXPECT_EQ(cells[i].lambda, lambdas[i / 16]) << "cell " << i;
+    EXPECT_EQ(cells[i].us, us[i % 16]) << "cell " << i;
+    EXPECT_EQ(cells[i].k, 1) << "cell " << i;
+  }
 }
 
 TEST(RunSweepDeath, UnknownAxisAborts) {
   SweepGrid grid = parse_grid("bogus=1;lambda=1");
-  EXPECT_DEATH(run_sweep(grid, SweepOptions{}), "unknown sweep axis");
+  EXPECT_DEATH(sweep_report(grid, SweepOptions{}), "unknown sweep axis");
 }
 
 TEST(RunSweepDeath, InfOnNonGammaAxisAborts) {
   // An infinite lambda/us/mu makes the total event rate infinite and
   // the simulation would spin forever; only gamma may be inf.
   SweepGrid grid = parse_grid("lambda=inf;us=1;k=1");
-  EXPECT_DEATH(run_sweep(grid, SweepOptions{}), "only the gamma axis");
+  EXPECT_DEATH(sweep_report(grid, SweepOptions{}), "only the gamma axis");
 }
 
 TEST(RunSweepDeath, EtaBelowOneAborts) {
   SweepGrid grid = parse_grid("lambda=1;us=1;k=1;eta=0.5");
-  EXPECT_DEATH(run_sweep(grid, SweepOptions{}), "eta must be >= 1");
+  EXPECT_DEATH(sweep_report(grid, SweepOptions{}), "eta must be >= 1");
 }
 
 TEST(RunSweepDeath, FractionalOrNegativeFlashAborts) {
   SweepOptions options;
   options.horizon = 5;
-  EXPECT_DEATH(run_sweep(parse_grid("lambda=1;us=1;k=1;flash=0.5"), options),
-               "nonnegative integer");
-  EXPECT_DEATH(run_sweep(parse_grid("lambda=1;us=1;k=1;flash=-2"), options),
-               "nonnegative integer");
+  EXPECT_DEATH(
+      sweep_report(parse_grid("lambda=1;us=1;k=1;flash=0.5"), options),
+      "nonnegative integer");
+  EXPECT_DEATH(
+      sweep_report(parse_grid("lambda=1;us=1;k=1;flash=-2"), options),
+      "nonnegative integer");
 }
 
 TEST(RunSweepDeath, InvalidReplicaOptionsAbort) {
   const SweepGrid grid = parse_grid("lambda=1;us=1;k=1");
   SweepOptions options;
   options.replicas = 0;
-  EXPECT_DEATH(run_sweep(grid, options), "replicas");
+  EXPECT_DEATH(sweep_report(grid, options), "replicas");
   options.replicas = 1;
   options.warmup = options.horizon;
-  EXPECT_DEATH(run_sweep(grid, options), "warmup");
+  EXPECT_DEATH(sweep_report(grid, options), "warmup");
   options.warmup = 0;
   options.confidence = 1.0;
-  EXPECT_DEATH(run_sweep(grid, options), "confidence");
+  EXPECT_DEATH(sweep_report(grid, options), "confidence");
   options.confidence = 0.95;
   options.threads = 0;
-  EXPECT_DEATH(run_sweep(grid, options), "threads");
+  EXPECT_DEATH(sweep_report(grid, options), "threads");
 }
 
 }  // namespace

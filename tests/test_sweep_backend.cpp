@@ -25,12 +25,12 @@ TEST(SimBackendResolution, AutoMatchesTheDomainRule) {
   SweepGrid grid = parse_grid("lambda=1;us=1;k=2;eta=1,1.5;hetero=0,0.4");
   SweepOptions options;
   options.horizon = 10;
-  const SweepResult result = run_sweep(grid, options);
-  ASSERT_EQ(result.cells.size(), 4u);
-  const Table table = read_back(result);
+  const Table table = read_csv(sweep_report(grid, options));
+  const std::vector<CellResult> cells = decode_cells(table);
+  ASSERT_EQ(cells.size(), 4u);
   ASSERT_EQ(table.columns().back(), std::string(kSimBackendColumn));
-  for (std::size_t i = 0; i < result.cells.size(); ++i) {
-    const CellResult& c = result.cells[i];
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    const CellResult& c = cells[i];
     const bool fast = c.eta == 1.0 && c.hetero == 0.0;
     CellParams p;
     p.lambda = c.lambda;
@@ -39,7 +39,7 @@ TEST(SimBackendResolution, AutoMatchesTheDomainRule) {
     p.hetero = c.hetero;
     p.k = c.k;
     EXPECT_EQ(typecount_in_domain(p), fast);
-    EXPECT_EQ(result.cells[i].backend,
+    EXPECT_EQ(cells[i].backend,
               fast ? SimBackend::kTypeCount : SimBackend::kPerPeer)
         << "cell " << i;
     EXPECT_EQ(table.row(i).back(), fast ? "typecount" : "perpeer")
@@ -53,12 +53,12 @@ TEST(SimBackendResolution, ForcedBackendsOverrideAuto) {
   options.horizon = 10;
 
   options.sim_backend = SimBackend::kPerPeer;
-  Table table = read_back(run_sweep(grid, options));
+  Table table = read_csv(sweep_report(grid, options));
   EXPECT_EQ(table.row(0).back(), "perpeer");
 
   // Forcing type-count on an in-domain grid is legal and recorded.
   options.sim_backend = SimBackend::kTypeCount;
-  table = read_back(run_sweep(grid, options));
+  table = read_csv(sweep_report(grid, options));
   EXPECT_EQ(table.row(0).back(), "typecount");
 }
 
@@ -68,7 +68,7 @@ TEST(SimBackendResolution, TheoryOnlyOmitsTheColumn) {
   SweepGrid grid = parse_grid("lambda=1;us=1;k=1");
   SweepOptions options;
   options.theory_only = true;
-  const Table table = read_back(run_sweep(grid, options));
+  const Table table = read_csv(sweep_report(grid, options));
   EXPECT_EQ(table.columns().back(), "ctmc_mean_peers");
   EXPECT_EQ(std::find(table.columns().begin(), table.columns().end(),
                       std::string(kSimBackendColumn)),
@@ -82,7 +82,7 @@ TEST(SimBackendResolution, FrontierRecordsTheResolution) {
   RefineOptions refine;
   refine.axis = "lambda";
   refine.tol = 0.1;
-  const Table table = read_back(refine_frontier(grid, options, refine));
+  const Table table = read_csv(frontier_report(grid, options, refine));
   ASSERT_EQ(table.columns().back(), std::string(kSimBackendColumn));
   ASSERT_EQ(table.num_rows(), 1u);
   // Homogeneous K = 1 cell: in domain, so kAuto localized the frontier
@@ -91,17 +91,17 @@ TEST(SimBackendResolution, FrontierRecordsTheResolution) {
 }
 
 TEST(TypecountDomainViolation, NamesTheOffendingAxisAndValue) {
-  EXPECT_EQ(typecount_domain_violation(parse_grid("lambda=1;us=1;k=2")), "");
-  const std::string eta = typecount_domain_violation(
-      parse_grid("lambda=1;us=1;k=2;eta=1,1.5"));
+  const auto violation = [](const char* grid) {
+    return typecount_domain_violation(parse_grid(grid), ScenarioSpec{});
+  };
+  EXPECT_EQ(violation("lambda=1;us=1;k=2"), "");
+  const std::string eta = violation("lambda=1;us=1;k=2;eta=1,1.5");
   EXPECT_NE(eta.find("eta = 1"), std::string::npos) << eta;
   EXPECT_NE(eta.find("axis eta takes the value 1.5"), std::string::npos)
       << eta;
-  const std::string hetero = typecount_domain_violation(
-      parse_grid("lambda=1;us=1;k=2;hetero=0.4"));
+  const std::string hetero = violation("lambda=1;us=1;k=2;hetero=0.4");
   EXPECT_NE(hetero.find("hetero = 0"), std::string::npos) << hetero;
-  const std::string wide =
-      typecount_domain_violation(parse_grid("lambda=1;us=1;k=18"));
+  const std::string wide = violation("lambda=1;us=1;k=18");
   EXPECT_NE(wide.find("k <= 16"), std::string::npos) << wide;
 }
 
@@ -110,7 +110,7 @@ TEST(SimBackendDeath, ForcedTypeCountOutOfDomainAborts) {
   SweepOptions options;
   options.horizon = 10;
   options.sim_backend = SimBackend::kTypeCount;
-  EXPECT_DEATH(run_sweep(grid, options), "axis eta takes the value 1.5");
+  EXPECT_DEATH(sweep_report(grid, options), "axis eta takes the value 1.5");
 }
 
 TEST(SimBackendResolution, BackendsAgreeOnSweepOccupancy) {
@@ -128,10 +128,10 @@ TEST(SimBackendResolution, BackendsAgreeOnSweepOccupancy) {
 
   options.sim_backend = SimBackend::kPerPeer;
   const double per_peer =
-      run_sweep(grid, options).cells[0].sim.mean_peers_mean;
+      sweep_cells(grid, options)[0].sim.mean_peers_mean;
   options.sim_backend = SimBackend::kTypeCount;
   const double type_count =
-      run_sweep(grid, options).cells[0].sim.mean_peers_mean;
+      sweep_cells(grid, options)[0].sim.mean_peers_mean;
   ASSERT_TRUE(std::isfinite(per_peer));
   ASSERT_TRUE(std::isfinite(type_count));
   EXPECT_NEAR(type_count / per_peer, 1.0, 0.15)

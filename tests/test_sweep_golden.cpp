@@ -37,7 +37,7 @@ TEST(SweepGolden, GridCsvHeaderIsTheArchivedSchema) {
   SweepGrid grid = parse_grid("lambda=1;us=1;k=1");
   SweepOptions options;
   options.horizon = 10;
-  const std::string csv = render(run_sweep(grid, options));
+  const std::string csv = sweep_report(grid, options);
   EXPECT_EQ(csv.substr(0, csv.find('\n')), kGridHeader);
 }
 
@@ -50,7 +50,7 @@ TEST(SweepGolden, ScenarioCsvHeaderInsertsPerTypeRateColumns) {
   SweepOptions options;
   options.horizon = 10;
   options.scenario = parse_scenario("example2:3,1");
-  const std::string csv = render(run_sweep(grid, options));
+  const std::string csv = sweep_report(grid, options);
   const Table table = read_csv(csv);
   const std::string header = csv.substr(0, csv.find('\n'));
   EXPECT_EQ(header,
@@ -73,7 +73,7 @@ TEST(SweepGolden, FrontierCsvHeaderIsTheArchivedSchema) {
   RefineOptions refine;
   refine.axis = "lambda";
   refine.tol = 0.1;
-  const std::string csv = render(refine_frontier(grid, options, refine));
+  const std::string csv = frontier_report(grid, options, refine);
   EXPECT_EQ(csv.substr(0, csv.find('\n')), kFrontierHeader);
 }
 
@@ -88,7 +88,7 @@ TEST(SweepGolden, ScenarioFrontierCsvRecordsTheComposition) {
   RefineOptions refine;
   refine.axis = "mix";
   refine.tol = 1e-3;
-  const std::string csv = render(refine_frontier(grid, options, refine));
+  const std::string csv = frontier_report(grid, options, refine);
   const Table table = read_csv(csv);
   EXPECT_EQ(csv.substr(0, csv.find('\n')),
             "row,axis,bracketed,value,value_lo,value_hi,margin,lambda,us,"
@@ -113,7 +113,7 @@ TEST(SweepGolden, EveryNumericCellRoundTripsThroughFormatNumber) {
   options.horizon = 40;
   options.replicas = 3;
   options.ctmc_max_peers = 10;
-  const std::string csv = render(run_sweep(grid, options));
+  const std::string csv = sweep_report(grid, options);
   const std::vector<std::string> lines = split_list(csv, '\n');
   ASSERT_GE(lines.size(), 2u);
   int numeric_cells = 0;
@@ -140,7 +140,7 @@ TEST(SweepGolden, JsonKeysFollowTheCsvHeaderOrder) {
   SweepOptions options;
   options.horizon = 10;
   const std::string json =
-      render(run_sweep(grid, options), ReportFormat::kJson);
+      sweep_report(grid, options, ReportFormat::kJson);
   // Key order inside a row object mirrors the CSV column order, and NaN
   // uncertainty columns become JSON null, not the string "nan".
   const auto cell_pos = json.find("\"cell\": 0");

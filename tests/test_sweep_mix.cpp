@@ -8,6 +8,7 @@
 
 #include <cmath>
 #include <limits>
+#include <vector>
 
 #include "core/model.hpp"
 #include "core/stability.hpp"
@@ -175,9 +176,9 @@ TEST(RunSweepMix, Example2CellsMatchTheIndependentClosedForm) {
   SweepOptions options;
   options.horizon = 10;
   options.scenario = parse_scenario("example2:3,1");
-  const SweepResult result = run_sweep(grid, options);
-  ASSERT_EQ(result.cells.size(), 9u);
-  for (const auto& cell : result.cells) {
+  const std::vector<CellResult> cells = sweep_cells(grid, options);
+  ASSERT_EQ(cells.size(), 9u);
+  for (const auto& cell : cells) {
     const double l12 = cell.lambda * 0.75;
     const double l34 = cell.lambda * 0.25;
     EXPECT_EQ(cell.theory.verdict, example2_closed_form(l12, l34))
@@ -189,7 +190,7 @@ TEST(RunSweepMix, Example2CellsMatchTheIndependentClosedForm) {
   // The even mix at the same cells is strictly inside the cone: stable.
   SweepOptions even = options;
   even.scenario = parse_scenario("example2:1,1");
-  for (const auto& cell : run_sweep(grid, even).cells) {
+  for (const auto& cell : sweep_cells(grid, even)) {
     EXPECT_EQ(cell.theory.verdict, Stability::kPositiveRecurrent);
   }
 }
@@ -201,10 +202,10 @@ TEST(RunSweepMix, Example3CellsMatchTheIndependentClosedForm) {
   SweepOptions options;
   options.horizon = 10;
   options.scenario = parse_scenario("example3:1,2,3");
-  const SweepResult result = run_sweep(grid, options);
-  ASSERT_EQ(result.cells.size(), 9u);
+  const std::vector<CellResult> cells = sweep_cells(grid, options);
+  ASSERT_EQ(cells.size(), 9u);
   int transient_seen = 0;
-  for (const auto& cell : result.cells) {
+  for (const auto& cell : cells) {
     const double l1 = cell.lambda * 1.0 / 6.0;
     const double l2 = cell.lambda * 2.0 / 6.0;
     const double l3 = cell.lambda * 3.0 / 6.0;
@@ -227,8 +228,8 @@ TEST(RunSweepMix, PartialMixMatchesManuallyBuiltModel) {
   SweepOptions options;
   options.horizon = 10;
   options.scenario = parse_scenario("example2:1,3");
-  const SweepResult result = run_sweep(grid, options);
-  ASSERT_EQ(result.cells.size(), 1u);
+  const std::vector<CellResult> cells = sweep_cells(grid, options);
+  ASSERT_EQ(cells.size(), 1u);
   // Same interpolation expressions as the engine ((1 - m) * lambda is
   // not the double 0.7 * lambda), so the margins compare bit-exact.
   const SwarmParams manual(
@@ -237,9 +238,9 @@ TEST(RunSweepMix, PartialMixMatchesManuallyBuiltModel) {
        {PieceSet::single(0).with(1), 0.3 * 3.0 * 0.25},
        {PieceSet::single(2).with(3), 0.3 * 3.0 * 0.75}});
   const StabilityReport expected = classify(manual);
-  EXPECT_EQ(result.cells[0].theory.verdict, expected.verdict);
-  EXPECT_EQ(result.cells[0].theory.margin, expected.margin);
-  EXPECT_EQ(result.cells[0].theory.critical_piece, expected.critical_piece);
+  EXPECT_EQ(cells[0].theory.verdict, expected.verdict);
+  EXPECT_EQ(cells[0].theory.margin, expected.margin);
+  EXPECT_EQ(cells[0].theory.critical_piece, expected.critical_piece);
 }
 
 TEST(RunSweepMix, ReplicaCiCoversCtmcStationaryMeanForK3Mix) {
@@ -254,8 +255,8 @@ TEST(RunSweepMix, ReplicaCiCoversCtmcStationaryMeanForK3Mix) {
   options.replicas = 16;
   options.ctmc_max_peers = 8;
   options.scenario = parse_scenario("example3");
-  const SweepResult result = run_sweep(grid, options);
-  const CellResult& cell = result.cells[0];
+  const std::vector<CellResult> cells = sweep_cells(grid, options);
+  const CellResult& cell = cells[0];
   ASSERT_TRUE(std::isfinite(cell.ctmc_mean_peers));
   EXPECT_GT(cell.ctmc_mean_peers, 0.0);
   EXPECT_LE(cell.sim.mean_peers_lo, cell.ctmc_mean_peers);
@@ -275,9 +276,9 @@ TEST(RunSweepMix, CtmcSkipsCellsWhoseLawTheChainDoesNotModel) {
   SweepOptions options;
   options.horizon = 20;
   options.ctmc_max_peers = 6;
-  const SweepResult result = run_sweep(grid, options);
-  ASSERT_EQ(result.cells.size(), 4u);
-  for (const auto& cell : result.cells) {
+  const std::vector<CellResult> cells = sweep_cells(grid, options);
+  ASSERT_EQ(cells.size(), 4u);
+  for (const auto& cell : cells) {
     const bool homogeneous = cell.eta == 1 && cell.hetero == 0;
     EXPECT_EQ(std::isfinite(cell.ctmc_mean_peers), homogeneous)
         << "eta=" << cell.eta << " hetero=" << cell.hetero;
@@ -291,12 +292,11 @@ TEST(RunSweepMix, HeteroLeavesTheoryFixedButChangesSim) {
   SweepGrid grid = parse_grid("lambda=2;us=1;k=3;hetero=0,0.8");
   SweepOptions options;
   options.horizon = 60;
-  const SweepResult result = run_sweep(grid, options);
-  ASSERT_EQ(result.cells.size(), 2u);
-  EXPECT_EQ(result.cells[0].theory.verdict, result.cells[1].theory.verdict);
-  EXPECT_EQ(result.cells[0].theory.margin, result.cells[1].theory.margin);
-  EXPECT_NE(result.cells[0].sim.mean_peers_mean,
-            result.cells[1].sim.mean_peers_mean);
+  const std::vector<CellResult> cells = sweep_cells(grid, options);
+  ASSERT_EQ(cells.size(), 2u);
+  EXPECT_EQ(cells[0].theory.verdict, cells[1].theory.verdict);
+  EXPECT_EQ(cells[0].theory.margin, cells[1].theory.margin);
+  EXPECT_NE(cells[0].sim.mean_peers_mean, cells[1].sim.mean_peers_mean);
 }
 
 TEST(RefineMix, LocalizesTheExample2VerdictFlipClosedForm) {
@@ -311,9 +311,10 @@ TEST(RefineMix, LocalizesTheExample2VerdictFlipClosedForm) {
   RefineOptions refine;
   refine.axis = "mix";
   refine.tol = 1e-4;
-  const FrontierResult result = refine_frontier(grid, options, refine);
-  ASSERT_EQ(result.points.size(), 1u);
-  const FrontierPoint& pt = result.points[0];
+  const std::vector<FrontierPoint> points =
+      frontier_points(grid, options, refine);
+  ASSERT_EQ(points.size(), 1u);
+  const FrontierPoint& pt = points[0];
   ASSERT_TRUE(pt.bracketed);
   EXPECT_NEAR(pt.value, 2.0 / 3.0, refine.tol);
   EXPECT_EQ(pt.params.mix, pt.value);  // refined slot holds the estimate
@@ -337,12 +338,12 @@ TEST(RefineMix, OneClubMixFrontierStaysAtTheEmptyArrivalBoundary) {
       parse_grid("k=3;us=1;mu=1;gamma=1.25;mix=0;lambda=1:9:5");
   const SweepGrid at1 =
       parse_grid("k=3;us=1;mu=1;gamma=1.25;mix=1;lambda=1:9:5");
-  const FrontierResult r0 = refine_frontier(at0, options, refine);
-  const FrontierResult r1 = refine_frontier(at1, options, refine);
-  ASSERT_TRUE(r0.points[0].bracketed);
-  ASSERT_TRUE(r1.points[0].bracketed);
-  EXPECT_NEAR(r0.points[0].value, 5.0, refine.tol);  // Us/(1-mu/gamma)
-  EXPECT_NEAR(r1.points[0].value, 5.0, refine.tol);
+  const FrontierPoint p0 = frontier_points(at0, options, refine).at(0);
+  const FrontierPoint p1 = frontier_points(at1, options, refine).at(0);
+  ASSERT_TRUE(p0.bracketed);
+  ASSERT_TRUE(p1.bracketed);
+  EXPECT_NEAR(p0.value, 5.0, refine.tol);  // Us/(1-mu/gamma)
+  EXPECT_NEAR(p1.value, 5.0, refine.tol);
 }
 
 TEST(RunSweepMix, ByteIdenticalAcrossThreadCounts) {
@@ -355,8 +356,8 @@ TEST(RunSweepMix, ByteIdenticalAcrossThreadCounts) {
   one.scenario = parse_scenario("example2:3,1");
   SweepOptions four = one;
   four.threads = 4;
-  const std::string csv1 = render(run_sweep(grid, one));
-  const std::string csv4 = render(run_sweep(grid, four));
+  const std::string csv1 = sweep_report(grid, one);
+  const std::string csv4 = sweep_report(grid, four);
   EXPECT_FALSE(csv1.empty());
   EXPECT_EQ(csv1, csv4);
 }
@@ -374,8 +375,8 @@ TEST(RefineMix, ByteIdenticalAcrossThreadCounts) {
   RefineOptions refine;
   refine.axis = "mix";
   refine.tol = 1e-3;
-  const std::string csv1 = render(refine_frontier(grid, one, refine));
-  const std::string csv4 = render(refine_frontier(grid, four, refine));
+  const std::string csv1 = frontier_report(grid, one, refine);
+  const std::string csv4 = frontier_report(grid, four, refine);
   EXPECT_FALSE(csv1.empty());
   EXPECT_EQ(csv1, csv4);
 }
@@ -384,17 +385,17 @@ TEST(RunSweepMixDeath, InvalidAxesAbort) {
   SweepOptions options;
   options.horizon = 5;
   // Nonzero mix without a scenario.
-  EXPECT_DEATH(run_sweep(parse_grid("lambda=1;us=1;k=3;mix=0.5"), options),
+  EXPECT_DEATH(sweep_report(parse_grid("lambda=1;us=1;k=3;mix=0.5"), options),
                "named scenario");
   // Mix outside [0, 1].
   options.scenario = parse_scenario("oneclub:3");
-  EXPECT_DEATH(run_sweep(parse_grid("lambda=1;us=1;k=3;mix=1.5"), options),
+  EXPECT_DEATH(sweep_report(parse_grid("lambda=1;us=1;k=3;mix=1.5"), options),
                "mix must lie");
   // Hetero outside [0, 1).
-  EXPECT_DEATH(run_sweep(parse_grid("lambda=1;us=1;k=3;hetero=1"), options),
+  EXPECT_DEATH(sweep_report(parse_grid("lambda=1;us=1;k=3;hetero=1"), options),
                "hetero must lie");
   // k axis disagreeing with the scenario's piece count.
-  EXPECT_DEATH(run_sweep(parse_grid("lambda=1;us=1;k=4;mix=1"), options),
+  EXPECT_DEATH(sweep_report(parse_grid("lambda=1;us=1;k=4;mix=1"), options),
                "scenario's piece count");
 }
 

@@ -1,38 +1,99 @@
-// The streaming sweep pipeline's contract: run_sweep_stream emits, byte
-// for byte, what run_sweep + SweepResult::write would have — for any
-// thread count and any chunk size — while holding only a bounded ring of
-// cells. The
-// archived corpora and CI determinism diffs ride on these bytes.
+// The streaming sweep pipeline's contract: run_sweep_stream emits the
+// same bytes for any thread count and any chunk size while holding only
+// a bounded ring of cells, and those bytes read back to the grid's own
+// axis values and the Theorem-1 closed form. The archived corpora and CI
+// determinism diffs ride on these bytes.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <string>
 #include <vector>
 
+#include "core/stability.hpp"
 #include "engine/report.hpp"
+#include "engine/scenario.hpp"
 #include "engine/sweep.hpp"
 #include "report_helpers.hpp"
 
 namespace p2p::engine {
 namespace {
 
-std::string stream_csv(const SweepGrid& grid, const SweepOptions& options) {
-  std::string out;
-  ReportWriter writer(&out, ReportFormat::kCsv, sweep_columns(options));
-  run_sweep_stream(grid, options, writer);
-  writer.finish();
-  return out;
+constexpr std::size_t kChunks[] = {1, 7, 0};  // 0 = auto
+
+/// Checks the read CSV report `table` of `grid` under `options` against
+/// values computed without the renderer. Row i is cell i; its axis cells are
+/// the grid's values of that cell, bit for bit; its verdict, margin and
+/// critical piece are classify() of that cell; and the per-type rate
+/// cells are the mix interpolation (1 - mix) * lambda and
+/// mix * lambda * rate.
+void expect_rows_match_oracles(const SweepGrid& grid,
+                               const SweepOptions& options,
+                               const Table& table, const std::string& what) {
+  const SweepGrid effective = with_default_axes(grid);
+  const std::vector<CellResult> cells = decode_cells(table);
+  ASSERT_EQ(cells.size(), effective.num_cells()) << what;
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    const CellResult& c = cells[i];
+    const std::vector<double> values = effective.cell_values(i);
+    const CellParams decoded{.lambda = c.lambda,
+                             .us = c.us,
+                             .mu = c.mu,
+                             .gamma = c.gamma,
+                             .eta = c.eta,
+                             .mix = c.mix,
+                             .hetero = c.hetero,
+                             .k = c.k,
+                             .flash = c.flash};
+    CellParams p;
+    p.policy = options.scenario.policy;
+    ASSERT_EQ(c.index, i) << what;
+    for (std::size_t a = 0; a < values.size(); ++a) {
+      const std::string& name = effective.axes[a].name;
+      set_param(p, name, values[a]);
+      ASSERT_EQ(bits(param(decoded, name)), bits(param(p, name)))
+          << what << " cell " << i << " axis " << name << ": "
+          << param(decoded, name) << " vs " << param(p, name);
+    }
+    const StabilityReport want = classify(expand(options.scenario, p).params);
+    ASSERT_EQ(c.theory.verdict, want.verdict) << what << " cell " << i;
+    ASSERT_EQ(bits(c.theory.margin), bits(want.margin))
+        << what << " cell " << i;
+    ASSERT_EQ(c.theory.critical_piece, want.critical_piece)
+        << what << " cell " << i;
+    if (!options.scenario.empty()) {
+      const ReportRow row(table, i);
+      ASSERT_EQ(row.number(kLambdaEmptyColumn), (1.0 - p.mix) * p.lambda)
+          << what << " cell " << i;
+      for (const auto& stream : options.scenario.mix) {
+        ASSERT_EQ(row.number(mix_column_name(stream.type)),
+                  p.mix * p.lambda * stream.rate)
+            << what << " cell " << i;
+      }
+    }
+  }
 }
 
-std::string stream_json(const SweepGrid& grid, const SweepOptions& options) {
-  std::string out;
-  ReportWriter writer(&out, ReportFormat::kJson, sweep_columns(options));
-  run_sweep_stream(grid, options, writer);
-  writer.finish();
-  return out;
+/// The JSON report read by read_json equals the CSV report read by
+/// read_csv, except that JSON spells every non-finite number null, which
+/// reads back as nan.
+void expect_json_reads_as_csv(const std::string& json, const Table& from_csv,
+                              const std::string& what) {
+  const Table from_json = read_json(json);
+  EXPECT_EQ(from_json.columns(), from_csv.columns()) << what;
+  ASSERT_EQ(from_json.num_rows(), from_csv.num_rows()) << what;
+  for (std::size_t r = 0; r < from_csv.num_rows(); ++r) {
+    std::vector<std::string> expected = from_csv.row(r);
+    for (std::string& cell : expected) {
+      if (cell == "inf" || cell == "-inf") cell = "nan";
+    }
+    ASSERT_EQ(from_json.row(r), expected) << what << " row " << r;
+  }
 }
 
-TEST(RunSweepStream, MatchesRunSweepOnTheGoldenGrid) {
+TEST(RunSweepStream, GoldenGridRowsMatchTheGridAndTheClosedForm) {
   // The golden-schema grid from test_sweep_golden: replicas, CTMC
   // column, NaN uncertainty cells — everything the row formatter can
   // emit on the homogeneous slice.
@@ -42,12 +103,13 @@ TEST(RunSweepStream, MatchesRunSweepOnTheGoldenGrid) {
   options.horizon = 40;
   options.replicas = 3;
   options.ctmc_max_peers = 10;
-  const SweepResult result = run_sweep(grid, options);
-  EXPECT_EQ(stream_csv(grid, options), render(result));
-  EXPECT_EQ(stream_json(grid, options), render(result, ReportFormat::kJson));
+  const Table table = read_csv(sweep_report(grid, options));
+  expect_rows_match_oracles(grid, options, table, "golden");
+  expect_json_reads_as_csv(sweep_report(grid, options, ReportFormat::kJson),
+                           table, "golden");
 }
 
-TEST(RunSweepStream, MatchesRunSweepWithAScenario) {
+TEST(RunSweepStream, ScenarioRowsMatchTheGridAndTheClosedForm) {
   // Per-type arrival-rate columns exercise the scenario-dependent part
   // of the schema.
   SweepGrid grid = parse_grid("lambda=1,2;us=1;gamma=inf;k=4;mix=0,0.5,1");
@@ -55,9 +117,10 @@ TEST(RunSweepStream, MatchesRunSweepWithAScenario) {
   options.horizon = 20;
   options.replicas = 2;
   options.scenario = parse_scenario("example2:3,1");
-  const SweepResult result = run_sweep(grid, options);
-  EXPECT_EQ(stream_csv(grid, options), render(result));
-  EXPECT_EQ(stream_json(grid, options), render(result, ReportFormat::kJson));
+  const Table table = read_csv(sweep_report(grid, options));
+  expect_rows_match_oracles(grid, options, table, "example2");
+  expect_json_reads_as_csv(sweep_report(grid, options, ReportFormat::kJson),
+                           table, "example2");
 }
 
 TEST(RunSweepStream, DeterminismMatrixOverThreadsAndChunks) {
@@ -84,57 +147,62 @@ TEST(RunSweepStream, DeterminismMatrixOverThreadsAndChunks) {
     base.replicas = shape.replicas;
     base.threads = 1;
     base.chunk = 1;
-    const std::string csv_ref = stream_csv(grid, base);
-    const std::string json_ref = stream_json(grid, base);
+    const std::string csv_ref = sweep_report(grid, base);
+    const std::string json_ref = sweep_report(grid, base, ReportFormat::kJson);
     EXPECT_FALSE(csv_ref.empty());
-    EXPECT_EQ(csv_ref, render(run_sweep(grid, base))) << shape.grid;
+    expect_rows_match_oracles(grid, base, read_csv(csv_ref), shape.grid);
     for (const int threads : {1, 2, 4, 8}) {
-      for (const std::size_t chunk :
-           {std::size_t{1}, std::size_t{7}, std::size_t{0}}) {
+      for (const std::size_t chunk : kChunks) {
         SweepOptions options = base;
         options.threads = threads;
         options.chunk = chunk;
-        EXPECT_EQ(stream_csv(grid, options), csv_ref)
+        EXPECT_EQ(sweep_report(grid, options), csv_ref)
             << shape.grid << " threads " << threads << " chunk " << chunk;
-        EXPECT_EQ(stream_json(grid, options), json_ref)
+        EXPECT_EQ(sweep_report(grid, options, ReportFormat::kJson), json_ref)
             << shape.grid << " threads " << threads << " chunk " << chunk;
       }
     }
   }
 }
 
-TEST(RunSweepStream, TheoryOnlyDeterminismMatrixMatchesRunSweep) {
+TEST(RunSweepStream, TheoryOnlyDeterminismMatrixMatchesTheOracles) {
   // The theory-only + replicas=1 streaming path takes the chunk-batched
   // route: a worker completes a whole claimed block into one arena and
   // the consumer emits it with a single write_rendered. The matrix pins
-  // that route to the retained-cells bytes for both formats — along
-  // with the cached-token fast paths (constant-axis runs, verdict /
+  // that route, in both formats, to the 1-thread chunk-1 bytes, and
+  // those bytes to the grid's values and the closed form — along with
+  // the cached-token fast paths (constant-axis runs, verdict /
   // critical-piece cells, the constant sim tail) that only exist on it.
   const SweepGrid grid =
       parse_grid("lambda=0.5:3.0:16;us=0.5,1.5;k=2;gamma=1.25");
   SweepOptions base;
   base.theory_only = true;
-  const SweepResult result = run_sweep(grid, base);
+  base.chunk = 1;
+  const std::string csv = sweep_report(grid, base);
+  const std::string json = sweep_report(grid, base, ReportFormat::kJson);
+  const Table table = read_csv(csv);
+  expect_rows_match_oracles(grid, base, table, "theory-only");
+  expect_json_reads_as_csv(json, table, "theory-only");
   for (const int threads : {1, 2, 8}) {
-    for (const std::size_t chunk :
-         {std::size_t{1}, std::size_t{7}, std::size_t{0}}) {
+    for (const std::size_t chunk : kChunks) {
       SweepOptions options = base;
       options.threads = threads;
       options.chunk = chunk;
-      EXPECT_EQ(stream_csv(grid, options), render(result))
+      EXPECT_EQ(sweep_report(grid, options), csv)
           << "threads " << threads << " chunk " << chunk;
-      EXPECT_EQ(stream_json(grid, options), render(result, ReportFormat::kJson))
+      EXPECT_EQ(sweep_report(grid, options, ReportFormat::kJson), json)
           << "threads " << threads << " chunk " << chunk;
     }
   }
 }
 
-TEST(RunSweepStream, EveryColumnFamilyMatchesRunSweepAcrossTheMatrix) {
+TEST(RunSweepStream, EveryColumnFamilyMatchesTheOraclesAcrossTheMatrix) {
   // The streamed rows are assembled from the plan's cached pieces (axis
   // tokens, verdict + margin prefix, critical piece + constant sim tail)
-  // plus directly formatted numbers; run_sweep's retained cells format
-  // their axis values instead. Every column family must come out the
-  // same through both, at any (threads, chunk).
+  // plus directly formatted numbers. At every (threads, chunk), every
+  // column family must read back to the grid's values and the closed
+  // form, the bytes must equal the 1-thread chunk-1 run's, and the JSON
+  // must read back as the CSV.
   struct Case {
     const char* name;
     const char* grid;
@@ -179,34 +247,35 @@ TEST(RunSweepStream, EveryColumnFamilyMatchesRunSweepAcrossTheMatrix) {
 
   for (const Case& c : cases) {
     const SweepGrid grid = parse_grid(c.grid);
-    const SweepResult result = run_sweep(grid, c.options);
-    const std::string csv = render(result);
-    const std::string json = render(result, ReportFormat::kJson);
+    SweepOptions base = c.options;
+    base.chunk = 1;
+    const std::string csv = sweep_report(grid, base);
+    const std::string json = sweep_report(grid, base, ReportFormat::kJson);
+    const Table from_csv = read_csv(csv);
+    EXPECT_EQ(from_csv.columns(), sweep_columns(c.options)) << c.name;
+    expect_rows_match_oracles(grid, base, from_csv, c.name);
+    expect_json_reads_as_csv(json, from_csv, c.name);
+    // A run with the reference's bytes passes the same checks; only a
+    // run that differs is decoded again, to name what went wrong.
     for (const int threads : {1, 4}) {
-      for (const std::size_t chunk :
-           {std::size_t{1}, std::size_t{7}, std::size_t{0}}) {
+      for (const std::size_t chunk : kChunks) {
         SweepOptions options = c.options;
         options.threads = threads;
         options.chunk = chunk;
-        EXPECT_EQ(stream_csv(grid, options), csv)
-            << c.name << " threads " << threads << " chunk " << chunk;
-        EXPECT_EQ(stream_json(grid, options), json)
-            << c.name << " threads " << threads << " chunk " << chunk;
+        const std::string what = std::string(c.name) + " threads " +
+                                 std::to_string(threads) + " chunk " +
+                                 std::to_string(chunk);
+        const std::string run_csv = sweep_report(grid, options);
+        const std::string run_json =
+            sweep_report(grid, options, ReportFormat::kJson);
+        EXPECT_EQ(run_csv, csv) << what;
+        EXPECT_EQ(run_json, json) << what;
+        if (run_csv != csv || run_json != json) {
+          const Table run_table = read_csv(run_csv);
+          expect_rows_match_oracles(grid, options, run_table, what);
+          expect_json_reads_as_csv(run_json, run_table, what);
+        }
       }
-    }
-    // Both renderings share the cached pieces, so check the JSON keys and
-    // cells against the CSV: equal except that JSON spells inf as null,
-    // which reads back as nan.
-    const Table from_csv = read_csv(csv);
-    const Table from_json = read_json(json);
-    EXPECT_EQ(from_json.columns(), sweep_columns(c.options)) << c.name;
-    ASSERT_EQ(from_json.num_rows(), from_csv.num_rows()) << c.name;
-    for (std::size_t r = 0; r < from_csv.num_rows(); ++r) {
-      std::vector<std::string> expected = from_csv.row(r);
-      for (std::string& cell : expected) {
-        if (cell == "inf" || cell == "-inf") cell = "nan";
-      }
-      EXPECT_EQ(from_json.row(r), expected) << c.name << " row " << r;
     }
     if (std::string(c.name) == "k/gamma") {
       const Table& table = from_csv;
@@ -240,8 +309,8 @@ TEST(RunSweepStream, ReusedArenasCarryNoStaleBytesAcrossRuns) {
   options.theory_only = true;
   options.threads = 4;
   options.chunk = 3;
-  const std::string first = stream_csv(grid, options);
-  const std::string second = stream_csv(grid, options);
+  const std::string first = sweep_report(grid, options);
+  const std::string second = sweep_report(grid, options);
   EXPECT_EQ(first, second);
   std::size_t lines = 0;
   for (const char c : first) lines += c == '\n';
@@ -272,11 +341,11 @@ TEST(RunSweepStream, LargeTheoryOnlyGridStreamsThroughABoundedRing) {
   options.theory_only = true;
   options.threads = 4;
   options.chunk = 8;
-  const std::string csv = stream_csv(grid, options);
+  const std::string csv = sweep_report(grid, options);
   SweepOptions serial = options;
   serial.threads = 1;
   serial.chunk = 0;
-  EXPECT_EQ(csv, stream_csv(grid, serial));
+  EXPECT_EQ(csv, sweep_report(grid, serial));
   // 64 * 64 rows + header + trailing newline.
   std::size_t lines = 0;
   for (const char c : csv) lines += c == '\n';
@@ -290,17 +359,22 @@ TEST(RunSweepStream, TheoryOnlySkipsSimulationButKeepsTheVerdicts) {
   // replicas is ignored in theory-only mode: one closed-form item per
   // cell, sim columns NaN with replicas = 0.
   options.replicas = 8;
-  const SweepResult result = run_sweep(grid, options);
-  ASSERT_EQ(result.cells.size(), 2u);
-  EXPECT_EQ(result.cells[0].theory.verdict, Stability::kPositiveRecurrent);
-  EXPECT_EQ(result.cells[1].theory.verdict, Stability::kTransient);
-  for (const auto& cell : result.cells) {
+  const std::string csv = sweep_report(grid, options);
+  const Table table = read_csv(csv);
+  const std::vector<CellResult> cells = decode_cells(table);
+  ASSERT_EQ(cells.size(), 2u);
+  EXPECT_EQ(cells[0].theory.verdict, Stability::kPositiveRecurrent);
+  EXPECT_EQ(cells[1].theory.verdict, Stability::kTransient);
+  for (const auto& cell : cells) {
     EXPECT_EQ(cell.sim.replicas, 0);
     EXPECT_TRUE(std::isnan(cell.sim.final_peers_mean));
     EXPECT_TRUE(std::isnan(cell.sim.mean_peers_mean));
   }
-  EXPECT_EQ(stream_csv(grid, options),
-            render(run_sweep(grid, options)));
+  expect_rows_match_oracles(grid, options, table, "theory-only x 8");
+  // The ignored replica count leaves no trace in the bytes.
+  SweepOptions one = options;
+  one.replicas = 1;
+  EXPECT_EQ(csv, sweep_report(grid, one));
 }
 
 TEST(RunSweepStream, TheoryOnlyStillRunsTheCtmcCrossCheck) {
@@ -310,10 +384,10 @@ TEST(RunSweepStream, TheoryOnlyStillRunsTheCtmcCrossCheck) {
   SweepOptions options;
   options.theory_only = true;
   options.ctmc_max_peers = 30;
-  const SweepResult result = run_sweep(grid, options);
-  ASSERT_EQ(result.cells.size(), 1u);
-  EXPECT_TRUE(std::isfinite(result.cells[0].ctmc_mean_peers));
-  EXPECT_GT(result.cells[0].ctmc_mean_peers, 0.0);
+  const std::vector<CellResult> cells = sweep_cells(grid, options);
+  ASSERT_EQ(cells.size(), 1u);
+  EXPECT_TRUE(std::isfinite(cells[0].ctmc_mean_peers));
+  EXPECT_GT(cells[0].ctmc_mean_peers, 0.0);
 }
 
 TEST(RunSweepStreamDeath, WriterWithForeignColumnsAborts) {
@@ -347,7 +421,11 @@ TEST(RunSweepDeath, TheoryOnlyRefineAborts) {
   RefineOptions refine;
   refine.axis = "lambda";
   refine.tol = 0.1;
-  EXPECT_DEATH(refine_frontier(grid, options, refine), "theory_only");
+  std::string out;
+  ReportWriter writer(&out, ReportFormat::kCsv, frontier_columns(options));
+  EXPECT_DEATH(run_frontier_stream(grid, options, refine, writer),
+               "theory_only");
+  writer.finish();
 }
 
 }  // namespace

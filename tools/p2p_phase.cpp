@@ -4,7 +4,7 @@
 // against the schema the sweep engine emits, and derives the Theorem-1
 // phase diagram from the bytes alone: per-row frontier localization
 // (closed-form re-bisection of the verdict flip, cross-checkable
-// against refine_frontier), a theory-vs-simulation verdict confusion
+// against a --refine frontier run), a theory-vs-simulation verdict confusion
 // matrix with a bootstrap CI, and dependency-free PPM/SVG renderings
 // with the frontier overlaid.
 //

@@ -206,8 +206,8 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  // run_sweep fills axes missing from the spec from the default region
-  // grid, so an empty --grid runs the full 256-cell sweep.
+  // run_sweep_stream fills axes missing from the spec from the default
+  // region grid, so an empty --grid runs the full 256-cell sweep.
   SweepGrid grid = parse_grid(grid_spec);
   if (flash < 0) {
     // The axis path rejects negatives; the shorthand must not silently
