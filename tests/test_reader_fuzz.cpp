@@ -1,30 +1,35 @@
-// Deterministic mutational fuzzing of the corpus reader's fail-fast
+// Deterministic mutational fuzzing of the corpus readers' fail-fast
 // contract: every byte string either ingests, or aborts through
 // P2P_ASSERT with a message that echoes where the input went wrong.
 // Never a crash, a hang, a sanitizer report or a silent exit.
 //
 // Seeds are the committed grid archives under experiments/ (dense,
-// mixed-arrival, policy and adaptive); fixed-seed mutations flip,
-// delete and insert bytes, duplicate lines and truncate. Each mutant
-// runs CsvReader -> build_phase_grid / build_box_grid (the p2p_phase
-// dispatch) in a forked child under an alarm, at 1 and 4 decode
+// mixed-arrival, policy and adaptive), each as archived (CSV) and
+// rendered as a report JSON of the same rows; fixed-seed mutations
+// flip, delete and insert bytes, duplicate lines and truncate. Each
+// mutant runs the p2p_phase dispatch (report reader -> build_phase_grid
+// / build_box_grid) in a forked child under an alarm, at 1 and 4 decode
 // threads with batches small enough that every seed spans several —
-// and both thread counts must fail with the same message. Needs only
-// fork/waitpid (no libFuzzer); the budget is a fixed mutant count, so
-// a run is reproducible and takes a few seconds.
+// and both thread counts must fail with the same message. The committed
+// summary JSON archives are mutated the same way through validate_json.
+// Needs only fork/waitpid (no libFuzzer); the budget is a fixed mutant
+// count, so a run is reproducible and takes a few seconds.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <csignal>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "analysis/phase_diagram.hpp"
 #include "engine/csv_reader.hpp"
 #include "rand/rng.hpp"
+#include "report_helpers.hpp"
 
 namespace p2p {
 namespace {
@@ -51,7 +56,25 @@ struct Outcome {
   std::string failure;  // non-empty: the run broke the contract
 };
 
+/// The archive `name` as committed (CSV), or its rows rendered as the
+/// report JSON a --format json sweep would have written.
+std::string seed_text(const std::string& name, engine::ReportFormat format) {
+  const std::string csv = slurp(std::string(P2P_EXPERIMENTS_DIR) + "/" + name);
+  if (format == engine::ReportFormat::kCsv) return csv;
+  return engine::render_table(engine::read_csv(csv), format);
+}
+
 void ingest(const std::string& input, int threads) {
+  const std::size_t first = input.find_first_not_of(" \t\r\n");
+  if (first != std::string::npos && input[first] == '[') {
+    const engine::Table table = engine::read_json(input);
+    if (engine::validate_report_schema(table.columns()).has_boxes) {
+      analysis::build_box_grid(table);
+    } else {
+      analysis::build_phase_grid(table);
+    }
+    return;
+  }
   engine::CsvReader reader = engine::CsvReader::from_text(input);
   reader.set_batch_bytes(kFuzzBatchBytes);
   if (engine::validate_report_schema(reader.columns()).has_boxes) {
@@ -61,7 +84,9 @@ void ingest(const std::string& input, int threads) {
   }
 }
 
-Outcome run_child(const std::string& input, int threads) {
+/// Runs `body` in a forked child under an alarm and classifies how it
+/// ended.
+Outcome run_child(const std::function<void()>& body) {
   int pipe_fd[2];
   if (pipe(pipe_fd) != 0) return {false, "", "pipe() failed"};
   const pid_t pid = fork();
@@ -70,7 +95,7 @@ Outcome run_child(const std::string& input, int threads) {
     close(pipe_fd[0]);
     dup2(pipe_fd[1], STDERR_FILENO);
     alarm(kChildTimeoutS);
-    ingest(input, threads);
+    body();
     _exit(0);
   }
   close(pipe_fd[1]);
@@ -123,9 +148,18 @@ Outcome run_child(const std::string& input, int threads) {
   return out;
 }
 
+Outcome run_ingest(const std::string& input, int threads) {
+  return run_child([&] { ingest(input, threads); });
+}
+
+/// Bytes the mutator inserts: the CSV dialect's structural bytes, and
+/// the JSON grammar's.
+constexpr std::string_view kCsvInserts = "\",\n";
+constexpr std::string_view kJsonInserts = "\",\n{}[]:\\";
+
 /// One fixed-seed mutation of `text`: byte flip, byte delete, line
-/// duplicate, an inserted '"', ',' or '\n', or a truncation.
-void mutate(std::string& text, Rng& rng) {
+/// duplicate, an inserted byte of `inserts`, or a truncation.
+void mutate(std::string& text, Rng& rng, std::string_view inserts) {
   if (text.empty()) {
     text.push_back('"');
     return;
@@ -147,11 +181,9 @@ void mutate(std::string& text, Rng& rng) {
       text.insert(stop, text.substr(start, stop - start));
       break;
     }
-    case 3: {
-      static const char kInserts[] = {'"', ',', '\n'};
-      text.insert(at, 1, kInserts[rng.uniform_int(std::uint64_t{3})]);
+    case 3:
+      text.insert(at, 1, inserts[rng.uniform_int(inserts.size())]);
       break;
-    }
     case 4:
       text.resize(at);
       break;
@@ -161,25 +193,36 @@ void mutate(std::string& text, Rng& rng) {
   }
 }
 
-class ReaderFuzz : public ::testing::TestWithParam<const char*> {};
-
-TEST_P(ReaderFuzz, EveryMutantIngestsOrAbortsEchoingTheFault) {
-  const std::string seed =
-      slurp(std::string(P2P_EXPERIMENTS_DIR) + "/" + GetParam());
-  ASSERT_FALSE(seed.empty());
-  // The unmutated seed must ingest cleanly at both thread counts.
-  for (const int threads : {1, 4}) {
-    const Outcome clean = run_child(seed, threads);
-    ASSERT_TRUE(clean.ok) << clean.failure << clean.message;
-  }
+/// `kMutantsPerSeed` fixed-seed mutants of `seed`, each 1-3 edits.
+std::vector<std::string> mutants(const std::string& seed,
+                                 std::string_view inserts) {
   Rng rng(0x5eed0000u + seed.size());
-  int aborted = 0;
+  std::vector<std::string> out;
   for (int m = 0; m < kMutantsPerSeed; ++m) {
     std::string input = seed;
     const int edits = 1 + static_cast<int>(rng.uniform_int(std::uint64_t{3}));
-    for (int e = 0; e < edits; ++e) mutate(input, rng);
-    const Outcome one = run_child(input, 1);
-    const Outcome four = run_child(input, 4);
+    for (int e = 0; e < edits; ++e) mutate(input, rng, inserts);
+    out.push_back(std::move(input));
+  }
+  return out;
+}
+
+/// Fuzzes the ingest of `seed`, which must ingest cleanly at both
+/// thread counts, or abort with `clean_abort` when that is non-empty.
+void fuzz_ingest(const std::string& seed, std::string_view inserts,
+                 const std::string& clean_abort = "") {
+  ASSERT_FALSE(seed.empty());
+  for (const int threads : {1, 4}) {
+    const Outcome clean = run_ingest(seed, threads);
+    ASSERT_TRUE(clean.failure.empty()) << clean.failure;
+    ASSERT_EQ(clean.ok, clean_abort.empty()) << clean.message;
+    EXPECT_EQ(clean.message.substr(0, clean_abort.size()), clean_abort);
+  }
+  int aborted = 0;
+  const std::vector<std::string> inputs = mutants(seed, inserts);
+  for (std::size_t m = 0; m < inputs.size(); ++m) {
+    const Outcome one = run_ingest(inputs[m], 1);
+    const Outcome four = run_ingest(inputs[m], 4);
     EXPECT_TRUE(one.failure.empty()) << "mutant " << m << ": " << one.failure;
     EXPECT_TRUE(four.failure.empty())
         << "mutant " << m << ": " << four.failure;
@@ -193,11 +236,59 @@ TEST_P(ReaderFuzz, EveryMutantIngestsOrAbortsEchoingTheFault) {
   EXPECT_GT(aborted, kMutantsPerSeed / 2);
 }
 
+class ReaderFuzz : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(ReaderFuzz, EveryMutantIngestsOrAbortsEchoingTheFault) {
+  fuzz_ingest(seed_text(GetParam(), engine::ReportFormat::kCsv), kCsvInserts);
+}
+
+TEST_P(ReaderFuzz, EveryJsonMutantIngestsOrAbortsEchoingTheFault) {
+  // JSON spells every non-finite cell null, which reads back as nan: the
+  // mixed-arrival archive's gamma=inf rows cannot ingest from JSON.
+  const bool gamma_inf = std::string(GetParam()) == "mix_example2_region.csv";
+  fuzz_ingest(seed_text(GetParam(), engine::ReportFormat::kJson), kJsonInserts,
+              gamma_inf ? "gamma must be positive (grid report row 0)" : "");
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, ReaderFuzz,
                          ::testing::Values("region_theory.csv",
                                            "mix_example2_region.csv",
                                            "policy_rarest_region.csv",
                                            "region_adaptive.csv"));
+
+class SummaryFuzz : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(SummaryFuzz, EveryMutantValidatesOrAbortsEchoingTheByte) {
+  const std::string seed =
+      slurp(std::string(P2P_EXPERIMENTS_DIR) + "/" + GetParam());
+  ASSERT_FALSE(seed.empty());
+  const auto validate = [](const std::string& text) {
+    return run_child([&] { engine::validate_json(text, "summary JSON"); });
+  };
+  const Outcome clean = validate(seed);
+  ASSERT_TRUE(clean.ok) << clean.failure << clean.message;
+  int aborted = 0;
+  const std::vector<std::string> inputs = mutants(seed, kJsonInserts);
+  for (std::size_t m = 0; m < inputs.size(); ++m) {
+    const Outcome one = validate(inputs[m]);
+    EXPECT_TRUE(one.failure.empty()) << "mutant " << m << ": " << one.failure;
+    if (!one.ok) {
+      EXPECT_NE(one.message.find("summary JSON at byte "), std::string::npos)
+          << "mutant " << m << ": " << one.message;
+    }
+    aborted += one.ok ? 0 : 1;
+  }
+  EXPECT_GT(aborted, kMutantsPerSeed / 2);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Seeds, SummaryFuzz,
+    ::testing::Values("mix_adaptive_volume_summary.json",
+                      "phase_mix_example2_summary.json",
+                      "phase_policy_rarest_summary.json",
+                      "phase_region_adaptive_summary.json",
+                      "phase_region_theory_summary.json",
+                      "region_adaptive_summary.json"));
 
 }  // namespace
 }  // namespace p2p
