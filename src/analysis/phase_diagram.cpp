@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <condition_variable>
-#include <functional>
 #include <iterator>
 #include <memory>
 #include <mutex>
@@ -25,7 +24,6 @@ namespace {
 using engine::CellParams;
 using engine::ReportKind;
 using engine::ReportSchema;
-using engine::Table;
 
 /// The axis columns, in grid-head order, taken from the writer's own
 /// schema constants (column 0 of the head is the cell index; the axes
@@ -341,7 +339,7 @@ ReportSchema grid_schema(const std::vector<std::string>& columns) {
 
 /// Everything after typed ingestion: axis selection, tiling into
 /// row-major [y][x] slots, and scenario reconstruction from the per-type
-/// block. Shared by both build_phase_grid overloads.
+/// block.
 PhaseGrid assemble_phase_grid(const ReportSchema& schema, GridRows rows,
                               const std::string& policy,
                               const std::string& x_req,
@@ -532,17 +530,37 @@ void decode_batch(BatchSlot& slot, const engine::CsvReader& reader,
     slot.error = e.message;
     return;
   }
-  slot.error = cursor.error().empty() ? slot.batch.error : cursor.error();
+  slot.error = cursor.error();
 }
 
-/// Shared ingestion core behind both build_box_grid overloads: one pass
-/// over the rows, retaining O(boxes) typed state. Geometry comes from
-/// the trailing box block; the origin vertex's evaluation from the
-/// ordinary grid columns at the same offsets the cartesian builder uses.
-BoxGrid build_box_grid_rows(
-    const std::vector<std::string>& columns,
-    const std::function<bool(std::vector<std::string_view>*)>& next_row) {
-  const ReportSchema schema = engine::validate_report_schema(columns);
+}  // namespace
+
+const PhaseBox& BoxGrid::box_at(double x, double y) const {
+  const PhaseBox* found = nullptr;
+  for (const PhaseBox& b : boxes) {
+    const bool in_x = x >= b.x0 && (x < b.x0 + b.ext_x ||
+                                    (x == x_max && b.x0 + b.ext_x == x_max));
+    const bool in_y = y >= b.y0 && (y < b.y0 + b.ext_y ||
+                                    (y == y_max && b.y0 + b.ext_y == y_max));
+    if (!in_x || !in_y) continue;
+    P2P_ASSERT_MSG(found == nullptr,
+                   "adaptive leaves overlap at (" +
+                       format_number(x) + ", " +
+                       format_number(y) + ")");
+    found = &b;
+  }
+  P2P_ASSERT_MSG(found != nullptr,
+                 "no adaptive leaf contains (" + format_number(x) +
+                     ", " + format_number(y) + ")");
+  return *found;
+}
+
+/// One pass over the rows, retaining O(boxes) typed state. Geometry
+/// comes from the trailing box block; the origin vertex's evaluation
+/// from the ordinary grid columns at the same offsets the cartesian
+/// builder uses.
+BoxGrid build_box_grid(engine::CsvReader& reader) {
+  const ReportSchema schema = engine::validate_report_schema(reader.columns());
   P2P_ASSERT_MSG(schema.kind == ReportKind::kGrid && schema.has_boxes,
                  "box grids are built from adaptive grid reports (header "
                  "carries the box_depth/box_uniform/box_ext_* block)");
@@ -563,7 +581,7 @@ BoxGrid build_box_grid_rows(
 
   std::vector<std::string_view> cells;
   try {
-    for (std::size_t r = 0; next_row(&cells); ++r) {
+    for (std::size_t r = 0; reader.next_row(&cells); ++r) {
       const RowCells row(cells, "adaptive", r);
       P2P_ROW_CHECK(row.num(0) == static_cast<double>(r),
                     "adaptive report cell indices must run 0..n-1 in row "
@@ -633,72 +651,6 @@ BoxGrid build_box_grid_rows(
 }
 
 #undef P2P_ROW_CHECK
-
-}  // namespace
-
-const PhaseBox& BoxGrid::box_at(double x, double y) const {
-  const PhaseBox* found = nullptr;
-  for (const PhaseBox& b : boxes) {
-    const bool in_x = x >= b.x0 && (x < b.x0 + b.ext_x ||
-                                    (x == x_max && b.x0 + b.ext_x == x_max));
-    const bool in_y = y >= b.y0 && (y < b.y0 + b.ext_y ||
-                                    (y == y_max && b.y0 + b.ext_y == y_max));
-    if (!in_x || !in_y) continue;
-    P2P_ASSERT_MSG(found == nullptr,
-                   "adaptive leaves overlap at (" +
-                       format_number(x) + ", " +
-                       format_number(y) + ")");
-    found = &b;
-  }
-  P2P_ASSERT_MSG(found != nullptr,
-                 "no adaptive leaf contains (" + format_number(x) +
-                     ", " + format_number(y) + ")");
-  return *found;
-}
-
-BoxGrid build_box_grid(const Table& table) {
-  std::size_t r = 0;
-  return build_box_grid_rows(
-      table.columns(), [&](std::vector<std::string_view>* cells) {
-        if (r >= table.num_rows()) return false;
-        const std::vector<std::string>& row = table.row(r++);
-        cells->assign(row.begin(), row.end());
-        return true;
-      });
-}
-
-BoxGrid build_box_grid(engine::CsvReader& reader) {
-  return build_box_grid_rows(
-      reader.columns(),
-      [&](std::vector<std::string_view>* cells) {
-        return reader.next_row(cells);
-      });
-}
-
-PhaseGrid build_phase_grid(const Table& table, const std::string& x_axis,
-                           const std::string& y_axis) {
-  const ReportSchema schema = grid_schema(table.columns());
-  GridRowDecoder decoder(schema);
-  const std::size_t n = table.num_rows();
-  if (decoder.has_policy && n > 0) {
-    decoder.policy0 = table.row(0)[decoder.policy_col];
-  }
-  GridRows rows;
-  rows.grow(n, decoder.block_width);
-  std::vector<std::string_view> views;
-  try {
-    for (std::size_t r = 0; r < n; ++r) {
-      views.assign(table.row(r).begin(), table.row(r).end());
-      decode_row(decoder, RowCells(views, "grid", r), rows.cells.data() + r,
-                 rows.type_cols.data() + r * decoder.block_width,
-                 rows.axis_values);
-    }
-  } catch (const RowError& e) {
-    P2P_ASSERT_MSG(false, e.message);
-  }
-  return assemble_phase_grid(schema, std::move(rows), decoder.policy0, x_axis,
-                             y_axis);
-}
 
 PhaseGrid build_phase_grid(engine::CsvReader& reader,
                            const std::string& x_axis,

@@ -1,11 +1,11 @@
 // Phase-diagram analysis of ingested sweep corpora: the read-side
-// counterpart of the sweep engine, turning an archived grid table
+// counterpart of the sweep engine, turning an archived grid report
 // (engine/csv_reader.hpp) back into physics.
 //
 //   * build_phase_grid — validates an ingested grid report, recovers
 //     the two varying axes (x fastest unless told otherwise), checks
 //     the rows form the full cartesian product, and reconstructs the
-//     typed-arrival scenario from the per-type rate columns — so a CSV
+//     typed-arrival scenario from the per-type rate columns — so a report
 //     on disk is enough to re-run the Theorem-1 closed form at any
 //     parameter point the grid spans.
 //
@@ -38,7 +38,6 @@
 #include "analysis/confidence.hpp"
 #include "core/stability.hpp"
 #include "engine/page_allocator.hpp"
-#include "engine/report.hpp"
 #include "engine/scenario.hpp"
 
 namespace p2p::engine {
@@ -101,25 +100,18 @@ struct PhaseGrid {
   }
 };
 
-/// Builds the grid view from an ingested grid table. Axes default to
-/// the varying ones (1 or 2 of them; x = the faster in emission order);
-/// naming x_axis/y_axis explicitly selects (and possibly transposes)
-/// them. Aborts — naming the offending row or column — when the table
-/// is not a grid report, a coordinate is malformed (non-finite lambda,
-/// fractional k, unknown verdict, cell index out of row order, ...), a
-/// third axis varies, rows do not tile the full |x| * |y| product
-/// exactly once, or the per-type columns contradict the mix/lambda
-/// axes.
-PhaseGrid build_phase_grid(const engine::Table& table,
-                           const std::string& x_axis = "",
-                           const std::string& y_axis = "");
-
-/// Streaming overload: pulls batches of whole records off a CsvReader
-/// and decodes them on `threads` OS threads (0 = all hardware cores),
-/// so a million-cell corpus ingests in O(cells) typed state without
-/// ever holding the document (or an all-strings Table) in memory. Same
-/// validation and result as the Table overload, for any thread count —
-/// a malformed corpus aborts with its earliest bad row's message.
+/// Builds the grid view from a grid report (CSV or JSON), decoding
+/// batches of whole records on `threads` OS threads (0 = all hardware
+/// cores) in O(cells) typed state, never holding the document. Axes
+/// default to the varying ones (1 or 2; x = the faster in emission
+/// order); naming x_axis/y_axis selects (and possibly transposes) them.
+/// Aborts — naming the offending row, column or byte — when the report
+/// is not a grid report, a record or coordinate is malformed (non-finite
+/// lambda, fractional k, unknown verdict, cell index out of row order,
+/// ...), a third axis varies, rows do not tile the full |x| * |y|
+/// product exactly once, or the per-type columns contradict the
+/// mix/lambda axes — with the earliest bad row's message at any thread
+/// count.
 PhaseGrid build_phase_grid(engine::CsvReader& reader,
                            const std::string& x_axis = "",
                            const std::string& y_axis = "", int threads = 0);
@@ -171,10 +163,8 @@ struct BoxGrid {
 /// block does not name exactly two axes (higher-D adaptive volumes are
 /// archives to slice, not diagrams), a geometry cell is malformed
 /// (negative depth, non-positive extent, uniform outside {0, 1}), or
-/// the leaves' total measure does not tile the bounding window.
-BoxGrid build_box_grid(const engine::Table& table);
-
-/// Streaming overload, like build_phase_grid's: O(boxes) typed state.
+/// the leaves' total measure does not tile the bounding window. Streams
+/// the rows in O(boxes) typed state.
 BoxGrid build_box_grid(engine::CsvReader& reader);
 
 /// One extracted frontier point: the Theorem-1 verdict flip along x for

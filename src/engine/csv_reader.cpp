@@ -11,6 +11,7 @@
 #include <cstring>
 #include <limits>
 #include <string_view>
+#include <utility>
 
 #include "engine/parse_util.hpp"
 #include "engine/refine.hpp"
@@ -67,14 +68,13 @@ constexpr std::string_view kTruncated =
     "truncated report CSV: final record has no terminating newline (or an "
     "unterminated quoted cell)";
 
-/// The reader's abort text: `what`, then the source, the record's line
-/// and the line itself (`text` starts at the record).
-std::string record_error(std::string_view what, const std::string& source,
-                         std::size_t line, std::string_view text) {
-  std::string out(what);
-  out += " (" + source + " line " + std::to_string(line) + ": \"" +
-         preview_of(text) + "\")";
-  return out;
+/// The reader's abort text: `what`, then the source, where in it (a CSV
+/// record's "line" or a JSON "byte" offset) and the bytes from there.
+std::string input_error(std::string_view what, const std::string& source,
+                        const char* unit, std::size_t at,
+                        std::string_view text) {
+  return std::string(what) + " (" + source + " " + unit + " " +
+         std::to_string(at) + ": \"" + preview_of(text) + "\")";
 }
 
 std::string arity_error(std::size_t got, std::size_t want) {
@@ -244,6 +244,299 @@ std::size_t record_lines(std::string_view record, bool quoted) {
                 : 1;
 }
 
+/// JSON whitespace: the bytes a report JSON may carry between tokens.
+bool json_space(char c) {
+  return c == ' ' || c == '\t' || c == '\n' || c == '\r';
+}
+
+void skip_json_space(std::string_view text, std::size_t* pos) {
+  while (*pos < text.size() && json_space(text[*pos])) ++*pos;
+}
+
+constexpr const char* kUnexpectedEnd = "unexpected end of JSON document";
+
+// The JSON token grammar, shared by the report cursor and validate_json.
+// Each scanner advances `*pos` past its token and returns nullptr, or
+// returns what is wrong with `*pos` at the offending byte — the end of
+// `text` when the token ran off it, so a caller holding a prefix of the
+// document can tell "malformed" from "read more".
+
+/// A string (text[*pos] is its opening '"'); `*escaped` tells whether
+/// its body holds an escape.
+const char* scan_json_string(std::string_view text, std::size_t* pos,
+                             bool* escaped) {
+  std::size_t& p = *pos;
+  *escaped = false;
+  for (++p;; ++p) {
+    while (p < text.size() && text[p] != '"' && text[p] != '\\' &&
+           static_cast<unsigned char>(text[p]) >= 0x20) {
+      ++p;  // plain bytes, most of any string
+    }
+    if (p >= text.size()) return "unterminated JSON string";
+    const char c = text[p];
+    if (c == '"') {
+      ++p;
+      return nullptr;
+    }
+    if (static_cast<unsigned char>(c) < 0x20) {
+      return "unescaped control character in JSON string";
+    }
+    if (c != '\\') continue;
+    *escaped = true;
+    if (++p >= text.size()) return "unterminated JSON escape";
+    if (text[p] == 'u') {
+      for (int h = 0; h < 4; ++h) {
+        if (++p >= text.size() ||
+            !std::isxdigit(static_cast<unsigned char>(text[p]))) {
+          return "malformed \\u escape";
+        }
+      }
+    } else if (std::string_view("\"\\/bfnrt").find(text[p]) ==
+               std::string_view::npos) {
+      return "invalid JSON escape";
+    }
+  }
+}
+
+/// A number, strict grammar: -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?
+const char* scan_json_number(std::string_view text, std::size_t* pos) {
+  std::size_t& p = *pos;
+  const auto next_is = [&](char a, char b) {
+    return p < text.size() && (text[p] == a || text[p] == b);
+  };
+  const auto digits = [&] {
+    const std::size_t first = p;
+    while (p < text.size() && text[p] >= '0' && text[p] <= '9') ++p;
+    return p > first;
+  };
+  constexpr const char* kMalformed = "malformed JSON number";
+  if (next_is('-', '-')) ++p;
+  if (next_is('0', '0')) {
+    ++p;  // a leading zero must stand alone
+  } else if (!digits()) {
+    return kMalformed;
+  }
+  if (next_is('.', '.') && (++p, !digits())) return kMalformed;
+  if (next_is('e', 'E')) {
+    ++p;
+    if (next_is('+', '-')) ++p;
+    if (!digits()) return kMalformed;
+  }
+  return nullptr;
+}
+
+/// Appends the unescaped `body` of a string scan_json_string accepted.
+/// \uXXXX decodes to UTF-8 for the basic plane (the writer emits \u00xx
+/// for raw control characters); a surrogate is an error — the emitter
+/// never splits astral characters, it passes their UTF-8 through.
+const char* unescape_json_string(std::string_view body, std::string* out) {
+  for (std::size_t i = 0; i < body.size(); ++i) {
+    if (body[i] != '\\') {
+      out->push_back(body[i]);
+      continue;
+    }
+    const char e = body[++i];
+    if (const std::size_t k = std::string_view("bfnrt").find(e);
+        k != std::string_view::npos) {
+      out->push_back("\b\f\n\r\t"[k]);
+      continue;
+    }
+    if (e != 'u') {
+      out->push_back(e);  // '"', '\\' or '/'
+      continue;
+    }
+    unsigned code = 0;
+    for (int h = 0; h < 4; ++h) {
+      const char d = body[++i];
+      code = code * 16 +
+             static_cast<unsigned>(d <= '9' ? d - '0' : (d | 0x20) - 'a' + 10);
+    }
+    if (code >= 0xD800 && code <= 0xDFFF) {
+      return "surrogate \\u escapes are not part of the report JSON dialect";
+    }
+    if (code < 0x80) {
+      out->push_back(static_cast<char>(code));
+      continue;
+    }
+    if (code < 0x800) {
+      out->push_back(static_cast<char>(0xC0 | (code >> 6)));
+    } else {
+      out->push_back(static_cast<char>(0xE0 | (code >> 12)));
+      out->push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
+    }
+    out->push_back(static_cast<char>(0x80 | (code & 0x3F)));
+  }
+  return nullptr;
+}
+
+/// Scans the string at text[*pos] into `*out`: a view of its body or,
+/// when it holds escapes, of its unescaped bytes appended to `scratch`.
+/// Unescaping never lengthens a string, so reserving the bytes left in
+/// `text` at a row's first escape keeps every view into `scratch` put.
+const char* json_string_cell(std::string_view text, std::size_t* pos,
+                             std::string* scratch, std::string_view* out) {
+  const std::size_t open = *pos;
+  bool escaped = false;
+  if (const char* what = scan_json_string(text, pos, &escaped)) return what;
+  *out = text.substr(open + 1, *pos - open - 2);
+  if (!escaped) return nullptr;
+  if (scratch->empty()) scratch->reserve(text.size() - open);
+  const std::size_t start = scratch->size();
+  if (const char* what = unescape_json_string(*out, scratch)) {
+    *pos = open;
+    return what;
+  }
+  *out = std::string_view(scratch->data() + start, scratch->size() - start);
+  return nullptr;
+}
+
+constexpr const char* kKeysDiffer =
+    "report JSON row keys do not match the first row's columns (same "
+    "names, same order, same count)";
+
+/// Parses the report JSON row object at text[*pos], after whitespace:
+/// its keys must be `columns`, in order, or are collected into `keys`
+/// (the first row names the columns). A key whose bytes equal its
+/// `key_bytes` entry (the writer's layout) skips the general grammar.
+const char* parse_json_row(std::string_view text, std::size_t* pos,
+                           const std::vector<std::string>& columns,
+                           const std::vector<std::string>& key_bytes,
+                           std::vector<std::string>* keys,
+                           std::vector<std::string_view>* cells,
+                           std::string* scratch) {
+  std::size_t& p = *pos;
+  cells->clear();
+  scratch->clear();
+  skip_json_space(text, &p);
+  for (std::size_t i = 0;; ++i) {
+    if (i < key_bytes.size() &&
+        text.substr(p, key_bytes[i].size()) == key_bytes[i]) {
+      p += key_bytes[i].size();
+    } else {
+      if (i == 0) {
+        if (p >= text.size() || text[p] != '{') return "expected '{'";
+        ++p;
+      }
+      skip_json_space(text, &p);
+      if (p >= text.size()) return kUnexpectedEnd;
+      if (text[p] == '}') {
+        ++p;
+        break;
+      }
+      if (i > 0) {
+        if (text[p] != ',') return "expected '}'";
+        ++p;
+        skip_json_space(text, &p);
+      }
+      if (p >= text.size() || text[p] != '"') return "expected '\"'";
+      const std::size_t key_at = p;
+      std::string unescaped;
+      std::string_view key;
+      if (const char* what = json_string_cell(text, &p, &unescaped, &key)) {
+        return what;
+      }
+      if (keys != nullptr) {
+        keys->emplace_back(key);
+      } else if (i >= columns.size() || key != columns[i]) {
+        p = key_at;
+        return kKeysDiffer;
+      }
+      skip_json_space(text, &p);
+      if (p >= text.size() || text[p] != ':') return "expected ':'";
+      ++p;
+    }
+    skip_json_space(text, &p);
+    if (p >= text.size()) return kUnexpectedEnd;
+    std::string_view cell;
+    const char c = text[p];
+    if (c == '"') {
+      if (const char* what = json_string_cell(text, &p, scratch, &cell)) {
+        return what;
+      }
+    } else if (c == 'n') {
+      const std::string_view word = text.substr(p, 4);
+      if (word != "null") {
+        if (std::string_view("null").starts_with(word)) p = text.size();
+        return "malformed JSON literal (expected \"null\")";
+      }
+      p += word.size();
+      // The emitter maps every non-finite cell to null; nan is the only
+      // spelling that maps back without inventing a sign.
+      cell = "nan";
+    } else if (c == '{' || c == '[' || c == 't' || c == 'f') {
+      return "report cells must be numbers, strings or null";
+    } else {
+      const std::size_t start = p;
+      if (const char* what = scan_json_number(text, &p)) return what;
+      cell = text.substr(start, p - start);
+    }
+    cells->push_back(cell);
+  }
+  if (keys != nullptr ? keys->empty() : cells->size() != columns.size()) {
+    --p;  // at the '}'
+    return keys != nullptr ? "report JSON rows need at least one column"
+                           : kKeysDiffer;
+  }
+  return nullptr;
+}
+
+/// Parses what follows a row: its ',' or the array's closing ']', after
+/// which only whitespace may follow, to the end of the document (`last`:
+/// `text` holds it). Sets `*closed` when the array closed.
+const char* parse_json_separator(std::string_view text, std::size_t* pos,
+                                 bool last, bool* closed) {
+  std::size_t& p = *pos;
+  skip_json_space(text, &p);
+  if (p >= text.size()) return kUnexpectedEnd;
+  if (text[p] == ',') {
+    ++p;
+    return nullptr;
+  }
+  if (text[p] != ']') return "expected ']'";
+  ++p;
+  skip_json_space(text, &p);
+  if (p < text.size() || !last) {
+    return "trailing bytes after the report JSON array";
+  }
+  *closed = true;
+  return nullptr;
+}
+
+/// Rows closing on one line of report JSON: one per '}' outside a
+/// string (rows are flat objects). A raw newline never sits inside a
+/// JSON string, so every line starts outside one. The writer's layout —
+/// the line's only '}' followed by at most ',' and whitespace — costs
+/// one memchr; any other line is lexed.
+std::size_t json_line_rows(std::string_view line) {
+  const auto* brace =
+      static_cast<const char*>(std::memchr(line.data(), '}', line.size()));
+  if (brace == nullptr) return 0;
+  std::size_t i = static_cast<std::size_t>(brace - line.data()) + 1;
+  while (i < line.size() && (line[i] == ',' || json_space(line[i]))) ++i;
+  if (i == line.size()) return 1;
+  std::size_t rows = 0;
+  bool escaped = false;
+  for (std::size_t j = 0; j < line.size();) {
+    if (line[j] != '"') {
+      rows += line[j++] == '}';
+    } else if (scan_json_string(line, &j, &escaped) != nullptr) {
+      break;  // malformed from here on: the cursor reports it
+    }
+  }
+  return rows;
+}
+
+/// True when `line` ends with a row's closing '}' and its ',' (and
+/// whitespace): a batch may end after it.
+bool ends_json_row(std::string_view line) {
+  std::size_t end = line.size();
+  while (end > 0 && json_space(line[end - 1])) --end;
+  if (end == 0 || line[end - 1] != ',') return false;
+  --end;
+  while (end > 0 && json_space(line[end - 1])) --end;
+  return end > 0 && line[end - 1] == '}';
+}
+
 }  // namespace
 
 CsvReader::CsvReader(const std::string& path) {
@@ -264,45 +557,87 @@ CsvReader::CsvReader(const std::string& path) {
   read_header();
 }
 
+CsvReader::CsvReader(Text, std::string text) {
+  source_ = "<string>";
+  exhausted_ = true;
+  buffer_.assign(text.begin(), text.end());
+  input_bytes_ = buffer_.size();
+  read_header();
+}
+
 CsvReader CsvReader::from_text(std::string text) {
-  CsvReader reader;
-  reader.source_ = "<string>";
-  reader.exhausted_ = true;
-  reader.buffer_.assign(text.begin(), text.end());
-  reader.input_bytes_ = reader.buffer_.size();
-  reader.read_header();
-  return reader;
-}
-
-void CsvReader::read_header() {
-  // from_text's "<string>" is a label, not a path, so it goes unquoted.
-  const std::string name =
-      file_ == nullptr ? source_ : "\"" + source_ + "\"";
-  std::vector<std::string> header;
-  P2P_ASSERT_MSG(next_row(&header),
-                 "report CSV " + name + " is empty (no header line)");
-  columns_ = std::move(header);
-  rows_ = 0;  // the header is not a data row
-}
-
-CsvReader::CsvReader(CsvReader&& other) noexcept
-    : source_(std::move(other.source_)),
-      file_(other.file_),
-      owns_file_(other.owns_file_),
-      exhausted_(other.exhausted_),
-      buffer_(std::move(other.buffer_)),
-      pos_(other.pos_),
-      line_(other.line_),
-      columns_(std::move(other.columns_)),
-      rows_(other.rows_),
-      batch_bytes_(other.batch_bytes_),
-      input_bytes_(other.input_bytes_) {
-  other.file_ = nullptr;
-  other.owns_file_ = false;
+  return CsvReader(Text{}, std::move(text));
 }
 
 CsvReader::~CsvReader() {
   if (owns_file_ && file_ != nullptr) std::fclose(file_);
+}
+
+void CsvReader::read_header() {
+  // The dialect is the first non-whitespace byte's, read from this
+  // reader's own buffer (the input is read once). CSV keeps every byte.
+  std::size_t first = pos_;
+  while (true) {
+    skip_json_space(buffered(), &first);
+    if (first < buffer_.size() || exhausted_) break;
+    refill(kReadChunk);  // pos_ is 0: nothing moves
+  }
+  json_ = first < buffer_.size() &&
+          (buffer_[first] == '[' || buffer_[first] == '{');
+  if (json_) {
+    header_from_json(first);
+  } else {
+    header_from_csv();
+  }
+}
+
+void CsvReader::header_from_csv() {
+  // The header is the first record, cut and split like any other.
+  CsvBatch header;
+  const std::size_t target = std::exchange(batch_bytes_, 1);
+  const bool any = next_batch(&header);
+  batch_bytes_ = target;
+  rows_ = 0;  // the header is not a data row
+  // from_text's "<string>" is a label, not a path, so it goes unquoted.
+  P2P_ASSERT_MSG(any, "report CSV " +
+                          (file_ == nullptr ? source_ : "\"" + source_ + "\"") +
+                          " is empty (no header line)");
+  CsvBatchCursor cursor(header, *this);
+  std::vector<std::string_view> cells;
+  P2P_ASSERT_MSG(cursor.next(&cells), cursor.error());
+  columns_.assign(cells.begin(), cells.end());
+}
+
+void CsvReader::header_from_json(std::size_t bracket) {
+  if (buffer_[bracket] != '[') fail("expected '['", bracket);
+  pos_ = bracket + 1;
+  // The first row names the columns and stays unread: it is row 0. A
+  // parse that ran into the end of the bytes read so far may only need
+  // more of them.
+  static const std::vector<std::string> kNone;
+  std::vector<std::string_view> cells;
+  std::string scratch;
+  while (true) {
+    std::size_t at = pos_;
+    skip_json_space(buffered(), &at);
+    if (at < buffer_.size() && buffer_[at] == ']') {
+      fail("empty report JSON carries no header to recover a schema from; "
+           "archive at least the columns (CSV always has them)",
+           at);
+    }
+    columns_.clear();
+    const char* what = parse_json_row(buffered(), &at, kNone, kNone, &columns_,
+                                      &cells, &scratch);
+    if (what == nullptr) break;
+    if (at < buffer_.size() || exhausted_) fail(what, at);
+    refill(kReadChunk);
+  }
+  for (std::size_t c = 0; c < columns_.size(); ++c) {
+    std::string key = c == 0 ? "{" : ", ";
+    append_json_string(key, columns_[c]);
+    key += ": ";
+    json_keys_.push_back(std::move(key));
+  }
 }
 
 void CsvReader::set_batch_bytes(std::size_t bytes) {
@@ -310,9 +645,10 @@ void CsvReader::set_batch_bytes(std::size_t bytes) {
   batch_bytes_ = bytes;
 }
 
-void CsvReader::fail(std::string_view what) const {
-  P2P_ASSERT_MSG(false, record_error(what, source_, line_,
-                                     buffered().substr(pos_)));
+void CsvReader::fail(std::string_view what, std::size_t at) const {
+  P2P_ASSERT_MSG(false, input_error(std::string(what) + " in report JSON",
+                                    source_, "byte", offset_ + at,
+                                    buffered().substr(at)));
   std::abort();  // unreachable
 }
 
@@ -324,6 +660,7 @@ void CsvReader::refill(std::size_t want) {
   if (pos_ > 0) {
     buffer_.erase(buffer_.begin(),
                   buffer_.begin() + static_cast<std::ptrdiff_t>(pos_));
+    offset_ += pos_;
     pos_ = 0;
   }
   const std::size_t have = buffer_.size();
@@ -339,32 +676,15 @@ void CsvReader::refill(std::size_t want) {
 }
 
 bool CsvReader::next_row(std::vector<std::string_view>* cells) {
-  bool quoted = false;
-  std::size_t end = 0;
-  while ((end = find_record_end(buffered(), pos_, !exhausted_, &quoted)) ==
-         std::string_view::npos) {
-    if (exhausted_) {
-      if (pos_ >= buffer_.size()) return false;  // clean end of file
-      // Bytes with no terminating newline: the writer '\n'-terminates
-      // every row, so the file was cut mid-record (or a quote never
-      // closed).
-      fail(kTruncated);
+  while (true) {
+    if (row_cursor_ != nullptr) {
+      if (row_cursor_->next(cells)) return true;
+      P2P_ASSERT_MSG(row_cursor_->error().empty(), row_cursor_->error());
+      row_cursor_.reset();
     }
-    refill(kReadChunk);
+    if (!next_batch(&row_batch_)) return false;
+    row_cursor_ = std::make_unique<CsvBatchCursor>(row_batch_, *this);
   }
-  const std::string_view record(buffer_.data() + pos_, end - pos_);
-  if (const char* what = split_record(record, quoted, cells, &scratch_)) {
-    fail(what);
-  }
-  if (!columns_.empty() && cells->size() != columns_.size()) {
-    fail(arity_error(cells->size(), columns_.size()));
-  }
-  // Consume the record and its terminator by advancing pos_ (the
-  // buffer compacts at the next refill).
-  line_ += record_lines(record, quoted);
-  pos_ = end + 1;
-  ++rows_;
-  return true;
 }
 
 bool CsvReader::next_row(std::vector<std::string>* cells) {
@@ -381,13 +701,18 @@ void CsvReader::reserve_batch(CsvBatch* batch) const {
 
 bool CsvReader::next_batch(CsvBatch* batch) {
   batch->bytes.clear();
-  batch->error.clear();
   batch->first_row = rows_;
   batch->first_line = line_;
+  batch->first_byte = offset_ + pos_;
   batch->rows = 0;
+  batch->last = false;
   if (buffer_.size() - pos_ < batch_bytes_) {
     refill(batch_bytes_ - (buffer_.size() - pos_));
   }
+  return json_ ? next_json_batch(batch) : next_csv_batch(batch);
+}
+
+bool CsvReader::next_csv_batch(CsvBatch* batch) {
   // Whole records, each found with find_record_end's two-memchr fast
   // path, until the batch reaches its target size.
   std::size_t taken = 0;  // bytes of whole records past pos_
@@ -406,52 +731,106 @@ bool CsvReader::next_batch(CsvBatch* batch) {
     ++batch->rows;
     taken = end + 1 - pos_;
   }
-  if (taken == 0) {
-    if (pos_ >= buffer_.size()) return false;  // clean end of file
-    batch->error = record_error(kTruncated, source_, line_,
-                                buffered().substr(pos_));
-    pos_ = buffer_.size();
-    return true;
+  if (taken < batch_bytes_ && exhausted_) {
+    // Bytes after the last '\n' are a record cut short: they ride along
+    // for the cursor to reject once every earlier row has been checked.
+    taken = buffer_.size() - pos_;
   }
+  if (taken == 0) return false;  // clean end of file
+  take(taken, batch);
+  return true;
+}
+
+bool CsvReader::next_json_batch(CsvBatch* batch) {
+  if (json_done_) return false;
+  // Whole lines, each found with one memchr, up to the last that ends a
+  // row, until that line passes the target size.
+  std::size_t taken = 0;     // bytes of whole lines past pos_
+  std::size_t cut = 0;       // bytes up to the last line ending a row
+  std::size_t rows = 0;      // rows closing in the `taken` bytes
+  std::size_t scanned = 0;   // bytes after `taken` that hold no '\n'
+  while (cut < batch_bytes_) {
+    const std::string_view rest = buffered().substr(pos_ + taken);
+    const auto* nl = static_cast<const char*>(
+        std::memchr(rest.data() + scanned, '\n', rest.size() - scanned));
+    if (nl == nullptr && !exhausted_) {
+      scanned = rest.size();  // a long line is scanned once, not per read
+      refill(kReadChunk);     // moves pos_; `taken` stays relative to it
+      continue;
+    }
+    scanned = 0;
+    if (nl == nullptr) {
+      // The end of the document, closing bracket and all, is the last
+      // batch — empty when the document stopped after a row's ','.
+      cut = taken + rest.size();
+      batch->rows = rows + json_line_rows(rest);
+      batch->last = json_done_ = true;
+      break;
+    }
+    const std::string_view line(rest.data(),
+                                static_cast<std::size_t>(nl - rest.data()));
+    rows += json_line_rows(line);
+    taken += line.size() + 1;
+    if (ends_json_row(line)) {
+      cut = taken;
+      batch->rows = rows;
+    }
+  }
+  take(cut, batch);
+  return true;
+}
+
+void CsvReader::take(std::size_t taken, CsvBatch* batch) {
   if (pos_ == 0 && 2 * taken >= buffer_.size()) {
     // The run is most of a freshly read buffer: hand the buffer itself
-    // over and keep only the partial record after it.
+    // over and keep only the bytes after it.
     batch->bytes.swap(buffer_);
     buffer_.assign(batch->bytes.begin() + static_cast<std::ptrdiff_t>(taken),
                    batch->bytes.end());
     batch->bytes.resize(taken);
+    offset_ += taken;
   } else {
     const auto from = buffer_.begin() + static_cast<std::ptrdiff_t>(pos_);
     batch->bytes.assign(from, from + static_cast<std::ptrdiff_t>(taken));
     pos_ += taken;
   }
   rows_ += batch->rows;
-  return true;
 }
 
 CsvBatchCursor::CsvBatchCursor(const CsvBatch& batch, const CsvReader& reader)
     : batch_(batch),
-      source_(reader.source()),
-      arity_(reader.columns().size()),
+      reader_(reader),
       row_(batch.first_row),
       line_(batch.first_line) {}
 
 bool CsvBatchCursor::next(std::vector<std::string_view>* cells) {
+  if (!error_.empty()) return false;
+  return reader_.json_ ? next_json(cells) : next_csv(cells);
+}
+
+bool CsvBatchCursor::next_csv(std::vector<std::string_view>* cells) {
   const std::string_view bytes(batch_.bytes.data(), batch_.bytes.size());
-  if (pos_ >= bytes.size() || !error_.empty()) return false;
+  if (pos_ >= bytes.size()) return false;
   if (pos_ > 0) ++row_;
   bool quoted = false;
-  // Batches hold whole records, so the end is always found.
+  // Only the input's last batch can end without a '\n'.
   const std::size_t end = find_record_end(bytes, pos_, false, &quoted);
+  if (end == std::string_view::npos) {
+    error_ = input_error(kTruncated, reader_.source_, "line", line_,
+                         bytes.substr(pos_));
+    return false;
+  }
   const std::string_view record = bytes.substr(pos_, end - pos_);
   const char* what = split_record(record, quoted, cells, &scratch_);
-  if (what == nullptr && cells->size() != arity_) {
-    error_ = record_error(arity_error(cells->size(), arity_), source_, line_,
-                          bytes.substr(pos_));
+  const std::size_t arity = reader_.columns().size();  // 0: the header
+  if (what == nullptr && arity != 0 && cells->size() != arity) {
+    error_ = input_error(arity_error(cells->size(), arity), reader_.source_,
+                         "line", line_, bytes.substr(pos_));
     return false;
   }
   if (what != nullptr) {
-    error_ = record_error(what, source_, line_, bytes.substr(pos_));
+    error_ =
+        input_error(what, reader_.source_, "line", line_, bytes.substr(pos_));
     return false;
   }
   line_ += record_lines(record, quoted);
@@ -459,402 +838,111 @@ bool CsvBatchCursor::next(std::vector<std::string_view>* cells) {
   return true;
 }
 
-Table read_csv(std::string text) {
-  CsvReader reader = CsvReader::from_text(std::move(text));
-  Table table(reader.columns());
-  std::vector<std::string> cells;
-  while (reader.next_row(&cells)) table.add_row(cells);
-  return table;
+bool CsvBatchCursor::next_json(std::vector<std::string_view>* cells) {
+  const std::string_view text(batch_.bytes.data(), batch_.bytes.size());
+  std::size_t p = pos_;
+  skip_json_space(text, &p);
+  if (done_ || (p == text.size() && !batch_.last)) {
+    // The cutter counted one row per '}' outside a string; a batch that
+    // parsed whole must agree, or rows would land in the wrong slots.
+    P2P_ASSERT_MSG(returned_ == batch_.rows,
+                   "report JSON cut miscounted its objects");
+    done_ = true;
+    return false;
+  }
+  row_ = batch_.first_row + returned_;
+  const char* what =
+      parse_json_row(text, &p, reader_.columns_, reader_.json_keys_, nullptr,
+                     cells, &scratch_);
+  if (what == nullptr) {
+    what = parse_json_separator(text, &p, batch_.last, &done_);
+  }
+  if (what != nullptr) {
+    error_ = input_error(std::string(what) + " in report JSON",
+                         reader_.source_, "byte", batch_.first_byte + p,
+                         text.substr(p));
+    return false;
+  }
+  P2P_ASSERT_MSG(returned_ < batch_.rows,
+                 "report JSON cut miscounted its objects");
+  ++returned_;
+  pos_ = p;
+  return true;
 }
 
-Table read_csv_file(const std::string& path) {
-  CsvReader reader(path);
-  Table table(reader.columns());
-  std::vector<std::string> cells;
-  while (reader.next_row(&cells)) table.add_row(cells);
-  return table;
-}
-
-// --- JSON ---
+// --- validate_json ---
 
 namespace {
 
-/// Recursive-descent cursor over one JSON document. Shared by
-/// validate_json (grammar only) and read_json (report arrays): one
-/// tokenizer, so the two cannot disagree about what well-formed means.
-class JsonCursor {
- public:
-  JsonCursor(const std::string& text, std::string context)
-      : text_(text), context_(std::move(context)) {}
+constexpr int kMaxJsonDepth = 256;  // so no document overflows the stack
 
-  [[noreturn]] void fail(const std::string& what) const {
-    P2P_ASSERT_MSG(false, what + " in " + context_ + " at byte " +
-                              std::to_string(pos_) + " (\"" +
-                              preview_of(std::string_view(text_).substr(
-                                  pos_, kErrorPreview)) +
-                              "\")");
-    std::abort();  // unreachable
-  }
-
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' ||
-            text_[pos_] == '\n' || text_[pos_] == '\r')) {
-      ++pos_;
+/// Skips one JSON value of any type at text[*pos] (after whitespace),
+/// like the scanners it calls.
+const char* skip_json_value(std::string_view text, std::size_t* pos,
+                            int depth) {
+  if (depth > kMaxJsonDepth) return "JSON nesting exceeds the depth budget";
+  skip_json_space(text, pos);
+  if (*pos >= text.size()) return kUnexpectedEnd;
+  const char open = text[*pos];
+  bool escaped = false;
+  if (open == '"') return scan_json_string(text, pos, &escaped);
+  if (open != '{' && open != '[') {
+    for (const std::string_view word : {"true", "false", "null"}) {
+      if (open != word[0]) continue;
+      if (text.substr(*pos, word.size()) != word) {
+        return word[0] == 't'   ? "malformed JSON literal (expected \"true\")"
+               : word[0] == 'f' ? "malformed JSON literal (expected \"false\")"
+                                : "malformed JSON literal (expected \"null\")";
+      }
+      *pos += word.size();
+      return nullptr;
     }
+    return scan_json_number(text, pos);
   }
-
-  bool at_end() const { return pos_ >= text_.size(); }
-  char peek() const {
-    if (at_end()) fail("unexpected end of JSON document");
-    return text_[pos_];
+  const char close = open == '{' ? '}' : ']';
+  ++*pos;
+  skip_json_space(text, pos);
+  if (*pos < text.size() && text[*pos] == close) {
+    ++*pos;
+    return nullptr;
   }
-
-  void expect(char c) {
-    if (at_end() || text_[pos_] != c) {
-      fail(std::string("expected '") + c + "'");
+  while (true) {
+    if (open == '{') {
+      skip_json_space(text, pos);
+      if (*pos >= text.size() || text[*pos] != '"') return "expected '\"'";
+      if (const char* what = scan_json_string(text, pos, &escaped)) {
+        return what;
+      }
+      skip_json_space(text, pos);
+      if (*pos >= text.size() || text[*pos] != ':') return "expected ':'";
+      ++*pos;
     }
-    ++pos_;
+    if (const char* what = skip_json_value(text, pos, depth + 1)) return what;
+    skip_json_space(text, pos);
+    if (*pos >= text.size()) return kUnexpectedEnd;
+    if (text[*pos] == ',') {
+      ++*pos;
+      continue;
+    }
+    if (text[*pos] != close) return open == '{' ? "expected '}'" : "expected ']'";
+    ++*pos;
+    return nullptr;
   }
-
-  void expect_literal(std::string_view word) {
-    if (text_.compare(pos_, word.size(), word) != 0) {
-      fail("malformed JSON literal (expected \"" + std::string(word) + "\")");
-    }
-    pos_ += word.size();
-  }
-
-  /// Parses a JSON string, returning the unescaped contents. \uXXXX
-  /// decodes to UTF-8 for the basic plane (the writer emits \u00xx for
-  /// raw control characters); surrogate pairs abort — the emitter
-  /// never splits astral characters, it passes their UTF-8 through.
-  std::string parse_string() {
-    expect('"');
-    std::string out;
-    while (true) {
-      if (at_end()) fail("unterminated JSON string");
-      const char c = text_[pos_++];
-      if (c == '"') return out;
-      if (static_cast<unsigned char>(c) < 0x20) {
-        fail("unescaped control character in JSON string");
-      }
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
-      if (at_end()) fail("unterminated JSON escape");
-      const char e = text_[pos_++];
-      switch (e) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case '/': out += '/'; break;
-        case 'b': out += '\b'; break;
-        case 'f': out += '\f'; break;
-        case 'n': out += '\n'; break;
-        case 'r': out += '\r'; break;
-        case 't': out += '\t'; break;
-        case 'u': {
-          unsigned code = 0;
-          for (int h = 0; h < 4; ++h) {
-            if (at_end()) fail("malformed \\u escape");
-            const char d = text_[pos_++];
-            code <<= 4;
-            if (d >= '0' && d <= '9') {
-              code |= static_cast<unsigned>(d - '0');
-            } else if (d >= 'a' && d <= 'f') {
-              code |= static_cast<unsigned>(d - 'a' + 10);
-            } else if (d >= 'A' && d <= 'F') {
-              code |= static_cast<unsigned>(d - 'A' + 10);
-            } else {
-              fail("malformed \\u escape");
-            }
-          }
-          if (code >= 0xD800 && code <= 0xDFFF) {
-            fail("surrogate \\u escapes are not part of the report JSON "
-                 "dialect");
-          }
-          if (code < 0x80) {
-            out += static_cast<char>(code);
-          } else if (code < 0x800) {
-            out += static_cast<char>(0xC0 | (code >> 6));
-            out += static_cast<char>(0x80 | (code & 0x3F));
-          } else {
-            out += static_cast<char>(0xE0 | (code >> 12));
-            out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
-            out += static_cast<char>(0x80 | (code & 0x3F));
-          }
-          break;
-        }
-        default:
-          fail("invalid JSON escape");
-      }
-    }
-  }
-
-  /// Validates a string's syntax only (allows \uXXXX).
-  void skip_string() {
-    expect('"');
-    while (true) {
-      if (at_end()) fail("unterminated JSON string");
-      const char c = text_[pos_++];
-      if (c == '"') return;
-      if (static_cast<unsigned char>(c) < 0x20) {
-        fail("unescaped control character in JSON string");
-      }
-      if (c != '\\') continue;
-      if (at_end()) fail("unterminated JSON escape");
-      const char e = text_[pos_++];
-      if (e == 'u') {
-        for (int h = 0; h < 4; ++h) {
-          if (at_end() || !std::isxdigit(
-                              static_cast<unsigned char>(text_[pos_]))) {
-            fail("malformed \\u escape");
-          }
-          ++pos_;
-        }
-      } else if (e != '"' && e != '\\' && e != '/' && e != 'b' && e != 'f' &&
-                 e != 'n' && e != 'r' && e != 't') {
-        fail("invalid JSON escape");
-      }
-    }
-  }
-
-  /// Parses a JSON number (strict grammar) and returns its literal
-  /// spelling, so report cells re-emit byte-identically.
-  std::string parse_number_token() {
-    const std::size_t start = pos_;
-    const auto digits = [&] {
-      const std::size_t first = pos_;
-      while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') {
-        ++pos_;
-      }
-      if (pos_ == first) fail("malformed JSON number");
-    };
-    if (!at_end() && text_[pos_] == '-') ++pos_;
-    if (!at_end() && text_[pos_] == '0') {
-      ++pos_;  // a leading zero must stand alone
-    } else {
-      digits();
-    }
-    if (!at_end() && text_[pos_] == '.') {
-      ++pos_;
-      digits();
-    }
-    if (!at_end() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
-      ++pos_;
-      if (!at_end() && (text_[pos_] == '+' || text_[pos_] == '-')) ++pos_;
-      digits();
-    }
-    return text_.substr(start, pos_ - start);
-  }
-
-  /// Validates one value of any type. `depth` caps nesting so a hostile
-  /// document cannot overflow the stack.
-  void skip_value(int depth) {
-    if (depth > kMaxDepth) fail("JSON nesting exceeds the depth budget");
-    skip_ws();
-    const char c = peek();
-    if (c == '{') {
-      ++pos_;
-      skip_ws();
-      if (peek() == '}') {
-        ++pos_;
-        return;
-      }
-      while (true) {
-        skip_ws();
-        skip_string();
-        skip_ws();
-        expect(':');
-        skip_value(depth + 1);
-        skip_ws();
-        if (peek() == ',') {
-          ++pos_;
-          continue;
-        }
-        expect('}');
-        return;
-      }
-    } else if (c == '[') {
-      ++pos_;
-      skip_ws();
-      if (peek() == ']') {
-        ++pos_;
-        return;
-      }
-      while (true) {
-        skip_value(depth + 1);
-        skip_ws();
-        if (peek() == ',') {
-          ++pos_;
-          continue;
-        }
-        expect(']');
-        return;
-      }
-    } else if (c == '"') {
-      skip_string();
-    } else if (c == 't') {
-      expect_literal("true");
-    } else if (c == 'f') {
-      expect_literal("false");
-    } else if (c == 'n') {
-      expect_literal("null");
-    } else {
-      parse_number_token();
-    }
-  }
-
-  static constexpr int kMaxDepth = 256;
-
- private:
-  const std::string& text_;
-  std::string context_;
-  std::size_t pos_ = 0;
-};
+}
 
 }  // namespace
 
 void validate_json(const std::string& text, const std::string& context) {
-  JsonCursor cursor(text, context);
-  cursor.skip_value(0);
-  cursor.skip_ws();
-  if (!cursor.at_end()) {
-    cursor.fail("trailing bytes after the JSON document");
+  std::size_t pos = 0;
+  const char* what = skip_json_value(text, &pos, 0);
+  if (what == nullptr) {
+    skip_json_space(text, &pos);
+    if (pos < text.size()) what = "trailing bytes after the JSON document";
   }
-}
-
-Table read_json(const std::string& text) {
-  JsonCursor cursor(text, "report JSON");
-  cursor.skip_ws();
-  cursor.expect('[');
-  cursor.skip_ws();
-  if (!cursor.at_end() && cursor.peek() == ']') {
-    cursor.fail("empty report JSON carries no header to recover a schema "
-                "from; archive at least the columns (CSV always has them)");
-  }
-
-  std::vector<std::string> columns;
-  std::vector<std::vector<std::string>> rows;
-  while (true) {
-    cursor.skip_ws();
-    cursor.expect('{');
-    std::vector<std::string> keys;
-    std::vector<std::string> cells;
-    cursor.skip_ws();
-    if (cursor.peek() != '}') {
-      while (true) {
-        cursor.skip_ws();
-        keys.push_back(cursor.parse_string());
-        cursor.skip_ws();
-        cursor.expect(':');
-        cursor.skip_ws();
-        const char c = cursor.peek();
-        if (c == '"') {
-          cells.push_back(cursor.parse_string());
-        } else if (c == 'n') {
-          cursor.expect_literal("null");
-          // The emitter maps every non-finite cell to null; nan is the
-          // only spelling that maps back without inventing a sign.
-          cells.push_back("nan");
-        } else if (c == '{' || c == '[' || c == 't' || c == 'f') {
-          cursor.fail("report cells must be numbers, strings or null");
-        } else {
-          cells.push_back(cursor.parse_number_token());
-        }
-        cursor.skip_ws();
-        if (cursor.peek() == ',') {
-          cursor.expect(',');
-          continue;
-        }
-        break;
-      }
-    }
-    cursor.expect('}');
-
-    if (columns.empty()) {
-      if (keys.empty()) {
-        cursor.fail("report JSON rows need at least one column");
-      }
-      columns = keys;
-    } else if (keys != columns) {
-      cursor.fail("report JSON row keys do not match the first row's "
-                  "columns (same names, same order, same count)");
-    }
-    rows.push_back(std::move(cells));
-
-    cursor.skip_ws();
-    if (cursor.peek() == ',') {
-      cursor.expect(',');
-      continue;
-    }
-    cursor.expect(']');
-    break;
-  }
-  cursor.skip_ws();
-  if (!cursor.at_end()) {
-    cursor.fail("trailing bytes after the report JSON array");
-  }
-
-  Table table(std::move(columns));
-  for (auto& row : rows) table.add_row(std::move(row));
-  return table;
-}
-
-namespace {
-
-std::string slurp(const std::string& path) {
-  std::FILE* file = stdin;
-  const bool named = !(path.empty() || path == "-");
-  if (named) {
-    file = std::fopen(path.c_str(), "rb");
-    P2P_ASSERT_MSG(file != nullptr,
-                   "cannot open report input file \"" + path + "\"");
-  }
-  std::string text;
-  char chunk[kReadChunk];
-  std::size_t got = 0;
-  while ((got = std::fread(chunk, 1, sizeof(chunk), file)) > 0) {
-    text.append(chunk, got);
-  }
-  const bool read_error = std::ferror(file) != 0;
-  if (named) std::fclose(file);
-  P2P_ASSERT_MSG(!read_error, "read error on report input file \"" +
-                                  (named ? path : "<stdin>") + "\"");
-  return text;
-}
-
-}  // namespace
-
-Table read_json_file(const std::string& path) { return read_json(slurp(path)); }
-
-bool report_is_json(const std::string& path) {
-  const auto ws = [](int c) {
-    return c == ' ' || c == '\t' || c == '\n' || c == '\r';
-  };
-  if (path.empty() || path == "-") {
-    // Pipes cannot seek: probe byte by byte and push the deciding one
-    // back (ungetc guarantees exactly one byte). The skipped leading
-    // whitespace is not part of either dialect.
-    int c = 0;
-    while ((c = std::fgetc(stdin)) != EOF) {
-      if (ws(c)) continue;
-      std::ungetc(c, stdin);
-      return c == '[';
-    }
-    return false;  // empty stdin: let the CSV reader's abort name it
-  }
-  std::FILE* file = std::fopen(path.c_str(), "rb");
-  if (file == nullptr) return false;  // the real reader reports the error
-  bool json = false;
-  int c = 0;
-  while ((c = std::fgetc(file)) != EOF) {
-    if (ws(c)) continue;
-    json = c == '[';
-    break;
-  }
-  std::fclose(file);
-  return json;
+  P2P_ASSERT_MSG(what == nullptr,
+                 std::string(what == nullptr ? "" : what) + " in " + context +
+                     " at byte " + std::to_string(pos) + " (\"" +
+                     preview_of(std::string_view(text).substr(pos)) + "\")");
 }
 
 // --- Report schema validation ---

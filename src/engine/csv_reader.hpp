@@ -1,38 +1,49 @@
-// Streaming, schema-validating readers for the sweep corpus — the
-// inverse of engine/report.hpp.
+// The streaming, schema-validating report reader: the inverse of
+// engine/report.hpp, for both dialects a ReportWriter emits. The dialect
+// is in the bytes: a document whose first non-whitespace byte is '[' is
+// report JSON (so is one starting '{', which then fails as a report that
+// is not an array); anything else is CSV.
 //
-// The CSV dialect is exactly what ReportWriter emits: a header line and
-// '\n'-terminated rows with RFC-4180 quoting (cells containing commas,
-// quotes or newlines are quoted, embedded quotes doubled). Reading a
-// report recovers the text cells it was rendered from bit-exactly
-// (RowRenderer::Row::text renders them back to the same bytes), and
-// every numeric cell parses back to the identical double (format_number's
-// shortest-round-trip contract) — archived corpora under experiments/
-// are lossless records whose physics the golden-corpus tests re-derive
-// from the bytes alone.
+//   * CSV is exactly what ReportWriter emits: a header line and
+//     '\n'-terminated rows with RFC-4180 quoting. Reading a report
+//     recovers the text cells it was rendered from bit-exactly, and every
+//     numeric cell parses back to the identical double (format_number's
+//     shortest-round-trip contract) — archived corpora under experiments/
+//     are lossless records whose physics the golden-corpus tests
+//     re-derive from the bytes alone.
+//   * JSON is an array of flat objects in any whitespace layout; the
+//     columns are the first object's keys, which every object repeats in
+//     order. Numbers keep their literal spelling, strings unescape, and
+//     null reads as "nan": the emitter maps every non-finite cell to
+//     null, so inf/-inf/nan are not recoverable from JSON — archive CSV
+//     when bit-exactness matters. An empty array aborts: it carries no
+//     header to recover a schema from.
 //
-// Errors are hard aborts (P2P_ASSERT) echoing the offending line or
-// byte offset: corpus files are test-pinned artifacts, so a truncated,
-// reordered or wrong-arity file is a bug to surface loudly, never an
-// input to recover from silently.
+// Errors are hard aborts (P2P_ASSERT) echoing the CSV record's line or the
+// JSON byte offset, and the offending bytes: corpus files are test-pinned
+// artifacts, so a truncated, reordered or wrong-arity file is a bug to
+// surface loudly, never an input to recover from silently.
 //
-// Two ways to pull rows, one record scanner and one cell splitter under
-// both:
-//   * next_row yields one record's cells as std::string_view. A view
-//     points into the reader's read buffer (or, for a quoted cell with
-//     doubled quotes, into a reader-owned unescape buffer) and stays
-//     valid until the next next_row/next_batch call on that reader. The
-//     std::string overload copies them out.
-//   * next_batch cuts the input into owned runs of whole records (about
-//     batch_bytes() each) tagged with their first row index and line
-//     number, so records can be split and decoded on other threads. A
-//     CsvBatchCursor walks one batch's records with next_row's splitter
-//     and arity check, but reports a malformed record instead of
+// Rows come out of one batch cutter and one splitter per dialect:
+//   * next_batch cuts owned runs of whole records (about batch_bytes()
+//     each), tagged with their first row index. CSV runs end at record
+//     boundaries (two memchr calls per quote-free record). JSON runs end
+//     at a newline after a row's closing "},": a raw newline never sits
+//     inside a JSON string, so the cut is lexically safe, and a line's
+//     rows are counted from its '}' bytes. A JSON document with no such
+//     newline (minified, or commas leading the lines) is one run. A
+//     CsvBatchCursor splits one run's records on any thread and checks
+//     them against the header, reporting a malformed record instead of
 //     aborting — the caller raises the earliest row's error, so messages
 //     do not depend on which thread decoded what.
+//   * next_row walks the same runs on the calling thread and aborts on
+//     the first error. Its views point into the current run or the
+//     cursor's unescape buffer and stay valid until the next call on the
+//     reader; the std::string overload copies them out.
 #pragma once
 
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -65,20 +76,22 @@ using CsvBytes = std::vector<char, UninitAllocator<char>>;
 
 /// A run of whole records cut from a CsvReader's input by next_batch.
 struct CsvBatch {
-  CsvBytes bytes;              // whole records, each '\n'-terminated
+  CsvBytes bytes;  // whole records; the last run may end in a cut-off one
   std::size_t first_row = 0;   // data-row index of the first record
-  std::size_t first_line = 0;  // 1-based line number of the first record
+  std::size_t first_line = 0;  // CSV: 1-based line number of the first record
+  std::size_t first_byte = 0;  // document offset of bytes[0]
   std::size_t rows = 0;        // records in `bytes`
-  /// Non-empty when the input ended mid-record after these rows: the
-  /// reader's truncation message, to raise once every earlier row has
-  /// been checked.
-  std::string error;
+  /// JSON: the run holds the end of the document, so it must close the
+  /// array.
+  bool last = false;
 };
 
-/// Pulls rows one at a time out of a report CSV without retaining the
-/// document, so corpora larger than memory stream in O(row) space. The
-/// header is parsed eagerly at construction; each next_row() call
-/// yields one record and validates its arity against the header.
+class CsvBatchCursor;
+
+/// Pulls rows out of a report (CSV or JSON) without retaining the
+/// document, so corpora larger than memory stream in O(batch) space.
+/// The dialect is detected and the header parsed eagerly at
+/// construction; each record is validated against the header.
 class CsvReader {
  public:
   /// Default next_batch size: large enough that a batch is worth a pool
@@ -86,30 +99,29 @@ class CsvReader {
   static constexpr std::size_t kBatchBytes = std::size_t{1} << 20;
 
   /// Reads from `path`; "-" means stdin (so a fresh p2p_sweep run can
-  /// be piped straight in). Aborts if the file cannot be opened or the
-  /// header line is malformed.
+  /// be piped straight in). The input is opened and read once, so pipes
+  /// and FIFOs work. Aborts if the file cannot be opened or the header
+  /// is malformed.
   explicit CsvReader(const std::string& path);
 
   /// Reads from an in-memory document (tests, captured output).
   static CsvReader from_text(std::string text);
 
-  CsvReader(CsvReader&& other) noexcept;
+  /// A reader is neither copied nor moved: next_row's cursor refers to
+  /// the reader's own batch and header.
   CsvReader(const CsvReader&) = delete;
   CsvReader& operator=(const CsvReader&) = delete;
   ~CsvReader();
 
   const std::vector<std::string>& columns() const { return columns_; }
-  /// Where the bytes come from ("<stdin>", "<string>" or the path), as
-  /// error messages name it.
-  const std::string& source() const { return source_; }
-  /// Data rows returned so far (the header does not count).
+  /// Data rows cut into batches so far (the header does not count):
+  /// every row, once next_row or next_batch has returned false.
   std::size_t rows_read() const { return rows_; }
 
-  /// Fills `cells` with views of the next data row's cells; false at
-  /// clean end of file. The views stay valid until the next call on
-  /// this reader. Aborts — echoing the 1-based line number and the line
-  /// itself — on wrong arity, malformed quoting, or a truncated final
-  /// record (a file that does not end in '\n' was cut mid-row).
+  /// Fills `cells` with views of the next data row's cells (valid until
+  /// the next call on this reader); false at clean end of file. Aborts
+  /// with the batch cursor's message on a malformed record — wrong arity
+  /// or keys, bad quoting or grammar, a cut-off end.
   bool next_row(std::vector<std::string_view>* cells);
 
   /// Owning form of next_row: the same record, copied out.
@@ -133,19 +145,28 @@ class CsvReader {
 
   /// Moves the next run of whole records (about batch_bytes()) into
   /// `batch`; false at clean end of file. Only record boundaries are
-  /// found here (two memchr calls per quote-free record); splitting and
-  /// arity checks are CsvBatchCursor's, on any thread. A
-  /// truncated final record comes back as a batch with no rows and
-  /// `error` set, rather than as an abort.
+  /// found here; splitting and header checks are CsvBatchCursor's, on
+  /// any thread. Nothing aborts here: a truncated final CSV record rides
+  /// in the last batch, and the JSON document's end always comes back as
+  /// a batch marked `last` (empty when the document stopped after a
+  /// row's ','), for the cursor to reject or accept.
   bool next_batch(CsvBatch* batch);
 
  private:
-  CsvReader() = default;
+  struct Text {};
+  CsvReader(Text, std::string text);
   void read_header();
+  void header_from_csv();
+  void header_from_json(std::size_t bracket);
+  bool next_csv_batch(CsvBatch* batch);
+  bool next_json_batch(CsvBatch* batch);
+  /// Moves the first `taken` unread bytes into `batch`.
+  void take(std::size_t taken, CsvBatch* batch);
   /// Appends at least `want` bytes (if the input has them) after
   /// compacting the consumed prefix.
   void refill(std::size_t want);
-  [[noreturn]] void fail(std::string_view what) const;
+  /// Aborts naming `what` and the JSON input from buffer_[at] on.
+  [[noreturn]] void fail(std::string_view what, std::size_t at) const;
 
   /// The read buffer as text. An empty vector's data() may be null,
   /// which the memchr scans must never be handed.
@@ -154,28 +175,40 @@ class CsvReader {
                            : std::string_view(buffer_.data(), buffer_.size());
   }
 
-  std::string source_;  // for error messages
+  std::string source_;  // "<stdin>", "<string>" or the path, for messages
   std::FILE* file_ = nullptr;
   bool owns_file_ = false;
   bool exhausted_ = false;  // no more bytes behind buffer_
+  bool json_ = false;
+  bool json_done_ = false;  // the JSON batch marked `last` was cut
   CsvBytes buffer_;         // read bytes; [pos_, end) not yet parsed
   std::size_t pos_ = 0;     // consumed prefix (compacted at refill)
-  std::size_t line_ = 1;    // 1-based line number of the next record
-  std::string scratch_;     // unescaped quoted cells of the last row
-  std::vector<std::string_view> views_;  // the owning next_row's scratch
+  std::size_t offset_ = 0;  // document offset of buffer_[0]
+  std::size_t line_ = 1;    // CSV: 1-based line number of the next record
   std::vector<std::string> columns_;
+  /// JSON: the bytes each column's key renders to in the writer's
+  /// layout ('{' or ", " before it, ": " after), for the cursor's fast
+  /// path.
+  std::vector<std::string> json_keys_;
   std::size_t rows_ = 0;
   std::size_t batch_bytes_ = kBatchBytes;
   std::size_t input_bytes_ = 0;
+  // next_row's batch and the cursor walking it.
+  CsvBatch row_batch_;
+  std::unique_ptr<CsvBatchCursor> row_cursor_;
+  std::vector<std::string_view> views_;  // the owning next_row's scratch
+
+  friend class CsvBatchCursor;
 };
 
-/// Walks one CsvBatch's records in order, splitting each with next_row's
-/// splitter and checking its arity against the reader's header.
+/// Walks one CsvBatch's records in order, splitting each with the
+/// dialect's splitter and checking it against the reader's header (CSV:
+/// its arity; JSON: its keys, in order).
 class CsvBatchCursor {
  public:
   /// `batch` and `reader` must outlive the cursor; only the reader's
-  /// source name and header width are read, so cursors on several
-  /// threads may share it while the caller keeps calling next_batch.
+  /// source name and header are read, so cursors on several threads may
+  /// share it while the caller keeps calling next_batch.
   CsvBatchCursor(const CsvBatch& batch, const CsvReader& reader);
 
   /// Fills `cells` with views of the next record's cells (valid until
@@ -188,49 +221,27 @@ class CsvBatchCursor {
   const std::string& error() const { return error_; }
 
  private:
+  bool next_csv(std::vector<std::string_view>* cells);
+  bool next_json(std::vector<std::string_view>* cells);
+
   const CsvBatch& batch_;
-  const std::string& source_;
-  std::size_t arity_;
+  const CsvReader& reader_;
   std::size_t pos_ = 0;
   std::size_t row_;
-  std::size_t line_;  // line of the next record
+  std::size_t line_;         // CSV: line of the next record
+  std::size_t returned_ = 0; // JSON: records returned so far
+  bool done_ = false;        // JSON: the batch's records are all read
   std::string scratch_;
   std::string error_;
 };
 
-/// Reads a whole CSV document into a Table: the inverse of a CSV
-/// ReportWriter. The cells are the text cells the rows were rendered
-/// from, so re-rendering them through RowRenderer::Row::text reproduces
-/// the document byte for byte.
-Table read_csv(std::string text);
-Table read_csv_file(const std::string& path);
-
-/// Reads a report-format JSON document (the array of flat objects a JSON
-/// ReportWriter emits) into a Table. Columns come from
-/// the first object's keys; every later object must repeat them in the
-/// same order. Numbers keep their literal spelling (so a read report
-/// re-emits byte-identically) and null cells read back as "nan" — the
-/// emitter maps every non-finite cell to null, so inf/-inf/nan
-/// distinctions are not recoverable from JSON; archive CSV when
-/// bit-exactness matters. An empty array aborts: it carries no header
-/// to recover a schema from.
-Table read_json(const std::string& text);
-Table read_json_file(const std::string& path);
-
-/// The one JSON-vs-CSV sniff: a report whose first non-whitespace byte
-/// is '[' is JSON, anything else CSV (whatever the file is named — the
-/// dialect is in the bytes). For "-" (stdin) the probed whitespace is
-/// consumed and the deciding byte pushed back, so a subsequent reader
-/// sees the document from its first non-whitespace byte. Unreadable or
-/// empty inputs return false and leave the error to the real reader.
-/// Dispatch on this to pick read_json_file or a streaming CsvReader.
-bool report_is_json(const std::string& path);
-
 /// Validates that `text` is exactly one well-formed JSON value (full
 /// grammar: objects, arrays, strings with escapes, numbers,
 /// true/false/null). Aborts echoing `context` and the byte offset on
-/// malformed input. The golden-corpus suite runs this over non-tabular
-/// archives (bench JSON, phase-diagram summary JSON).
+/// malformed input. Its string and number tokens are the report JSON
+/// cursor's, so the two cannot disagree about what well-formed means.
+/// The golden-corpus suite runs this over non-tabular archives (bench
+/// JSON, phase-diagram summary JSON).
 void validate_json(const std::string& text, const std::string& context);
 
 // --- Report schema validation ---

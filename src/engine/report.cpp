@@ -317,17 +317,6 @@ void ReportWriter::write_file_bytes(const std::string& bytes) {
                  "short write to report output file");
 }
 
-Table::Table(std::vector<std::string> columns)
-    : columns_(std::move(columns)) {
-  P2P_ASSERT_MSG(!columns_.empty(), "a table needs at least one column");
-}
-
-void Table::add_row(std::vector<std::string> cells) {
-  P2P_ASSERT_MSG(cells.size() == columns_.size(),
-                 "row arity must match the column count");
-  rows_.push_back(std::move(cells));
-}
-
 void write_text(const std::string& path, const std::string& text) {
   if (path.empty() || path == "-") {
     const std::size_t written =

@@ -17,9 +17,6 @@
 //                    buffer, not the table — the emitter million-cell
 //                    sweeps stream through.
 //
-// Table is the reader's in-memory container (engine/csv_reader.hpp); it
-// has no emitter of its own.
-//
 // A file-backed ReportWriter double-buffers its output: full buffers are
 // handed to a background flusher thread, so the producing thread overlaps
 // compute with fwrite instead of stalling on the disk.
@@ -183,27 +180,6 @@ class ReportWriter {
   std::string inflight_;
   bool flush_pending_ = false;
   bool flusher_stop_ = false;
-};
-
-/// A rectangular table of text cells with named columns: what the
-/// corpus readers (engine/csv_reader.hpp) return.
-class Table {
- public:
-  explicit Table(std::vector<std::string> columns);
-
-  std::size_t num_columns() const { return columns_.size(); }
-  std::size_t num_rows() const { return rows_.size(); }
-  const std::vector<std::string>& columns() const { return columns_; }
-  const std::vector<std::string>& row(std::size_t i) const {
-    return rows_[i];
-  }
-
-  /// Appends a row; must have exactly num_columns() cells.
-  void add_row(std::vector<std::string> cells);
-
- private:
-  std::vector<std::string> columns_;
-  std::vector<std::vector<std::string>> rows_;
 };
 
 /// Writes `text` to `path`, or to stdout when path is "-" or empty.

@@ -34,7 +34,7 @@
 // and the calling thread hands the slots to the ReportWriter in order.
 // run_sweep_stream thus streams a grid's rows in O(chunk * threads +
 // replicas) memory, not O(num_cells); the report is the only result,
-// and tests read its bytes back (read_csv / parse_report_number).
+// and tests read its bytes back (CsvReader / parse_report_number).
 //
 // Boundary refinement (run_frontier_stream) localizes the Theorem-1
 // phase boundary instead of rasterizing it: per combination of the

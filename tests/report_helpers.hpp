@@ -1,8 +1,8 @@
 // Test-side adapters onto the report serializer: run the streamed sweep
 // and frontier into in-memory reports, render rows of text cells through
 // ReportWriter and RowRenderer, and read the bytes back through the
-// corpus readers. Tests that inspect a cell's values decode them from
-// the same bytes the tools emit.
+// report reader (CsvReader, either dialect). Tests that inspect a cell's
+// values decode them from the same bytes the tools emit.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "analysis/phase_diagram.hpp"
 #include "core/stability.hpp"
 #include "engine/csv_reader.hpp"
 #include "engine/report.hpp"
@@ -40,14 +41,85 @@ inline std::string render_text_rows(
   return out;
 }
 
-/// A Table's rows re-rendered as a report (read_csv's inverse).
-inline std::string render_table(const Table& table,
-                                ReportFormat format = ReportFormat::kCsv) {
-  std::vector<std::vector<std::string>> rows;
-  for (std::size_t i = 0; i < table.num_rows(); ++i) {
-    rows.push_back(table.row(i));
+/// A report read back whole: named columns and rows of text cells. The
+/// library streams rows and keeps none; tests that look rows up by index
+/// or tamper with them hold them here.
+class ReportTable {
+ public:
+  explicit ReportTable(std::vector<std::string> columns)
+      : columns_(std::move(columns)) {}
+
+  std::size_t num_columns() const { return columns_.size(); }
+  std::size_t num_rows() const { return rows_.size(); }
+  const std::vector<std::string>& columns() const { return columns_; }
+  const std::vector<std::string>& row(std::size_t i) const {
+    return rows_[i];
   }
-  return render_text_rows(format, table.columns(), rows);
+  const std::vector<std::vector<std::string>>& rows() const { return rows_; }
+
+  /// Appends a row; it must have exactly num_columns() cells.
+  void add_row(std::vector<std::string> cells) {
+    EXPECT_EQ(cells.size(), columns_.size()) << "row arity";
+    rows_.push_back(std::move(cells));
+  }
+
+ private:
+  std::vector<std::string> columns_;
+  std::vector<std::vector<std::string>> rows_;
+};
+
+/// Every row of the report `text`, in either dialect, through
+/// CsvReader::next_row.
+inline ReportTable read_report(std::string text) {
+  CsvReader reader = CsvReader::from_text(std::move(text));
+  ReportTable table(reader.columns());
+  std::vector<std::string> cells;
+  while (reader.next_row(&cells)) table.add_row(cells);
+  return table;
+}
+
+/// read_report over the file at `path`.
+inline ReportTable read_report_file(const std::string& path) {
+  CsvReader reader(path);
+  ReportTable table(reader.columns());
+  std::vector<std::string> cells;
+  while (reader.next_row(&cells)) table.add_row(cells);
+  return table;
+}
+
+/// A table's rows re-rendered as a report (read_report's inverse).
+inline std::string render_table(const ReportTable& table,
+                                ReportFormat format = ReportFormat::kCsv) {
+  return render_text_rows(format, table.columns(), table.rows());
+}
+
+/// build_phase_grid over the report `text` through a CsvReader cutting
+/// `batch_bytes` batches, decoded on `threads` threads.
+inline analysis::PhaseGrid phase_grid_of(
+    std::string text, const std::string& x = "", const std::string& y = "",
+    int threads = 1, std::size_t batch_bytes = CsvReader::kBatchBytes) {
+  CsvReader reader = CsvReader::from_text(std::move(text));
+  reader.set_batch_bytes(batch_bytes);
+  return analysis::build_phase_grid(reader, x, y, threads);
+}
+
+/// phase_grid_of over a table's rows rendered in `format`.
+inline analysis::PhaseGrid phase_grid_of(
+    const ReportTable& table, const std::string& x = "",
+    const std::string& y = "", ReportFormat format = ReportFormat::kCsv) {
+  return phase_grid_of(render_table(table, format), x, y);
+}
+
+/// build_box_grid over the report `text`.
+inline analysis::BoxGrid box_grid_of(std::string text) {
+  CsvReader reader = CsvReader::from_text(std::move(text));
+  return analysis::build_box_grid(reader);
+}
+
+/// box_grid_of over a table's rows rendered in `format`.
+inline analysis::BoxGrid box_grid_of(
+    const ReportTable& table, ReportFormat format = ReportFormat::kCsv) {
+  return box_grid_of(render_table(table, format));
 }
 
 /// The report run_sweep_stream writes for `grid` under `options`.
@@ -78,7 +150,8 @@ inline std::string frontier_report(const SweepGrid& grid,
 /// round-trip spelling, so a decoded double is the one it formatted.
 class ReportRow {
  public:
-  ReportRow(const Table& table, std::size_t row) : table_(table), row_(row) {}
+  ReportRow(const ReportTable& table, std::size_t row)
+      : table_(table), row_(row) {}
 
   bool has(const std::string& column) const {
     return index(column) < table_.num_columns();
@@ -108,13 +181,13 @@ class ReportRow {
         std::find(columns.begin(), columns.end(), column) - columns.begin());
   }
 
-  const Table& table_;
+  const ReportTable& table_;
   std::size_t row_;
 };
 
 /// The cells of a read grid report, decoded by column name. Fields of
 /// absent optional columns keep CellResult's defaults.
-inline std::vector<CellResult> decode_cells(const Table& table) {
+inline std::vector<CellResult> decode_cells(const ReportTable& table) {
   std::vector<CellResult> cells;
   for (std::size_t r = 0; r < table.num_rows(); ++r) {
     const ReportRow row(table, r);
@@ -154,7 +227,7 @@ inline std::vector<CellResult> decode_cells(const Table& table) {
 }
 
 /// The points of a read frontier report, decoded by column name.
-inline std::vector<FrontierPoint> decode_points(const Table& table) {
+inline std::vector<FrontierPoint> decode_points(const ReportTable& table) {
   std::vector<FrontierPoint> points;
   for (std::size_t r = 0; r < table.num_rows(); ++r) {
     const ReportRow row(table, r);
@@ -191,7 +264,7 @@ inline std::vector<FrontierPoint> decode_points(const Table& table) {
 /// the CSV report it writes.
 inline std::vector<CellResult> sweep_cells(const SweepGrid& grid,
                                            const SweepOptions& options) {
-  return decode_cells(read_csv(sweep_report(grid, options)));
+  return decode_cells(read_report(sweep_report(grid, options)));
 }
 
 /// run_frontier_stream's points for `grid` under `options`, read back
@@ -199,7 +272,7 @@ inline std::vector<CellResult> sweep_cells(const SweepGrid& grid,
 inline std::vector<FrontierPoint> frontier_points(
     const SweepGrid& grid, const SweepOptions& options,
     const RefineOptions& refine) {
-  return decode_points(read_csv(frontier_report(grid, options, refine)));
+  return decode_points(read_report(frontier_report(grid, options, refine)));
 }
 
 /// `grid` with every axis it lacks taken from default_region_grid(), as

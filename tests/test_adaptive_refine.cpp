@@ -155,8 +155,7 @@ TEST(RunAdaptiveStream, UniformLeavesAgreeWithTheDenseSweepAtMatchedResolution) 
     AdaptiveOptions adaptive;
     adaptive.max_depth = max_depth;
     const AdaptiveRun run = adaptive_report(coarse, options, adaptive);
-    const analysis::BoxGrid boxes =
-        analysis::build_box_grid(read_csv(run.out));
+    const analysis::BoxGrid boxes = box_grid_of(run.out);
 
     SweepGrid dense;
     dense.set_axis(Axis{
@@ -170,8 +169,7 @@ TEST(RunAdaptiveStream, UniformLeavesAgreeWithTheDenseSweepAtMatchedResolution) 
                         sweep_columns(options));
     run_sweep_stream(dense, options, writer);
     writer.finish();
-    const analysis::PhaseGrid grid =
-        analysis::build_phase_grid(read_csv(dense_csv));
+    const analysis::PhaseGrid grid = phase_grid_of(dense_csv);
     ASSERT_EQ(grid.x_axis, "us");
     ASSERT_EQ(grid.y_axis, "lambda");
 
@@ -286,7 +284,7 @@ TEST(RunAdaptiveStream, ThreeDimensionalVolumeIsInvariantAcrossTheMatrix) {
             csv_ref.summary.boxes);
   expect_same_summary(json_ref.summary, csv_ref.summary);
 
-  const Table table = read_csv(csv_ref.out);
+  const ReportTable table = read_report(csv_ref.out);
   ASSERT_EQ(table.num_rows(), csv_ref.summary.boxes);
   const auto column = [&](const std::string& name) {
     const auto& cols = table.columns();
@@ -474,7 +472,7 @@ TEST(RunAdaptiveStream, EvaluatesExactlyTheVerticesOfABruteForceReplay) {
         EXPECT_EQ(run.summary.max_depth_reached, oracle.max_depth_reached);
         tol_stopped_early |= tol > 0 && oracle.max_depth_reached < depth;
 
-        const Table table = read_csv(run.out);
+        const ReportTable table = read_report(run.out);
         const auto& cols = table.columns();
         const std::size_t c_verdict = static_cast<std::size_t>(
             std::find(cols.begin(), cols.end(), "verdict") - cols.begin());
@@ -573,8 +571,7 @@ TEST(RunAdaptiveStream, DepthZeroDegeneratesToTheDensePipelineRowForRow) {
         // Depth-0 leaves are never subdivided, but their uniformity is
         // still honest: rows straddling the frontier carry
         // box_uniform = 0.
-        const Table table = format == ReportFormat::kCsv ? read_csv(run.out)
-                                                         : read_json(run.out);
+        const ReportTable table = read_report(run.out);
         const ReportSchema schema = validate_report_schema(table.columns());
         ASSERT_TRUE(schema.has_boxes);
         EXPECT_EQ(schema.has_scenario, mix);
@@ -598,7 +595,7 @@ TEST(RunAdaptiveStream, MultiResSchemaRoundTripsThroughIngestion) {
   adaptive.max_depth = 3;
   const AdaptiveRun run = adaptive_report(grid, options, adaptive);
 
-  const Table table = read_csv(run.out);
+  const ReportTable table = read_report(run.out);
   const ReportSchema schema = validate_report_schema(table.columns());
   EXPECT_TRUE(schema.has_boxes);
   ASSERT_EQ(schema.box_axes.size(), 2u);
@@ -606,7 +603,7 @@ TEST(RunAdaptiveStream, MultiResSchemaRoundTripsThroughIngestion) {
   EXPECT_EQ(schema.box_axes[1], "us");
   EXPECT_EQ(table.num_rows(), run.summary.boxes);
 
-  const analysis::BoxGrid boxes = analysis::build_box_grid(table);
+  const analysis::BoxGrid boxes = box_grid_of(run.out);
   EXPECT_EQ(boxes.boxes.size(), run.summary.boxes);
   EXPECT_EQ(boxes.max_depth, run.summary.max_depth_reached);
   EXPECT_EQ(boxes.x_axis, "us");
@@ -624,13 +621,26 @@ TEST(RunAdaptiveStream, MultiResSchemaRoundTripsThroughIngestion) {
   EXPECT_EQ(stable, run.summary.stable);
   EXPECT_EQ(transient, run.summary.transient);
   EXPECT_EQ(borderline, run.summary.borderline);
-  // The streaming reader sees the same grid as the in-memory table.
+  // A file-backed reader, and the same rows as report JSON, give the
+  // same boxes.
   const std::string path = testing::TempDir() + "adaptive_roundtrip.csv";
   write_text(path, run.out);
   CsvReader reader(path);
   const analysis::BoxGrid streamed = analysis::build_box_grid(reader);
-  EXPECT_EQ(streamed.boxes.size(), boxes.boxes.size());
-  EXPECT_EQ(streamed.max_depth, boxes.max_depth);
+  const analysis::BoxGrid from_json =
+      box_grid_of(render_table(table, ReportFormat::kJson));
+  for (const analysis::BoxGrid* other : {&streamed, &from_json}) {
+    ASSERT_EQ(other->boxes.size(), boxes.boxes.size());
+    EXPECT_EQ(other->max_depth, boxes.max_depth);
+    for (std::size_t i = 0; i < boxes.boxes.size(); ++i) {
+      EXPECT_EQ(other->boxes[i].x0, boxes.boxes[i].x0) << i;
+      EXPECT_EQ(other->boxes[i].y0, boxes.boxes[i].y0) << i;
+      EXPECT_EQ(other->boxes[i].ext_x, boxes.boxes[i].ext_x) << i;
+      EXPECT_EQ(other->boxes[i].ext_y, boxes.boxes[i].ext_y) << i;
+      EXPECT_EQ(other->boxes[i].verdict, boxes.boxes[i].verdict) << i;
+      EXPECT_EQ(other->boxes[i].margin, boxes.boxes[i].margin) << i;
+    }
+  }
   std::remove(path.c_str());
 }
 
@@ -651,7 +661,7 @@ TEST(RunAdaptiveStream, TolStopsSubdivisionAtThePhysicalWidth) {
   // ...exactly when every axis width is <= tol: widths halve from
   // 1.25 / 0.75, so depth 2 (0.3125 x 0.1875) is the first within 0.4.
   EXPECT_EQ(run.summary.max_depth_reached, 2);
-  const analysis::BoxGrid boxes = analysis::build_box_grid(read_csv(run.out));
+  const analysis::BoxGrid boxes = box_grid_of(run.out);
   for (const analysis::PhaseBox& b : boxes.boxes) {
     if (b.uniform) continue;
     EXPECT_LE(b.ext_x, capped.tol);
@@ -659,23 +669,21 @@ TEST(RunAdaptiveStream, TolStopsSubdivisionAtThePhysicalWidth) {
   }
 }
 
-/// Checks every leaf row of `out` — an adaptive report in `format` over
-/// the adaptive `axes` (grid order) at `max_depth` — against the fine
+/// Checks every leaf row of `out` — an adaptive report (either dialect)
+/// over the adaptive `axes` (grid order) at `max_depth` — against the fine
 /// lattice: each axis cell is format_number of a fine vertex value,
 /// found by exact lookup in fine_lattice, whose index is a multiple of
 /// the row's box extent, and each box_ext cell is format_number of the
 /// box's width at that origin. Returns the number of rows checked.
 std::size_t expect_leaf_cells_on_the_lattice(const std::vector<Axis>& axes,
                                              int max_depth,
-                                             const std::string& out,
-                                             ReportFormat format) {
+                                             const std::string& out) {
   const std::uint64_t scale = std::uint64_t{1} << max_depth;
   std::vector<std::vector<double>> fine;
   for (const Axis& axis : axes) {
     fine.push_back(fine_lattice(axis.values, max_depth));
   }
-  const Table table =
-      format == ReportFormat::kCsv ? read_csv(out) : read_json(out);
+  const ReportTable table = read_report(out);
   const ReportSchema schema = validate_report_schema(table.columns());
   EXPECT_TRUE(schema.has_boxes);
   std::vector<std::size_t> value_columns;
@@ -746,13 +754,13 @@ TEST(RunAdaptiveStream, LeafCellsAreTheLatticeValuesOfAnUnevenVolume) {
     const AdaptiveRun run = adaptive_report(grid, options, adaptive, format);
     EXPECT_EQ(run.summary.max_depth_reached, 6);
     EXPECT_EQ(expect_leaf_cells_on_the_lattice(axes, adaptive.max_depth,
-                                               run.out, format),
+                                               run.out),
               run.summary.boxes);
     if (format == ReportFormat::kCsv) csv = run.out;
   }
   // The lattice really does give one depth several widths per axis
   // (from depth 1 on; depth 0 has too few leaves to tell).
-  const Table table = read_csv(csv);
+  const ReportTable table = read_report(csv);
   const ReportSchema schema = validate_report_schema(table.columns());
   std::map<std::pair<std::size_t, std::string>, std::set<std::string>> widths;
   for (std::size_t r = 0; r < table.num_rows(); ++r) {
@@ -805,8 +813,8 @@ TEST(RunAdaptiveStream, DeepRunsRenderExactCellsWithBoundedTokens) {
     adaptive.max_depth = depths[l];
     const AdaptiveRun run = adaptive_report(grid, options, adaptive);
     EXPECT_EQ(run.summary.max_depth_reached, depths[l]);
-    EXPECT_EQ(expect_leaf_cells_on_the_lattice(lattices[l], depths[l], run.out,
-                                               ReportFormat::kCsv),
+    EXPECT_EQ(expect_leaf_cells_on_the_lattice(lattices[l], depths[l],
+                                               run.out),
               run.summary.boxes);
     if (l == 0) {
       EXPECT_LT(run.summary.boxes, 1000u);
@@ -827,7 +835,8 @@ TEST(RunAdaptiveStream, CtmcAndFluidRunsAreInvariantAcrossTheMatrix) {
   ctmc.ctmc_max_peers = 4;
   ctmc.threads = 1;
   ctmc.chunk = 1;
-  const Table table = read_csv(adaptive_report(grid, ctmc, adaptive).out);
+  const ReportTable table =
+      read_report(adaptive_report(grid, ctmc, adaptive).out);
   const auto& cols = table.columns();
   const std::size_t c_ctmc = static_cast<std::size_t>(
       std::find(cols.begin(), cols.end(), "ctmc_mean_peers") - cols.begin());
@@ -898,17 +907,18 @@ std::string adaptive_csv_3x3() {
   return adaptive_report(grid, options, adaptive).out;
 }
 
-/// Replaces data-row `row`'s cell in column `col` with `value`.
+/// Replaces data-row `row`'s cell in column `col` with `value`, and
+/// renders the rows in `format`.
 std::string tamper(const std::string& csv, std::size_t row, std::size_t col,
-                   const std::string& value) {
-  Table table = read_csv(csv);
+                   const std::string& value, ReportFormat format) {
+  ReportTable table = read_report(csv);
   std::vector<std::string> cells = table.row(row);
   cells[col] = value;
-  Table out(table.columns());
+  ReportTable out(table.columns());
   for (std::size_t r = 0; r < table.num_rows(); ++r) {
     out.add_row(r == row ? cells : table.row(r));
   }
-  return render_table(out);
+  return render_table(out, format);
 }
 
 TEST(BuildBoxGridDeath, DenseReportsAreNotBoxGrids) {
@@ -919,29 +929,26 @@ TEST(BuildBoxGridDeath, DenseReportsAreNotBoxGrids) {
   ReportWriter writer(&csv, ReportFormat::kCsv, sweep_columns(options));
   run_sweep_stream(grid, options, writer);
   writer.finish();
-  const Table table = read_csv(csv);
-  EXPECT_DEATH(analysis::build_box_grid(table), "adaptive grid reports");
+  EXPECT_DEATH(box_grid_of(csv), "adaptive grid reports");
 }
 
 TEST(BuildBoxGridDeath, CorruptGeometryCellsDieNamingTheRow) {
   const std::string csv = adaptive_csv_3x3();
-  const Table table = read_csv(csv);
+  const ReportTable table = read_report(csv);
   const ReportSchema schema = validate_report_schema(table.columns());
   ASSERT_TRUE(schema.has_boxes);
   const std::size_t depth_col = schema.box_start;
-  EXPECT_DEATH(
-      analysis::build_box_grid(read_csv(tamper(csv, 2, depth_col, "-1"))),
-      "box_depth.*row 2");
-  EXPECT_DEATH(
-      analysis::build_box_grid(read_csv(tamper(csv, 3, depth_col + 1, "2"))),
-      "box_uniform.*row 3");
-  EXPECT_DEATH(
-      analysis::build_box_grid(read_csv(tamper(csv, 1, depth_col + 2, "0"))),
-      "extents.*row 1");
-  // A wrong (but positive) extent breaks the measure tiling instead.
-  EXPECT_DEATH(
-      analysis::build_box_grid(read_csv(tamper(csv, 0, depth_col + 3, "9"))),
-      "tile");
+  for (const ReportFormat format : {ReportFormat::kCsv, ReportFormat::kJson}) {
+    EXPECT_DEATH(box_grid_of(tamper(csv, 2, depth_col, "-1", format)),
+                 "box_depth.*row 2");
+    EXPECT_DEATH(box_grid_of(tamper(csv, 3, depth_col + 1, "2", format)),
+                 "box_uniform.*row 3");
+    EXPECT_DEATH(box_grid_of(tamper(csv, 1, depth_col + 2, "0", format)),
+                 "extents.*row 1");
+    // A wrong (but positive) extent breaks the measure tiling instead.
+    EXPECT_DEATH(box_grid_of(tamper(csv, 0, depth_col + 3, "9", format)),
+                 "tile");
+  }
 }
 
 TEST(ValidateReportSchemaDeath, BoxBlockHeadersAreChecked) {

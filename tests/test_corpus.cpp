@@ -26,6 +26,7 @@
 #include "engine/sweep.hpp"
 #include "service/monitor.hpp"
 #include "sim/event_log.hpp"
+#include "report_helpers.hpp"
 
 #ifndef P2P_EXPERIMENTS_DIR
 #error "test_corpus needs -DP2P_EXPERIMENTS_DIR=\"...\" (see CMakeLists)"
@@ -53,7 +54,7 @@ bool is_event_log(const std::vector<std::string>& columns) {
   return columns == event_log_columns();
 }
 
-double cell_number(const Table& table, std::size_t row,
+double cell_number(const ReportTable& table, std::size_t row,
                    const std::string& column) {
   for (std::size_t c = 0; c < table.columns().size(); ++c) {
     if (table.columns()[c] == column) {
@@ -68,7 +69,8 @@ double cell_number(const Table& table, std::size_t row,
 /// from nothing but the row's own cells: the generic axis columns plus
 /// the per-type composition block. This is the archive's whole promise
 /// — the physics is in the bytes.
-SwarmParams frontier_model_at(const Table& table, const ReportSchema& schema,
+SwarmParams frontier_model_at(const ReportTable& table,
+                              const ReportSchema& schema,
                               std::size_t row, const std::string& axis,
                               double v) {
   CellParams p;
@@ -156,7 +158,7 @@ TEST(Corpus, EveryJsonArchiveIsWellFormed) {
 
 TEST(Corpus, ArchivedGridsReclassifyFromTheirOwnBytes) {
   for (const auto& path : corpus_files(".csv")) {
-    const Table table = read_csv_file(path.string());
+    const ReportTable table = read_report_file(path.string());
     if (is_event_log(table.columns())) continue;
     const ReportSchema schema = validate_report_schema(table.columns());
     // Adaptive archives are not cartesian tilings; they reclassify in
@@ -166,7 +168,7 @@ TEST(Corpus, ArchivedGridsReclassifyFromTheirOwnBytes) {
     }
     SCOPED_TRACE(path.filename().string());
     // Full structural validation (axes, tiling, per-type consistency).
-    const analysis::PhaseGrid grid = analysis::build_phase_grid(table);
+    const analysis::PhaseGrid grid = phase_grid_of(table);
     EXPECT_EQ(grid.cells.size(), table.num_rows());
     // Re-derive every cell's classification from the reconstructed
     // model; margins agree to reconstruction noise, verdicts exactly
@@ -201,7 +203,7 @@ TEST(Corpus, ArchivedBoxReportsReclassifyFromTheirOwnBytes) {
   // leaves tile their window.
   std::size_t reports = 0, two_axis = 0;
   for (const auto& path : corpus_files(".csv")) {
-    const Table table = read_csv_file(path.string());
+    const ReportTable table = read_report_file(path.string());
     if (is_event_log(table.columns())) continue;
     const ReportSchema schema = validate_report_schema(table.columns());
     if (!schema.has_boxes) continue;
@@ -218,7 +220,7 @@ TEST(Corpus, ArchivedBoxReportsReclassifyFromTheirOwnBytes) {
           << "row " << r;
     }
     if (schema.box_axes.size() == 2) {
-      const analysis::BoxGrid grid = analysis::build_box_grid(table);
+      const analysis::BoxGrid grid = box_grid_of(table);
       EXPECT_EQ(grid.boxes.size(), table.num_rows());
       ++two_axis;
     }
@@ -236,9 +238,9 @@ TEST(Corpus, AdaptiveRegionReproducesTheDenseRegionVerdicts) {
   // quarter of the dense sweep's 2304 cells.
   const std::string dir = P2P_EXPERIMENTS_DIR;
   const analysis::PhaseGrid dense =
-      analysis::build_phase_grid(read_csv_file(dir + "/region_theory.csv"));
+      phase_grid_of(file_bytes(dir + "/region_theory.csv"));
   const analysis::BoxGrid boxes =
-      analysis::build_box_grid(read_csv_file(dir + "/region_adaptive.csv"));
+      box_grid_of(file_bytes(dir + "/region_adaptive.csv"));
   ASSERT_EQ(dense.x_axis, boxes.x_axis);
   ASSERT_EQ(dense.y_axis, boxes.y_axis);
 
@@ -305,7 +307,7 @@ TEST(Corpus, AdaptiveRegionReproducesTheDenseRegionVerdicts) {
 TEST(Corpus, ArchivedFrontierPointsRederiveFromTheirRows) {
   std::size_t checked = 0;
   for (const auto& path : corpus_files(".csv")) {
-    const Table table = read_csv_file(path.string());
+    const ReportTable table = read_report_file(path.string());
     if (is_event_log(table.columns())) continue;
     const ReportSchema schema = validate_report_schema(table.columns());
     if (schema.kind != ReportKind::kFrontier) continue;
@@ -460,10 +462,11 @@ TEST(Corpus, RegionGridReproducesItsArchivedFrontier) {
   // run, row for row, to the refine tolerance (the brackets coincide,
   // so in practice bit-exactly; the tolerance guards future corpora).
   const std::string dir = P2P_EXPERIMENTS_DIR;
-  const Table region = read_csv_file(dir + "/mix_example2_region.csv");
-  const Table archived = read_csv_file(dir + "/mix_example2_frontier.csv");
+  const ReportTable region = read_report_file(dir + "/mix_example2_region.csv");
+  const ReportTable archived =
+      read_report_file(dir + "/mix_example2_frontier.csv");
 
-  const analysis::PhaseGrid grid = analysis::build_phase_grid(region);
+  const analysis::PhaseGrid grid = phase_grid_of(region);
   ASSERT_EQ(grid.x_axis, "mix");
   ASSERT_EQ(grid.y_axis, "lambda");
   const auto extracted = analysis::extract_frontier(grid, 1e-3);

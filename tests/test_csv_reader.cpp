@@ -1,7 +1,8 @@
-// Corpus reader robustness: the Table -> report bytes -> Table round
-// trip must be exact (archived corpora are lossless records), and
-// malformed input must abort echoing the offending line — never
-// misassign columns or invent cells.
+// Report reader robustness, in both dialects: rows -> report bytes ->
+// rows must be exact (archived corpora are lossless records) through
+// next_row and through batches of any size, and malformed input must
+// abort echoing the offending line or byte — never misassign columns or
+// invent cells.
 #include "engine/csv_reader.hpp"
 
 #include <gtest/gtest.h>
@@ -24,7 +25,7 @@
 namespace p2p::engine {
 namespace {
 
-void expect_tables_equal(const Table& a, const Table& b) {
+void expect_tables_equal(const ReportTable& a, const ReportTable& b) {
   ASSERT_EQ(a.columns(), b.columns());
   ASSERT_EQ(a.num_rows(), b.num_rows());
   for (std::size_t r = 0; r < a.num_rows(); ++r) {
@@ -137,21 +138,21 @@ TEST(ParseReportNumberDeath, UnderflowIsRejected) {
 }
 
 TEST(ReadCsv, RoundTripsPlainTable) {
-  Table table({"a", "b", "verdict"});
+  ReportTable table({"a", "b", "verdict"});
   table.add_row({"1", "2.5", "stable"});
   table.add_row({"2", "inf", "transient"});
-  const Table back = read_csv(render_table(table));
+  const ReportTable back = read_report(render_table(table));
   expect_tables_equal(table, back);
   EXPECT_EQ(render_table(back), render_table(table));
 }
 
 TEST(ReadCsv, RoundTripsQuotedCells) {
-  Table table({"name", "note"});
+  ReportTable table({"name", "note"});
   table.add_row({"a,b", "say \"hi\""});
   table.add_row({"line\nbreak", ""});
   table.add_row({"", "trailing,comma,"});
   table.add_row({"\"", "\n"});
-  const Table back = read_csv(render_table(table));
+  const ReportTable back = read_report(render_table(table));
   expect_tables_equal(table, back);
   EXPECT_EQ(render_table(back), render_table(table));
 }
@@ -170,7 +171,7 @@ TEST(ReadCsv, RandomizedTablesRoundTripExactly) {
     for (int c = 0; c < cols; ++c) {
       columns.push_back("col" + std::to_string(c));
     }
-    Table table(columns);
+    ReportTable table(columns);
     const int rows = static_cast<int>(rng.uniform_int(std::uint64_t{8}));
     for (int r = 0; r < rows; ++r) {
       std::vector<std::string> cells;
@@ -179,7 +180,7 @@ TEST(ReadCsv, RandomizedTablesRoundTripExactly) {
       }
       table.add_row(std::move(cells));
     }
-    const Table back = read_csv(render_table(table));
+    const ReportTable back = read_report(render_table(table));
     expect_tables_equal(table, back);
     EXPECT_EQ(render_table(back), render_table(table));
   }
@@ -194,7 +195,7 @@ TEST(ReadCsv, SweepTableWithScenarioColumnsRoundTrips) {
   options.replicas = 2;
   options.scenario = parse_scenario("example2:3,1");
   const std::string csv = sweep_report(grid, options);
-  const Table back = read_csv(csv);
+  const ReportTable back = read_report(csv);
   EXPECT_EQ(render_table(back), csv);
   // And the schema survives recognizably.
   const ReportSchema schema = validate_report_schema(back.columns());
@@ -261,7 +262,6 @@ ThreeReads read_three_ways(const std::string& path, std::size_t batch_bytes) {
     CsvBatch batch;
     std::size_t row = 0;
     while (reader.next_batch(&batch)) {
-      EXPECT_TRUE(batch.error.empty()) << batch.error;
       EXPECT_EQ(batch.first_row, row);
       CsvBatchCursor cursor(batch, reader);
       std::vector<std::string_view> cells;
@@ -314,7 +314,7 @@ TEST(CsvReader, ViewStringAndBatchReadsAgreeAcrossRefillBoundaries) {
     EXPECT_EQ(got.batches, rows) << "batches of " << batch_bytes;
   }
   // The in-memory reader sees the same document.
-  const Table table = read_csv(text);
+  const ReportTable table = read_report(text);
   ASSERT_EQ(table.num_rows(), rows.size());
   for (std::size_t r = 0; r < rows.size(); ++r) {
     EXPECT_EQ(table.row(r), rows[r]) << "row " << r;
@@ -327,8 +327,8 @@ TEST(CsvReaderDeath, ErrorsAfterAMultiLineCellNameTheirOwnLine) {
   // through next_row and through a batch cursor alike.
   const std::string arity = "a,b\n\"x\ny\",1\nonly\n";
   const std::string quoting = "a,b\n\"x\ny\",1\n\"p\"q,1\n";
-  EXPECT_DEATH(read_csv(arity), "line 4: \"only\"");
-  EXPECT_DEATH(read_csv(quoting), "quoted cell must be followed.*line 4");
+  EXPECT_DEATH(read_report(arity), "line 4: \"only\"");
+  EXPECT_DEATH(read_report(quoting), "quoted cell must be followed.*line 4");
   for (const std::string& text : {arity, quoting}) {
     CsvReader reader = CsvReader::from_text(text);
     reader.set_batch_bytes(1);  // one record per batch
@@ -347,40 +347,51 @@ TEST(CsvReaderDeath, ErrorsAfterAMultiLineCellNameTheirOwnLine) {
   }
 }
 
-TEST(CsvReader, TruncatedTailComesBackAsABatchError) {
-  CsvReader reader = CsvReader::from_text("a,b\n1,2\n3,4");
-  CsvBatch batch;
-  ASSERT_TRUE(reader.next_batch(&batch));
-  EXPECT_EQ(batch.rows, 1u);
-  EXPECT_TRUE(batch.error.empty());
-  ASSERT_TRUE(reader.next_batch(&batch));
-  EXPECT_EQ(batch.rows, 0u);
-  EXPECT_EQ(batch.first_row, 1u);
-  EXPECT_NE(batch.error.find("truncated report CSV"), std::string::npos);
-  EXPECT_NE(batch.error.find("line 3: \"3,4\""), std::string::npos);
-  EXPECT_FALSE(reader.next_batch(&batch));
+TEST(CsvReader, TruncatedTailIsRejectedAfterTheRowsBeforeIt) {
+  // The cut-off record rides in the last batch; its cursor yields the
+  // whole rows first, then rejects it.
+  for (const std::size_t batch_bytes : {std::size_t{1}, std::size_t{64}}) {
+    CsvReader reader = CsvReader::from_text("a,b\n1,2\n3,4");
+    reader.set_batch_bytes(batch_bytes);
+    CsvBatch batch;
+    std::vector<std::string_view> cells;
+    std::size_t rows = 0;
+    std::string error;
+    while (error.empty() && reader.next_batch(&batch)) {
+      CsvBatchCursor cursor(batch, reader);
+      while (cursor.next(&cells)) ++rows;
+      error = cursor.error();
+      if (!error.empty()) {
+        EXPECT_EQ(cursor.row(), 1u);
+      }
+    }
+    EXPECT_EQ(rows, 1u);
+    EXPECT_NE(error.find("truncated report CSV"), std::string::npos);
+    EXPECT_NE(error.find("line 3: \"3,4\""), std::string::npos) << error;
+    EXPECT_FALSE(reader.next_batch(&batch));
+  }
 }
 
 TEST(CsvReaderDeath, TruncatedFinalRecordAborts) {
   // The writer '\n'-terminates every row; a file cut mid-record must
   // not silently drop (or half-parse) the final row.
-  EXPECT_DEATH(read_csv("a,b\n1,2\n3,4"), "truncated");
+  EXPECT_DEATH(read_report("a,b\n1,2\n3,4"), "truncated");
 }
 
 TEST(CsvReaderDeath, WrongArityEchoesTheOffendingLine) {
-  EXPECT_DEATH(read_csv("a,b\n1,2\nonly-one\n"), "only-one");
-  EXPECT_DEATH(read_csv("a,b\n1,2\nonly-one\n"), "line 3");
-  EXPECT_DEATH(read_csv("a,b\n1,2,3\n"), "3 cells, expected 2");
+  EXPECT_DEATH(read_report("a,b\n1,2\nonly-one\n"), "only-one");
+  EXPECT_DEATH(read_report("a,b\n1,2\nonly-one\n"), "line 3");
+  EXPECT_DEATH(read_report("a,b\n1,2,3\n"), "3 cells, expected 2");
 }
 
 TEST(CsvReaderDeath, MalformedQuotingAborts) {
-  EXPECT_DEATH(read_csv("a\n\"x\"y\n"), "quoted cell must be followed");
-  EXPECT_DEATH(read_csv("a\nx\"y\n"), "bare");
-  EXPECT_DEATH(read_csv("a\n\"unclosed\n"), "truncated");
+  EXPECT_DEATH(read_report("a\n\"x\"y\n"), "quoted cell must be followed");
+  EXPECT_DEATH(read_report("a\nx\"y\n"), "bare");
+  EXPECT_DEATH(read_report("a\n\"unclosed\n"), "truncated");
 }
 
 TEST(CsvReaderDeath, EmptyDocumentAborts) {
-  EXPECT_DEATH(read_csv(""), "empty");
+  EXPECT_DEATH(read_report(""), "empty");
 }
 
 TEST(CsvReaderDeath, MissingFileAborts) {
@@ -388,11 +399,12 @@ TEST(CsvReaderDeath, MissingFileAborts) {
 }
 
 TEST(ReadJson, RoundTripsReportJson) {
-  Table table({"i", "x", "verdict"});
+  ReportTable table({"i", "x", "verdict"});
   table.add_row({"1", "nan", "stable"});
   table.add_row({"2", "0.5", "transient"});
   table.add_row({"3", "1e-3", "say \"hi\""});
-  const Table back = read_json(render_table(table, ReportFormat::kJson));
+  const ReportTable back =
+      read_report(render_table(table, ReportFormat::kJson));
   expect_tables_equal(table, back);
   // Numbers keep their literal spelling, so re-emission is identical.
   EXPECT_EQ(render_table(back, ReportFormat::kJson),
@@ -402,22 +414,179 @@ TEST(ReadJson, RoundTripsReportJson) {
 TEST(ReadJson, NullReadsBackAsNan) {
   // inf/-inf/nan all emit as null; nan is the one spelling that maps
   // back without inventing a sign.
-  Table table({"x"});
+  ReportTable table({"x"});
   table.add_row({"inf"});
-  const Table back = read_json(render_table(table, ReportFormat::kJson));
+  const ReportTable back =
+      read_report(render_table(table, ReportFormat::kJson));
   EXPECT_EQ(back.row(0)[0], "nan");
 }
 
+/// `rows` as a report JSON in a layout the writer never uses but JSON
+/// allows: "minified" (one line), "pretty" (one key per line), "comma"
+/// (commas leading the lines) or "crlf" (the writer's lines, "\r\n"
+/// ended).
+std::string json_layout(const std::string& layout,
+                        const std::vector<std::string>& columns,
+                        const std::vector<std::vector<std::string>>& rows) {
+  // Take each cell's JSON spelling from the writer's own rendering.
+  std::vector<std::vector<std::string>> spelled;
+  for (const auto& row : rows) {
+    std::vector<std::string> cells;
+    for (std::size_t c = 0; c < columns.size(); ++c) {
+      const std::string one =
+          render_text_rows(ReportFormat::kJson, {columns[c]}, {{row[c]}});
+      const std::size_t colon = one.find("\": ") + 3;
+      cells.push_back(one.substr(colon, one.rfind('}') - colon));
+    }
+    spelled.push_back(std::move(cells));
+  }
+  std::string out = layout == "crlf" ? "[\r\n" : "[";
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    if (r > 0) out += layout == "comma" ? "\n, " : ",";
+    if (layout == "crlf" && r > 0) out += "\r\n";
+    out += layout == "pretty" ? "{\n" : "{";
+    for (std::size_t c = 0; c < columns.size(); ++c) {
+      if (c > 0) out += layout == "pretty" ? ",\n" : ", ";
+      if (layout == "pretty") out += "    ";
+      append_json_string(out, columns[c]);
+      out += layout == "pretty" ? " :\n      " : ": ";
+      out += spelled[r][c];
+    }
+    out += layout == "pretty" ? "\n  }" : "}";
+  }
+  out += layout == "crlf" ? "\r\n]\r\n" : "]";
+  return out;
+}
+
+TEST(ReadJson, EveryLayoutReadsTheSameRowsThroughEveryBatchSize) {
+  // Cells that exercise the string grammar — escaped quotes and
+  // backslashes, \u00xx control characters, raw UTF-8, and the bytes
+  // the batch cutter counts ('}', ',') inside strings — in rows long
+  // enough that 64 KiB refills and small batches cut between escapes.
+  const std::vector<std::string> columns = {"i", "say \"key\"", "plain",
+                                            "tail"};
+  const std::string cells[] = {"a,b",      "say \"hi\"", "line\nbreak",
+                               "\x01\x1f", "\xc3\xa9\\", "}",
+                               "\"},\n{",  "1.5",       "-0",
+                               "1e-300",   "nan",       ""};
+  std::vector<std::vector<std::string>> rows;
+  Rng rng(20261019);
+  std::size_t bytes = 0;
+  for (int i = 0; bytes < 3 * 65536; ++i) {
+    std::vector<std::string> row = {
+        std::to_string(i), cells[rng.uniform_int(std::size(cells))],
+        std::string(rng.uniform_int(std::uint64_t{300}), 'p'),
+        cells[rng.uniform_int(std::size(cells))] +
+            std::string(rng.uniform_int(std::uint64_t{40}), '"')};
+    for (const std::string& c : row) bytes += c.size() + 8;
+    rows.push_back(std::move(row));
+  }
+  const std::string path = ::testing::TempDir() + "csv_reader_layouts.json";
+  for (const std::string layout :
+       {"writer", "minified", "pretty", "comma", "crlf"}) {
+    const std::string text =
+        layout == "writer"
+            ? render_text_rows(ReportFormat::kJson, columns, rows)
+            : json_layout(layout, columns, rows);
+    {
+      std::FILE* f = std::fopen(path.c_str(), "wb");
+      ASSERT_NE(f, nullptr);
+      ASSERT_EQ(std::fwrite(text.data(), 1, text.size(), f), text.size());
+      std::fclose(f);
+    }
+    for (const std::size_t batch_bytes :
+         {std::size_t{1}, std::size_t{4093}, std::size_t{70001}}) {
+      const ThreeReads got = read_three_ways(path, batch_bytes);
+      EXPECT_EQ(got.views, rows) << layout;
+      EXPECT_EQ(got.strings, rows) << layout;
+      EXPECT_EQ(got.batches, rows) << layout << ", batches of " << batch_bytes;
+    }
+    EXPECT_EQ(CsvReader::from_text(text).columns(), columns) << layout;
+  }
+  std::remove(path.c_str());
+}
+
+TEST(ReadJson, DialectIsTheFirstNonWhitespaceByte) {
+  const ReportTable json = read_report(" \n\t[{\"a\": 1}]");
+  EXPECT_EQ(json.columns(), std::vector<std::string>{"a"});
+  EXPECT_EQ(json.row(0), std::vector<std::string>{"1"});
+  // CSV keeps every byte, leading whitespace included.
+  EXPECT_EQ(CsvReader::from_text(" a\n1\n").columns(),
+            std::vector<std::string>{" a"});
+}
+
 TEST(ReadJsonDeath, MalformedDocumentsAbort) {
-  EXPECT_DEATH(read_json("{}"), "expected '\\['");
-  EXPECT_DEATH(read_json("[\n]\n"), "empty report JSON");
-  EXPECT_DEATH(read_json("[{\"a\": 1}, {\"b\": 1}]"), "do not match");
-  EXPECT_DEATH(read_json("[{\"a\": 1}, {\"a\": 1, \"b\": 2}]"),
+  EXPECT_DEATH(read_report("{}"), "expected '\\['");
+  EXPECT_DEATH(read_report("[\n]\n"), "empty report JSON");
+  EXPECT_DEATH(read_report("[{\"a\": 1}, {\"b\": 1}]"), "do not match");
+  EXPECT_DEATH(read_report("[{\"a\": 1}, {\"a\": 1, \"b\": 2}]"),
                "do not match");
-  EXPECT_DEATH(read_json("[{\"a\": true}]"), "numbers, strings or null");
-  EXPECT_DEATH(read_json("[{\"a\": 1}] trailing"), "trailing");
-  EXPECT_DEATH(read_json("[{\"a\": 1}"), "end of JSON");
-  EXPECT_DEATH(read_json("[{\"a\": 01}]"), "expected"); // not a JSON number
+  EXPECT_DEATH(read_report("[{\"a\": true}]"), "numbers, strings or null");
+  EXPECT_DEATH(read_report("[{\"a\": 1}] trailing"), "trailing");
+  EXPECT_DEATH(read_report("[{\"a\": 1}"), "end of JSON");
+  EXPECT_DEATH(read_report("[{\"a\": 01}]"), "expected"); // not a JSON number
+}
+
+TEST(ReadJsonDeath, DocumentsThatStopAfterARowAbort) {
+  // The cutter hands the document's end to the cursor as a last batch,
+  // empty when the bytes stop right after a row's ','.
+  EXPECT_DEATH(read_report("[\n  {\"a\": 1},\n"), "expected '\\{'");
+  EXPECT_DEATH(read_report("[\n  {\"a\": 1},\n  {\"a\": 2}\n"),
+               "end of JSON");
+  EXPECT_DEATH(read_report("[\n  {\"a\": 1},\n]\n"), "expected '\\{'");
+}
+
+TEST(ReadJson, ErrorsNameTheirByteAtEveryBatchSize) {
+  // The third row's cell is not a number: the cursor that meets it
+  // names the document offset of the bad byte and echoes from there,
+  // however the rows were cut into batches.
+  const std::string text =
+      "[\n  {\"a\": 1},\n  {\"a\": 2},\n  {\"a\": 3x},\n  {\"a\": 4}\n]\n";
+  const std::size_t bad = text.find("x}");
+  for (const std::size_t batch_bytes : {std::size_t{1}, std::size_t{64}}) {
+    CsvReader reader = CsvReader::from_text(text);
+    reader.set_batch_bytes(batch_bytes);
+    CsvBatch batch;
+    std::vector<std::string_view> cells;
+    std::string error;
+    std::size_t row = 0;
+    while (error.empty() && reader.next_batch(&batch)) {
+      CsvBatchCursor cursor(batch, reader);
+      while (cursor.next(&cells)) ++row;
+      error = cursor.error();
+      if (!error.empty()) {
+        EXPECT_EQ(cursor.row(), 2u);
+      }
+    }
+    EXPECT_EQ(row, 2u) << "batches of " << batch_bytes;
+    EXPECT_EQ(error, "expected '}' in report JSON (<string> byte " +
+                         std::to_string(bad) + ": \"x},\")")
+        << "batches of " << batch_bytes;
+  }
+}
+
+TEST(ReadJson, BatchesEndAfterARowsCommaAndCountTheirRows) {
+  // Writer layout: each row line ends "},", so every batch ends on one
+  // and a one-byte target cuts one row per batch; the last batch holds
+  // the closing bracket.
+  const std::string text =
+      "[\n  {\"a\": \"}\"},\n  {\"a\": 2},\n  {\"a\": 3}\n]\n";
+  CsvReader reader = CsvReader::from_text(text);
+  reader.set_batch_bytes(1);
+  CsvBatch batch;
+  std::vector<std::size_t> rows, first_rows;
+  std::vector<bool> last;
+  while (reader.next_batch(&batch)) {
+    rows.push_back(batch.rows);
+    first_rows.push_back(batch.first_row);
+    last.push_back(batch.last);
+    EXPECT_EQ(text.substr(batch.first_byte, batch.bytes.size()),
+              std::string(batch.bytes.begin(), batch.bytes.end()));
+  }
+  EXPECT_EQ(rows, (std::vector<std::size_t>{1, 1, 1}));
+  EXPECT_EQ(first_rows, (std::vector<std::size_t>{0, 1, 2}));
+  EXPECT_EQ(last, (std::vector<bool>{false, false, true}));
+  EXPECT_EQ(reader.rows_read(), 3u);
 }
 
 TEST(ValidateJson, AcceptsArbitraryWellFormedDocuments) {

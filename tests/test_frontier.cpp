@@ -151,7 +151,7 @@ TEST(RefineFrontier, TableSchemaIsStable) {
   RefineOptions refine;
   refine.axis = "lambda";
   refine.tol = 0.1;
-  const Table table = read_csv(frontier_report(grid, options, refine));
+  const ReportTable table = read_report(frontier_report(grid, options, refine));
   ASSERT_EQ(table.num_columns(), 22u);
   EXPECT_EQ(table.columns().front(), "row");
   EXPECT_EQ(table.columns()[14], "mix");

@@ -39,7 +39,7 @@ void expect_points_match_bisection(const SweepGrid& grid,
     if (axis.name != refine.axis) rows.axes.push_back(axis);
   }
   const std::vector<double>& coarse = effective.find_axis(refine.axis)->values;
-  const std::vector<FrontierPoint> points = decode_points(read_csv(csv));
+  const std::vector<FrontierPoint> points = decode_points(read_report(csv));
   ASSERT_EQ(points.size(), rows.num_cells()) << what;
   const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
   for (std::size_t r = 0; r < points.size(); ++r) {
@@ -114,7 +114,7 @@ TEST(FrontierStream, BytesAndBisectionAgreeAcrossThreadsAndChunks) {
         frontier_report(grid, base, refine, ReportFormat::kJson);
     const std::string what = "replicas " + std::to_string(shape.replicas);
     expect_points_match_bisection(grid, base, refine, want_csv, what);
-    ASSERT_EQ(read_json(want_json).num_rows(), 3u);
+    ASSERT_EQ(read_report(want_json).num_rows(), 3u);
 
     for (const int threads : {1, 2, 8}) {
       for (const std::size_t chunk :
@@ -175,7 +175,7 @@ TEST(FrontierStream, UnbracketedRowsStreamAndCount) {
   EXPECT_EQ(summary.rows, 2u);
   EXPECT_EQ(summary.bracketed, 1u);
   expect_points_match_bisection(grid, options, refine, out, "unbracketed");
-  const std::vector<FrontierPoint> points = decode_points(read_csv(out));
+  const std::vector<FrontierPoint> points = decode_points(read_report(out));
   ASSERT_EQ(points.size(), 2u);
   EXPECT_TRUE(points[0].bracketed);
   EXPECT_FALSE(points[1].bracketed);

@@ -160,10 +160,10 @@ TEST(RenderOverlay, LandsOnTheExampleOneClosedForm) {
   SweepOptions options;
   options.horizon = 10;
   options.theory_only = true;
-  const engine::Table table = engine::read_csv(sweep_report(
+  const engine::ReportTable table = engine::read_report(sweep_report(
       parse_grid("k=1;mu=1;gamma=1.25;lambda=2,4,6;us=0.2:1.7:16"),
       options));
-  const PhaseGrid grid = build_phase_grid(table);  // x=us, y=lambda
+  const PhaseGrid grid = phase_grid_of(table);  // x=us, y=lambda
   ASSERT_EQ(grid.x_axis, "us");
   const auto frontier = extract_frontier(grid, 1e-6);
 

@@ -5,11 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -23,24 +25,42 @@ namespace {
 
 using engine::parse_grid;
 using engine::parse_scenario;
-using engine::read_csv;
+using engine::phase_grid_of;
+using engine::read_report;
 using engine::RefineOptions;
+using engine::ReportFormat;
+using engine::ReportTable;
 using engine::sweep_report;
 using engine::SweepGrid;
 using engine::SweepOptions;
-using engine::Table;
 
-Table small_region_table(int replicas = 1) {
+constexpr ReportFormat kBothFormats[] = {ReportFormat::kCsv,
+                                         ReportFormat::kJson};
+
+std::string format_name(ReportFormat format) {
+  return format == ReportFormat::kCsv ? "csv" : "json";
+}
+
+std::string small_region_report(int replicas = 1) {
   SweepGrid grid = parse_grid("k=1;mu=1;gamma=1.25;lambda=2,4,6;us=0.6,1.0");
   SweepOptions options;
   options.horizon = 30;
   options.replicas = replicas;
-  return read_csv(sweep_report(grid, options));
+  return sweep_report(grid, options);
+}
+
+/// Aborts with `message` when `table`'s rows are ingested, whichever
+/// dialect carries them.
+void expect_ingest_death(const ReportTable& table, const std::string& message,
+                         const std::string& x = "", const std::string& y = "") {
+  for (const ReportFormat format : kBothFormats) {
+    EXPECT_DEATH(phase_grid_of(table, x, y, format), message)
+        << format_name(format);
+  }
 }
 
 TEST(BuildPhaseGrid, DetectsAxesAndIngestsCells) {
-  const Table table = small_region_table();
-  const PhaseGrid grid = build_phase_grid(table);
+  const PhaseGrid grid = phase_grid_of(small_region_report());
   // us is the later axis in emission order, so it is the fast (x) one.
   EXPECT_EQ(grid.x_axis, "us");
   EXPECT_EQ(grid.y_axis, "lambda");
@@ -62,8 +82,8 @@ TEST(BuildPhaseGrid, DetectsAxesAndIngestsCells) {
 }
 
 TEST(BuildPhaseGrid, ExplicitAxesTranspose) {
-  const Table table = small_region_table();
-  const PhaseGrid grid = build_phase_grid(table, "lambda", "us");
+  const PhaseGrid grid =
+      phase_grid_of(small_region_report(), "lambda", "us");
   EXPECT_EQ(grid.x_axis, "lambda");
   EXPECT_EQ(grid.y_axis, "us");
   ASSERT_EQ(grid.x_values.size(), 3u);
@@ -73,16 +93,16 @@ TEST(BuildPhaseGrid, ExplicitAxesTranspose) {
 }
 
 TEST(BuildPhaseGrid, EitherAxisRequestAloneIsHonored) {
-  const Table table = small_region_table();
+  const std::string table = small_region_report();
   // --x alone: y defaults to the other varying axis.
-  const PhaseGrid by_x = build_phase_grid(table, "lambda", "");
+  const PhaseGrid by_x = phase_grid_of(table, "lambda", "");
   EXPECT_EQ(by_x.x_axis, "lambda");
   EXPECT_EQ(by_x.y_axis, "us");
   // --y alone must be honored too, not silently ignored.
-  const PhaseGrid by_y = build_phase_grid(table, "", "us");
+  const PhaseGrid by_y = phase_grid_of(table, "", "us");
   EXPECT_EQ(by_y.x_axis, "lambda");
   EXPECT_EQ(by_y.y_axis, "us");
-  const PhaseGrid by_y2 = build_phase_grid(table, "", "lambda");
+  const PhaseGrid by_y2 = phase_grid_of(table, "", "lambda");
   EXPECT_EQ(by_y2.x_axis, "us");
   EXPECT_EQ(by_y2.y_axis, "lambda");
 }
@@ -92,9 +112,7 @@ TEST(BuildPhaseGrid, ReconstructsScenarioFromPerTypeColumns) {
   SweepOptions options;
   options.horizon = 15;
   options.scenario = parse_scenario("example2:3,1");
-  const Table table = read_csv(sweep_report(sweep, options));
-
-  const PhaseGrid grid = build_phase_grid(table);
+  const PhaseGrid grid = phase_grid_of(sweep_report(sweep, options));
   ASSERT_EQ(grid.scenario.mix.size(), 2u);
   EXPECT_EQ(grid.scenario.num_pieces, 4);
   EXPECT_NEAR(grid.scenario.mix[0].rate, 0.75, 1e-12);
@@ -125,8 +143,8 @@ TEST(ExtractFrontier, MatchesRefineFrontierBitForBit) {
   const auto points =
       engine::frontier_points(parse_grid(spec), options, refine);
 
-  const Table table = read_csv(sweep_report(parse_grid(spec), options));
-  const PhaseGrid grid = build_phase_grid(table, "lambda", "us");
+  const PhaseGrid grid =
+      phase_grid_of(sweep_report(parse_grid(spec), options), "lambda", "us");
   const auto extracted = extract_frontier(grid, refine.tol);
 
   ASSERT_EQ(extracted.size(), points.size());
@@ -145,10 +163,10 @@ TEST(ExtractFrontier, LandsOnTheClosedForms) {
   SweepOptions options;
   options.horizon = 10;
   options.theory_only = true;
-  const Table table = read_csv(sweep_report(
+  const std::string report = sweep_report(
       parse_grid("k=1;mu=1;gamma=1.25;us=0.4,0.8,1.2;lambda=0.5:9.5:10"),
-      options));
-  const PhaseGrid grid = build_phase_grid(table, "lambda", "us");
+      options);
+  const PhaseGrid grid = phase_grid_of(report, "lambda", "us");
   const auto frontier = extract_frontier(grid, 1e-4);
   ASSERT_EQ(frontier.size(), 3u);
   const double expected[] = {2.0, 4.0, 6.0};
@@ -166,10 +184,10 @@ TEST(ExtractFrontier, OneClubFrontierAtSeedProvisioningBound) {
   options.horizon = 10;
   options.theory_only = true;
   options.scenario = parse_scenario("oneclub:4");
-  const Table table = read_csv(sweep_report(
+  const std::string report = sweep_report(
       parse_grid("k=4;us=1;mu=1;gamma=1.25;mix=0,0.5,1;lambda=1:9:5"),
-      options));
-  const PhaseGrid grid = build_phase_grid(table, "lambda", "mix");
+      options);
+  const PhaseGrid grid = phase_grid_of(report, "lambda", "mix");
   const auto frontier = extract_frontier(grid, 1e-4);
   ASSERT_EQ(frontier.size(), 3u);
   for (int row = 0; row < 3; ++row) {
@@ -185,9 +203,9 @@ TEST(ExtractFrontier, MarginInterpolationIsExactWhenMarginIsLinear) {
   SweepOptions options;
   options.horizon = 10;
   options.theory_only = true;
-  const Table table = read_csv(sweep_report(
-      parse_grid("k=1;mu=1;gamma=1.25;us=1;lambda=4,6"), options));
-  const PhaseGrid grid = build_phase_grid(table, "lambda", "us");
+  const std::string report = sweep_report(
+      parse_grid("k=1;mu=1;gamma=1.25;us=1;lambda=4,6"), options);
+  const PhaseGrid grid = phase_grid_of(report, "lambda", "us");
   const auto frontier = extract_frontier(grid, 1e-6);
   ASSERT_EQ(frontier.size(), 1u);
   ASSERT_TRUE(frontier[0].bracketed);
@@ -199,10 +217,10 @@ TEST(ExtractFrontier, ThreadCountCannotChangeTheResult) {
   SweepOptions options;
   options.horizon = 10;
   options.theory_only = true;
-  const Table table = read_csv(sweep_report(
+  const std::string report = sweep_report(
       parse_grid("k=1;mu=1;gamma=1.25;us=0.2:1.7:8;lambda=0.5:9.5:12"),
-      options));
-  const PhaseGrid grid = build_phase_grid(table, "lambda", "us");
+      options);
+  const PhaseGrid grid = phase_grid_of(report, "lambda", "us");
   const auto one = extract_frontier(grid, 1e-3, 1);
   const auto four = extract_frontier(grid, 1e-3, 4);
   ASSERT_EQ(one.size(), four.size());
@@ -221,8 +239,7 @@ TEST(ExtractFrontier, ThreadCountCannotChangeTheResult) {
 }
 
 TEST(VerdictAgreement, CountsAndBootstrapCi) {
-  const Table table = small_region_table(/*replicas=*/3);
-  const PhaseGrid grid = build_phase_grid(table);
+  const PhaseGrid grid = phase_grid_of(small_region_report(/*replicas=*/3));
   const VerdictAgreement agreement = verdict_agreement(grid);
   EXPECT_EQ(agreement.cells_with_sim, 6u);
   EXPECT_EQ(agreement.compared, 6u);
@@ -246,11 +263,11 @@ TEST(VerdictAgreement, TheoryOnlyGridHasNoSimCells) {
   SweepOptions options;
   options.horizon = 10;
   options.theory_only = true;
-  const Table table = read_csv(sweep_report(
+  const std::string report = sweep_report(
       parse_grid("k=1;mu=1;gamma=1.25;us=0.6,1.0;lambda=2,6"),
-      options));
+      options);
   const VerdictAgreement agreement =
-      verdict_agreement(build_phase_grid(table));
+      verdict_agreement(phase_grid_of(report));
   EXPECT_EQ(agreement.cells_with_sim, 0u);
   EXPECT_TRUE(std::isnan(agreement.agreement));
   EXPECT_TRUE(std::isnan(agreement.threshold));
@@ -307,31 +324,80 @@ std::string slurp_archive(const std::string& name) {
 PhaseGrid ingest(const std::string& text, std::size_t batch_bytes,
                  int threads, const std::string& x = "",
                  const std::string& y = "") {
-  engine::CsvReader reader = engine::CsvReader::from_text(text);
-  reader.set_batch_bytes(batch_bytes);
-  return build_phase_grid(reader, x, y, threads);
+  return phase_grid_of(text, x, y, threads, batch_bytes);
+}
+
+/// `report` in `format`: the CSV itself, or its rows as report JSON.
+std::string in_format(const std::string& report, ReportFormat format) {
+  return format == ReportFormat::kCsv
+             ? report
+             : engine::render_table(read_report(report), format);
+}
+
+/// The phase grid a theory-only sweep of `spec` (two varying axes, the
+/// rest at default_region_grid's values) must ingest to, derived
+/// without the reader: axis values from the spec, each cell's verdict
+/// and margin from classify(). `transposed` puts the earlier axis on x.
+PhaseGrid theory_oracle(const std::string& spec, bool transposed) {
+  const SweepGrid grid = engine::with_default_axes(parse_grid(spec));
+  std::vector<const engine::Axis*> varying;
+  for (const engine::Axis& axis : grid.axes) {
+    if (axis.values.size() > 1) varying.push_back(&axis);
+  }
+  EXPECT_EQ(varying.size(), 2u);
+  const engine::Axis& x = *varying[transposed ? 0 : 1];
+  const engine::Axis& y = *varying[transposed ? 1 : 0];
+  engine::CellParams base;
+  const std::vector<double> first = grid.cell_values(0);
+  for (std::size_t a = 0; a < grid.axes.size(); ++a) {
+    engine::set_param(base, grid.axes[a].name, first[a]);
+  }
+  PhaseGrid oracle;
+  oracle.x_axis = x.name;
+  oracle.y_axis = y.name;
+  oracle.x_values = x.values;
+  oracle.y_values = y.values;
+  for (const double yv : y.values) {
+    for (const double xv : x.values) {
+      PhaseCell c{};
+      c.params = base;
+      engine::set_param(c.params, x.name, xv);
+      engine::set_param(c.params, y.name, yv);
+      const StabilityReport report =
+          classify(engine::expand(oracle.scenario, c.params).params);
+      c.verdict = report.verdict;
+      c.margin = report.margin;
+      oracle.cells.push_back(c);
+    }
+  }
+  return oracle;
 }
 
 TEST(BuildPhaseGrid, BatchedIngestIsIdenticalAtEveryThreadCount) {
-  // A 160 x 160 theory corpus spans four default (1 MiB) batches; every
-  // thread count, in the default and the transposed orientation, must
-  // rebuild the grid the Table overload builds from the same bytes.
+  // A 160 x 160 theory corpus spans four default (1 MiB) batches as CSV
+  // and ten as JSON. Every thread count, in the default and the
+  // transposed orientation, must rebuild the grid the spec and the
+  // closed form define: its axis values, and classify()'s verdict and
+  // margin in every cell (the report's shortest round-trip spelling
+  // reads back the exact double).
+  const std::string spec = "lambda=0.5:3.0:160;us=0.2:1.7:160";
   SweepOptions options;
   options.theory_only = true;
-  const std::string corpus = engine::sweep_report(
-      parse_grid("lambda=0.5:3.0:160;us=0.2:1.7:160"), options);
-  ASSERT_GT(corpus.size(), 3 * engine::CsvReader::kBatchBytes);
-  const Table table = engine::read_csv(corpus);
-  for (const bool transposed : {false, true}) {
-    const std::string x = transposed ? "lambda" : "";
-    const std::string y = transposed ? "us" : "";
-    const PhaseGrid reference = build_phase_grid(table, x, y);
-    for (const int threads : {1, 2, 4, 8}) {
-      expect_grids_identical(
-          ingest(corpus, engine::CsvReader::kBatchBytes, threads, x, y),
-          reference,
-          "threads " + std::to_string(threads) +
-              (transposed ? " transposed" : ""));
+  const std::string csv = sweep_report(parse_grid(spec), options);
+  ASSERT_GT(csv.size(), 3 * engine::CsvReader::kBatchBytes);
+  for (const ReportFormat format : kBothFormats) {
+    const std::string corpus = in_format(csv, format);
+    for (const bool transposed : {false, true}) {
+      const std::string x = transposed ? "lambda" : "";
+      const std::string y = transposed ? "us" : "";
+      const PhaseGrid oracle = theory_oracle(spec, transposed);
+      for (const int threads : {1, 2, 4, 8}) {
+        expect_grids_identical(
+            ingest(corpus, engine::CsvReader::kBatchBytes, threads, x, y),
+            oracle,
+            format_name(format) + " threads " + std::to_string(threads) +
+                (transposed ? " transposed" : ""));
+      }
     }
   }
 }
@@ -342,80 +408,140 @@ TEST(BuildPhaseGrid, WorkerConstructedCellsKeepTheirDefaults) {
   // mapping's zero bytes (fluid 0 = positive-recurrent). This grid is
   // past 2 MiB — page-mapped and huge-page eligible — and the corpus
   // has no fluid_verdict column: every cell must equal a
-  // value-initialized cell carrying the sweep's own numbers.
+  // value-initialized cell carrying the sweep's own numbers, decoded
+  // here by column name.
   constexpr std::size_t kSide = 160;
+  const std::string spec = "lambda=0.5:3.0:160;us=0.2:1.7:160";
   SweepOptions options;
   options.theory_only = true;
-  const std::string corpus =
-      sweep_report(parse_grid("lambda=0.5:3.0:160;us=0.2:1.7:160"), options);
-  const Table table = engine::read_csv(corpus);
-  const std::vector<engine::CellResult> cells = engine::decode_cells(table);
+  const std::string csv = sweep_report(parse_grid(spec), options);
+  const std::vector<engine::CellResult> cells =
+      engine::decode_cells(read_report(csv));
   ASSERT_GT(cells.size() * sizeof(PhaseCell), std::size_t{2} << 20);
-  ASSERT_EQ(corpus.find("fluid_verdict"), std::string::npos);
+  ASSERT_EQ(csv.find("fluid_verdict"), std::string::npos);
 
-  for (const bool transposed : {false, true}) {
-    const std::string x = transposed ? "lambda" : "";
-    const std::string y = transposed ? "us" : "";
-    // Cell r of the sweep is (lambda index r / kSide, us index r % kSide);
-    // the default grid keeps that order, the transposed one puts lambda
-    // on x.
-    PhaseGrid reference = build_phase_grid(table, x, y);
-    reference.cells.clear();
-    for (std::size_t slot = 0; slot < cells.size(); ++slot) {
-      const std::size_t r =
-          transposed ? (slot % kSide) * kSide + slot / kSide : slot;
-      const engine::CellResult& cell = cells[r];
-      PhaseCell c{};
-      c.params.lambda = cell.lambda;
-      c.params.us = cell.us;
-      c.params.mu = cell.mu;
-      c.params.gamma = cell.gamma;
-      c.params.k = cell.k;
-      c.params.eta = cell.eta;
-      c.params.flash = cell.flash;
-      c.params.mix = cell.mix;
-      c.params.hetero = cell.hetero;
-      c.verdict = cell.theory.verdict;
-      c.margin = cell.theory.margin;
-      c.replicas = cell.sim.replicas;
-      c.sim_mean_peers = cell.sim.mean_peers_mean;
-      c.ctmc_mean_peers = cell.ctmc_mean_peers;
-      reference.cells.push_back(c);
-    }
-    const std::string orientation = transposed ? " transposed" : "";
-    const PhaseGrid from_table = build_phase_grid(table, x, y);
-    expect_grids_identical(from_table, reference, "table" + orientation);
-    for (const PhaseCell& c : from_table.cells) {
-      ASSERT_EQ(c.fluid, Stability::kBorderline) << "table" << orientation;
-    }
-    for (const int threads : {1, 2, 4, 8}) {
-      const std::string what =
-          "threads " + std::to_string(threads) + orientation;
-      const PhaseGrid grid =
-          ingest(corpus, engine::CsvReader::kBatchBytes, threads, x, y);
-      expect_grids_identical(grid, reference, what);
-      for (const PhaseCell& c : grid.cells) {
-        ASSERT_EQ(c.fluid, Stability::kBorderline) << what;
+  for (const ReportFormat format : kBothFormats) {
+    const std::string corpus = in_format(csv, format);
+    for (const bool transposed : {false, true}) {
+      const std::string x = transposed ? "lambda" : "";
+      const std::string y = transposed ? "us" : "";
+      // Cell r of the sweep is (lambda index r / kSide, us index r %
+      // kSide); the default grid keeps that order, the transposed one
+      // puts lambda on x.
+      PhaseGrid reference = theory_oracle(spec, transposed);
+      reference.cells.clear();
+      for (std::size_t slot = 0; slot < cells.size(); ++slot) {
+        const std::size_t r =
+            transposed ? (slot % kSide) * kSide + slot / kSide : slot;
+        const engine::CellResult& cell = cells[r];
+        PhaseCell c{};
+        c.params.lambda = cell.lambda;
+        c.params.us = cell.us;
+        c.params.mu = cell.mu;
+        c.params.gamma = cell.gamma;
+        c.params.k = cell.k;
+        c.params.eta = cell.eta;
+        c.params.flash = cell.flash;
+        c.params.mix = cell.mix;
+        c.params.hetero = cell.hetero;
+        c.verdict = cell.theory.verdict;
+        c.margin = cell.theory.margin;
+        c.replicas = cell.sim.replicas;
+        c.sim_mean_peers = cell.sim.mean_peers_mean;
+        c.ctmc_mean_peers = cell.ctmc_mean_peers;
+        reference.cells.push_back(c);
+      }
+      for (const int threads : {1, 2, 4, 8}) {
+        const std::string what = format_name(format) + " threads " +
+                                 std::to_string(threads) +
+                                 (transposed ? " transposed" : "");
+        const PhaseGrid grid =
+            ingest(corpus, engine::CsvReader::kBatchBytes, threads, x, y);
+        expect_grids_identical(grid, reference, what);
+        for (const PhaseCell& c : grid.cells) {
+          ASSERT_EQ(c.fluid, Stability::kBorderline) << what;
+        }
       }
     }
   }
 }
 
+/// `json` with every '-' and '_' inside a string spelled as a \u00xx
+/// escape: the same report, whose keys miss the writer-layout fast path
+/// and whose verdict and policy cells unescape through the cursor.
+std::string escape_strings(const std::string& json) {
+  std::string out;
+  bool in_string = false;
+  for (const char c : json) {
+    if (c == '"') in_string = !in_string;
+    if (in_string && c == '-') {
+      out += "\\u002d";
+    } else if (in_string && c == '_') {
+      out += "\\u005f";
+    } else {
+      out += c;
+    }
+  }
+  return out;
+}
+
 TEST(BuildPhaseGrid, ArchivesIngestIdenticallyAtEveryThreadCount) {
   // The scenario archive (per-type block) and the policy + fluid archive
   // (trailing sim_backend/policy/fluid_verdict), cut into ~1 KiB batches
-  // so each spans several.
+  // so each spans several, and the policy archive also as report JSON,
+  // plain and with escaped strings. The references are independent of
+  // the ingest: axis values in first-appearance order and every cell's
+  // closed-form verdict, from the rows decoded by column name; the grid
+  // must not move between threads 1 and 2/4/8 or between dialects.
   for (const char* name :
        {"mix_example2_region.csv", "policy_rarest_region.csv"}) {
-    const std::string text = slurp_archive(name);
-    ASSERT_FALSE(text.empty()) << name;
-    const PhaseGrid reference = build_phase_grid(engine::read_csv(text));
-    for (const int threads : {1, 2, 4, 8}) {
-      expect_grids_identical(ingest(text, 1024, threads), reference,
-                             std::string(name) + " threads " +
-                                 std::to_string(threads));
+    SCOPED_TRACE(name);
+    const std::string csv = slurp_archive(name);
+    ASSERT_FALSE(csv.empty());
+    const PhaseGrid reference = ingest(csv, 1024, 1);
+    const ReportTable table = read_report(csv);
+    for (const auto& [axis, values] :
+         {std::pair{&reference.x_axis, &reference.x_values},
+          std::pair{&reference.y_axis, &reference.y_values}}) {
+      std::vector<double> seen;
+      for (std::size_t r = 0; r < table.num_rows(); ++r) {
+        const double v = engine::ReportRow(table, r).number(*axis);
+        if (std::find(seen.begin(), seen.end(), v) == seen.end()) {
+          seen.push_back(v);
+        }
+      }
+      EXPECT_EQ(*values, seen) << *axis;
+    }
+    for (const PhaseCell& cell : reference.cells) {
+      const StabilityReport report =
+          classify(engine::expand(reference.scenario, cell.params).params);
+      EXPECT_EQ(report.verdict, cell.verdict);
+      EXPECT_NEAR(report.margin, cell.margin, 1e-9);
+    }
+    std::vector<std::pair<std::string, std::string>> inputs = {{"csv", csv}};
+    if (std::string(name) == "policy_rarest_region.csv") {
+      const std::string json = in_format(csv, ReportFormat::kJson);
+      inputs.emplace_back("json", json);
+      inputs.emplace_back("escaped json", escape_strings(json));
+    }
+    for (const auto& [dialect, text] : inputs) {
+      for (const int threads : {1, 2, 4, 8}) {
+        expect_grids_identical(ingest(text, 1024, threads), reference,
+                               dialect + " threads " +
+                                   std::to_string(threads));
+      }
     }
   }
+}
+
+TEST(BuildPhaseGridDeath, JsonNullReadsAsNanSoGammaInfCannotIngest) {
+  // JSON spells inf as null, which reads back as nan: the mixed-arrival
+  // archive's gamma=inf rows carry no positive gamma once rendered as
+  // JSON, and the first row says so.
+  const std::string json = in_format(slurp_archive("mix_example2_region.csv"),
+                                     ReportFormat::kJson);
+  EXPECT_DEATH(ingest(json, 1024, 4),
+               "gamma must be positive \\(grid report row 0\\)\n");
 }
 
 TEST(PhaseCells, KeepCellsAcrossTheMappingThreshold) {
@@ -469,6 +595,11 @@ TEST(BuildPhaseGridDeath, EarliestMalformedRowWinsAtAnyThreadCount) {
   late_only.replace(early, 1, "1");
   EXPECT_DEATH(ingest(late_only, 4096, 4),
                "unknown verdict \"wobbly\" in grid report row 100\n");
+  // The same rows as report JSON (~10 rows per 4 KiB batch).
+  const std::string json = in_format(corpus, ReportFormat::kJson);
+  EXPECT_DEATH(ingest(json, 4096, 4), "got \"x\" in grid report row 40\n");
+  EXPECT_DEATH(ingest(in_format(late_only, ReportFormat::kJson), 4096, 4),
+               "unknown verdict \"wobbly\" in grid report row 100\n");
 }
 
 TEST(BuildPhaseGridDeath, FrontierTableAborts) {
@@ -477,59 +608,68 @@ TEST(BuildPhaseGridDeath, FrontierTableAborts) {
   RefineOptions refine;
   refine.axis = "lambda";
   refine.tol = 0.1;
-  const Table table = read_csv(engine::frontier_report(
-      parse_grid("k=1;us=1;lambda=1,9"), options, refine));
-  EXPECT_DEATH(build_phase_grid(table), "not frontier");
+  expect_ingest_death(read_report(engine::frontier_report(
+                          parse_grid("k=1;us=1;lambda=1,9"), options, refine)),
+                      "not frontier");
 }
 
 TEST(BuildPhaseGridDeath, ThirdVaryingAxisAborts) {
   SweepOptions options;
   options.horizon = 5;
   options.theory_only = true;
-  const Table table = read_csv(sweep_report(
+  const ReportTable table = read_report(sweep_report(
       parse_grid("k=1;mu=1,2;us=0.6,1.0;lambda=2,6"), options));
-  EXPECT_DEATH(build_phase_grid(table, "lambda", "us"),
-               "\"mu\" varies");
-  EXPECT_DEATH(build_phase_grid(table), "varies but is neither");
+  expect_ingest_death(table, "\"mu\" varies", "lambda", "us");
+  expect_ingest_death(table, "varies but is neither");
+}
+
+/// small_region_report's rows, with `edit` applied to each (by index).
+ReportTable edited_small_region(
+    const std::function<void(std::size_t, std::vector<std::string>&)>& edit) {
+  const ReportTable table = read_report(small_region_report());
+  ReportTable out(table.columns());
+  for (std::size_t r = 0; r < table.num_rows(); ++r) {
+    std::vector<std::string> row = table.row(r);
+    edit(r, row);
+    out.add_row(std::move(row));
+  }
+  return out;
 }
 
 TEST(BuildPhaseGridDeath, NonFiniteCoordinateAborts) {
   // A NaN lambda is a corrupt coordinate, not a renderable cell.
-  Table table = small_region_table();
-  Table corrupt(table.columns());
-  for (std::size_t r = 0; r < table.num_rows(); ++r) {
-    std::vector<std::string> row = table.row(r);
-    if (r == 2) row[1] = "nan";
-    corrupt.add_row(std::move(row));
-  }
-  EXPECT_DEATH(build_phase_grid(corrupt), "lambda must be a positive");
+  expect_ingest_death(
+      edited_small_region([](std::size_t r, std::vector<std::string>& row) {
+        if (r == 2) row[1] = "nan";
+      }),
+      "lambda must be a positive");
 }
 
 TEST(BuildPhaseGridDeath, MissingCellAborts) {
-  const Table table = small_region_table();
-  Table partial(table.columns());
+  const ReportTable table = read_report(small_region_report());
+  ReportTable partial(table.columns());
   for (std::size_t r = 0; r + 1 < table.num_rows(); ++r) {
     partial.add_row(table.row(r));
   }
-  EXPECT_DEATH(build_phase_grid(partial), "do not tile");
+  expect_ingest_death(partial, "do not tile");
 }
 
 TEST(BuildPhaseGridDeath, OutOfOrderCellIndexAborts) {
-  const Table table = small_region_table();
-  Table shuffled(table.columns());
+  const ReportTable table = read_report(small_region_report());
+  ReportTable shuffled(table.columns());
   for (std::size_t r = 0; r < table.num_rows(); ++r) {
     shuffled.add_row(table.row(table.num_rows() - 1 - r));
   }
-  EXPECT_DEATH(build_phase_grid(shuffled), "0..n-1 in row order");
+  expect_ingest_death(shuffled, "0..n-1 in row order");
 }
 
 TEST(BuildPhaseGridDeath, DuplicateCoordinateAborts) {
-  Table table({"cell", "lambda", "us", "mu", "gamma", "k", "eta", "flash",
-               "mix", "hetero", "verdict", "margin", "critical_piece",
-               "replicas", "sim_final_peers", "sim_mean_peers",
-               "sim_mean_sojourn", "sim_mean_peers_sem",
-               "sim_mean_peers_lo", "sim_mean_peers_hi",
-               "ctmc_mean_peers"});
+  ReportTable table({"cell", "lambda", "us", "mu", "gamma", "k", "eta",
+                     "flash", "mix", "hetero", "verdict", "margin",
+                     "critical_piece", "replicas", "sim_final_peers",
+                     "sim_mean_peers", "sim_mean_sojourn",
+                     "sim_mean_peers_sem", "sim_mean_peers_lo",
+                     "sim_mean_peers_hi", "ctmc_mean_peers"});
   const auto row = [&](int cell, const char* lambda, const char* us) {
     table.add_row({std::to_string(cell), lambda, us, "1", "1.25", "1", "1",
                    "0", "0", "0", "transient", "-1", "0", "0", "nan", "nan",
@@ -539,34 +679,39 @@ TEST(BuildPhaseGridDeath, DuplicateCoordinateAborts) {
   row(1, "2", "0.5");
   row(2, "1", "0.7");
   row(3, "1", "0.7");  // repeats (lambda=1, us=0.7)
-  EXPECT_DEATH(build_phase_grid(table, "lambda", "us"), "repeats the cell");
+  expect_ingest_death(table, "repeats the cell", "lambda", "us");
 }
 
 TEST(BuildPhaseGridDeath, ContradictoryPerTypeColumnAborts) {
-  SweepGrid sweep = parse_grid("k=4;us=1;gamma=inf;lambda=1.2,3;mix=0:1:3");
-  SweepOptions options;
-  options.horizon = 10;
-  options.theory_only = true;
-  options.scenario = parse_scenario("example2:3,1");
-  const Table table = read_csv(sweep_report(sweep, options));
-  Table corrupt(table.columns());
-  for (std::size_t r = 0; r < table.num_rows(); ++r) {
-    std::vector<std::string> row = table.row(r);
-    if (r == 1) row[11] = "0.42";  // lambda_t1.2 off its mix * lambda share
-    corrupt.add_row(std::move(row));
+  // JSON cannot carry gamma=inf (see JsonNullReadsAsNanSoGammaInfCannot-
+  // Ingest), so its corpus takes a finite gamma.
+  for (const ReportFormat format : kBothFormats) {
+    const bool csv = format == ReportFormat::kCsv;
+    SweepGrid sweep = parse_grid(
+        std::string("k=4;us=1;lambda=1.2,3;mix=0:1:3;gamma=") +
+        (csv ? "inf" : "2"));
+    SweepOptions options;
+    options.horizon = 10;
+    options.theory_only = true;
+    options.scenario = parse_scenario("example2:3,1");
+    const ReportTable table = read_report(sweep_report(sweep, options));
+    ReportTable corrupt(table.columns());
+    for (std::size_t r = 0; r < table.num_rows(); ++r) {
+      std::vector<std::string> row = table.row(r);
+      if (r == 1) row[11] = "0.42";  // lambda_t1.2 off its mix * lambda share
+      corrupt.add_row(std::move(row));
+    }
+    EXPECT_DEATH(phase_grid_of(corrupt, "", "", format), "contradicts")
+        << format_name(format);
   }
-  EXPECT_DEATH(build_phase_grid(corrupt), "contradicts");
 }
 
 TEST(BuildPhaseGridDeath, UnknownVerdictAborts) {
-  Table table = small_region_table();
-  Table corrupt(table.columns());
-  for (std::size_t r = 0; r < table.num_rows(); ++r) {
-    std::vector<std::string> row = table.row(r);
-    if (r == 0) row[10] = "wobbly";
-    corrupt.add_row(std::move(row));
-  }
-  EXPECT_DEATH(build_phase_grid(corrupt), "unknown verdict");
+  expect_ingest_death(
+      edited_small_region([](std::size_t r, std::vector<std::string>& row) {
+        if (r == 0) row[10] = "wobbly";
+      }),
+      "unknown verdict");
 }
 
 }  // namespace

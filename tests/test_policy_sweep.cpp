@@ -42,7 +42,7 @@ TEST(PolicySweep, ExplicitRandomUsefulIsByteIdenticalToBaseline) {
 
   const std::string csv = sweep_report(grid, baseline);
   EXPECT_EQ(csv, sweep_report(grid, explicit_random));
-  const Table a = read_csv(csv);
+  const ReportTable a = read_report(csv);
   // The baseline never grows a policy column: archived corpora keep
   // their bytes.
   for (const std::string& column : a.columns()) {
@@ -57,7 +57,7 @@ TEST(PolicySweep, PolicyAndFluidColumnsValidateAndIngest) {
   options.scenario.policy = PolicyKind::kRarestFirst;
   options.fluid = true;
 
-  const Table table = read_csv(sweep_report(grid, options));
+  const ReportTable table = read_report(sweep_report(grid, options));
   const std::vector<std::string>& columns = table.columns();
   ASSERT_GE(columns.size(), 3u);
   EXPECT_EQ(columns[columns.size() - 3], std::string(kSimBackendColumn));
@@ -71,7 +71,7 @@ TEST(PolicySweep, PolicyAndFluidColumnsValidateAndIngest) {
 
   // Round trip through the analysis ingester: the policy token and the
   // per-cell fluid verdicts survive the archive.
-  const analysis::PhaseGrid phase = analysis::build_phase_grid(table);
+  const analysis::PhaseGrid phase = phase_grid_of(table);
   EXPECT_EQ(phase.policy, "rarest-first");
   EXPECT_TRUE(phase.has_fluid);
   ASSERT_EQ(phase.cells.size(), table.num_rows());
@@ -98,7 +98,7 @@ TEST(PolicySweep, TheoryOnlyFluidGridHasNoBackendOrPolicyColumn) {
   // column stays suppressed so the header never claims a policy ran.
   options.scenario.policy = PolicyKind::kSequential;
 
-  const Table table = read_csv(sweep_report(grid, options));
+  const ReportTable table = read_report(sweep_report(grid, options));
   EXPECT_EQ(table.columns().back(), std::string(kFluidVerdictColumn));
   for (const std::string& column : table.columns()) {
     EXPECT_NE(column, std::string(kPolicyColumn));

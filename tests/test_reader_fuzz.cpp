@@ -61,20 +61,12 @@ struct Outcome {
 std::string seed_text(const std::string& name, engine::ReportFormat format) {
   const std::string csv = slurp(std::string(P2P_EXPERIMENTS_DIR) + "/" + name);
   if (format == engine::ReportFormat::kCsv) return csv;
-  return engine::render_table(engine::read_csv(csv), format);
+  return engine::render_table(engine::read_report(csv), format);
 }
 
+/// The p2p_phase dispatch: one reader for both dialects, box reports to
+/// the box builder, grids to the batched ingest.
 void ingest(const std::string& input, int threads) {
-  const std::size_t first = input.find_first_not_of(" \t\r\n");
-  if (first != std::string::npos && input[first] == '[') {
-    const engine::Table table = engine::read_json(input);
-    if (engine::validate_report_schema(table.columns()).has_boxes) {
-      analysis::build_box_grid(table);
-    } else {
-      analysis::build_phase_grid(table);
-    }
-    return;
-  }
   engine::CsvReader reader = engine::CsvReader::from_text(input);
   reader.set_batch_bytes(kFuzzBatchBytes);
   if (engine::validate_report_schema(reader.columns()).has_boxes) {

@@ -126,15 +126,6 @@ TEST(TextCells, JsonEscapesStringsAndMapsEveryNonFiniteSpelling) {
             "]\n");
 }
 
-TEST(TableDeath, RowArityMismatchAborts) {
-  Table table({"a", "b"});
-  EXPECT_DEATH(table.add_row({"only-one"}), "arity");
-}
-
-TEST(TableDeath, EmptyColumnListAborts) {
-  EXPECT_DEATH(Table({}), "at least one column");
-}
-
 // --- ReportWriter: rows reach it as rendered arenas, one row or many
 // per write_rendered call. Archived corpora and the CI determinism diffs
 // depend on the bytes, so every batching must produce the same report.

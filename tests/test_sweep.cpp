@@ -216,7 +216,7 @@ TEST(RunSweep, CtmcColumnGatedByPieceCount) {
   SweepOptions options;
   options.horizon = 20;
   options.ctmc_max_peers = 6;
-  const Table table = read_csv(sweep_report(grid, options));
+  const ReportTable table = read_report(sweep_report(grid, options));
   const std::vector<CellResult> cells = decode_cells(table);
   ASSERT_EQ(cells.size(), 2u);
   EXPECT_TRUE(std::isfinite(cells[0].ctmc_mean_peers));  // K = 3
@@ -255,7 +255,7 @@ TEST(RunSweep, TableSchemaIsStable) {
   SweepGrid grid = parse_grid("lambda=1;us=1;k=1");
   SweepOptions options;
   options.horizon = 10;
-  const Table table = read_csv(sweep_report(grid, options));
+  const ReportTable table = read_report(sweep_report(grid, options));
   ASSERT_EQ(table.num_columns(), 22u);
   EXPECT_EQ(table.columns().front(), "cell");
   EXPECT_EQ(table.columns()[8], "mix");

@@ -25,7 +25,7 @@ TEST(SimBackendResolution, AutoMatchesTheDomainRule) {
   SweepGrid grid = parse_grid("lambda=1;us=1;k=2;eta=1,1.5;hetero=0,0.4");
   SweepOptions options;
   options.horizon = 10;
-  const Table table = read_csv(sweep_report(grid, options));
+  const ReportTable table = read_report(sweep_report(grid, options));
   const std::vector<CellResult> cells = decode_cells(table);
   ASSERT_EQ(cells.size(), 4u);
   ASSERT_EQ(table.columns().back(), std::string(kSimBackendColumn));
@@ -53,12 +53,12 @@ TEST(SimBackendResolution, ForcedBackendsOverrideAuto) {
   options.horizon = 10;
 
   options.sim_backend = SimBackend::kPerPeer;
-  Table table = read_csv(sweep_report(grid, options));
+  ReportTable table = read_report(sweep_report(grid, options));
   EXPECT_EQ(table.row(0).back(), "perpeer");
 
   // Forcing type-count on an in-domain grid is legal and recorded.
   options.sim_backend = SimBackend::kTypeCount;
-  table = read_csv(sweep_report(grid, options));
+  table = read_report(sweep_report(grid, options));
   EXPECT_EQ(table.row(0).back(), "typecount");
 }
 
@@ -68,7 +68,7 @@ TEST(SimBackendResolution, TheoryOnlyOmitsTheColumn) {
   SweepGrid grid = parse_grid("lambda=1;us=1;k=1");
   SweepOptions options;
   options.theory_only = true;
-  const Table table = read_csv(sweep_report(grid, options));
+  const ReportTable table = read_report(sweep_report(grid, options));
   EXPECT_EQ(table.columns().back(), "ctmc_mean_peers");
   EXPECT_EQ(std::find(table.columns().begin(), table.columns().end(),
                       std::string(kSimBackendColumn)),
@@ -82,7 +82,7 @@ TEST(SimBackendResolution, FrontierRecordsTheResolution) {
   RefineOptions refine;
   refine.axis = "lambda";
   refine.tol = 0.1;
-  const Table table = read_csv(frontier_report(grid, options, refine));
+  const ReportTable table = read_report(frontier_report(grid, options, refine));
   ASSERT_EQ(table.columns().back(), std::string(kSimBackendColumn));
   ASSERT_EQ(table.num_rows(), 1u);
   // Homogeneous K = 1 cell: in domain, so kAuto localized the frontier

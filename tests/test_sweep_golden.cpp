@@ -51,7 +51,7 @@ TEST(SweepGolden, ScenarioCsvHeaderInsertsPerTypeRateColumns) {
   options.horizon = 10;
   options.scenario = parse_scenario("example2:3,1");
   const std::string csv = sweep_report(grid, options);
-  const Table table = read_csv(csv);
+  const ReportTable table = read_report(csv);
   const std::string header = csv.substr(0, csv.find('\n'));
   EXPECT_EQ(header,
             "cell,lambda,us,mu,gamma,k,eta,flash,mix,hetero,"
@@ -89,7 +89,7 @@ TEST(SweepGolden, ScenarioFrontierCsvRecordsTheComposition) {
   refine.axis = "mix";
   refine.tol = 1e-3;
   const std::string csv = frontier_report(grid, options, refine);
-  const Table table = read_csv(csv);
+  const ReportTable table = read_report(csv);
   EXPECT_EQ(csv.substr(0, csv.find('\n')),
             "row,axis,bracketed,value,value_lo,value_hi,margin,lambda,us,"
             "mu,gamma,k,eta,flash,mix,hetero,lambda_empty,lambda_t1.2,"

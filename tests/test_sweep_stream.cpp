@@ -30,7 +30,8 @@ constexpr std::size_t kChunks[] = {1, 7, 0};  // 0 = auto
 /// mix * lambda * rate.
 void expect_rows_match_oracles(const SweepGrid& grid,
                                const SweepOptions& options,
-                               const Table& table, const std::string& what) {
+                               const ReportTable& table,
+                               const std::string& what) {
   const SweepGrid effective = with_default_axes(grid);
   const std::vector<CellResult> cells = decode_cells(table);
   ASSERT_EQ(cells.size(), effective.num_cells()) << what;
@@ -76,12 +77,13 @@ void expect_rows_match_oracles(const SweepGrid& grid,
   }
 }
 
-/// The JSON report read by read_json equals the CSV report read by
-/// read_csv, except that JSON spells every non-finite number null, which
+/// The JSON report, read back, equals the CSV report read back, except
+/// that JSON spells every non-finite number null, which
 /// reads back as nan.
-void expect_json_reads_as_csv(const std::string& json, const Table& from_csv,
+void expect_json_reads_as_csv(const std::string& json,
+                              const ReportTable& from_csv,
                               const std::string& what) {
-  const Table from_json = read_json(json);
+  const ReportTable from_json = read_report(json);
   EXPECT_EQ(from_json.columns(), from_csv.columns()) << what;
   ASSERT_EQ(from_json.num_rows(), from_csv.num_rows()) << what;
   for (std::size_t r = 0; r < from_csv.num_rows(); ++r) {
@@ -103,7 +105,7 @@ TEST(RunSweepStream, GoldenGridRowsMatchTheGridAndTheClosedForm) {
   options.horizon = 40;
   options.replicas = 3;
   options.ctmc_max_peers = 10;
-  const Table table = read_csv(sweep_report(grid, options));
+  const ReportTable table = read_report(sweep_report(grid, options));
   expect_rows_match_oracles(grid, options, table, "golden");
   expect_json_reads_as_csv(sweep_report(grid, options, ReportFormat::kJson),
                            table, "golden");
@@ -117,7 +119,7 @@ TEST(RunSweepStream, ScenarioRowsMatchTheGridAndTheClosedForm) {
   options.horizon = 20;
   options.replicas = 2;
   options.scenario = parse_scenario("example2:3,1");
-  const Table table = read_csv(sweep_report(grid, options));
+  const ReportTable table = read_report(sweep_report(grid, options));
   expect_rows_match_oracles(grid, options, table, "example2");
   expect_json_reads_as_csv(sweep_report(grid, options, ReportFormat::kJson),
                            table, "example2");
@@ -150,7 +152,7 @@ TEST(RunSweepStream, DeterminismMatrixOverThreadsAndChunks) {
     const std::string csv_ref = sweep_report(grid, base);
     const std::string json_ref = sweep_report(grid, base, ReportFormat::kJson);
     EXPECT_FALSE(csv_ref.empty());
-    expect_rows_match_oracles(grid, base, read_csv(csv_ref), shape.grid);
+    expect_rows_match_oracles(grid, base, read_report(csv_ref), shape.grid);
     for (const int threads : {1, 2, 4, 8}) {
       for (const std::size_t chunk : kChunks) {
         SweepOptions options = base;
@@ -180,7 +182,7 @@ TEST(RunSweepStream, TheoryOnlyDeterminismMatrixMatchesTheOracles) {
   base.chunk = 1;
   const std::string csv = sweep_report(grid, base);
   const std::string json = sweep_report(grid, base, ReportFormat::kJson);
-  const Table table = read_csv(csv);
+  const ReportTable table = read_report(csv);
   expect_rows_match_oracles(grid, base, table, "theory-only");
   expect_json_reads_as_csv(json, table, "theory-only");
   for (const int threads : {1, 2, 8}) {
@@ -251,7 +253,7 @@ TEST(RunSweepStream, EveryColumnFamilyMatchesTheOraclesAcrossTheMatrix) {
     base.chunk = 1;
     const std::string csv = sweep_report(grid, base);
     const std::string json = sweep_report(grid, base, ReportFormat::kJson);
-    const Table from_csv = read_csv(csv);
+    const ReportTable from_csv = read_report(csv);
     EXPECT_EQ(from_csv.columns(), sweep_columns(c.options)) << c.name;
     expect_rows_match_oracles(grid, base, from_csv, c.name);
     expect_json_reads_as_csv(json, from_csv, c.name);
@@ -271,14 +273,14 @@ TEST(RunSweepStream, EveryColumnFamilyMatchesTheOraclesAcrossTheMatrix) {
         EXPECT_EQ(run_csv, csv) << what;
         EXPECT_EQ(run_json, json) << what;
         if (run_csv != csv || run_json != json) {
-          const Table run_table = read_csv(run_csv);
+          const ReportTable run_table = read_report(run_csv);
           expect_rows_match_oracles(grid, options, run_table, what);
           expect_json_reads_as_csv(run_json, run_table, what);
         }
       }
     }
     if (std::string(c.name) == "k/gamma") {
-      const Table& table = from_csv;
+      const ReportTable& table = from_csv;
       const std::size_t margin = 11, critical = 12;
       ASSERT_EQ(table.columns()[critical], "critical_piece");
       ASSERT_EQ(table.columns()[margin], "margin");
@@ -360,7 +362,7 @@ TEST(RunSweepStream, TheoryOnlySkipsSimulationButKeepsTheVerdicts) {
   // cell, sim columns NaN with replicas = 0.
   options.replicas = 8;
   const std::string csv = sweep_report(grid, options);
-  const Table table = read_csv(csv);
+  const ReportTable table = read_report(csv);
   const std::vector<CellResult> cells = decode_cells(table);
   ASSERT_EQ(cells.size(), 2u);
   EXPECT_EQ(cells[0].theory.verdict, Stability::kPositiveRecurrent);

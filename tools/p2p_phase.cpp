@@ -372,19 +372,10 @@ int main(int argc, char** argv) {
     return 0;
   };
 
-  // CSV corpora — named files and piped sweeps alike — stream through
-  // CsvReader in O(cells) typed state, never holding the document;
-  // only JSON (which the parser needs whole) slurps. report_is_json is
-  // the tree's one format sniff, and on stdin it leaves the document
-  // readable from its first non-whitespace byte.
+  // Every corpus — CSV or JSON, named file, FIFO or pipe — streams
+  // through one CsvReader in O(cells) typed state, never holding the
+  // document; the reader reads the dialect from its own first bytes.
   const PhaseGrid grid = [&]() -> PhaseGrid {
-    if (report_is_json(in)) {
-      const Table table = read_json_file(in);
-      if (validate_report_schema(table.columns()).has_boxes) {
-        std::exit(run_box_mode(build_box_grid(table)));
-      }
-      return build_phase_grid(table, x_axis, y_axis);
-    }
     CsvReader reader(in);
     if (validate_report_schema(reader.columns()).has_boxes) {
       std::exit(run_box_mode(build_box_grid(reader)));
@@ -412,13 +403,9 @@ int main(int argc, char** argv) {
   if (!diff_in.empty()) {
     // The diff reads --in as the variant and --diff as the baseline:
     // red cells mean the variant holds MORE peers than the baseline.
-    const PhaseGrid baseline = [&] {
-      if (report_is_json(diff_in)) {
-        return build_phase_grid(read_json_file(diff_in), x_axis, y_axis);
-      }
-      CsvReader reader(diff_in);
-      return build_phase_grid(reader, x_axis, y_axis, threads);
-    }();
+    CsvReader reader(diff_in);
+    const PhaseGrid baseline =
+        build_phase_grid(reader, x_axis, y_axis, threads);
     if (!diff_ppm_out.empty()) {
       write_text(diff_ppm_out, render_diff_ppm(baseline, grid, render));
     }
