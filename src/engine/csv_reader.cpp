@@ -924,7 +924,9 @@ const char* skip_json_value(std::string_view text, std::size_t* pos,
       ++*pos;
       continue;
     }
-    if (text[*pos] != close) return open == '{' ? "expected '}'" : "expected ']'";
+    if (text[*pos] != close) {
+      return open == '{' ? "expected '}'" : "expected ']'";
+    }
     ++*pos;
     return nullptr;
   }
