@@ -683,8 +683,8 @@ TEST(BuildPhaseGridDeath, DuplicateCoordinateAborts) {
 }
 
 TEST(BuildPhaseGridDeath, ContradictoryPerTypeColumnAborts) {
-  // JSON cannot carry gamma=inf (see JsonNullReadsAsNanSoGammaInfCannot-
-  // Ingest), so its corpus takes a finite gamma.
+  // JSON cannot carry gamma=inf (null reads back as nan), so the JSON
+  // corpus takes a finite gamma.
   for (const ReportFormat format : kBothFormats) {
     const bool csv = format == ReportFormat::kCsv;
     SweepGrid sweep = parse_grid(
