@@ -2,8 +2,12 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <functional>
+#include <string_view>
 
+#include "engine/thread_pool.hpp"
+#include "engine/uninit_allocator.hpp"
 #include "util/assert.hpp"
 #include "util/number_format.hpp"
 
@@ -37,11 +41,22 @@ Rgb lerp(Rgb a, Rgb b, double t) {
 }
 
 /// Largest finite |margin| over the grid; 1 when none (flat ramp).
-double default_margin_scale(const PhaseGrid& grid) {
+/// Scanned on `pool` in fixed blocks: a maximum is exact, so the scale
+/// does not depend on how the cells were split.
+double default_margin_scale(const PhaseGrid& grid, engine::ThreadPool& pool) {
+  constexpr std::size_t kBlock = std::size_t{1} << 14;
+  const std::size_t n = grid.cells.size();
+  std::vector<double> block_scale((n + kBlock - 1) / kBlock, 0.0);
+  pool.parallel_for(block_scale.size(), [&](std::size_t b) {
+    double scale = 0;
+    for (std::size_t i = b * kBlock; i < std::min(n, (b + 1) * kBlock); ++i) {
+      const double m = grid.cells[i].margin;
+      if (std::isfinite(m)) scale = std::max(scale, std::abs(m));
+    }
+    block_scale[b] = scale;
+  });
   double scale = 0;
-  for (const PhaseCell& c : grid.cells) {
-    if (std::isfinite(c.margin)) scale = std::max(scale, std::abs(c.margin));
-  }
+  for (const double s : block_scale) scale = std::max(scale, s);
   return scale > 0 ? scale : 1;
 }
 
@@ -115,86 +130,139 @@ std::string fmt(double v) {
 
 namespace {
 
+/// A band of scanlines holds at most this many bytes (unless one
+/// scanline is longer): the bands in flight stay a few MiB whatever the
+/// image size.
+constexpr std::size_t kBandBytes = std::size_t{1} << 18;
+
 /// The PPM generator behind render_ppm and write_ppm: emits the header
-/// and then one scanline at a time to `sink`, so the file writer's
-/// peak memory is a single pixel row, never the image.
+/// and then the scanlines in order to `sink`, one band at a time. Bands
+/// render on a pool of `threads` (0 = all hardware cores) through the
+/// ordered streaming pipeline, into a ring of band buffers that a bounded
+/// claim window keeps from being overwritten before the sink has taken
+/// them — so the file writer never holds the image, and the bytes do not
+/// depend on the thread count.
 void render_ppm_rows(const PhaseGrid& grid,
                      const std::vector<PhaseFrontierPoint>& frontier,
-                     const RenderOptions& options,
-                     const std::function<void(const std::string&)>& sink) {
+                     const RenderOptions& options, int threads,
+                     const std::function<void(std::string_view)>& sink) {
   validate(grid, options);
+  P2P_ASSERT_MSG(threads >= 0, "PPM render threads must be >= 0");
   const std::size_t px = static_cast<std::size_t>(options.cell_px);
   const std::size_t nx = grid.num_x();
   const std::size_t ny = grid.num_y();
   const std::size_t width = nx * px;
   const std::size_t height = ny * px;
+  const std::size_t line_bytes = 3 * width;
+  // Enough bands to keep every thread busy, none over kBandBytes.
+  threads = engine::ThreadPool::all_cores_if_zero(threads);
+  const std::size_t band_rows = std::max<std::size_t>(
+      1, std::min(kBandBytes / line_bytes,
+                  height / (4 * static_cast<std::size_t>(threads))));
+  const std::size_t bands = (height + band_rows - 1) / band_rows;
+  engine::ThreadPool pool(
+      static_cast<int>(std::min(bands, static_cast<std::size_t>(threads))));
+
   const double scale = std::isnan(options.margin_scale)
-                           ? default_margin_scale(grid)
+                           ? default_margin_scale(grid, pool)
                            : options.margin_scale;
   P2P_ASSERT_MSG(scale > 0 && std::isfinite(scale),
                  "margin_scale must be positive and finite");
 
-  // Frontier marker column (in pixels) per y row, if any.
+  // Frontier marker column (in pixels) per y row, if any: the points'
+  // cell coordinates on the pool, then assigned in order (a later point
+  // for the same row wins).
   std::vector<double> marker(ny, std::nan(""));
   if (options.overlay_frontier) {
-    for (const PhaseFrontierPoint& pt : frontier) {
-      if (pt.row < ny) {
-        const double coord = x_to_cell_coord(grid.x_values, frontier_x(pt));
-        if (std::isfinite(coord)) {
-          marker[pt.row] = coord * static_cast<double>(px);
-        }
+    std::vector<double> coords(frontier.size(), std::nan(""));
+    pool.parallel_for(frontier.size(), [&](std::size_t i) {
+      if (frontier[i].row < ny) {
+        coords[i] = x_to_cell_coord(grid.x_values, frontier_x(frontier[i]));
+      }
+    });
+    for (std::size_t i = 0; i < frontier.size(); ++i) {
+      if (std::isfinite(coords[i])) {
+        marker[frontier[i].row] = coords[i] * static_cast<double>(px);
       }
     }
   }
 
-  sink("P6\n" + std::to_string(width) + " " + std::to_string(height) +
-       "\n255\n");
-  std::vector<Rgb> row_colors(nx);
-  std::string line;
-  for (std::size_t row = 0; row < height; ++row) {
-    // Image row 0 is the TOP: the last y value (y grows upward).
-    const std::size_t yi = ny - 1 - row / px;
-    // One cell_color per cell, not per pixel: the px^2 pixels of a cell
-    // reuse the row's colors.
-    if (row % px == 0) {
-      for (std::size_t xi = 0; xi < nx; ++xi) {
-        row_colors[xi] = cell_color(grid.at(yi, xi), scale);
+  // One cell_color per cell, not per pixel, and one rendered scanline
+  // per grid row: its px scanlines (marker included) are identical.
+  const auto render_line = [&](std::size_t yi, char* out) {
+    char* pixel = out;
+    for (std::size_t xi = 0; xi < nx; ++xi) {
+      const Rgb c = cell_color(grid.at(yi, xi), scale);
+      for (std::size_t k = 0; k < px; ++k, pixel += 3) {
+        pixel[0] = static_cast<char>(c.r);
+        pixel[1] = static_cast<char>(c.g);
+        pixel[2] = static_cast<char>(c.b);
       }
     }
     // The 2px-wide ink marker for this row's frontier estimate.
-    long mark_lo = -1, mark_hi = -2;
     if (std::isfinite(marker[yi])) {
       const long center = std::lround(marker[yi]);
-      mark_lo = std::max(0L, center - 1);
-      mark_hi = std::min(static_cast<long>(width) - 1, center);
+      const long hi = std::min(static_cast<long>(width) - 1, center);
+      for (long col = std::max(0L, center - 1); col <= hi; ++col) {
+        out[3 * col] = static_cast<char>(kInk.r);
+        out[3 * col + 1] = static_cast<char>(kInk.g);
+        out[3 * col + 2] = static_cast<char>(kInk.b);
+      }
     }
-    line.clear();
-    for (std::size_t col = 0; col < width; ++col) {
-      const bool marked = static_cast<long>(col) >= mark_lo &&
-                          static_cast<long>(col) <= mark_hi;
-      const Rgb c = marked ? kInk : row_colors[col / px];
-      line += static_cast<char>(c.r);
-      line += static_cast<char>(c.g);
-      line += static_cast<char>(c.b);
-    }
-    sink(line);
-  }
+  };
+
+  const std::string header = "P6\n" + std::to_string(width) + " " +
+                             std::to_string(height) + "\n255\n";
+  sink(header);
+  // Band b lives in slot b % ring until the sink has taken it; claims
+  // run at most `ring` bands past the bands taken, so no band lands in a
+  // slot still waiting for the sink.
+  const std::size_t ring =
+      std::min(bands, 4 * static_cast<std::size_t>(pool.size()) + 2);
+  const std::size_t band_bytes = band_rows * line_bytes;
+  std::vector<char, engine::UninitAllocator<char>> slots(ring * band_bytes);
+  std::size_t emitted = 0;  // bands handed to the sink
+  pool.parallel_for_streaming_blocks(
+      height, band_rows, ring * band_rows,
+      [&](std::size_t begin, std::size_t end) {
+        char* const band = slots.data() + begin / band_rows % ring * band_bytes;
+        // Image row 0 is the TOP: the last y value (y grows upward).
+        for (std::size_t row = begin; row < end;) {
+          const std::size_t yi = ny - 1 - row / px;
+          const std::size_t stop = std::min(end, (row / px + 1) * px);
+          char* const line = band + (row - begin) * line_bytes;
+          render_line(yi, line);
+          for (std::size_t r = row + 1; r < stop; ++r) {
+            std::memcpy(band + (r - begin) * line_bytes, line, line_bytes);
+          }
+          row = stop;
+        }
+      },
+      [&](std::size_t prefix) {
+        for (; emitted * band_rows < prefix; ++emitted) {
+          const std::size_t rows =
+              std::min(band_rows, height - emitted * band_rows);
+          sink(std::string_view(slots.data() + emitted % ring * band_bytes,
+                                rows * line_bytes));
+        }
+      });
 }
 
 }  // namespace
 
 std::string render_ppm(const PhaseGrid& grid,
                        const std::vector<PhaseFrontierPoint>& frontier,
-                       const RenderOptions& options) {
+                       const RenderOptions& options, int threads) {
   std::string out;
-  render_ppm_rows(grid, frontier, options,
-                  [&](const std::string& bytes) { out += bytes; });
+  render_ppm_rows(grid, frontier, options, threads,
+                  [&](std::string_view bytes) { out += bytes; });
   return out;
 }
 
 void write_ppm(const PhaseGrid& grid,
                const std::vector<PhaseFrontierPoint>& frontier,
-               const RenderOptions& options, const std::string& path) {
+               const RenderOptions& options, const std::string& path,
+               int threads) {
   const bool to_stdout = path.empty() || path == "-";
   std::FILE* file = stdout;
   if (!to_stdout) {
@@ -202,12 +270,13 @@ void write_ppm(const PhaseGrid& grid,
     P2P_ASSERT_MSG(file != nullptr,
                    "cannot open PPM output file \"" + path + "\"");
   }
-  render_ppm_rows(grid, frontier, options, [&](const std::string& bytes) {
-    const std::size_t written =
-        std::fwrite(bytes.data(), 1, bytes.size(), file);
-    P2P_ASSERT_MSG(written == bytes.size(),
-                   "short write to PPM output file");
-  });
+  render_ppm_rows(grid, frontier, options, threads,
+                  [&](std::string_view bytes) {
+                    const std::size_t written =
+                        std::fwrite(bytes.data(), 1, bytes.size(), file);
+                    P2P_ASSERT_MSG(written == bytes.size(),
+                                   "short write to PPM output file");
+                  });
   if (to_stdout) {
     P2P_ASSERT_MSG(std::fflush(file) == 0, "short write to stdout");
   } else {
@@ -225,8 +294,9 @@ std::string render_svg(const PhaseGrid& grid,
   const int px = options.cell_px;
   const std::size_t nx = grid.num_x();
   const std::size_t ny = grid.num_y();
+  engine::ThreadPool serial(1);
   const double scale = std::isnan(options.margin_scale)
-                           ? default_margin_scale(grid)
+                           ? default_margin_scale(grid, serial)
                            : options.margin_scale;
   P2P_ASSERT_MSG(scale > 0 && std::isfinite(scale),
                  "margin_scale must be positive and finite");

@@ -39,18 +39,22 @@ struct RenderOptions {
 
 /// Binary PPM (P6), row 0 of the image at the TOP: the grid's last y
 /// value. y increases upward like a plot, x left to right in grid
-/// order. Image size: (num_x * cell_px) x (num_y * cell_px).
+/// order. Image size: (num_x * cell_px) x (num_y * cell_px). Bands of
+/// scanlines render on `threads` OS threads (0 = all hardware cores);
+/// the bytes are the same at any thread count.
 std::string render_ppm(const PhaseGrid& grid,
                        const std::vector<PhaseFrontierPoint>& frontier,
-                       const RenderOptions& options = {});
+                       const RenderOptions& options = {}, int threads = 0);
 
 /// Streams the same bytes straight to `path` ("-" or empty = stdout),
-/// one scanline at a time — a million-cell diagram at the default
-/// cell_px would be a ~400 MB string, which a plotting CLI has no
-/// business holding. Aborts on short writes.
+/// one band of scanlines at a time, in order, with a bounded number of
+/// bands in flight — a million-cell diagram at the default cell_px
+/// would be a ~400 MB string, which a plotting CLI has no business
+/// holding. Aborts on short writes.
 void write_ppm(const PhaseGrid& grid,
                const std::vector<PhaseFrontierPoint>& frontier,
-               const RenderOptions& options, const std::string& path);
+               const RenderOptions& options, const std::string& path,
+               int threads = 0);
 
 /// Standalone SVG with axis names, first/last tick labels (selective,
 /// never a label per cell), a two-swatch verdict legend, and the

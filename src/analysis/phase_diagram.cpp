@@ -1,13 +1,13 @@
 #include "analysis/phase_diagram.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <condition_variable>
 #include <iterator>
 #include <memory>
 #include <mutex>
 #include <span>
 #include <string_view>
-#include <thread>
 #include <unordered_map>
 
 #include "engine/csv_reader.hpp"
@@ -157,6 +157,11 @@ class ValueIndex {
   std::vector<double> values_;
   std::size_t last_ = 0;
 };
+
+/// Cells per block of the pooled cell scans (the row-major check and
+/// verdict_agreement's tallies): fixed, so how the cells are cut does
+/// not depend on the thread count.
+constexpr std::size_t kCellBlock = std::size_t{1} << 14;
 
 /// a == b up to fp noise from reconstructing products out of their
 /// archived factors (division + multiplication round-trips).
@@ -343,7 +348,8 @@ ReportSchema grid_schema(const std::vector<std::string>& columns) {
 PhaseGrid assemble_phase_grid(const ReportSchema& schema, GridRows rows,
                               const std::string& policy,
                               const std::string& x_req,
-                              const std::string& y_req) {
+                              const std::string& y_req,
+                              engine::ThreadPool& pool) {
   const std::size_t n = rows.cells.size();
   P2P_ASSERT_MSG(n >= 1, "grid report has no rows");
   const std::vector<ValueIndex>& axis_values = rows.axis_values;
@@ -407,15 +413,28 @@ PhaseGrid assemble_phase_grid(const ReportSchema& schema, GridRows rows,
                      ") do not tile the " + std::to_string(nx) + " x " +
                      std::to_string(ny) + " (x, y) product");
   // Engine corpora in their default orientation already arrive in slot
-  // order: row r holds (x_values[r % nx], y_values[r / nx]). Then every
-  // slot is filled exactly once and the rows move in whole; any other
-  // order (a transposed --x/--y) tiles through the value index.
-  bool row_major = true;
-  for (std::size_t r = 0; r < n && row_major; ++r) {
-    const CellParams& p = rows.cells[r].params;
-    row_major = axis_value(p, xi_axis) == grid.x_values[r % nx] &&
-                axis_value(p, yi_axis) == grid.y_values[r / nx];
-  }
+  // order: row yi * nx + xi holds (x_values[xi], y_values[yi]). Then
+  // every slot is filled exactly once and the rows move in whole; any
+  // other order (a transposed --x/--y) tiles through the value index.
+  // The check runs on the pool in blocks of whole y rows; a block stops
+  // once any block has found a row out of place.
+  std::atomic<bool> row_major{true};
+  const std::size_t block_rows = std::max<std::size_t>(1, kCellBlock / nx);
+  pool.parallel_for((ny + block_rows - 1) / block_rows, [&](std::size_t b) {
+    const std::size_t y_end = std::min(ny, (b + 1) * block_rows);
+    for (std::size_t yi = b * block_rows; yi < y_end; ++yi) {
+      if (!row_major.load(std::memory_order_relaxed)) return;
+      const double y = grid.y_values[yi];
+      const PhaseCell* row = rows.cells.data() + yi * nx;
+      for (std::size_t xi = 0; xi < nx; ++xi) {
+        if (axis_value(row[xi].params, xi_axis) != grid.x_values[xi] ||
+            axis_value(row[xi].params, yi_axis) != y) {
+          row_major.store(false, std::memory_order_relaxed);
+          return;
+        }
+      }
+    }
+  });
   PhaseCells by_row;  // row order, when it differs from slots
   if (row_major) {
     grid.cells = std::move(rows.cells);
@@ -656,9 +675,12 @@ PhaseGrid build_phase_grid(engine::CsvReader& reader,
                            const std::string& x_axis,
                            const std::string& y_axis, int threads) {
   P2P_ASSERT_MSG(threads >= 0, "phase-grid ingest threads must be >= 0");
-  if (threads == 0) {
-    threads = static_cast<int>(
-        std::max(1u, std::thread::hardware_concurrency()));
+  threads = engine::ThreadPool::all_cores_if_zero(threads);
+  // More threads than batches would only wait: an input of one batch
+  // never starts a pool.
+  if (const std::size_t bytes = reader.input_bytes(); bytes != 0) {
+    threads = static_cast<int>(std::min<std::size_t>(
+        static_cast<std::size_t>(threads), bytes / reader.batch_bytes() + 1));
   }
   const ReportSchema schema = grid_schema(reader.columns());
   GridRowDecoder decoder(schema);
@@ -676,13 +698,10 @@ PhaseGrid build_phase_grid(engine::CsvReader& reader,
   std::vector<BatchSlot> slots(ring);
   for (BatchSlot& slot : slots) reader.reserve_batch(&slot.batch);
 
-  // The caller cuts two batches: the first names the policy and sizes
-  // the corpus, and only a second one makes a pool worth starting.
-  std::size_t cut = 0;  // batches cut and committed
-  while (cut < 2 && reader.next_batch(&slots[cut].batch)) ++cut;
-  bool end = cut < 2;  // the reader has returned its last batch
-  if (cut > 0) {
-    const engine::CsvBatch& first = slots[0].batch;
+  // The first batch committed names the policy and sizes the corpus.
+  // It commits under the lock before any decode is claimed, so every
+  // decoder sees policy0.
+  const auto first_batch = [&](const engine::CsvBatch& first) {
     if (decoder.has_policy) {
       engine::CsvBatchCursor cursor(first, reader);
       std::vector<std::string_view> cells;
@@ -699,17 +718,16 @@ PhaseGrid build_phase_grid(engine::CsvReader& reader,
       rows.cells.reserve(estimate);
       rows.type_cols.reserve(estimate * decoder.block_width);
     }
-    for (std::size_t b = 0; b < cut; ++b) {
-      rows.grow(slots[b].batch.rows, decoder.block_width);
-    }
-  }
+  };
 
   std::mutex mutex;
   std::condition_variable changed;
+  std::size_t cut = 0;       // batches cut and committed
   std::size_t claimed = 0;   // batches handed to a decoder
   std::size_t decoding = 0;  // decodes in flight
   std::size_t retired = 0;   // batches checked and merged, in order
   std::vector<char> decoded(ring, 0);
+  bool end = false;      // the reader has returned its last batch
   bool cutting = false;  // a thread is inside next_batch
   bool pending = false;  // slot cut % ring holds a cut, uncommitted batch
   std::string error;     // the earliest failing batch's message
@@ -717,12 +735,13 @@ PhaseGrid build_phase_grid(engine::CsvReader& reader,
     std::unique_lock<std::mutex> lock(mutex);
     while (error.empty()) {
       if (pending) {
+        const engine::CsvBatch& batch = slots[cut % ring].batch;
+        if (cut == 0) first_batch(batch);
         // Growing past the reserve moves every cell: only with all
         // committed batches decoded and none in flight.
-        const std::size_t more = slots[cut % ring].batch.rows;
-        if (rows.fits(more, decoder.block_width) ||
+        if (rows.fits(batch.rows, decoder.block_width) ||
             (decoding == 0 && claimed == cut)) {
-          rows.grow(more, decoder.block_width);
+          rows.grow(batch.rows, decoder.block_width);
           ++cut;
           pending = false;
           changed.notify_all();
@@ -771,15 +790,11 @@ PhaseGrid build_phase_grid(engine::CsvReader& reader,
     }
     changed.notify_all();
   };
-  if (cut > 1 && threads > 1) {
-    engine::ThreadPool pool(threads);
-    pool.parallel_for(static_cast<std::size_t>(threads), work);
-  } else {
-    work(0);
-  }
+  engine::ThreadPool pool(threads);
+  pool.parallel_for(static_cast<std::size_t>(threads), work);
   P2P_ASSERT_MSG(error.empty(), error);
   return assemble_phase_grid(schema, std::move(rows), decoder.policy0, x_axis,
-                             y_axis);
+                             y_axis, pool);
 }
 
 std::vector<PhaseFrontierPoint> extract_frontier(const PhaseGrid& grid,
@@ -852,32 +867,61 @@ std::vector<PhaseFrontierPoint> extract_frontier(const PhaseGrid& grid,
 
 VerdictAgreement verdict_agreement(const PhaseGrid& grid, double threshold,
                                    double confidence, int resamples,
-                                   std::uint64_t seed) {
+                                   std::uint64_t seed, int threads) {
   P2P_ASSERT_MSG(confidence > 0 && confidence < 1,
                  "confidence must lie in (0, 1)");
   P2P_ASSERT_MSG(resamples >= 10, "bootstrap resamples must be >= 10");
+  P2P_ASSERT_MSG(threads >= 0, "verdict agreement threads must be >= 0");
+
+  // One pass over the cells on the pool, in fixed blocks: each block
+  // tallies theory vs fluid over its cells and gathers its cells with
+  // simulation data, and the blocks merge in order, so the sim cells —
+  // and the bootstrap's indicators — come out in grid order.
+  struct BlockScan {
+    std::size_t fluid_counts[3][3] = {};
+    std::size_t fluid_compared = 0, fluid_agreeing = 0;
+    std::vector<const PhaseCell*> sim_cells;
+  };
+  const std::size_t n = grid.cells.size();
+  std::vector<BlockScan> scans((n + kCellBlock - 1) / kCellBlock);
+  engine::ThreadPool pool(static_cast<int>(std::min<std::size_t>(
+      static_cast<std::size_t>(engine::ThreadPool::all_cores_if_zero(threads)),
+      std::max<std::size_t>(1, scans.size()))));
+  pool.parallel_for(scans.size(), [&](std::size_t b) {
+    BlockScan& scan = scans[b];
+    const PhaseCell* const cells = grid.cells.data();
+    const PhaseCell* const end = cells + std::min(n, (b + 1) * kCellBlock);
+    for (const PhaseCell* c = cells + b * kCellBlock; c != end; ++c) {
+      if (grid.has_fluid) {
+        // Both verdicts are closed-form, so the theory-vs-fluid matrix
+        // covers every cell — no simulation gate.
+        scan.fluid_counts[static_cast<int>(c->verdict)]
+                         [static_cast<int>(c->fluid)] += 1;
+        if (c->verdict != Stability::kBorderline &&
+            c->fluid != Stability::kBorderline) {
+          ++scan.fluid_compared;
+          if (c->verdict == c->fluid) ++scan.fluid_agreeing;
+        }
+      }
+      if (c->replicas > 0 && std::isfinite(c->sim_mean_peers)) {
+        scan.sim_cells.push_back(c);
+      }
+    }
+  });
 
   VerdictAgreement out;
   out.has_fluid = grid.has_fluid;
-  if (grid.has_fluid) {
-    // Both verdicts are closed-form, so the theory-vs-fluid matrix
-    // covers every cell — no simulation gate.
-    for (const PhaseCell& c : grid.cells) {
-      const int t = static_cast<int>(c.verdict);
-      const int f = static_cast<int>(c.fluid);
-      out.fluid_counts[t][f] += 1;
-      if (c.verdict != Stability::kBorderline &&
-          c.fluid != Stability::kBorderline) {
-        ++out.fluid_compared;
-        if (c.verdict == c.fluid) ++out.fluid_agreeing;
+  std::vector<const PhaseCell*> sim_cells;
+  for (const BlockScan& scan : scans) {
+    for (int t = 0; t < 3; ++t) {
+      for (int f = 0; f < 3; ++f) {
+        out.fluid_counts[t][f] += scan.fluid_counts[t][f];
       }
     }
-  }
-  std::vector<const PhaseCell*> sim_cells;
-  for (const PhaseCell& c : grid.cells) {
-    if (c.replicas > 0 && std::isfinite(c.sim_mean_peers)) {
-      sim_cells.push_back(&c);
-    }
+    out.fluid_compared += scan.fluid_compared;
+    out.fluid_agreeing += scan.fluid_agreeing;
+    sim_cells.insert(sim_cells.end(), scan.sim_cells.begin(),
+                     scan.sim_cells.end());
   }
   out.cells_with_sim = sim_cells.size();
   if (sim_cells.empty()) return out;

@@ -242,11 +242,14 @@ struct VerdictAgreement {
 /// Classifies every simulated cell against `threshold` (NaN = use the
 /// median simulated occupancy, a scale-free default that splits any
 /// two-phase grid) and bootstraps a CI on the agreement rate. `seed`
-/// drives only the bootstrap, so the result is deterministic.
+/// drives only the bootstrap, so the result is deterministic. The cell
+/// scan runs on `threads` OS threads (0 = all hardware cores) in fixed
+/// blocks merged in grid order, so the result is identical for any
+/// thread count.
 VerdictAgreement verdict_agreement(const PhaseGrid& grid,
                                    double threshold = std::nan(""),
                                    double confidence = 0.95,
                                    int resamples = 256,
-                                   std::uint64_t seed = 1);
+                                   std::uint64_t seed = 1, int threads = 0);
 
 }  // namespace p2p::analysis

@@ -82,11 +82,23 @@ std::string arity_error(std::size_t got, std::size_t want) {
          std::to_string(want);
 }
 
+/// How far find_record_end has classified one record, so that a record
+/// outgrowing the bytes read so far resumes after a refill where the
+/// scan stopped instead of at its first byte: a long quoted cell costs
+/// linear time, not one rescan per read.
+struct RecordScan {
+  std::size_t done = 0;     // bytes of the record classified so far
+  bool quoted = false;      // the record has a '"' (only then can it hold
+                            // a newline of its own)
+  bool in_quotes = false;   // inside a quoted cell
+  bool cell_start = true;   // the next byte starts a cell
+};
+
 /// Finds the '\n' that ends the record starting at `from` in `text`;
-/// npos when the record is not complete in `text`. `more` says bytes may
-/// follow `text`, so a quote on its last byte cannot be classified yet.
-/// `quoted` reports whether the record has any '"' (only then can it
-/// hold a newline of its own).
+/// npos when the record is not complete in `text`, with `*scan` saying
+/// where to resume once more bytes follow (the record's start may move,
+/// its offsets in `*scan` do not). `more` says bytes may follow `text`,
+/// so a quote on its last byte cannot be classified yet.
 ///
 /// A record with no '"' before its first '\n' ends there: two memchr
 /// calls. Otherwise a state machine tracks quoted cells, which may span
@@ -94,40 +106,61 @@ std::string arity_error(std::size_t got, std::size_t want) {
 /// quote mid-cell is data to the scanner and a loud split error later,
 /// never a silent swallow-the-rest-of-the-file state.
 std::size_t find_record_end(std::string_view text, std::size_t from,
-                            bool more, bool* quoted) {
+                            bool more, RecordScan* scan) {
   const char* base = text.data();
-  const auto* nl = static_cast<const char*>(
-      std::memchr(base + from, '\n', text.size() - from));
-  const std::size_t stop = nl != nullptr ? nl - base : text.size();
-  *quoted = std::memchr(base + from, '"', stop - from) != nullptr;
-  if (!*quoted) return nl != nullptr ? stop : std::string_view::npos;
-
-  bool in_quotes = false;
-  bool cell_start = true;
-  for (std::size_t i = from; i < text.size(); ++i) {
+  std::size_t i = from + scan->done;
+  if (!scan->quoted) {
+    const auto* nl = static_cast<const char*>(
+        std::memchr(base + i, '\n', text.size() - i));
+    const std::size_t stop = nl != nullptr ? nl - base : text.size();
+    const auto* quote =
+        static_cast<const char*>(std::memchr(base + i, '"', stop - i));
+    if (quote == nullptr) {
+      if (nl != nullptr) return stop;
+      scan->done = text.size() - from;
+      return std::string_view::npos;
+    }
+    // The quote-free bytes before the first '"' only decide whether it
+    // sits at a cell boundary.
+    i = static_cast<std::size_t>(quote - base);
+    scan->quoted = true;
+    scan->cell_start = i == from || text[i - 1] == ',';
+  }
+  for (; i < text.size(); ++i) {
     const char c = text[i];
-    if (in_quotes) {
+    if (scan->in_quotes) {
       if (c == '"') {
         if (i + 1 < text.size() && text[i + 1] == '"') {
           ++i;  // doubled quote: stay inside the cell
         } else if (i + 1 == text.size() && more) {
-          return std::string_view::npos;  // cannot tell yet: refill decides
+          break;  // cannot tell yet: resume at this quote after a refill
         } else {
-          in_quotes = false;
+          scan->in_quotes = false;
         }
       }
-    } else if (c == '"' && cell_start) {
-      in_quotes = true;
-      cell_start = false;
+    } else if (c == '"' && scan->cell_start) {
+      scan->in_quotes = true;
+      scan->cell_start = false;
     } else if (c == ',') {
-      cell_start = true;
+      scan->cell_start = true;
     } else if (c == '\n') {
       return i;
     } else {
-      cell_start = false;
+      scan->cell_start = false;
     }
   }
+  scan->done = i - from;
   return std::string_view::npos;
+}
+
+constexpr std::uint64_t kOnes = 0x0101010101010101ULL;
+
+/// The high bit of every byte of `word` equal to `pattern`'s bytes (one
+/// byte repeated): the exact zero-byte test over word ^ pattern.
+std::uint64_t byte_hits(std::uint64_t word, std::uint64_t pattern) {
+  constexpr std::uint64_t kLow7 = 0x7F7F7F7F7F7F7F7FULL;
+  const std::uint64_t t = word ^ pattern;
+  return ~(((t & kLow7) + kLow7) | t | kLow7);
 }
 
 /// Splits a quote-free record at every ','. Eight bytes at a time on
@@ -141,13 +174,11 @@ void split_unquoted(std::string_view record,
   const char* const end = p + record.size();
   const char* cell = p;
   if constexpr (std::endian::native == std::endian::little) {
-    constexpr std::uint64_t kCommas = 0x2C2C2C2C2C2C2C2CULL;
-    constexpr std::uint64_t kLow7 = 0x7F7F7F7F7F7F7F7FULL;
+    constexpr std::uint64_t kCommas = kOnes * ',';
     for (; end - p >= 8; p += 8) {
       std::uint64_t word = 0;
       std::memcpy(&word, p, sizeof(word));
-      const std::uint64_t t = word ^ kCommas;
-      std::uint64_t hits = ~(((t & kLow7) + kLow7) | t | kLow7);
+      std::uint64_t hits = byte_hits(word, kCommas);
       while (hits != 0) {
         const char* comma = p + std::countr_zero(hits) / 8;
         cells->emplace_back(cell, static_cast<std::size_t>(comma - cell));
@@ -502,11 +533,79 @@ const char* parse_json_separator(std::string_view text, std::size_t* pos,
   return nullptr;
 }
 
-/// Rows closing on one line of report JSON: one per '}' outside a
-/// string (rows are flat objects). A raw newline never sits inside a
-/// JSON string, so every line starts outside one. The writer's layout —
-/// the line's only '}' followed by at most ',' and whitespace — costs
-/// one memchr; any other line is lexed.
+/// First byte in [p, end) that is `a` or `b`, else `end`: eight bytes at
+/// a time on little-endian hosts, with split_unquoted's exact test.
+const char* find_either(const char* p, const char* end, char a, char b) {
+  if constexpr (std::endian::native == std::endian::little) {
+    const std::uint64_t pa = kOnes * static_cast<unsigned char>(a);
+    const std::uint64_t pb = kOnes * static_cast<unsigned char>(b);
+    for (; end - p >= 8; p += 8) {
+      std::uint64_t word = 0;
+      std::memcpy(&word, p, sizeof(word));
+      const std::uint64_t hits = byte_hits(word, pa) | byte_hits(word, pb);
+      if (hits != 0) return p + std::countr_zero(hits) / 8;
+    }
+  }
+  while (p != end && *p != a && *p != b) ++p;
+  return p;
+}
+
+/// The JSON batch cutter's string-aware lex: every '}' outside a string
+/// closes a row (rows are flat objects), and a ',' after one (past
+/// whitespace) ends it, so a batch may end there. Its state survives the
+/// end of the bytes, so a long line or string is lexed once however
+/// many reads it spans. Inside
+/// strings it only pairs a '\\' with the byte after it: on any document
+/// the cursor accepts, its strings end where the cursor's do, and the
+/// cursor rejects every other one before its count matters.
+struct JsonRowLex {
+  std::size_t rows = 0;     // rows closed so far
+  bool in_string = false;
+  bool escape = false;      // in a string, after a '\\'
+  bool after_row = false;   // past a row's '}' and whitespace
+
+  /// Lexes text[at, end); returns the offset just past the first row's
+  /// ',' at or beyond `target`, else npos with the state kept.
+  std::size_t run(std::string_view text, std::size_t at,
+                  std::size_t target) {
+    const char* const base = text.data();
+    const char* const end = base + text.size();
+    const char* p = base + at;
+    while (p != end) {
+      if (escape) {
+        escape = false;
+        ++p;
+      } else if (in_string) {
+        p = find_either(p, end, '"', '\\');
+        if (p == end) break;
+        if (*p == '\\') escape = true;
+        in_string = *p++ != '"';
+      } else if (after_row) {
+        while (p != end && json_space(*p)) ++p;
+        if (p == end) break;
+        after_row = false;
+        if (*p == ',' && static_cast<std::size_t>(++p - base) >= target) {
+          return static_cast<std::size_t>(p - base);
+        }
+      } else {
+        p = find_either(p, end, '"', '}');
+        if (p == end) break;
+        if (*p++ == '"') {
+          in_string = true;
+        } else {
+          ++rows;
+          after_row = true;
+        }
+      }
+    }
+    return std::string_view::npos;
+  }
+};
+
+/// Rows closing on one line of report JSON. A raw newline never sits
+/// inside a JSON string, so every line starts outside one. The writer's
+/// layout — the line's only '}' followed by at most ',' and whitespace —
+/// costs one memchr; any other line is lexed.
 std::size_t json_line_rows(std::string_view line) {
   const auto* brace =
       static_cast<const char*>(std::memchr(line.data(), '}', line.size()));
@@ -514,16 +613,9 @@ std::size_t json_line_rows(std::string_view line) {
   std::size_t i = static_cast<std::size_t>(brace - line.data()) + 1;
   while (i < line.size() && (line[i] == ',' || json_space(line[i]))) ++i;
   if (i == line.size()) return 1;
-  std::size_t rows = 0;
-  bool escaped = false;
-  for (std::size_t j = 0; j < line.size();) {
-    if (line[j] != '"') {
-      rows += line[j++] == '}';
-    } else if (scan_json_string(line, &j, &escaped) != nullptr) {
-      break;  // malformed from here on: the cursor reports it
-    }
-  }
-  return rows;
+  JsonRowLex lex;
+  lex.run(line, 0, std::string_view::npos);
+  return lex.rows;
 }
 
 /// True when `line` ends with a row's closing '}' and its ',' (and
@@ -554,6 +646,10 @@ CsvReader::CsvReader(const std::string& path) {
   if (fstat(fileno(file_), &st) == 0 && S_ISREG(st.st_mode)) {
     input_bytes_ = static_cast<std::size_t>(st.st_size);
   }
+  // The read buffer trades places with the batches it is cut into, so it
+  // is reserved here, like them (reserve_batch), on the constructing
+  // thread: the first batch may be cut on a pool thread.
+  buffer_.reserve(batch_bytes_ + kReadChunk);
   read_header();
 }
 
@@ -716,10 +812,10 @@ bool CsvReader::next_csv_batch(CsvBatch* batch) {
   // Whole records, each found with find_record_end's two-memchr fast
   // path, until the batch reaches its target size.
   std::size_t taken = 0;  // bytes of whole records past pos_
+  RecordScan scan;        // the record starting at pos_ + taken
   while (taken < batch_bytes_) {
-    bool quoted = false;
     const std::size_t end =
-        find_record_end(buffered(), pos_ + taken, !exhausted_, &quoted);
+        find_record_end(buffered(), pos_ + taken, !exhausted_, &scan);
     if (end == std::string_view::npos) {
       if (exhausted_) break;
       refill(kReadChunk);  // moves pos_; `taken` stays relative to it
@@ -727,9 +823,10 @@ bool CsvReader::next_csv_batch(CsvBatch* batch) {
     }
     line_ += record_lines(
         buffered().substr(pos_ + taken, end - pos_ - taken),
-        quoted);
+        scan.quoted);
     ++batch->rows;
     taken = end + 1 - pos_;
+    scan = RecordScan{};
   }
   if (taken < batch_bytes_ && exhausted_) {
     // Bytes after the last '\n' are a record cut short: they ride along
@@ -744,22 +841,27 @@ bool CsvReader::next_csv_batch(CsvBatch* batch) {
 bool CsvReader::next_json_batch(CsvBatch* batch) {
   if (json_done_) return false;
   // Whole lines, each found with one memchr, up to the last that ends a
-  // row, until that line passes the target size.
+  // row, until that line passes the target size. Past `reach` with no
+  // such line (minified JSON, commas leading the lines, one key per
+  // line), the string-aware lex finds the rows' ends instead.
   std::size_t taken = 0;     // bytes of whole lines past pos_
   std::size_t cut = 0;       // bytes up to the last line ending a row
   std::size_t rows = 0;      // rows closing in the `taken` bytes
   std::size_t scanned = 0;   // bytes after `taken` that hold no '\n'
   while (cut < batch_bytes_) {
+    const std::size_t reach = cut + batch_bytes_ + kReadChunk;
+    if (taken >= reach) return lex_json_batch(batch, cut);
     const std::string_view rest = buffered().substr(pos_ + taken);
+    const std::size_t window = std::min(rest.size(), reach - taken);
     const auto* nl = static_cast<const char*>(
-        std::memchr(rest.data() + scanned, '\n', rest.size() - scanned));
-    if (nl == nullptr && !exhausted_) {
-      scanned = rest.size();  // a long line is scanned once, not per read
-      refill(kReadChunk);     // moves pos_; `taken` stays relative to it
-      continue;
-    }
-    scanned = 0;
+        std::memchr(rest.data() + scanned, '\n', window - scanned));
     if (nl == nullptr) {
+      if (window == reach - taken) return lex_json_batch(batch, cut);
+      if (!exhausted_) {
+        scanned = window;    // a long line is scanned once, not per read
+        refill(kReadChunk);  // moves pos_; `taken` stays relative to it
+        continue;
+      }
       // The end of the document, closing bracket and all, is the last
       // batch — empty when the document stopped after a row's ','.
       cut = taken + rest.size();
@@ -767,6 +869,7 @@ bool CsvReader::next_json_batch(CsvBatch* batch) {
       batch->last = json_done_ = true;
       break;
     }
+    scanned = 0;
     const std::string_view line(rest.data(),
                                 static_cast<std::size_t>(nl - rest.data()));
     rows += json_line_rows(line);
@@ -777,6 +880,31 @@ bool CsvReader::next_json_batch(CsvBatch* batch) {
     }
   }
   take(cut, batch);
+  return true;
+}
+
+bool CsvReader::lex_json_batch(CsvBatch* batch, std::size_t from) {
+  // `from` bytes past pos_ end a row (or open the array), so the lex
+  // starts outside a string; batch->rows counts the rows before it.
+  JsonRowLex lex;
+  lex.rows = batch->rows;
+  std::size_t at = from;  // bytes past pos_ lexed so far
+  while (true) {
+    const std::string_view rest = buffered().substr(pos_);
+    const std::size_t end = lex.run(rest, at, batch_bytes_);
+    if (end != std::string_view::npos) {
+      batch->rows = lex.rows;
+      take(end, batch);
+      return true;
+    }
+    at = rest.size();
+    if (exhausted_) break;
+    refill(kReadChunk);  // moves pos_; `at` stays relative to it
+  }
+  // The rest of the document is the last batch.
+  batch->rows = lex.rows;
+  batch->last = json_done_ = true;
+  take(buffer_.size() - pos_, batch);
   return true;
 }
 
@@ -812,9 +940,10 @@ bool CsvBatchCursor::next_csv(std::vector<std::string_view>* cells) {
   const std::string_view bytes(batch_.bytes.data(), batch_.bytes.size());
   if (pos_ >= bytes.size()) return false;
   if (pos_ > 0) ++row_;
-  bool quoted = false;
+  RecordScan scan;
   // Only the input's last batch can end without a '\n'.
-  const std::size_t end = find_record_end(bytes, pos_, false, &quoted);
+  const std::size_t end = find_record_end(bytes, pos_, false, &scan);
+  const bool quoted = scan.quoted;
   if (end == std::string_view::npos) {
     error_ = input_error(kTruncated, reader_.source_, "line", line_,
                          bytes.substr(pos_));

@@ -27,11 +27,14 @@
 // Rows come out of one batch cutter and one splitter per dialect:
 //   * next_batch cuts owned runs of whole records (about batch_bytes()
 //     each), tagged with their first row index. CSV runs end at record
-//     boundaries (two memchr calls per quote-free record). JSON runs end
-//     at a newline after a row's closing "},": a raw newline never sits
-//     inside a JSON string, so the cut is lexically safe, and a line's
-//     rows are counted from its '}' bytes. A JSON document with no such
-//     newline (minified, or commas leading the lines) is one run. A
+//     boundaries (two memchr calls per quote-free record; a record that
+//     spans reads is scanned once). JSON runs end at a newline after a
+//     row's closing "},": a raw newline never sits inside a JSON string,
+//     so the cut is lexically safe, and a line's rows are counted from
+//     its '}' bytes. When no line ends a row within a run's worth of
+//     bytes (minified JSON, commas leading the lines), a string-aware lex
+//     ends the run after a row's '}' and its ',' instead, so every layout
+//     is cut into runs of about batch_bytes(). A
 //     CsvBatchCursor splits one run's records on any thread and checks
 //     them against the header, reporting a malformed record instead of
 //     aborting — the caller raises the earliest row's error, so messages
@@ -160,6 +163,9 @@ class CsvReader {
   void header_from_json(std::size_t bracket);
   bool next_csv_batch(CsvBatch* batch);
   bool next_json_batch(CsvBatch* batch);
+  /// next_json_batch's cut for lines that end no row: lexes from `from`
+  /// bytes past the unread start, a row boundary.
+  bool lex_json_batch(CsvBatch* batch, std::size_t from);
   /// Moves the first `taken` unread bytes into `batch`.
   void take(std::size_t taken, CsvBatch* batch);
   /// Appends at least `want` bytes (if the input has them) after

@@ -78,6 +78,15 @@ class ThreadPool {
                4096, n / (64 * static_cast<std::size_t>(threads))));
   }
 
+  /// A thread-count argument where 0 means every hardware core (at
+  /// least one); the read-side analyses (build_phase_grid,
+  /// verdict_agreement, write_ppm) take their counts this way.
+  static int all_cores_if_zero(int threads) {
+    return threads != 0 ? threads
+                        : static_cast<int>(std::max(
+                              1u, std::thread::hardware_concurrency()));
+  }
+
   /// Runs fn(i) for every i in [0, n), distributed over the pool in
   /// chunks of `chunk` consecutive indices (0 = auto_chunk); blocks until
   /// all n calls have returned. fn must not throw — a throw is caught and

@@ -296,6 +296,38 @@ TEST(CsvReader, ViewStringAndBatchReadsAgreeAcrossRefillBoundaries) {
     for (const std::string& c : row) bytes += c.size() + 3;
     rows.push_back(std::move(row));
   }
+  // Two quoted cells span several reads: four runs of 25,000 '"'
+  // (50,000 bytes doubled), each followed by a newline and a comma, so a
+  // quote misread at a read's end ends the record early. Cutting
+  // 4093-byte batches, a file-backed reader reads 64 KiB at a time, so
+  // reads end at multiples of 65536: the first cell's runs start at odd
+  // offsets, so a read ending inside a run splits a "" pair; the
+  // second's start at even ones, so reads end between pairs.
+  constexpr std::size_t kRead = 65536;
+  constexpr std::size_t kRun = 25000, kPeriod = 2 * kRun + 2;
+  std::string runs;
+  for (int k = 0; k < 4; ++k) runs += std::string(kRun, '"') + "\n,";
+  for (const std::size_t parity : {1, 0}) {
+    const std::string index = std::to_string(rows.size());
+    // The runs follow the text so far, the index, ',' and the opening
+    // '"' (and one pad byte when the parity needs it).
+    const std::size_t start =
+        render_text_rows(ReportFormat::kCsv, columns, rows).size() +
+        index.size() + 2;
+    const std::size_t pad = start % 2 == parity ? 0 : 1;
+    const std::size_t first = start + pad;
+    std::size_t inside = 0, split = 0;  // read ends inside a run / a pair
+    for (std::size_t end = kRead * (first / kRead + 1);
+         end < first + 4 * kPeriod; end += kRead) {
+      const std::size_t in_run = (end - first) % kPeriod;
+      if (in_run == 0 || in_run >= 2 * kRun) continue;
+      ++inside;
+      split += in_run % 2;
+    }
+    EXPECT_GE(inside, 2u);
+    EXPECT_EQ(split, parity == 1 ? inside : 0u);
+    rows.push_back({index, std::string(pad, 'q') + runs, "p", "1.5"});
+  }
   const std::string text = render_text_rows(ReportFormat::kCsv, columns, rows);
   const std::string path = ::testing::TempDir() + "csv_reader_three_ways.csv";
   {

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -198,6 +199,71 @@ TEST(RenderOverlay, LandsOnTheExampleOneClosedForm) {
         << "lambda " << lambda << ": marker at " << found << ", expected ~"
         << expect_col - 1;
   }
+}
+
+TEST(RenderPpm, BandsGiveTheSameBytesAtEveryThreadCount) {
+  // A 200 x 300 theory grid renders in tens of scanline bands at every
+  // thread count; at cell_px 3 most band edges fall inside a cell row.
+  // The bytes must not move with the thread count, write_ppm must
+  // stream exactly render_ppm's bytes, and every cell must still be a
+  // solid cell_px square except where the frontier marker inks it.
+  SweepOptions options;
+  options.theory_only = true;
+  const PhaseGrid grid = engine::phase_grid_of(
+      sweep_report(parse_grid("lambda=0.5:3.0:300;us=0.2:1.7:200"), options));
+  ASSERT_EQ(grid.num_x(), 200u);
+  ASSERT_EQ(grid.num_y(), 300u);
+  const auto frontier = extract_frontier(grid, 1e-3, 4);
+  const std::string path = ::testing::TempDir() + "heatmap_bands.ppm";
+  const std::string ink = {0x0b, 0x0b, 0x0b};
+  for (const int px : {1, 3}) {
+    RenderOptions render;
+    render.cell_px = px;
+    ASSERT_TRUE(render.overlay_frontier);
+    const std::string want = render_ppm(grid, frontier, render, 1);
+    const std::string header = "P6\n" + std::to_string(200 * px) + " " +
+                               std::to_string(300 * px) + "\n255\n";
+    ASSERT_EQ(want.size(), header.size() + 3u * 200 * 300 * px * px);
+    ASSERT_EQ(want.substr(0, header.size()), header);
+    const std::size_t line = 3u * 200 * px;
+    std::size_t inked = 0;
+    for (std::size_t yi = 0; yi < 300; ++yi) {
+      const std::size_t top = header.size() + yi * px * line;
+      for (int r = 1; r < px; ++r) {
+        ASSERT_EQ(want.compare(top + r * line, line, want, top, line), 0)
+            << "cell row " << yi << " scanline " << r;
+      }
+      for (std::size_t xi = 0; xi < 200; ++xi) {
+        std::string color;
+        for (int k = 0; k < px; ++k) {
+          const std::string pixel = want.substr(top + 3 * (xi * px + k), 3);
+          if (pixel == ink) {
+            ++inked;
+          } else if (color.empty()) {
+            color = pixel;
+          } else {
+            ASSERT_EQ(pixel, color) << "cell (" << yi << ", " << xi << ")";
+          }
+        }
+      }
+    }
+    EXPECT_GT(inked, 0u);
+    for (const int threads : {2, 4, 8}) {
+      EXPECT_EQ(render_ppm(grid, frontier, render, threads), want)
+          << "cell_px " << px << ", threads " << threads;
+    }
+    for (const int threads : {1, 4}) {
+      write_ppm(grid, frontier, render, path, threads);
+      std::FILE* f = std::fopen(path.c_str(), "rb");
+      ASSERT_NE(f, nullptr);
+      std::string got(want.size() + 1, '\0');
+      got.resize(std::fread(got.data(), 1, got.size(), f));
+      std::fclose(f);
+      EXPECT_EQ(got, want) << "write_ppm, cell_px " << px << ", threads "
+                           << threads;
+    }
+  }
+  std::remove(path.c_str());
 }
 
 TEST(RoundChannel, EqualsLroundOnEveryPaletteRamp) {

@@ -18,6 +18,7 @@
 
 #include "engine/csv_reader.hpp"
 #include "engine/sweep.hpp"
+#include "rand/rng.hpp"
 #include "report_helpers.hpp"
 
 namespace p2p::analysis {
@@ -271,6 +272,100 @@ TEST(VerdictAgreement, TheoryOnlyGridHasNoSimCells) {
   EXPECT_EQ(agreement.cells_with_sim, 0u);
   EXPECT_TRUE(std::isnan(agreement.agreement));
   EXPECT_TRUE(std::isnan(agreement.threshold));
+}
+
+TEST(VerdictAgreement, ManyBlockGridMatchesAtEveryThreadCount) {
+  // 87,000 cells — five whole 16,384-cell scan blocks and a partial one
+  // — with fluid verdicts, some cells unsimulated (no replicas or a NaN
+  // mean), and the rest simulated. Every field must match at every
+  // thread count, and the tallies must match a plain serial count.
+  PhaseGrid grid;
+  grid.x_axis = "us";
+  grid.y_axis = "lambda";
+  grid.has_fluid = true;
+  constexpr std::size_t kNx = 300, kNy = 290;
+  for (std::size_t i = 0; i < kNx; ++i) grid.x_values.push_back(0.01 * i);
+  for (std::size_t i = 0; i < kNy; ++i) {
+    grid.y_values.push_back(0.1 + 0.01 * i);
+  }
+  Rng rng(20261020);
+  std::size_t counts[3][2] = {}, fluid_counts[3][3] = {};
+  std::size_t with_sim = 0, fluid_compared = 0, fluid_agreeing = 0;
+  std::vector<double> indicators;  // in grid order
+  for (std::size_t i = 0; i < kNx * kNy; ++i) {
+    PhaseCell c;
+    c.verdict = static_cast<Stability>(rng.uniform_int(std::uint64_t{3}));
+    c.fluid = static_cast<Stability>(rng.uniform_int(std::uint64_t{3}));
+    c.replicas = static_cast<int>(rng.uniform_int(std::uint64_t{4}));
+    c.sim_mean_peers = rng.bernoulli(0.1) ? std::nan("") : 100 * rng.uniform();
+    grid.cells.push_back(c);
+    fluid_counts[static_cast<int>(c.verdict)][static_cast<int>(c.fluid)] += 1;
+    if (c.verdict != Stability::kBorderline &&
+        c.fluid != Stability::kBorderline) {
+      ++fluid_compared;
+      fluid_agreeing += c.verdict == c.fluid;
+    }
+    if (c.replicas > 0 && std::isfinite(c.sim_mean_peers)) {
+      ++with_sim;
+      const bool busy = c.sim_mean_peers > 50;
+      counts[static_cast<int>(c.verdict)][busy ? 1 : 0] += 1;
+      if (c.verdict != Stability::kBorderline) {
+        indicators.push_back((c.verdict == Stability::kTransient) == busy);
+      }
+    }
+  }
+  // The bootstrap must resample the indicators in grid order.
+  Rng boot(7);
+  const BootstrapResult ci = block_bootstrap(
+      indicators,
+      [](std::span<const double> x) {
+        double m = 0;
+        for (const double v : x) m += v;
+        return m / static_cast<double>(x.size());
+      },
+      1, 64, 0.95, boot);
+  const auto same = [](double a, double b) {
+    return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+  };
+  const VerdictAgreement one =
+      verdict_agreement(grid, 50, 0.95, 64, 7, /*threads=*/1);
+  EXPECT_EQ(one.cells_with_sim, with_sim);
+  EXPECT_EQ(one.fluid_compared, fluid_compared);
+  EXPECT_EQ(one.fluid_agreeing, fluid_agreeing);
+  EXPECT_EQ(std::memcmp(one.fluid_counts, fluid_counts, sizeof fluid_counts),
+            0);
+  EXPECT_EQ(std::memcmp(one.counts, counts, sizeof counts), 0);
+  EXPECT_EQ(one.compared, indicators.size());
+  EXPECT_TRUE(same(one.agreement_lo, ci.lower));
+  EXPECT_TRUE(same(one.agreement_hi, ci.upper));
+  EXPECT_LT(one.agreement_lo, one.agreement_hi);
+  for (const double threshold : {50.0, std::nan("")}) {
+    const VerdictAgreement want =
+        verdict_agreement(grid, threshold, 0.95, 64, 7, 1);
+    for (const int threads : {2, 4, 8}) {
+      const VerdictAgreement got =
+          verdict_agreement(grid, threshold, 0.95, 64, 7, threads);
+      const std::string what = "threads " + std::to_string(threads);
+      EXPECT_TRUE(same(got.threshold, want.threshold)) << what;
+      EXPECT_EQ(std::memcmp(got.counts, want.counts, sizeof got.counts), 0)
+          << what;
+      EXPECT_EQ(got.cells_with_sim, want.cells_with_sim) << what;
+      EXPECT_EQ(got.compared, want.compared) << what;
+      EXPECT_EQ(got.agreeing, want.agreeing) << what;
+      EXPECT_TRUE(same(got.agreement, want.agreement)) << what;
+      EXPECT_TRUE(same(got.agreement_lo, want.agreement_lo)) << what;
+      EXPECT_TRUE(same(got.agreement_hi, want.agreement_hi)) << what;
+      EXPECT_EQ(got.has_fluid, want.has_fluid) << what;
+      EXPECT_EQ(std::memcmp(got.counts3, want.counts3, sizeof got.counts3), 0)
+          << what;
+      EXPECT_EQ(std::memcmp(got.fluid_counts, want.fluid_counts,
+                            sizeof got.fluid_counts),
+                0)
+          << what;
+      EXPECT_EQ(got.fluid_compared, want.fluid_compared) << what;
+      EXPECT_EQ(got.fluid_agreeing, want.fluid_agreeing) << what;
+    }
+  }
 }
 
 /// True when two grids agree field for field (NaN == NaN, -0 != +0).
@@ -600,6 +695,106 @@ TEST(BuildPhaseGridDeath, EarliestMalformedRowWinsAtAnyThreadCount) {
   EXPECT_DEATH(ingest(json, 4096, 4), "got \"x\" in grid report row 40\n");
   EXPECT_DEATH(ingest(in_format(late_only, ReportFormat::kJson), 4096, 4),
                "unknown verdict \"wobbly\" in grid report row 100\n");
+}
+
+/// A theory-only sweep of `spec` as a table whose rows are permuted by a
+/// fixed-seed shuffle; the cell index column keeps counting 0..n-1.
+ReportTable shuffled_report(const std::string& spec) {
+  SweepOptions options;
+  options.theory_only = true;
+  const ReportTable table =
+      read_report(sweep_report(parse_grid(spec), options));
+  std::vector<std::size_t> order(table.num_rows());
+  for (std::size_t r = 0; r < order.size(); ++r) order[r] = r;
+  Rng rng(20261021);
+  for (std::size_t r = order.size(); r > 1; --r) {
+    std::swap(order[r - 1], order[rng.uniform_int(std::uint64_t{r})]);
+  }
+  ReportTable shuffled(table.columns());
+  for (std::size_t r = 0; r < order.size(); ++r) {
+    std::vector<std::string> row = table.row(order[r]);
+    row[0] = std::to_string(r);
+    shuffled.add_row(std::move(row));
+  }
+  return shuffled;
+}
+
+TEST(BuildPhaseGrid, ShuffledRowsTileThroughTheValueIndex) {
+  // Rows out of slot order fail the pooled row-major check and tile
+  // through the value index: each slot holds the cell of its own
+  // (x, y), whatever row carried it, at every thread count.
+  const std::string spec = "lambda=0.5:3.0:90;us=0.2:1.7:80";
+  const PhaseGrid oracle = theory_oracle(spec, /*transposed=*/false);
+  const std::string csv = render_table(shuffled_report(spec));
+  const auto sorted = [](std::vector<double> v) {
+    std::sort(v.begin(), v.end());
+    return v;
+  };
+  for (const int threads : {1, 2, 4, 8}) {
+    const PhaseGrid grid = ingest(csv, 4096, threads);
+    const std::string what = "threads " + std::to_string(threads);
+    ASSERT_EQ(grid.x_axis, "us") << what;
+    ASSERT_EQ(grid.y_axis, "lambda") << what;
+    // First appearance orders the axis values, so they come out
+    // shuffled too.
+    ASSERT_EQ(sorted(grid.x_values), oracle.x_values) << what;
+    ASSERT_EQ(sorted(grid.y_values), oracle.y_values) << what;
+    EXPECT_NE(grid.x_values, oracle.x_values) << what;
+    for (std::size_t yi = 0; yi < grid.num_y(); ++yi) {
+      const std::size_t oy = static_cast<std::size_t>(
+          std::find(oracle.y_values.begin(), oracle.y_values.end(),
+                    grid.y_values[yi]) -
+          oracle.y_values.begin());
+      for (std::size_t xi = 0; xi < grid.num_x(); ++xi) {
+        const std::size_t ox = static_cast<std::size_t>(
+            std::find(oracle.x_values.begin(), oracle.x_values.end(),
+                      grid.x_values[xi]) -
+            oracle.x_values.begin());
+        const PhaseCell& got = grid.at(yi, xi);
+        const PhaseCell& want = oracle.at(oy, ox);
+        ASSERT_EQ(got.params.us, grid.x_values[xi]) << what;
+        ASSERT_EQ(got.params.lambda, grid.y_values[yi]) << what;
+        ASSERT_EQ(got.verdict, want.verdict) << what;
+        ASSERT_EQ(got.margin, want.margin) << what;
+      }
+    }
+  }
+}
+
+TEST(BuildPhaseGridDeath, RepeatedCellAbortsWhereverItSits) {
+  // A row that repeats another's (x, y) leaves the rows tiling n slots
+  // with one slot twice: in a shuffled corpus, and in an otherwise
+  // row-major one whose last row — in the row check's last block —
+  // repeats row 0.
+  const auto repeat = [](ReportTable table, std::size_t from,
+                         std::size_t to) {
+    ReportTable out(table.columns());
+    for (std::size_t r = 0; r < table.num_rows(); ++r) {
+      std::vector<std::string> row = table.row(r);
+      if (r == to) {
+        row[1] = table.row(from)[1];  // lambda
+        row[2] = table.row(from)[2];  // us
+      }
+      out.add_row(std::move(row));
+    }
+    return render_table(out);
+  };
+  const ReportTable shuffled =
+      shuffled_report("lambda=0.5:3.0:40;us=0.2:1.7:30");
+  SweepOptions options;
+  options.theory_only = true;
+  const ReportTable row_major = read_report(sweep_report(
+      parse_grid("lambda=0.5:3.0:150;us=0.2:1.7:120"), options));
+  const std::string late = repeat(row_major, 0, row_major.num_rows() - 1);
+  for (const int threads : {1, 4}) {
+    EXPECT_DEATH(ingest(repeat(shuffled, 7, 500), 4096, threads),
+                 "grid report repeats the cell at")
+        << "threads " << threads;
+    EXPECT_DEATH(
+        ingest(late, engine::CsvReader::kBatchBytes, threads),
+        "grid report repeats the cell at \\(us = 0.2, lambda = 0.5\\)")
+        << "threads " << threads;
+  }
 }
 
 TEST(BuildPhaseGridDeath, FrontierTableAborts) {

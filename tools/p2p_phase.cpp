@@ -33,7 +33,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "analysis/heatmap.hpp"
@@ -41,6 +40,7 @@
 #include "engine/csv_reader.hpp"
 #include "engine/report.hpp"
 #include "engine/sweep.hpp"
+#include "engine/thread_pool.hpp"
 #include "util/flags.hpp"
 #include "util/number_format.hpp"
 
@@ -269,8 +269,9 @@ int main(int argc, char** argv) {
       "tol", 1e-3, "frontier re-bisection stopping width");
   const int threads_flag = flags.get_int(
       "threads", 0,
-      "worker threads for corpus decoding and the per-row re-bisection "
-      "(0 = all hardware cores); output is byte-identical for any value");
+      "worker threads for corpus decoding, the per-row re-bisection, "
+      "PPM rendering and the theory/sim agreement scan (0 = all hardware "
+      "cores); output is byte-identical for any value");
   const int cell_px =
       flags.get_int("cell-px", 12, "square pixels per grid cell");
   const bool no_overlay = flags.get_bool(
@@ -318,10 +319,7 @@ int main(int argc, char** argv) {
   }
 
   const int threads =
-      threads_flag > 0
-          ? threads_flag
-          : static_cast<int>(
-                std::max(1u, std::thread::hardware_concurrency()));
+      p2p::engine::ThreadPool::all_cores_if_zero(threads_flag);
   if (threads_flag < 0) {
     std::fprintf(stderr, "error: --threads must be nonnegative\n");
     return 2;
@@ -386,13 +384,13 @@ int main(int argc, char** argv) {
       extract_frontier(grid, tol, threads);
   const VerdictAgreement agreement = verdict_agreement(
       grid, sim_threshold, confidence, resamples,
-      static_cast<std::uint64_t>(seed));
+      static_cast<std::uint64_t>(seed), threads);
 
   RenderOptions render;
   render.cell_px = cell_px;
   render.overlay_frontier = !no_overlay;
   if (!ppm_out.empty()) {
-    write_ppm(grid, frontier, render, ppm_out);  // streams scanlines
+    write_ppm(grid, frontier, render, ppm_out, threads);  // streams bands
   }
   if (!svg_out.empty()) {
     write_text(svg_out, render_svg(grid, frontier, render));
