@@ -18,8 +18,6 @@
 // (one row per size plus the headline largest-size speedup);
 // experiments/bench_swarm.json archives one run and the CI gate fails a
 // PR whose type-count throughput regresses >20% from it.
-#include <sys/resource.h>
-
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -35,7 +33,7 @@
 #include "sim/typecount_sim.hpp"
 #include "util/assert.hpp"
 #include "util/flags.hpp"
-#include "util/number_format.hpp"
+#include "util/json.hpp"
 
 namespace {
 
@@ -119,12 +117,6 @@ Measurement measure_typecount(std::int64_t swarm_size,
   return m;
 }
 
-long peak_rss_kb() {
-  rusage usage{};
-  P2P_ASSERT(getrusage(RUSAGE_SELF, &usage) == 0);
-  return usage.ru_maxrss;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -181,31 +173,27 @@ int main(int argc, char** argv) {
               top.typecount_events_per_sec, top.per_peer_events_per_sec,
               top.speedup);
 
-  std::string json = "{\n";
-  json += "  \"pieces\": " + std::to_string(kPieces) + ",\n";
-  json += "  \"per_peer_events\": " + std::to_string(per_peer_events) + ",\n";
-  json += "  \"effective_steps\": " + std::to_string(effective_steps) + ",\n";
-  json += "  \"repeats\": " + std::to_string(repeats) + ",\n";
-  json += "  \"peak_rss_kb\": " + std::to_string(peak_rss_kb()) + ",\n";
-  json += "  \"top_swarm_size\": " + std::to_string(top.swarm_size) + ",\n";
-  json += "  \"top_typecount_events_per_sec\": " +
-          format_number(top.typecount_events_per_sec) + ",\n";
-  json += "  \"top_speedup\": " + format_number(top.speedup) + ",\n";
-  json += "  \"sizes\": [\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const Measurement& m = rows[i];
-    json += "    {\"swarm_size\": " + std::to_string(m.swarm_size) +
-            ", \"per_peer_events_per_sec\": " +
-            format_number(m.per_peer_events_per_sec) +
-            ", \"typecount_events_per_sec\": " +
-            format_number(m.typecount_events_per_sec) +
-            ", \"typecount_effective_steps_per_sec\": " +
-            format_number(m.typecount_effective_steps_per_sec) +
-            ", \"speedup\": " + format_number(m.speedup) + "}" +
-            (i + 1 == rows.size() ? "\n" : ",\n");
+  std::string text;
+  JsonWriter json(text);
+  json.begin_block_object().key("pieces").integer(kPieces);
+  json.key("per_peer_events").integer(per_peer_events);
+  json.key("effective_steps").integer(effective_steps);
+  json.key("repeats").integer(repeats);
+  json.key("peak_rss_kb").integer(bench::peak_rss_kb());
+  json.key("top_swarm_size").integer(top.swarm_size);
+  json.key("top_typecount_events_per_sec").number(top.typecount_events_per_sec);
+  json.key("top_speedup").number(top.speedup);
+  json.key("sizes").begin_block_array();
+  for (const Measurement& m : rows) {
+    json.begin_object().key("swarm_size").integer(m.swarm_size);
+    json.key("per_peer_events_per_sec").number(m.per_peer_events_per_sec);
+    json.key("typecount_events_per_sec").number(m.typecount_events_per_sec);
+    json.key("typecount_effective_steps_per_sec")
+        .number(m.typecount_effective_steps_per_sec);
+    json.key("speedup").number(m.speedup).end_object();
   }
-  json += "  ]\n}\n";
-  write_text(out, json);
+  json.end_array().end_object();
+  write_text(out, text);
   std::printf("wrote %s\n", out.c_str());
   return 0;
 }

@@ -16,8 +16,6 @@
 // Emits BENCH_sweep.json (one measurement per row plus the headline
 // chunk-1 vs. auto ratio) so the perf trajectory has machine-readable
 // data; EXPERIMENTS.md archives one run.
-#include <sys/resource.h>
-
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -30,6 +28,7 @@
 #include "engine/sweep.hpp"
 #include "util/assert.hpp"
 #include "util/flags.hpp"
+#include "util/json.hpp"
 
 namespace {
 
@@ -74,23 +73,11 @@ Measurement measure(const SweepGrid& grid, int threads, std::size_t chunk,
   return m;
 }
 
-void append_measurement(std::string& json, const Measurement& m,
-                        bool last) {
-  json += "    {\"threads\": " + std::to_string(m.threads) +
-          ", \"chunk\": " + std::to_string(m.chunk) +
-          ", \"cells\": " + std::to_string(m.cells) +
-          ", \"seconds\": " + format_number(m.seconds) +
-          ", \"cells_per_sec\": " + format_number(m.cells_per_sec) + "}" +
-          (last ? "\n" : ",\n");
-}
-
-/// Peak resident set of this process in kB (ru_maxrss is kB on Linux).
-/// A streaming pipeline's footprint must stay O(ring), not O(grid);
-/// the JSON records it so a regression to row buffering is visible.
-long peak_rss_kb() {
-  rusage usage{};
-  P2P_ASSERT(getrusage(RUSAGE_SELF, &usage) == 0);
-  return usage.ru_maxrss;
+void append_measurement(JsonWriter& json, const Measurement& m) {
+  json.begin_object().key("threads").integer(m.threads);
+  json.key("chunk").integer(m.chunk).key("cells").integer(m.cells);
+  json.key("seconds").number(m.seconds);
+  json.key("cells_per_sec").number(m.cells_per_sec).end_object();
 }
 
 void print_measurement(const Measurement& m) {
@@ -173,31 +160,23 @@ int main(int argc, char** argv) {
     std::printf("speedup gate UNARMED: %s\n", gate_skipped_reason.c_str());
   }
 
-  std::string json = "{\n";
-  json += "  \"cells\": " + std::to_string(grid.num_cells()) + ",\n";
-  json += "  \"repeats\": " + std::to_string(repeats) + ",\n";
-  json += "  \"hardware_concurrency\": " + std::to_string(hw) + ",\n";
-  json += "  \"peak_rss_kb\": " + std::to_string(peak_rss_kb()) + ",\n";
-  json += "  \"single_thread_cells_per_sec\": " +
-          format_number(threads_curve.front().cells_per_sec) + ",\n";
-  json += "  \"speedup_8_over_1\": " + format_number(speedup_8_over_1) +
-          ",\n";
-  json += "  \"gate_skipped_reason\": ";
-  append_json_string(json, gate_skipped_reason);
-  json += ",\n";
-  json += "  \"auto_chunk_over_chunk1_8threads\": " +
-          format_number(auto_over_chunk1) + ",\n";
-  json += "  \"threads_curve\": [\n";
-  for (std::size_t i = 0; i < threads_curve.size(); ++i) {
-    append_measurement(json, threads_curve[i],
-                       i + 1 == threads_curve.size());
-  }
-  json += "  ],\n  \"chunk_curve\": [\n";
-  for (std::size_t i = 0; i < chunk_curve.size(); ++i) {
-    append_measurement(json, chunk_curve[i], i + 1 == chunk_curve.size());
-  }
-  json += "  ]\n}\n";
-  write_text(out, json);
+  // A streaming pipeline's footprint must stay O(ring), not O(grid).
+  std::string text;
+  JsonWriter json(text);
+  json.begin_block_object().key("cells").integer(grid.num_cells());
+  json.key("repeats").integer(repeats).key("hardware_concurrency").integer(hw);
+  json.key("peak_rss_kb").integer(bench::peak_rss_kb());
+  json.key("single_thread_cells_per_sec")
+      .number(threads_curve.front().cells_per_sec);
+  json.key("speedup_8_over_1").number(speedup_8_over_1);
+  json.key("gate_skipped_reason").string(gate_skipped_reason);
+  json.key("auto_chunk_over_chunk1_8threads").number(auto_over_chunk1);
+  json.key("threads_curve").begin_block_array();
+  for (const Measurement& m : threads_curve) append_measurement(json, m);
+  json.end_array().key("chunk_curve").begin_block_array();
+  for (const Measurement& m : chunk_curve) append_measurement(json, m);
+  json.end_array().end_object();
+  write_text(out, text);
   std::printf("wrote %s\n", out.c_str());
   return 0;
 }

@@ -6,6 +6,8 @@
 // archives one run of each.
 #pragma once
 
+#include <sys/resource.h>
+
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
@@ -13,8 +15,17 @@
 
 #include "analysis/stability_probe.hpp"
 #include "core/stability.hpp"
+#include "util/assert.hpp"
 
 namespace p2p::bench {
+
+/// Peak resident set of this process in kB (ru_maxrss is kB on Linux),
+/// which the throughput benches record.
+inline long peak_rss_kb() {
+  rusage usage{};
+  P2P_ASSERT(getrusage(RUSAGE_SELF, &usage) == 0);
+  return usage.ru_maxrss;
+}
 
 /// True when the P2P_SMOKE environment variable is set and nonzero. The
 /// smoke_examples CTest label runs every harness this way: tiny replica

@@ -16,6 +16,7 @@
 #include "engine/parse_util.hpp"
 #include "engine/refine.hpp"
 #include "util/assert.hpp"
+#include "util/json.hpp"
 
 namespace p2p::engine {
 
@@ -286,11 +287,13 @@ void skip_json_space(std::string_view text, std::size_t* pos) {
 
 constexpr const char* kUnexpectedEnd = "unexpected end of JSON document";
 
-// The JSON token grammar, shared by the report cursor and validate_json.
-// Each scanner advances `*pos` past its token and returns nullptr, or
-// returns what is wrong with `*pos` at the offending byte — the end of
-// `text` when the token ran off it, so a caller holding a prefix of the
-// document can tell "malformed" from "read more".
+// The JSON token grammar, shared by the report cursor and validate_json
+// (the number scanner is util/json.hpp's scan_json_number, which the
+// report emitter shares). Each scanner advances `*pos` past its token
+// and returns nullptr, or returns what is wrong with `*pos` at the
+// offending byte — the end of `text` when the token ran off it, so a
+// caller holding a prefix of the document can tell "malformed" from
+// "read more".
 
 /// A string (text[*pos] is its opening '"'); `*escaped` tells whether
 /// its body holds an escape.
@@ -327,33 +330,6 @@ const char* scan_json_string(std::string_view text, std::size_t* pos,
       return "invalid JSON escape";
     }
   }
-}
-
-/// A number, strict grammar: -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?
-const char* scan_json_number(std::string_view text, std::size_t* pos) {
-  std::size_t& p = *pos;
-  const auto next_is = [&](char a, char b) {
-    return p < text.size() && (text[p] == a || text[p] == b);
-  };
-  const auto digits = [&] {
-    const std::size_t first = p;
-    while (p < text.size() && text[p] >= '0' && text[p] <= '9') ++p;
-    return p > first;
-  };
-  constexpr const char* kMalformed = "malformed JSON number";
-  if (next_is('-', '-')) ++p;
-  if (next_is('0', '0')) {
-    ++p;  // a leading zero must stand alone
-  } else if (!digits()) {
-    return kMalformed;
-  }
-  if (next_is('.', '.') && (++p, !digits())) return kMalformed;
-  if (next_is('e', 'E')) {
-    ++p;
-    if (next_is('+', '-')) ++p;
-    if (!digits()) return kMalformed;
-  }
-  return nullptr;
 }
 
 /// Appends the unescaped `body` of a string scan_json_string accepted.

@@ -1,46 +1,11 @@
 #include "engine/report.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "util/assert.hpp"
+#include "util/json.hpp"
 
 namespace p2p::engine {
-
-void append_json_string(std::string& out, std::string_view s) {
-  out += '"';
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          // Remaining control characters have no short escape; raw
-          // they would make the document unparseable by any JSON
-          // reader, our own corpus reader included.
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x", c);
-          out += buffer;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-}
 
 namespace {
 
@@ -72,40 +37,14 @@ void append_header(std::string& out, ReportFormat format,
   out += '\n';
 }
 
-/// True iff `cell` matches the JSON number grammar exactly
-/// (-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?), so the emitter can
-/// leave it unquoted. Deliberately stricter than strtod, which also
-/// accepts spellings JSON parsers reject ("+5", "0x1F", " 12").
-bool is_json_number(std::string_view cell) {
-  std::size_t i = 0;
-  const auto digits = [&] {
-    const std::size_t start = i;
-    while (i < cell.size() && cell[i] >= '0' && cell[i] <= '9') ++i;
-    return i > start;
-  };
-  if (i < cell.size() && cell[i] == '-') ++i;
-  if (i < cell.size() && cell[i] == '0') {
-    ++i;  // a leading zero must stand alone ("01" is not JSON)
-  } else if (!digits()) {
-    return false;
-  }
-  if (i < cell.size() && cell[i] == '.') {
-    ++i;
-    if (!digits()) return false;
-  }
-  if (i < cell.size() && (cell[i] == 'e' || cell[i] == 'E')) {
-    ++i;
-    if (i < cell.size() && (cell[i] == '+' || cell[i] == '-')) ++i;
-    if (!digits()) return false;
-  }
-  return i == cell.size() && i > (cell[0] == '-' ? 1u : 0u);
-}
-
-/// The JSON cell trichotomy of RowRenderer::Row::text: numbers unquoted,
-/// format_number's non-finite spellings as null, everything else a
-/// quoted string.
+/// The JSON cell trichotomy of RowRenderer::Row::text: cells matching
+/// the JSON number grammar unquoted, format_number's non-finite
+/// spellings as null, everything else a quoted string. The grammar is
+/// deliberately stricter than strtod, which also accepts spellings JSON
+/// parsers reject ("+5", "0x1F", " 12").
 void append_json_cell(std::string& out, std::string_view cell) {
-  if (is_json_number(cell)) {
+  std::size_t end = 0;
+  if (scan_json_number(cell, &end) == nullptr && end == cell.size()) {
     out += cell;
   } else if (cell == "inf" || cell == "-inf" || cell == "nan") {
     out += "null";
@@ -156,11 +95,8 @@ void RowRenderer::Row::append_prefix() {
 
 void RowRenderer::Row::number(double value) {
   append_prefix();
-  if (renderer_->format_ == ReportFormat::kJson && !std::isfinite(value)) {
-    *arena_ += "null";
-  } else {
-    format_number_into(*arena_, value);
-  }
+  const bool json = renderer_->format_ == ReportFormat::kJson;
+  (json ? append_json_number : format_number_into)(*arena_, value);
 }
 
 void RowRenderer::Row::text(std::string_view cell) {

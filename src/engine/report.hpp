@@ -34,12 +34,6 @@
 
 namespace p2p::engine {
 
-/// Appends the JSON string literal for `s` (quoted; '"', '\\' and
-/// control characters escaped). The one JSON string encoder — report
-/// rows and the phase-diagram summary JSON must escape identically, or
-/// the byte-golden corpora drift.
-void append_json_string(std::string& out, std::string_view s);
-
 enum class ReportFormat { kCsv, kJson };
 
 /// Renders rows of a fixed column schema into caller-supplied string

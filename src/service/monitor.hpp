@@ -122,9 +122,9 @@ struct Advisory {
   double us_gap = 0;
 };
 
-/// One '\n'-terminated JSON advisory line. Deterministic bytes: numbers
-/// via util/number_format.hpp format_number (non-finite -> null), mix keys in
-/// ascending mask order.
+/// One '\n'-terminated JSON advisory line, written by util/json.hpp's
+/// JsonWriter. Deterministic bytes: numbers via format_number
+/// (non-finite -> null), mix keys in ascending mask order.
 std::string advisory_json_line(const Advisory& advisory);
 
 using AdvisorySink = std::function<void(const Advisory&)>;

@@ -12,6 +12,7 @@
 #include "rand/rng.hpp"
 #include "sim/swarm.hpp"
 #include "sim/typecount_sim.hpp"
+#include "util/json.hpp"
 #include "util/number_format.hpp"
 
 namespace p2p {
@@ -275,18 +276,12 @@ void append_event_csv(std::string& out, const SwarmEvent& event) {
 }
 
 void append_event_json(std::string& out, const SwarmEvent& event) {
-  out += "{\"t\": ";
-  format_number_into(out, event.t);
-  out += ", \"event\": \"";
-  out += to_string(event.kind);
-  out += "\", \"type\": ";
-  out += std::to_string(event.type);
-  if (event.piece >= 0) {
-    out += ", \"piece\": ";
-    out += std::to_string(event.piece);
-  }
-  out += '}';
-  out += '\n';
+  JsonWriter json(out);
+  json.begin_object().key("t").number(event.t);
+  json.key("event").string(to_string(event.kind));
+  json.key("type").integer(event.type);
+  if (event.piece >= 0) json.key("piece").integer(event.piece);
+  json.end_object();
 }
 
 SwarmEvent parse_event_line(const std::string& line, std::size_t line_number,

@@ -8,23 +8,21 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <string_view>
 
 #include "util/cxx20_check.hpp"
 
 namespace p2p::detail {
 
+/// `msg` may embed runtime context (e.g. the offending CLI spec,
+/// verbatim). It is written whole: an echoed input line may hold a NUL.
 [[noreturn]] inline void assert_fail(const char* expr, const char* file,
-                                     int line, const char* msg) {
-  std::fprintf(stderr, "P2P_ASSERT failed: %s\n  at %s:%d\n  %s\n", expr, file,
-               line, msg != nullptr ? msg : "");
+                                     int line, std::string_view msg) {
+  std::fprintf(stderr, "P2P_ASSERT failed: %s\n  at %s:%d\n  ", expr, file,
+               line);
+  std::fwrite(msg.data(), 1, msg.size(), stderr);
+  std::fputc('\n', stderr);
   std::abort();
-}
-
-/// std::string overload so messages can embed runtime context (e.g. the
-/// offending CLI spec, verbatim).
-[[noreturn]] inline void assert_fail(const char* expr, const char* file,
-                                     int line, const std::string& msg) {
-  assert_fail(expr, file, line, msg.c_str());
 }
 
 }  // namespace p2p::detail
@@ -32,7 +30,7 @@ namespace p2p::detail {
 #define P2P_ASSERT(expr)                                              \
   do {                                                                \
     if (!(expr)) {                                                    \
-      ::p2p::detail::assert_fail(#expr, __FILE__, __LINE__, nullptr); \
+      ::p2p::detail::assert_fail(#expr, __FILE__, __LINE__, "");      \
     }                                                                 \
   } while (false)
 

@@ -3,7 +3,8 @@
 //
 // Every emitter in the tree (report rows, event logs, monitor
 // advisories, SVG and summary JSON, flag help) formats its numbers
-// here, so one printer decides every archived byte.
+// here, so one printer decides every archived byte. JSON goes through
+// util/json.hpp's writer, which spells non-finite numbers null.
 //
 // The digits come from Dragonbox (J. Jeon, 2020), which refines
 // Schubfach (R. Giulietti, 2020) to one 128-bit multiply in the common

@@ -21,6 +21,7 @@
 #include "engine/sweep.hpp"
 #include "rand/rng.hpp"
 #include "report_helpers.hpp"
+#include "util/json.hpp"
 
 namespace p2p::engine {
 namespace {

@@ -41,17 +41,23 @@ TEST(EventLog, CsvRoundTripsThroughTheParser) {
 }
 
 TEST(EventLog, JsonRoundTripsThroughTheParser) {
-  const std::vector<SwarmEvent> events = {
-      {0.0, SwarmEventKind::kArrive, 5, -1},
-      {1e-9, SwarmEventKind::kPiece, 5, 1},
-      {3.25, SwarmEventKind::kDepart, 7, -1},
+  // Each event with its exact archived line: with a piece, without one,
+  // and a timestamp in scientific notation.
+  const std::vector<std::pair<SwarmEvent, std::string>> events = {
+      {{0.0, SwarmEventKind::kArrive, 5, -1},
+       "{\"t\": 0, \"event\": \"arrive\", \"type\": 5}\n"},
+      {{1e-9, SwarmEventKind::kPiece, 5, 1},
+       "{\"t\": 1e-09, \"event\": \"piece\", \"type\": 5, "
+       "\"piece\": 1}\n"},
+      {{3.25, SwarmEventKind::kDepart, 7, -1},
+       "{\"t\": 3.25, \"event\": \"depart\", \"type\": 7}\n"},
   };
-  for (const SwarmEvent& event : events) {
+  for (const auto& [event, want] : events) {
     std::string line;
     append_event_json(line, event);
+    EXPECT_EQ(line, want);
     ASSERT_EQ(line.back(), '\n');
     line.pop_back();
-    EXPECT_EQ(line.front(), '{');
     EXPECT_EQ(parse_event_line(line, 1, 3), event) << line;
   }
 }

@@ -30,6 +30,7 @@
 #include "engine/csv_reader.hpp"
 #include "rand/rng.hpp"
 #include "report_helpers.hpp"
+#include "sim/event_log.hpp"
 
 namespace p2p {
 namespace {
@@ -185,12 +186,13 @@ void mutate(std::string& text, Rng& rng, std::string_view inserts) {
   }
 }
 
-/// `kMutantsPerSeed` fixed-seed mutants of `seed`, each 1-3 edits.
+/// `count` fixed-seed mutants of `seed`, each 1-3 edits.
 std::vector<std::string> mutants(const std::string& seed,
-                                 std::string_view inserts) {
+                                 std::string_view inserts,
+                                 int count = kMutantsPerSeed) {
   Rng rng(0x5eed0000u + seed.size());
   std::vector<std::string> out;
-  for (int m = 0; m < kMutantsPerSeed; ++m) {
+  for (int m = 0; m < count; ++m) {
     std::string input = seed;
     const int edits = 1 + static_cast<int>(rng.uniform_int(std::uint64_t{3}));
     for (int e = 0; e < edits; ++e) mutate(input, rng, inserts);
@@ -281,6 +283,77 @@ INSTANTIATE_TEST_SUITE_P(
                       "phase_region_adaptive_summary.json",
                       "phase_region_theory_summary.json",
                       "region_adaptive_summary.json"));
+
+/// Event-log lines: the committed K = 3 trace, line by line as archived
+/// (CSV) and as append_event_json renders each event. The seeds are
+/// evenly spaced lines, so every event kind is among them.
+constexpr int kEventPieces = 3;
+constexpr std::size_t kEventSeedLines = 16;
+constexpr int kMutantsPerEventLine = 32;
+/// Both dialects' structural bytes; no newline, which the line reader
+/// consumes before the parser sees a line.
+constexpr std::string_view kEventInserts = ",\"{}:. e-";
+
+std::vector<std::string> event_seed_lines(bool json) {
+  std::istringstream in(
+      slurp(std::string(P2P_EXPERIMENTS_DIR) + "/monitor_events.csv"));
+  std::vector<std::string> lines;
+  std::string line;
+  std::getline(in, line);  // the header
+  while (std::getline(in, line)) lines.push_back(line);
+  EXPECT_GE(lines.size(), kEventSeedLines);
+  std::vector<std::string> seeds;
+  for (std::size_t i = 0; i < kEventSeedLines; ++i) {
+    std::string seed = lines[i * lines.size() / kEventSeedLines];
+    if (json) {
+      const SwarmEvent event = parse_event_line(seed, i + 2, kEventPieces);
+      seed.clear();
+      append_event_json(seed, event);
+      seed.pop_back();  // the '\n'
+    }
+    seeds.push_back(std::move(seed));
+  }
+  return seeds;
+}
+
+/// Every mutant of every seed line parses, or aborts naming the line
+/// number and echoing the line verbatim.
+void fuzz_event_lines(bool json) {
+  int aborted = 0;
+  for (const std::string& seed : event_seed_lines(json)) {
+    const auto parse = [](const std::string& line) {
+      return run_child([&] { parse_event_line(line, 7, kEventPieces); });
+    };
+    const Outcome clean = parse(seed);
+    ASSERT_TRUE(clean.ok) << seed << ": " << clean.failure << clean.message;
+    const std::vector<std::string> inputs =
+        mutants(seed, kEventInserts, kMutantsPerEventLine);
+    for (std::size_t m = 0; m < inputs.size(); ++m) {
+      const Outcome one = parse(inputs[m]);
+      EXPECT_TRUE(one.failure.empty())
+          << seed << " mutant " << m << ": " << one.failure;
+      if (!one.ok) {
+        EXPECT_EQ(one.message.rfind("event log line 7: ", 0), 0u)
+            << seed << " mutant " << m << ": " << one.message;
+        EXPECT_NE(one.message.find("(got \"" + inputs[m] + "\")"),
+                  std::string::npos)
+            << seed << " mutant " << m << ": " << one.message;
+      }
+      aborted += one.ok ? 0 : 1;
+    }
+  }
+  // A flipped digit in a timestamp still parses; most edits must not.
+  EXPECT_GT(aborted, static_cast<int>(kEventSeedLines) *
+                         kMutantsPerEventLine / 2);
+}
+
+TEST(EventLineFuzz, EveryCsvMutantParsesOrAbortsEchoingTheLine) {
+  fuzz_event_lines(false);
+}
+
+TEST(EventLineFuzz, EveryJsonMutantParsesOrAbortsEchoingTheLine) {
+  fuzz_event_lines(true);
+}
 
 }  // namespace
 }  // namespace p2p

@@ -11,7 +11,9 @@
 #include <string>
 #include <vector>
 
+#include "engine/csv_reader.hpp"
 #include "report_helpers.hpp"
+#include "util/json.hpp"
 
 namespace p2p::engine {
 namespace {
@@ -124,6 +126,122 @@ TEST(TextCells, JsonEscapesStringsAndMapsEveryNonFiniteSpelling) {
             "  {\"i\": 3, \"x\": null, \"note\": \"line\\nbreak\"},\n"
             "  {\"i\": 4, \"x\": 0.1, \"note\": \"\"}\n"
             "]\n");
+}
+
+// --- JsonWriter: the layout every summary, advisory, event line and
+// bench file shares. Each document must also pass validate_json.
+
+TEST(JsonWriter, BlockObjectsAndArraysNestInlineContainers) {
+  std::string out;
+  JsonWriter json(out);
+  json.begin_block_object()
+      .key("name").string("phase")
+      .key("inline").begin_object()
+      .key("a").integer(1)
+      .key("b").begin_array().integer(2).integer(3).end_array()
+      .end_object()
+      .key("frontier").begin_object()
+      .key("tol").number(0.001)
+      .key("points").begin_block_array()
+      .begin_object().key("row").integer(0).end_object()
+      .begin_object().key("row").integer(1).end_object()
+      .end_array()
+      .end_object()
+      .key("none").begin_block_array().end_array()
+      .key("flag").boolean(true)
+      .key("off").boolean(false)
+      .key("missing").null()
+      .end_object();
+  EXPECT_EQ(out,
+            "{\n"
+            "  \"name\": \"phase\",\n"
+            "  \"inline\": {\"a\": 1, \"b\": [2, 3]},\n"
+            "  \"frontier\": {\"tol\": 0.001, \"points\": [\n"
+            "    {\"row\": 0},\n"
+            "    {\"row\": 1}\n"
+            "  ]},\n"
+            "  \"none\": [\n"
+            "  ],\n"
+            "  \"flag\": true,\n"
+            "  \"off\": false,\n"
+            "  \"missing\": null\n"
+            "}\n");
+  validate_json(out, "nested document");
+}
+
+TEST(JsonWriter, InlineObjectIsOneLine) {
+  std::string out = "prefix ";
+  JsonWriter json(out);
+  json.begin_object()
+      .key("t").number(0.25)
+      .key("mix").begin_object().key("3").number(0.5).end_object()
+      .key("empty").begin_array().end_array()
+      .end_object();
+  EXPECT_EQ(out,
+            "prefix {\"t\": 0.25, \"mix\": {\"3\": 0.5}, \"empty\": []}\n");
+  validate_json(out.substr(7), "one-line object");
+}
+
+TEST(JsonWriter, IntegersKeepEveryDigit) {
+  std::string out;
+  JsonWriter json(out);
+  json.begin_array()
+      .integer(12000000)
+      .integer(std::uint64_t{9007199254740993})  // 2^53 + 1
+      .integer(-7)
+      .integer(std::numeric_limits<std::uint64_t>::max())
+      .number(12000000.0)
+      .number(9007199254740993.0)
+      .end_array();
+  EXPECT_EQ(out, "[12000000, 9007199254740993, -7, " +
+                     std::to_string(std::numeric_limits<std::uint64_t>::max()) +
+                     ", 1.2e+07, 9007199254740992]\n");
+  validate_json(out, "integers");
+}
+
+TEST(JsonWriter, NonFiniteNumbersAreNull) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::string out;
+  JsonWriter json(out);
+  json.begin_object()
+      .key("nan").number(std::nan(""))
+      .key("inf").number(kInf)
+      .key("-inf").number(-kInf)
+      .key("zero").number(-0.0)
+      .end_object();
+  EXPECT_EQ(out,
+            "{\"nan\": null, \"inf\": null, \"-inf\": null, \"zero\": -0}\n");
+  validate_json(out, "non-finite numbers");
+  std::string bare;
+  append_json_number(bare, -kInf);
+  append_json_number(bare, 1e300);
+  EXPECT_EQ(bare, "null1e+300");
+}
+
+TEST(JsonWriter, StringsAndKeysEscapeQuotesBackslashesAndControls) {
+  const char bytes[] = "q\"b\\n\nt\tr\rnul\0x\x01\x1f\x7f";
+  const std::string raw(bytes, sizeof(bytes) - 1);
+  std::string out;
+  JsonWriter json(out);
+  json.begin_object().key(raw).string(raw).end_object();
+  const std::string escaped =
+      "\"q\\\"b\\\\n\\nt\\tr\\rnul\\u0000x\\u0001\\u001f\x7f\"";
+  EXPECT_EQ(out, "{" + escaped + ": " + escaped + "}\n");
+  validate_json(out, "escaped strings");
+  std::string plain;
+  append_json_string(plain, "plain text");
+  EXPECT_EQ(plain, "\"plain text\"");
+}
+
+TEST(JsonWriterDeath, MisplacedKeysAndClosesAbort) {
+  std::string out;
+  EXPECT_DEATH(JsonWriter(out).begin_object().integer(1), "key, value");
+  EXPECT_DEATH(JsonWriter(out).begin_array().key("k"), "key, value");
+  EXPECT_DEATH(JsonWriter(out).begin_object().end_array(), "does not match");
+  EXPECT_DEATH(JsonWriter(out).begin_object().key("k").end_object(),
+               "does not match");
+  EXPECT_DEATH(JsonWriter(out).begin_array().begin_block_object(),
+               "outermost");
 }
 
 // --- ReportWriter: rows reach it as rendered arenas, one row or many

@@ -171,8 +171,7 @@ int run_monitor(const std::string& in_path, const std::string& out_path,
   std::FILE* out = open_out(out_path);
   service::StabilityMonitor monitor(config);
   const service::AdvisorySink sink = [&](const service::Advisory& advisory) {
-    const std::string line = service::advisory_json_line(advisory);
-    write_all(out, line, out_path);
+    write_all(out, service::advisory_json_line(advisory), out_path);
   };
 
   std::string line;

@@ -30,6 +30,7 @@
 // JSON are byte-identical for any --threads, and CI diffs them against
 // committed goldens.
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -42,33 +43,16 @@
 #include "engine/sweep.hpp"
 #include "engine/thread_pool.hpp"
 #include "util/flags.hpp"
+#include "util/json.hpp"
 #include "util/number_format.hpp"
 
 namespace {
 
+using p2p::JsonWriter;
 using p2p::Stability;
 using p2p::analysis::PhaseFrontierPoint;
 using p2p::analysis::PhaseGrid;
 using p2p::analysis::VerdictAgreement;
-using p2p::format_number;
-
-/// JSON rendering of one double: format_number's spelling, with the
-/// non-finite values mapped to null like the report emitter does.
-std::string json_num(double v) {
-  const std::string s = format_number(v);
-  return (s == "nan" || s == "inf" || s == "-inf") ? "null" : s;
-}
-
-std::string json_bool(bool b) { return b ? "true" : "false"; }
-
-/// Quoted JSON string — the source path is user input, and a '"' in a
-/// filename must not corrupt the summary. One encoder for the whole
-/// tree: the report emitter's.
-std::string json_str(const std::string& s) {
-  std::string out;
-  p2p::engine::append_json_string(out, s);
-  return out;
-}
 
 std::string basename_of(const std::string& path) {
   if (path.empty() || path == "-") return "<stdin>";
@@ -76,108 +60,91 @@ std::string basename_of(const std::string& path) {
   return slash == std::string::npos ? path : path.substr(slash + 1);
 }
 
+/// Writes a count, or an inline array of counts (nested arrays nest).
+void write_counts(JsonWriter& json, std::size_t n) { json.integer(n); }
+template <typename T, std::size_t N>
+void write_counts(JsonWriter& json, const T (&counts)[N]) {
+  json.begin_array();
+  for (const T& c : counts) write_counts(json, c);
+  json.end_array();
+}
+
+/// Writes `key` as an object with one member per verdict, keyed by its
+/// report token, holding that verdict's `rows` entry.
+template <typename Rows>
+void per_verdict(JsonWriter& json, const char* key, const Rows& rows) {
+  json.key(key).begin_object();
+  for (int v = 0; v < 3; ++v) {
+    json.key(p2p::to_string(static_cast<Stability>(v)));
+    write_counts(json, rows[v]);
+  }
+  json.end_object();
+}
+
+/// The per-verdict tally of `cells` (grid cells or boxes).
+template <typename Cells>
+std::array<std::size_t, 3> tally(const Cells& cells) {
+  std::array<std::size_t, 3> counts{};
+  for (const auto& cell : cells) counts[static_cast<int>(cell.verdict)] += 1;
+  return counts;
+}
 
 /// The summary JSON: the machine-readable digest CI diffs against a
 /// committed golden. Key order and number spellings are deterministic.
 std::string summary_json(const std::string& source, const PhaseGrid& grid,
                          const std::vector<PhaseFrontierPoint>& frontier,
+                         std::size_t bracketed,
                          const VerdictAgreement& agreement, double tol) {
-  std::size_t verdict_counts[3] = {};
-  for (const auto& cell : grid.cells) {
-    verdict_counts[static_cast<int>(cell.verdict)] += 1;
+  std::string out;
+  JsonWriter json(out);
+  json.begin_block_object().key("source").string(source);
+  json.key("x_axis").string(grid.x_axis).key("y_axis").string(grid.y_axis);
+  json.key("num_x").integer(grid.num_x()).key("num_y").integer(grid.num_y());
+  json.key("cells").integer(grid.cells.size());
+  json.key("scenario_types").begin_array();
+  for (const auto& arrival : grid.scenario.mix) {
+    json.string(p2p::engine::mix_column_name(arrival.type));
   }
-  std::size_t bracketed = 0;
-  for (const auto& pt : frontier) bracketed += pt.bracketed;
+  json.end_array();
+  // Only non-baseline corpora carry the column, so baseline summary
+  // bytes are untouched.
+  if (!grid.policy.empty()) json.key("policy").string(grid.policy);
+  per_verdict(json, "verdicts", tally(grid.cells));
 
-  std::string out = "{\n";
-  out += "  \"source\": " + json_str(source) + ",\n";
-  out += "  \"x_axis\": " + json_str(grid.x_axis) + ",\n";
-  out += "  \"y_axis\": " + json_str(grid.y_axis) + ",\n";
-  out += "  \"num_x\": " + std::to_string(grid.num_x()) + ",\n";
-  out += "  \"num_y\": " + std::to_string(grid.num_y()) + ",\n";
-  out += "  \"cells\": " + std::to_string(grid.cells.size()) + ",\n";
-  out += "  \"scenario_types\": [";
-  for (std::size_t i = 0; i < grid.scenario.mix.size(); ++i) {
-    if (i > 0) out += ", ";
-    out += "\"" + p2p::engine::mix_column_name(grid.scenario.mix[i].type) +
-           "\"";
+  json.key("frontier").begin_object().key("tol").number(tol);
+  json.key("bracketed_rows").integer(bracketed);
+  json.key("points").begin_block_array();
+  for (const PhaseFrontierPoint& pt : frontier) {
+    json.begin_object().key("row").integer(pt.row).key("y").number(pt.y);
+    json.key("bracketed").boolean(pt.bracketed);
+    json.key("x_lo").number(pt.x_lo).key("x_hi").number(pt.x_hi);
+    json.key("interpolated").number(pt.interpolated);
+    json.key("value").number(pt.value).key("value_lo").number(pt.value_lo);
+    json.key("value_hi").number(pt.value_hi).key("margin").number(pt.margin);
+    json.end_object();
   }
-  out += "],\n";
-  if (!grid.policy.empty()) {
-    // Only non-baseline corpora carry the column, so baseline summary
-    // bytes are untouched.
-    out += "  \"policy\": " + json_str(grid.policy) + ",\n";
-  }
-  out += "  \"verdicts\": {\"positive-recurrent\": " +
-         std::to_string(verdict_counts[0]) +
-         ", \"transient\": " + std::to_string(verdict_counts[1]) +
-         ", \"borderline\": " + std::to_string(verdict_counts[2]) + "},\n";
+  json.end_array().end_object();
 
-  out += "  \"frontier\": {\"tol\": " + json_num(tol) +
-         ", \"bracketed_rows\": " + std::to_string(bracketed) +
-         ", \"points\": [\n";
-  for (std::size_t i = 0; i < frontier.size(); ++i) {
-    const PhaseFrontierPoint& pt = frontier[i];
-    out += "    {\"row\": " + std::to_string(pt.row) +
-           ", \"y\": " + json_num(pt.y) +
-           ", \"bracketed\": " + json_bool(pt.bracketed) +
-           ", \"x_lo\": " + json_num(pt.x_lo) +
-           ", \"x_hi\": " + json_num(pt.x_hi) +
-           ", \"interpolated\": " + json_num(pt.interpolated) +
-           ", \"value\": " + json_num(pt.value) +
-           ", \"value_lo\": " + json_num(pt.value_lo) +
-           ", \"value_hi\": " + json_num(pt.value_hi) +
-           ", \"margin\": " + json_num(pt.margin) + "}";
-    out += i + 1 < frontier.size() ? ",\n" : "\n";
-  }
-  out += "  ]},\n";
-
-  out += "  \"agreement\": {\"cells_with_sim\": " +
-         std::to_string(agreement.cells_with_sim) +
-         ", \"threshold\": " + json_num(agreement.threshold) +
-         ", \"compared\": " + std::to_string(agreement.compared) +
-         ", \"agreeing\": " + std::to_string(agreement.agreeing) +
-         ", \"agreement\": " + json_num(agreement.agreement) +
-         ", \"agreement_lo\": " + json_num(agreement.agreement_lo) +
-         ", \"agreement_hi\": " + json_num(agreement.agreement_hi) +
-         ", \"confusion\": {";
-  const char* verdict_names[3] = {"positive-recurrent", "transient",
-                                  "borderline"};
-  for (int v = 0; v < 3; ++v) {
-    if (v > 0) out += ", ";
-    out += std::string("\"") + verdict_names[v] + "\": [" +
-           std::to_string(agreement.counts[v][0]) + ", " +
-           std::to_string(agreement.counts[v][1]) + "]";
-  }
-  out += "}}";
-  if (agreement.has_fluid) {
+  const VerdictAgreement& a = agreement;
+  json.key("agreement").begin_object();
+  json.key("cells_with_sim").integer(a.cells_with_sim);
+  json.key("threshold").number(a.threshold);
+  json.key("compared").integer(a.compared).key("agreeing").integer(a.agreeing);
+  json.key("agreement").number(a.agreement);
+  json.key("agreement_lo").number(a.agreement_lo);
+  json.key("agreement_hi").number(a.agreement_hi);
+  per_verdict(json, "confusion", a.counts);
+  json.end_object();
+  if (a.has_fluid) {
     // The three-way digest only exists for corpora with a fluid_verdict
     // column, so pre-fluid summaries keep their bytes.
-    out += ",\n  \"fluid\": {\"compared\": " +
-           std::to_string(agreement.fluid_compared) +
-           ", \"agreeing\": " + std::to_string(agreement.fluid_agreeing) +
-           ", \"theory_vs_fluid\": {";
-    for (int t = 0; t < 3; ++t) {
-      if (t > 0) out += ", ";
-      out += std::string("\"") + verdict_names[t] + "\": [" +
-             std::to_string(agreement.fluid_counts[t][0]) + ", " +
-             std::to_string(agreement.fluid_counts[t][1]) + ", " +
-             std::to_string(agreement.fluid_counts[t][2]) + "]";
-    }
-    out += "}, \"three_way\": {";
-    for (int t = 0; t < 3; ++t) {
-      if (t > 0) out += ", ";
-      out += std::string("\"") + verdict_names[t] + "\": [";
-      for (int f = 0; f < 3; ++f) {
-        if (f > 0) out += ", ";
-        out += "[" + std::to_string(agreement.counts3[t][f][0]) + ", " +
-               std::to_string(agreement.counts3[t][f][1]) + "]";
-      }
-      out += "]";
-    }
-    out += "}}";
+    json.key("fluid").begin_object().key("compared").integer(a.fluid_compared);
+    json.key("agreeing").integer(a.fluid_agreeing);
+    per_verdict(json, "theory_vs_fluid", a.fluid_counts);
+    per_verdict(json, "three_way", a.counts3);
+    json.end_object();
   }
-  out += "\n}\n";
+  json.end_object();
   return out;
 }
 
@@ -185,41 +152,30 @@ std::string summary_json(const std::string& source, const PhaseGrid& grid,
 /// leaf counts, depths, finest resolution and the frontier-cover
 /// accounting. Key order and number spellings are deterministic.
 std::string box_summary_json(const std::string& source,
-                             const p2p::analysis::BoxGrid& grid) {
-  std::size_t verdict_counts[3] = {};
-  std::size_t cover = 0;
+                             const p2p::analysis::BoxGrid& grid,
+                             std::size_t cover) {
   double cover_measure = 0;
   for (const auto& b : grid.boxes) {
-    verdict_counts[static_cast<int>(b.verdict)] += 1;
-    if (!b.uniform) {
-      ++cover;
-      cover_measure += b.ext_x * b.ext_y;
-    }
+    if (!b.uniform) cover_measure += b.ext_x * b.ext_y;
   }
   const double window =
       (grid.x_max - grid.x_min) * (grid.y_max - grid.y_min);
-  std::string out = "{\n";
-  out += "  \"source\": " + json_str(source) + ",\n";
-  out += "  \"mode\": \"adaptive\",\n";
-  out += "  \"x_axis\": " + json_str(grid.x_axis) + ",\n";
-  out += "  \"y_axis\": " + json_str(grid.y_axis) + ",\n";
-  out += "  \"boxes\": " + std::to_string(grid.boxes.size()) + ",\n";
-  out += "  \"max_depth\": " + std::to_string(grid.max_depth) + ",\n";
-  out += "  \"x_min\": " + json_num(grid.x_min) + ",\n";
-  out += "  \"x_max\": " + json_num(grid.x_max) + ",\n";
-  out += "  \"y_min\": " + json_num(grid.y_min) + ",\n";
-  out += "  \"y_max\": " + json_num(grid.y_max) + ",\n";
-  out += "  \"min_ext_x\": " + json_num(grid.min_ext_x) + ",\n";
-  out += "  \"min_ext_y\": " + json_num(grid.min_ext_y) + ",\n";
-  out += "  \"verdicts\": {\"positive-recurrent\": " +
-         std::to_string(verdict_counts[0]) +
-         ", \"transient\": " + std::to_string(verdict_counts[1]) +
-         ", \"borderline\": " + std::to_string(verdict_counts[2]) + "},\n";
-  out += "  \"frontier_cover\": {\"boxes\": " + std::to_string(cover) +
-         ", \"measure\": " + json_num(cover_measure) +
-         ", \"window_fraction\": " + json_num(cover_measure / window) +
-         "}\n";
-  out += "}\n";
+  std::string out;
+  JsonWriter json(out);
+  json.begin_block_object().key("source").string(source);
+  json.key("mode").string("adaptive");
+  json.key("x_axis").string(grid.x_axis).key("y_axis").string(grid.y_axis);
+  json.key("boxes").integer(grid.boxes.size());
+  json.key("max_depth").integer(grid.max_depth);
+  json.key("x_min").number(grid.x_min).key("x_max").number(grid.x_max);
+  json.key("y_min").number(grid.y_min).key("y_max").number(grid.y_max);
+  json.key("min_ext_x").number(grid.min_ext_x);
+  json.key("min_ext_y").number(grid.min_ext_y);
+  per_verdict(json, "verdicts", tally(grid.boxes));
+  json.key("frontier_cover").begin_object().key("boxes").integer(cover);
+  json.key("measure").number(cover_measure);
+  json.key("window_fraction").number(cover_measure / window);
+  json.end_object().end_object();
   return out;
 }
 
@@ -352,14 +308,15 @@ int main(int argc, char** argv) {
     if (!svg_out.empty()) {
       write_text(svg_out, render_boxes_svg(boxes, render));
     }
-    const std::string summary = box_summary_json(basename_of(in), boxes);
+    std::size_t cover = 0;
+    for (const auto& b : boxes.boxes) cover += b.uniform ? 0 : 1;
+    const std::string summary =
+        box_summary_json(basename_of(in), boxes, cover);
     if (!summary_out.empty()) {
       write_text(summary_out, summary);
     } else if (ppm_out.empty() && svg_out.empty()) {
       write_text("-", summary);
     }
-    std::size_t cover = 0;
-    for (const auto& b : boxes.boxes) cover += b.uniform ? 0 : 1;
     std::fprintf(stderr,
                  "p2p_phase: %zu leaf boxes (%s vs %s), depth <= %d, %zu "
                  "frontier-cover, finest %s x %s\n",
@@ -411,16 +368,15 @@ int main(int argc, char** argv) {
       write_text(diff_svg_out, render_diff_svg(baseline, grid, render));
     }
   }
+  std::size_t bracketed = 0;
+  for (const auto& pt : frontier) bracketed += pt.bracketed;
   const std::string summary = summary_json(basename_of(in), grid, frontier,
-                                           agreement, tol);
+                                           bracketed, agreement, tol);
   if (!summary_out.empty()) {
     write_text(summary_out, summary);
   } else if (ppm_out.empty() && svg_out.empty() && frontier_out.empty()) {
     write_text("-", summary);
   }
-
-  std::size_t bracketed = 0;
-  for (const auto& pt : frontier) bracketed += pt.bracketed;
   std::fprintf(stderr,
                "p2p_phase: %zu x %zu grid (%s vs %s), %zu/%zu rows "
                "bracketed, %zu sim cells, agreement %s\n",

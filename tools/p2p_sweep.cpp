@@ -67,49 +67,41 @@
 #include "engine/report.hpp"
 #include "engine/sweep.hpp"
 #include "util/flags.hpp"
-#include "util/number_format.hpp"
+#include "util/json.hpp"
 
 namespace {
 
 /// The adaptive run's machine-readable digest: the savings accounting
 /// (vertices evaluated vs the dense-equivalent fine lattice) CI diffs
 /// against a committed golden. Key order and number spellings are
-/// deterministic; json_num maps non-finite values to null like the
-/// report emitter does.
+/// deterministic.
 std::string adaptive_summary_json(
     const p2p::engine::AdaptiveSummary& summary,
     const p2p::engine::AdaptiveOptions& adaptive, int replicas) {
-  using p2p::format_number;
-  const auto json_num = [](double v) {
-    const std::string s = format_number(v);
-    return (s == "nan" || s == "inf" || s == "-inf") ? std::string("null")
-                                                     : s;
-  };
-  std::string out = "{\n";
-  out += "  \"mode\": \"adaptive\",\n";
-  out += "  \"max_depth\": " + std::to_string(adaptive.max_depth) + ",\n";
-  out += "  \"tol\": " + json_num(adaptive.tol) + ",\n";
-  out += "  \"sim_threshold\": " + json_num(adaptive.sim_threshold) + ",\n";
-  out += "  \"max_sim_rounds\": " + std::to_string(adaptive.max_sim_rounds) +
-         ",\n";
-  out += "  \"replicas\": " + std::to_string(replicas) + ",\n";
-  out += "  \"boxes\": " + std::to_string(summary.boxes) + ",\n";
-  out += "  \"evaluated\": " + std::to_string(summary.evaluated) + ",\n";
-  out += "  \"simulated\": " + std::to_string(summary.simulated) + ",\n";
-  out += "  \"escalated\": " + std::to_string(summary.escalated) + ",\n";
-  out += "  \"max_depth_reached\": " +
-         std::to_string(summary.max_depth_reached) + ",\n";
-  out += "  \"dense_equivalent\": " +
-         std::to_string(summary.dense_equivalent) + ",\n";
-  out += "  \"evaluated_fraction\": " +
-         json_num(static_cast<double>(summary.evaluated) /
-                  static_cast<double>(summary.dense_equivalent)) +
-         ",\n";
-  out += "  \"verdicts\": {\"positive-recurrent\": " +
-         std::to_string(summary.stable) +
-         ", \"transient\": " + std::to_string(summary.transient) +
-         ", \"borderline\": " + std::to_string(summary.borderline) + "}\n";
-  out += "}\n";
+  std::string out;
+  p2p::JsonWriter json(out);
+  json.begin_block_object().key("mode").string("adaptive");
+  json.key("max_depth").integer(adaptive.max_depth);
+  json.key("tol").number(adaptive.tol);
+  json.key("sim_threshold").number(adaptive.sim_threshold);
+  json.key("max_sim_rounds").integer(adaptive.max_sim_rounds);
+  json.key("replicas").integer(replicas).key("boxes").integer(summary.boxes);
+  json.key("evaluated").integer(summary.evaluated);
+  json.key("simulated").integer(summary.simulated);
+  json.key("escalated").integer(summary.escalated);
+  json.key("max_depth_reached").integer(summary.max_depth_reached);
+  json.key("dense_equivalent").integer(summary.dense_equivalent);
+  json.key("evaluated_fraction")
+      .number(static_cast<double>(summary.evaluated) /
+              static_cast<double>(summary.dense_equivalent));
+  const std::size_t verdicts[3] = {summary.stable, summary.transient,
+                                   summary.borderline};
+  json.key("verdicts").begin_object();
+  for (int v = 0; v < 3; ++v) {
+    json.key(p2p::to_string(static_cast<p2p::Stability>(v)));
+    json.integer(verdicts[v]);
+  }
+  json.end_object().end_object();
   return out;
 }
 
