@@ -182,8 +182,7 @@ int main(int argc, char** argv) {
   json.key("peak_rss_kb").integer(bench::peak_rss_kb());
   json.key("top_swarm_size").integer(top.swarm_size);
   json.key("top_typecount_events_per_sec").number(top.typecount_events_per_sec);
-  json.key("top_speedup").number(top.speedup);
-  json.key("sizes").begin_block_array();
+  json.key("top_speedup").number(top.speedup).key("sizes").begin_block_array();
   for (const Measurement& m : rows) {
     json.begin_object().key("swarm_size").integer(m.swarm_size);
     json.key("per_peer_events_per_sec").number(m.per_peer_events_per_sec);

@@ -19,8 +19,7 @@
 
 namespace p2p::bench {
 
-/// Peak resident set of this process in kB (ru_maxrss is kB on Linux),
-/// which the throughput benches record.
+/// Peak resident set of this process in kB (ru_maxrss is kB on Linux).
 inline long peak_rss_kb() {
   rusage usage{};
   P2P_ASSERT(getrusage(RUSAGE_SELF, &usage) == 0);

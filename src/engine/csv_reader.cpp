@@ -287,13 +287,12 @@ void skip_json_space(std::string_view text, std::size_t* pos) {
 
 constexpr const char* kUnexpectedEnd = "unexpected end of JSON document";
 
-// The JSON token grammar, shared by the report cursor and validate_json
-// (the number scanner is util/json.hpp's scan_json_number, which the
-// report emitter shares). Each scanner advances `*pos` past its token
-// and returns nullptr, or returns what is wrong with `*pos` at the
-// offending byte — the end of `text` when the token ran off it, so a
-// caller holding a prefix of the document can tell "malformed" from
-// "read more".
+// The JSON token grammar, shared by the report cursor and validate_json;
+// numbers use util/json.hpp's scan_json_number. Each scanner advances
+// `*pos` past its token and returns nullptr, or returns what is wrong
+// with `*pos` at the offending byte — the end of `text` when the token
+// ran off it, so a caller holding a prefix of the document can tell
+// "malformed" from "read more".
 
 /// A string (text[*pos] is its opening '"'); `*escaped` tells whether
 /// its body holds an escape.

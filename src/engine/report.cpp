@@ -95,8 +95,11 @@ void RowRenderer::Row::append_prefix() {
 
 void RowRenderer::Row::number(double value) {
   append_prefix();
-  const bool json = renderer_->format_ == ReportFormat::kJson;
-  (json ? append_json_number : format_number_into)(*arena_, value);
+  if (renderer_->format_ == ReportFormat::kJson) {
+    append_json_number(*arena_, value);
+  } else {
+    format_number_into(*arena_, value);
+  }
 }
 
 void RowRenderer::Row::text(std::string_view cell) {

@@ -83,8 +83,7 @@ std::string advisory_json_line(const Advisory& advisory) {
   json.number(est.gamma > 0 ? analysis::depart_rate_to_dwell(est.gamma)
                             : kNaN);
   json.key("us_required").number(classified ? advisory.us_required : kNaN);
-  json.key("us_gap").number(classified ? advisory.us_gap : kNaN);
-  json.end_object();
+  json.key("us_gap").number(classified ? advisory.us_gap : kNaN).end_object();
   return out;
 }
 

@@ -25,12 +25,18 @@ namespace p2p::detail {
   std::abort();
 }
 
+/// A literal message, or none (nullptr): one pointer at the call site.
+[[noreturn]] inline void assert_fail(const char* expr, const char* file,
+                                     int line, const char* msg) {
+  assert_fail(expr, file, line, std::string_view(msg ? msg : ""));
+}
+
 }  // namespace p2p::detail
 
 #define P2P_ASSERT(expr)                                              \
   do {                                                                \
     if (!(expr)) {                                                    \
-      ::p2p::detail::assert_fail(#expr, __FILE__, __LINE__, "");      \
+      ::p2p::detail::assert_fail(#expr, __FILE__, __LINE__, nullptr); \
     }                                                                 \
   } while (false)
 

@@ -87,19 +87,4 @@ JsonWriter& JsonWriter::key(std::string_view name) {
   return *this;
 }
 
-JsonWriter& JsonWriter::number(double value) {
-  append_json_number(separate(false), value);
-  return *this;
-}
-
-JsonWriter& JsonWriter::string(std::string_view value) {
-  append_json_string(separate(false), value);
-  return *this;
-}
-
-JsonWriter& JsonWriter::verbatim(std::string_view token) {
-  separate(false).append(token);
-  return *this;
-}
-
 }  // namespace p2p

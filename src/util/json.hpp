@@ -67,16 +67,21 @@ class JsonWriter {
 
   /// The next member's key; its value follows.
   JsonWriter& key(std::string_view name);
-  JsonWriter& number(double value);
+  JsonWriter& number(double value) {
+    append_json_number(separate(false), value);
+    return *this;
+  }
   /// The integer's exact digits: 12000000, where number() gives 1.2e+07.
   template <typename Int>
   JsonWriter& integer(Int value) {
     static_assert(std::is_integral_v<Int> && !std::is_same_v<Int, bool>);
-    char digits[24];
-    const auto end = std::to_chars(digits, digits + sizeof(digits), value);
-    return verbatim(std::string_view(digits, end.ptr - digits));
+    char buf[24];
+    return verbatim({buf, std::to_chars(buf, std::end(buf), value).ptr});
   }
-  JsonWriter& string(std::string_view value);
+  JsonWriter& string(std::string_view value) {
+    append_json_string(separate(false), value);
+    return *this;
+  }
   JsonWriter& boolean(bool value) { return verbatim(value ? "true" : "false"); }
   JsonWriter& null() { return verbatim("null"); }
 
@@ -86,7 +91,10 @@ class JsonWriter {
 
   JsonWriter& open(char bracket, bool block);
   JsonWriter& close(char bracket);
-  JsonWriter& verbatim(std::string_view token);
+  JsonWriter& verbatim(std::string_view token) {
+    separate(false).append(token);
+    return *this;
+  }
   /// Appends the separator due before a key or value; returns the output.
   std::string& separate(bool is_key);
 

@@ -43,13 +43,13 @@
 #include "engine/sweep.hpp"
 #include "engine/thread_pool.hpp"
 #include "util/flags.hpp"
-#include "util/json.hpp"
 #include "util/number_format.hpp"
+#include "verdict_json.hpp"
 
 namespace {
 
 using p2p::JsonWriter;
-using p2p::Stability;
+using p2p::per_verdict;
 using p2p::analysis::PhaseFrontierPoint;
 using p2p::analysis::PhaseGrid;
 using p2p::analysis::VerdictAgreement;
@@ -58,27 +58,6 @@ std::string basename_of(const std::string& path) {
   if (path.empty() || path == "-") return "<stdin>";
   const auto slash = path.find_last_of('/');
   return slash == std::string::npos ? path : path.substr(slash + 1);
-}
-
-/// Writes a count, or an inline array of counts (nested arrays nest).
-void write_counts(JsonWriter& json, std::size_t n) { json.integer(n); }
-template <typename T, std::size_t N>
-void write_counts(JsonWriter& json, const T (&counts)[N]) {
-  json.begin_array();
-  for (const T& c : counts) write_counts(json, c);
-  json.end_array();
-}
-
-/// Writes `key` as an object with one member per verdict, keyed by its
-/// report token, holding that verdict's `rows` entry.
-template <typename Rows>
-void per_verdict(JsonWriter& json, const char* key, const Rows& rows) {
-  json.key(key).begin_object();
-  for (int v = 0; v < 3; ++v) {
-    json.key(p2p::to_string(static_cast<Stability>(v)));
-    write_counts(json, rows[v]);
-  }
-  json.end_object();
 }
 
 /// The per-verdict tally of `cells` (grid cells or boxes).
@@ -133,16 +112,14 @@ std::string summary_json(const std::string& source, const PhaseGrid& grid,
   json.key("agreement").number(a.agreement);
   json.key("agreement_lo").number(a.agreement_lo);
   json.key("agreement_hi").number(a.agreement_hi);
-  per_verdict(json, "confusion", a.counts);
-  json.end_object();
+  per_verdict(json, "confusion", a.counts).end_object();
   if (a.has_fluid) {
     // The three-way digest only exists for corpora with a fluid_verdict
     // column, so pre-fluid summaries keep their bytes.
     json.key("fluid").begin_object().key("compared").integer(a.fluid_compared);
     json.key("agreeing").integer(a.fluid_agreeing);
     per_verdict(json, "theory_vs_fluid", a.fluid_counts);
-    per_verdict(json, "three_way", a.counts3);
-    json.end_object();
+    per_verdict(json, "three_way", a.counts3).end_object();
   }
   json.end_object();
   return out;
@@ -310,8 +287,7 @@ int main(int argc, char** argv) {
     }
     std::size_t cover = 0;
     for (const auto& b : boxes.boxes) cover += b.uniform ? 0 : 1;
-    const std::string summary =
-        box_summary_json(basename_of(in), boxes, cover);
+    const std::string summary = box_summary_json(basename_of(in), boxes, cover);
     if (!summary_out.empty()) {
       write_text(summary_out, summary);
     } else if (ppm_out.empty() && svg_out.empty()) {

@@ -62,12 +62,11 @@
 #include <string>
 #include <thread>
 
-#include "core/stability.hpp"
 #include "engine/refine.hpp"
 #include "engine/report.hpp"
 #include "engine/sweep.hpp"
 #include "util/flags.hpp"
-#include "util/json.hpp"
+#include "verdict_json.hpp"
 
 namespace {
 
@@ -96,12 +95,7 @@ std::string adaptive_summary_json(
               static_cast<double>(summary.dense_equivalent));
   const std::size_t verdicts[3] = {summary.stable, summary.transient,
                                    summary.borderline};
-  json.key("verdicts").begin_object();
-  for (int v = 0; v < 3; ++v) {
-    json.key(p2p::to_string(static_cast<p2p::Stability>(v)));
-    json.integer(verdicts[v]);
-  }
-  json.end_object().end_object();
+  p2p::per_verdict(json, "verdicts", verdicts).end_object();
   return out;
 }
 
